@@ -16,10 +16,9 @@
 //!   relaxation is already infeasible: a single-node solve that measures the
 //!   per-query overhead floor (encoding + one LP) of every engine.
 //!
-//! Each workload compares the PR-1 baseline (which cloned the whole LP per
-//! node, kept as [`dpv_bench::CloningBranchAndBoundBackend`]), the clone-free
-//! serial engine, and the parallel backend at 1/2/4/8 workers; a final
-//! section dispatches the refinement work-list serially and in parallel.
+//! Each workload compares the serial engine and the parallel backend at
+//! 1/2/4/8 workers; a final section dispatches the refinement work-list
+//! serially and in parallel.
 //!
 //! Run with `CRITERION_JSON=BENCH_e7.json` to capture machine-readable
 //! results. The emitted file includes `host_cpus`: on a single-core host the
@@ -35,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dpv_absint::{AbstractDomain, BoxDomain};
-use dpv_bench::{bench_config, permille, quick_outcome, CloningBranchAndBoundBackend};
+use dpv_bench::{bench_config, permille, quick_outcome};
 use dpv_core::{
     encode_verification, AssumeGuarantee, Characterizer, CharacterizerConfig, InputProperty,
     ParallelRefinementConfig, RefinementVerifier, RiskCondition, StartRegion, VerificationProblem,
@@ -48,16 +47,11 @@ use dpv_tensor::Vector;
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// The engines every workload compares: the PR-1 cloning baseline, the
-/// clone-free serial default, and the parallel worker sweep.
+/// The engines every workload compares: the serial default and the
+/// parallel worker sweep.
 fn engines() -> Vec<(String, Box<dyn SolverBackend>)> {
-    let mut engines: Vec<(String, Box<dyn SolverBackend>)> = vec![
-        (
-            "baseline-pr1/1".into(),
-            Box::new(CloningBranchAndBoundBackend),
-        ),
-        ("serial/1".into(), Box::new(BranchAndBoundBackend)),
-    ];
+    let mut engines: Vec<(String, Box<dyn SolverBackend>)> =
+        vec![("serial/1".into(), Box::new(BranchAndBoundBackend))];
     for workers in WORKER_SWEEP {
         engines.push((
             format!("parallel/{workers}"),

@@ -7,9 +7,6 @@
 //! harness) and then benchmarks the operation the experiment is about.
 
 use dpv_core::{Workflow, WorkflowConfig, WorkflowOutcome};
-use dpv_lp::{
-    LpStatus, MilpProblem, MilpSolution, MilpStatus, SolveStats, SolverBackend, VarId, SOLVER_EPS,
-};
 
 /// Ratio → permille conversion for `criterion::report_metric` records
 /// (`0` when the denominator is non-positive). Shared by every bench
@@ -67,195 +64,14 @@ pub fn quick_outcome() -> WorkflowOutcome {
         .expect("benchmark setup workflow must succeed")
 }
 
-/// The PR-1 branch-and-bound algorithm, kept verbatim as a benchmark
-/// baseline. It differs from the production serial engine in two ways this
-/// PR changed: it clones the entire [`dpv_lp::LinearProgram`] at **every**
-/// node (the production engines reuse a single scratch LP — tighten on
-/// descent, restore on backtrack), and it branches on the *first* fractional
-/// binary (the production engines branch most-fractional on the
-/// feasibility-only problems verification issues, which measurably shrinks
-/// refutation trees). `benches/e7_parallel_scaling.rs` measures both
-/// effects. Built entirely on the public `dpv-lp` API so the solver crate
-/// carries no legacy code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CloningBranchAndBoundBackend;
-
-impl SolverBackend for CloningBranchAndBoundBackend {
-    fn name(&self) -> &str {
-        "branch-and-bound(pr1-cloning)"
-    }
-
-    fn solve(&self, problem: &MilpProblem) -> MilpSolution {
-        let lp = problem.lp();
-        let binaries = problem.binaries();
-        let feasibility_only = lp.objective().iter().all(|&c| c == 0.0);
-        let maximize = lp.is_maximization();
-        let mut stats = SolveStats::default();
-        let mut incumbent: Option<(Vec<f64>, f64)> = None;
-        let mut stack: Vec<Vec<(VarId, f64)>> = vec![Vec::new()];
-        let mut hit_limit = false;
-
-        while let Some(fixings) = stack.pop() {
-            if stats.nodes_explored >= problem.node_limit() {
-                hit_limit = true;
-                break;
-            }
-            stats.nodes_explored += 1;
-
-            // The hot-path allocation the scratch-LP rework removed.
-            let mut relaxation = lp.clone();
-            for (var, value) in &fixings {
-                relaxation.tighten_bounds(*var, *value, *value);
-            }
-            let solution = relaxation.solve();
-            match solution.status {
-                LpStatus::Infeasible => continue,
-                // This reference backend never passes a cancel token, so
-                // Cancelled is unreachable; fold it with IterationLimit.
-                LpStatus::IterationLimit | LpStatus::Cancelled => {
-                    return MilpSolution {
-                        status: MilpStatus::IterationLimit,
-                        values: Vec::new(),
-                        objective: 0.0,
-                        stats,
-                    };
-                }
-                LpStatus::Unbounded => {
-                    if fixings.len() == binaries.len() {
-                        return MilpSolution {
-                            status: MilpStatus::Unbounded,
-                            values: Vec::new(),
-                            objective: 0.0,
-                            stats,
-                        };
-                    }
-                }
-                LpStatus::Optimal => {
-                    if let Some((_, best)) = &incumbent {
-                        let worse = if maximize {
-                            solution.objective <= *best + SOLVER_EPS
-                        } else {
-                            solution.objective >= *best - SOLVER_EPS
-                        };
-                        if worse {
-                            stats.nodes_pruned += 1;
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            let fractional = if solution.status == LpStatus::Optimal {
-                binaries
-                    .iter()
-                    .copied()
-                    .filter(|&b| fixings.iter().all(|(v, _)| *v != b))
-                    .find(|&b| {
-                        let v = solution.values[b];
-                        (v - v.round()).abs() > 1e-6
-                    })
-            } else {
-                binaries
-                    .iter()
-                    .copied()
-                    .find(|&b| fixings.iter().all(|(v, _)| *v != b))
-            };
-
-            match fractional {
-                None if solution.status == LpStatus::Optimal => {
-                    let objective = solution.objective;
-                    let better = match &incumbent {
-                        None => true,
-                        Some((_, best)) => {
-                            if maximize {
-                                objective > *best
-                            } else {
-                                objective < *best
-                            }
-                        }
-                    };
-                    if better {
-                        incumbent = Some((solution.values.clone(), objective));
-                    }
-                    if feasibility_only {
-                        break;
-                    }
-                }
-                None => {}
-                Some(branch_var) => {
-                    let suggested = if solution.status == LpStatus::Optimal {
-                        solution.values[branch_var].round().clamp(0.0, 1.0)
-                    } else {
-                        1.0
-                    };
-                    let other = 1.0 - suggested;
-                    let mut first = fixings.clone();
-                    first.push((branch_var, other));
-                    let mut second = fixings;
-                    second.push((branch_var, suggested));
-                    stack.push(first);
-                    stack.push(second);
-                }
-            }
-        }
-
-        match incumbent {
-            Some((values, objective)) => MilpSolution {
-                status: if hit_limit {
-                    MilpStatus::NodeLimit
-                } else {
-                    MilpStatus::Optimal
-                },
-                values,
-                objective,
-                stats,
-            },
-            None => MilpSolution {
-                status: if hit_limit {
-                    MilpStatus::NodeLimit
-                } else {
-                    MilpStatus::Infeasible
-                },
-                values: Vec::new(),
-                objective: 0.0,
-                stats,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpv_lp::{BranchAndBoundBackend, ConstraintOp};
 
     #[test]
     fn bench_config_is_consistent() {
         let cfg = bench_config();
         assert!(cfg.training_samples >= cfg.validation_samples);
         assert!(cfg.perception_epochs > 0);
-    }
-
-    #[test]
-    fn cloning_baseline_matches_the_production_engine() {
-        // max 10a + 6b + 4c  s.t.  a + b + c <= 2 (binaries) → 16.
-        let mut milp = MilpProblem::new();
-        let a = milp.add_binary();
-        let b = milp.add_binary();
-        let c = milp.add_binary();
-        milp.lp_mut()
-            .set_objective(&[(a, 10.0), (b, 6.0), (c, 4.0)], true);
-        milp.lp_mut()
-            .add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Le, 2.0);
-        let baseline = CloningBranchAndBoundBackend.solve(&milp);
-        let production = BranchAndBoundBackend.solve(&milp);
-        assert_eq!(baseline.status, MilpStatus::Optimal);
-        assert!((baseline.objective - production.objective).abs() < 1e-6);
-        // Optimisation problems share the branching rule, so the search
-        // trees are identical; only the per-node allocation differs.
-        assert_eq!(
-            baseline.stats.nodes_explored,
-            production.stats.nodes_explored
-        );
     }
 }

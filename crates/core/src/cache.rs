@@ -24,13 +24,15 @@
 //! Both caches are `Send + Sync` (a `Mutex` around plain maps — lock hold
 //! times are a few pointer moves, never a solve) and deliberately
 //! verdict-neutral: any entry can be evicted at any time without changing
-//! what a verification returns, only what it costs.
+//! what a verification returns, only what it costs. Both count hits,
+//! misses and evictions into a [`Counters`] store; the obligation server
+//! gives them one shared store and builds its statistics from it.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use dpv_lp::BasisSnapshot;
-use dpv_trace::{CounterId, TraceHandle, Tracer};
+use dpv_trace::{CounterId, Counters};
 
 use crate::fingerprint::Fingerprint;
 use crate::verify::ProblemTemplate;
@@ -71,12 +73,15 @@ impl CacheStats {
 /// **Eviction.** Least-recently-used beyond `capacity`: every hit refreshes
 /// an entry's recency; inserting beyond capacity drops the stalest entry.
 /// Because templates are handed out as `Arc`s, eviction never invalidates a
-/// template a worker is still solving with.
+/// template a worker is still solving with. A cache built
+/// [`with_pool`](TemplateCache::with_pool) also drops the pooled bases of
+/// every template it evicts.
 #[derive(Debug)]
 pub struct TemplateCache {
     capacity: usize,
     inner: Mutex<TemplateCacheInner>,
-    trace: TraceHandle,
+    counters: Arc<Counters>,
+    pool: Option<Arc<SnapshotPool>>,
 }
 
 #[derive(Debug, Default)]
@@ -84,9 +89,6 @@ struct TemplateCacheInner {
     map: HashMap<Fingerprint, Arc<ProblemTemplate>>,
     /// Recency order, least-recently-used first.
     order: Vec<Fingerprint>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl TemplateCacheInner {
@@ -101,18 +103,22 @@ impl TemplateCacheInner {
 impl TemplateCache {
     /// Creates a cache holding at most `capacity` templates (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        Self::with_tracer(capacity, &Tracer::disabled())
-    }
-
-    /// [`TemplateCache::new`] additionally mirroring hit/miss/eviction
-    /// counters into `tracer` (`template-hits`/`-misses`/`-evictions`).
-    /// Tracing is observational: a disabled tracer makes this exactly
-    /// [`TemplateCache::new`].
-    pub fn with_tracer(capacity: usize, tracer: &Tracer) -> Self {
         Self {
             capacity: capacity.max(1),
             inner: Mutex::new(TemplateCacheInner::default()),
-            trace: tracer.metrics_handle(),
+            counters: Arc::default(),
+            pool: None,
+        }
+    }
+
+    /// A cache whose evictions also drop the evicted templates' bases from
+    /// `pool`, so the pool holds bases of resident templates only. It
+    /// counts into the pool's [`Counters`] store.
+    pub fn with_pool(capacity: usize, pool: Arc<SnapshotPool>) -> Self {
+        Self {
+            counters: Arc::clone(&pool.counters),
+            pool: Some(pool),
+            ..Self::new(capacity)
         }
     }
 
@@ -134,15 +140,13 @@ impl TemplateCache {
         {
             let mut inner = self.inner.lock().expect("template cache poisoned");
             if let Some(template) = inner.map.get(&fp).cloned() {
-                inner.hits += 1;
                 inner.touch(fp);
                 drop(inner);
-                self.trace.add(CounterId::TemplateHits, 1);
+                self.counters.add(CounterId::TemplateHits, 1);
                 return Ok(template);
             }
-            inner.misses += 1;
         }
-        self.trace.add(CounterId::TemplateMisses, 1);
+        self.counters.add(CounterId::TemplateMisses, 1);
         let built = Arc::new(problem.encoding_template(root)?);
         debug_assert_eq!(built.fingerprint(), fp, "fingerprint must be content-true");
         let mut inner = self.inner.lock().expect("template cache poisoned");
@@ -152,12 +156,15 @@ impl TemplateCache {
         while inner.map.len() > self.capacity {
             let stale = inner.order.remove(0);
             inner.map.remove(&stale);
-            inner.evictions += 1;
             evicted += 1;
         }
+        let resident = (evicted > 0).then(|| inner.order.clone());
         drop(inner);
-        if evicted > 0 {
-            self.trace.add(CounterId::TemplateEvictions, evicted);
+        if let Some(resident) = resident {
+            self.counters.add(CounterId::TemplateEvictions, evicted);
+            if let Some(pool) = &self.pool {
+                pool.retain(&resident);
+            }
         }
         Ok(template)
     }
@@ -175,12 +182,16 @@ impl TemplateCache {
 
     /// Current effectiveness counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("template cache poisoned");
         CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
+            hits: self.counters.get(CounterId::TemplateHits),
+            misses: self.counters.get(CounterId::TemplateMisses),
+            evictions: self.counters.get(CounterId::TemplateEvictions),
+            entries: self
+                .inner
+                .lock()
+                .expect("template cache poisoned")
+                .map
+                .len(),
         }
     }
 }
@@ -194,6 +205,8 @@ pub struct SnapshotPoolStats {
     pub misses: u64,
     /// Snapshots dropped because a template's pool was full.
     pub discarded: u64,
+    /// Templates with a pool currently resident.
+    pub keys: usize,
 }
 
 impl SnapshotPoolStats {
@@ -226,79 +239,77 @@ impl SnapshotPoolStats {
 /// **Eviction.** Each template keeps at most `per_key` bases (FIFO beyond
 /// that); `per_key == 0` disables pooling entirely, which is also the
 /// determinism-friendly configuration for reproducing a solve with no warm
-/// state.
+/// state. Linked to a [`TemplateCache::with_pool`], the pool drops a
+/// template's bases when the cache evicts the template, so a long-lived
+/// server keeps at most `template_capacity` keys (plus keys checked in
+/// by solves that outlived an eviction, until the next eviction).
 #[derive(Debug)]
 pub struct SnapshotPool {
     per_key: usize,
-    inner: Mutex<SnapshotPoolInner>,
-    trace: TraceHandle,
-}
-
-#[derive(Debug, Default)]
-struct SnapshotPoolInner {
-    pools: HashMap<Fingerprint, Vec<BasisSnapshot>>,
-    hits: u64,
-    misses: u64,
-    discarded: u64,
+    pools: Mutex<HashMap<Fingerprint, Vec<BasisSnapshot>>>,
+    counters: Arc<Counters>,
 }
 
 impl SnapshotPool {
     /// Creates a pool keeping at most `per_key` bases per template.
     pub fn new(per_key: usize) -> Self {
-        Self::with_tracer(per_key, &Tracer::disabled())
+        Self::with_counters(per_key, Arc::default())
     }
 
-    /// [`SnapshotPool::new`] additionally mirroring hit/miss/discard
-    /// counters into `tracer` (`snapshot-hits`/`-misses`/`-discards`).
-    pub fn with_tracer(per_key: usize, tracer: &Tracer) -> Self {
+    /// [`SnapshotPool::new`] counting hits, misses and discards into
+    /// `counters`.
+    pub fn with_counters(per_key: usize, counters: Arc<Counters>) -> Self {
         Self {
             per_key,
-            inner: Mutex::new(SnapshotPoolInner::default()),
-            trace: tracer.metrics_handle(),
+            pools: Mutex::default(),
+            counters,
         }
     }
 
     /// Takes a warm basis for the template `fp`, if one is pooled.
     pub fn check_out(&self, fp: Fingerprint) -> Option<BasisSnapshot> {
-        let mut inner = self.inner.lock().expect("snapshot pool poisoned");
-        let snapshot = inner.pools.get_mut(&fp).and_then(Vec::pop);
-        match snapshot {
-            Some(s) => {
-                inner.hits += 1;
-                drop(inner);
-                self.trace.add(CounterId::SnapshotHits, 1);
-                Some(s)
-            }
-            None => {
-                inner.misses += 1;
-                drop(inner);
-                self.trace.add(CounterId::SnapshotMisses, 1);
-                None
-            }
-        }
+        let snapshot = self
+            .pools
+            .lock()
+            .expect("snapshot pool poisoned")
+            .get_mut(&fp)
+            .and_then(Vec::pop);
+        let id = match snapshot {
+            Some(_) => CounterId::SnapshotHits,
+            None => CounterId::SnapshotMisses,
+        };
+        self.counters.add(id, 1);
+        snapshot
     }
 
     /// Returns a refreshed basis to the template `fp`'s pool; dropped when
     /// the pool is full (or pooling is disabled).
     pub fn check_in(&self, fp: Fingerprint, snapshot: BasisSnapshot) {
-        let mut inner = self.inner.lock().expect("snapshot pool poisoned");
-        let pool = inner.pools.entry(fp).or_default();
+        let mut pools = self.pools.lock().expect("snapshot pool poisoned");
+        let pool = pools.entry(fp).or_default();
         if pool.len() < self.per_key {
             pool.push(snapshot);
         } else {
-            inner.discarded += 1;
-            drop(inner);
-            self.trace.add(CounterId::SnapshotDiscards, 1);
+            drop(pools);
+            self.counters.add(CounterId::SnapshotDiscards, 1);
         }
+    }
+
+    /// Drops the bases of every template not in `resident`.
+    fn retain(&self, resident: &[Fingerprint]) {
+        self.pools
+            .lock()
+            .expect("snapshot pool poisoned")
+            .retain(|fp, _| resident.contains(fp));
     }
 
     /// Current effectiveness counters.
     pub fn stats(&self) -> SnapshotPoolStats {
-        let inner = self.inner.lock().expect("snapshot pool poisoned");
         SnapshotPoolStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            discarded: inner.discarded,
+            hits: self.counters.get(CounterId::SnapshotHits),
+            misses: self.counters.get(CounterId::SnapshotMisses),
+            discarded: self.counters.get(CounterId::SnapshotDiscards),
+            keys: self.pools.lock().expect("snapshot pool poisoned").len(),
         }
     }
 }
@@ -447,6 +458,25 @@ mod tests {
             disabled.check_out(fp).is_none(),
             "per_key=0 disables pooling"
         );
+    }
+
+    #[test]
+    fn evicting_a_template_drops_its_pooled_bases() {
+        let pool = Arc::new(SnapshotPool::new(2));
+        let cache = TemplateCache::with_pool(1, Arc::clone(&pool));
+        let p = problem(10.0);
+        let first = cache.get_or_build(&p, &region(-1.0, 1.0)).unwrap();
+        pool.check_in(first.fingerprint(), any_basis());
+        assert_eq!(pool.stats().keys, 1);
+        let second = cache.get_or_build(&p, &region(-0.5, 0.5)).unwrap();
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(pool.stats().keys, 0, "the evicted template's bases go");
+        pool.check_in(second.fingerprint(), any_basis());
+        assert!(pool.check_out(first.fingerprint()).is_none());
+        assert!(pool.check_out(second.fingerprint()).is_some());
+        // Both count into one store.
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!((pool.stats().hits, pool.stats().misses), (1, 1));
     }
 
     #[test]

@@ -49,11 +49,11 @@ impl Fingerprint {
         risk: &RiskCondition,
         root: &StartRegion,
     ) -> Self {
-        let mut h = Hasher::new();
+        let mut h = ContentHasher::new(FINGERPRINT_DOMAIN);
         h.tag(0x01);
         h.word(tail.len() as u64);
         for layer in tail {
-            hash_layer(&mut h, layer);
+            h.layer(layer);
         }
         match characterizer {
             None => h.tag(0x02),
@@ -61,29 +61,29 @@ impl Fingerprint {
                 h.tag(0x03);
                 h.word(net.layers().len() as u64);
                 for layer in net.layers() {
-                    hash_layer(&mut h, layer);
+                    h.layer(layer);
                 }
             }
         }
         hash_risk(&mut h, risk);
         hash_region(&mut h, root);
-        h.finish()
+        fingerprint(h)
     }
 
     /// Fingerprint of a start region (box or octagon).
     pub fn of_region(region: &StartRegion) -> Self {
-        let mut h = Hasher::new();
+        let mut h = ContentHasher::new(FINGERPRINT_DOMAIN);
         hash_region(&mut h, region);
-        h.finish()
+        fingerprint(h)
     }
 
     /// Fingerprint of a box sub-region (obligation identity within a
     /// template).
     pub fn of_box(sub: &BoxDomain) -> Self {
-        let mut h = Hasher::new();
+        let mut h = ContentHasher::new(FINGERPRINT_DOMAIN);
         h.tag(0x10);
         hash_box(&mut h, sub);
-        h.finish()
+        fingerprint(h)
     }
 
     /// Renders the fingerprint as 32 lowercase hex digits.
@@ -104,21 +104,35 @@ const FNV_OFFSET_HI: u64 = 0xcbf2_9ce4_8422_2325;
 // constant) so the lanes disagree on every input word.
 const FNV_OFFSET_LO: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15;
 
-/// Two-lane FNV-1a accumulator over 64-bit words.
-struct Hasher {
+/// The tag domain of [`Fingerprint`] hashes (`"tag"` in ASCII).
+const FINGERPRINT_DOMAIN: u64 = 0x7461_6700;
+
+/// Two-lane FNV-1a accumulator over 64-bit words: the one content hasher
+/// of the workspace, behind [`Fingerprint`] here and the checkpoint
+/// digests of `dpv-delta`.
+///
+/// Each user hashes under its own *tag domain*, the high bits of every
+/// discriminant tag, so the same object hashed for two purposes yields
+/// unrelated values.
+#[derive(Debug, Clone)]
+pub struct ContentHasher {
     hi: u64,
     lo: u64,
+    domain: u64,
 }
 
-impl Hasher {
-    fn new() -> Self {
+impl ContentHasher {
+    /// A fresh accumulator whose tags carry `domain` in their high bits.
+    pub fn new(domain: u64) -> Self {
         Self {
             hi: FNV_OFFSET_HI,
             lo: FNV_OFFSET_LO,
+            domain,
         }
     }
 
-    fn word(&mut self, w: u64) {
+    /// Feeds one 64-bit word.
+    pub fn word(&mut self, w: u64) {
         for (lane, state) in [(0u64, &mut self.hi), (1u64, &mut self.lo)] {
             let mut s = *state;
             // Mix the lane index into each byte so the lanes are not related
@@ -131,8 +145,9 @@ impl Hasher {
         }
     }
 
-    fn tag(&mut self, t: u8) {
-        self.word(0x7461_6700 | u64::from(t));
+    /// Feeds a discriminant tag within this hasher's domain.
+    pub fn tag(&mut self, t: u8) {
+        self.word(self.domain | u64::from(t));
     }
 
     fn f64(&mut self, v: f64) {
@@ -146,75 +161,80 @@ impl Hasher {
         }
     }
 
-    fn finish(self) -> Fingerprint {
-        Fingerprint {
-            hi: self.hi,
-            lo: self.lo,
-        }
-    }
-}
-
-fn hash_layer(h: &mut Hasher, layer: &Layer) {
-    match layer {
-        Layer::Dense(d) => {
-            h.tag(0x20);
-            h.word(d.input_dim() as u64);
-            h.word(d.output_dim() as u64);
-            h.floats(d.weights().as_slice());
-            h.floats(d.bias().as_slice());
-        }
-        Layer::Activation(a) => {
-            use dpv_nn::Activation::*;
-            match a {
-                Identity => h.tag(0x21),
-                ReLU => h.tag(0x22),
-                LeakyReLU(slope) => {
-                    h.tag(0x23);
-                    h.f64(*slope);
+    /// Feeds everything that determines a layer's function: kind,
+    /// dimensions and every parameter by bit pattern.
+    pub fn layer(&mut self, layer: &Layer) {
+        match layer {
+            Layer::Dense(d) => {
+                self.tag(0x20);
+                self.word(d.input_dim() as u64);
+                self.word(d.output_dim() as u64);
+                self.floats(d.weights().as_slice());
+                self.floats(d.bias().as_slice());
+            }
+            Layer::Activation(a) => {
+                use dpv_nn::Activation::*;
+                match a {
+                    Identity => self.tag(0x21),
+                    ReLU => self.tag(0x22),
+                    LeakyReLU(slope) => {
+                        self.tag(0x23);
+                        self.f64(*slope);
+                    }
+                    Sigmoid => self.tag(0x24),
+                    Tanh => self.tag(0x25),
                 }
-                Sigmoid => h.tag(0x24),
-                Tanh => h.tag(0x25),
+            }
+            Layer::BatchNorm(bn) => {
+                self.tag(0x26);
+                self.word(bn.dim() as u64);
+                self.floats(bn.gamma().as_slice());
+                self.floats(bn.beta().as_slice());
+                self.floats(bn.running_mean().as_slice());
+                self.floats(bn.running_var().as_slice());
+                self.f64(bn.eps());
+            }
+            Layer::Conv2d(c) => {
+                self.tag(0x27);
+                let shape = c.input_shape();
+                self.word(shape.channels as u64);
+                self.word(shape.height as u64);
+                self.word(shape.width as u64);
+                self.word(c.kernel() as u64);
+                self.word(c.stride() as u64);
+                self.floats(c.weights().as_slice());
+                self.floats(c.bias().as_slice());
+            }
+            Layer::MaxPool2d(p) => {
+                self.tag(0x28);
+                let shape = p.input_shape();
+                self.word(shape.channels as u64);
+                self.word(shape.height as u64);
+                self.word(shape.width as u64);
+                self.word(p.pool() as u64);
+            }
+            Layer::Flatten(f) => {
+                self.tag(0x29);
+                let shape = f.shape();
+                self.word(shape.channels as u64);
+                self.word(shape.height as u64);
+                self.word(shape.width as u64);
             }
         }
-        Layer::BatchNorm(bn) => {
-            h.tag(0x26);
-            h.word(bn.dim() as u64);
-            h.floats(bn.gamma().as_slice());
-            h.floats(bn.beta().as_slice());
-            h.floats(bn.running_mean().as_slice());
-            h.floats(bn.running_var().as_slice());
-            h.f64(bn.eps());
-        }
-        Layer::Conv2d(c) => {
-            h.tag(0x27);
-            let shape = c.input_shape();
-            h.word(shape.channels as u64);
-            h.word(shape.height as u64);
-            h.word(shape.width as u64);
-            h.word(c.kernel() as u64);
-            h.word(c.stride() as u64);
-            h.floats(c.weights().as_slice());
-            h.floats(c.bias().as_slice());
-        }
-        Layer::MaxPool2d(p) => {
-            h.tag(0x28);
-            let shape = p.input_shape();
-            h.word(shape.channels as u64);
-            h.word(shape.height as u64);
-            h.word(shape.width as u64);
-            h.word(p.pool() as u64);
-        }
-        Layer::Flatten(f) => {
-            h.tag(0x29);
-            let shape = f.shape();
-            h.word(shape.channels as u64);
-            h.word(shape.height as u64);
-            h.word(shape.width as u64);
-        }
+    }
+
+    /// The two lanes, high lane first.
+    pub fn finish(self) -> (u64, u64) {
+        (self.hi, self.lo)
     }
 }
 
-fn hash_risk(h: &mut Hasher, risk: &RiskCondition) {
+fn fingerprint(h: ContentHasher) -> Fingerprint {
+    let (hi, lo) = h.finish();
+    Fingerprint { hi, lo }
+}
+
+fn hash_risk(h: &mut ContentHasher, risk: &RiskCondition) {
     // The display name is cosmetic and deliberately excluded: two risks with
     // identical inequalities describe the same property.
     h.tag(0x30);
@@ -229,11 +249,11 @@ fn hash_risk(h: &mut Hasher, risk: &RiskCondition) {
     }
 }
 
-fn hash_box(h: &mut Hasher, domain: &BoxDomain) {
+fn hash_box(h: &mut ContentHasher, domain: &BoxDomain) {
     hash_intervals(h, domain.bounds());
 }
 
-fn hash_intervals(h: &mut Hasher, bounds: &[Interval]) {
+fn hash_intervals(h: &mut ContentHasher, bounds: &[Interval]) {
     h.word(bounds.len() as u64);
     for iv in bounds {
         h.f64(iv.lo);
@@ -241,12 +261,12 @@ fn hash_intervals(h: &mut Hasher, bounds: &[Interval]) {
     }
 }
 
-fn hash_octagon(h: &mut Hasher, oct: &OctagonLite) {
+fn hash_octagon(h: &mut ContentHasher, oct: &OctagonLite) {
     hash_intervals(h, oct.bounds());
     hash_intervals(h, oct.diffs());
 }
 
-fn hash_region(h: &mut Hasher, region: &StartRegion) {
+fn hash_region(h: &mut ContentHasher, region: &StartRegion) {
     match region {
         StartRegion::Box(b) => {
             h.tag(0x40);
@@ -353,6 +373,45 @@ mod tests {
             bounds[dim] = Interval::new(bounds[dim].lo + 1e-9, bounds[dim].hi);
             let shifted = BoxDomain::from_intervals(bounds);
             assert_ne!(fp, Fingerprint::of_box(&shifted), "dim {dim} lo ignored");
+        }
+    }
+
+    #[test]
+    fn hash_values_are_pinned() {
+        // Fingerprints key caches across requests and processes, so a
+        // change to the word or tag encoding must show up here, not only
+        // as a change of the hex length.
+        let tail = bench_tail(7);
+        let ch = bench_characterizer(9);
+        let risk = RiskCondition::new("r").output_ge(0, 0.5);
+        let oct = OctagonLite::from_parts(
+            BoxDomain::uniform(3, -1.0, 1.0).bounds().to_vec(),
+            vec![Interval::new(-2.0, 2.0); 2],
+        );
+        let pinned = [
+            (
+                Fingerprint::of_template(&tail, Some(&ch), &risk, &region(-1.0, 1.0)),
+                "1d635067d4c0b1e44ba6dce092800055",
+            ),
+            (
+                Fingerprint::of_template(&tail, None, &risk, &region(-1.0, 1.0)),
+                "3b6adc83cf14d9e8129c662920d4615d",
+            ),
+            (
+                Fingerprint::of_region(&region(-0.5, 0.25)),
+                "ec57854fcae647f95b86ff65a6e47f1c",
+            ),
+            (
+                Fingerprint::of_region(&StartRegion::Octagon(oct)),
+                "c9c199e7a6254e6d50fc32e48d201668",
+            ),
+            (
+                Fingerprint::of_box(&BoxDomain::uniform(2, 0.0, 1.0)),
+                "17e5c4976456d1afc3e10d5e1c940f2a",
+            ),
+        ];
+        for (i, (fp, hex)) in pinned.iter().enumerate() {
+            assert_eq!(fp.to_hex(), *hex, "fingerprint {i}");
         }
     }
 

@@ -57,7 +57,7 @@ pub use encode::{
     encode_verification, EncodedProblem, EncodingTemplate, RegionBounds, StartRegion,
 };
 pub use error::CoreError;
-pub use fingerprint::Fingerprint;
+pub use fingerprint::{ContentHasher, Fingerprint};
 pub use refine::{
     split_box, ParallelRefinementConfig, RefinedVerdict, RefinementReport, RefinementVerifier,
 };

@@ -34,8 +34,8 @@ use dpv_lp::{default_backend, MilpSolution, SolveStats, SolverBackend};
 use dpv_tensor::Vector;
 
 use crate::{
-    CoreError, CounterExample, EncodedProblem, ProblemTemplate, RegionBounds, StartRegion, Verdict,
-    VerificationProblem,
+    CoreError, CounterExample, EncodedProblem, ProblemTemplate, RegionBounds, SolveOptions,
+    StartRegion, Verdict, VerificationProblem,
 };
 
 /// Outcome of a refinement run.
@@ -170,9 +170,9 @@ impl RefinementVerifier {
     }
 
     /// Disables the incremental [`crate::EncodingTemplate`]: every sub-box is
-    /// re-encoded from scratch, exactly as before PR 3. Verdicts are
-    /// identical either way (the `backend_seam` tests assert it); this
-    /// switch exists for that comparison and as the benchmark baseline.
+    /// re-encoded from scratch. Verdicts are identical either way. A second
+    /// path kept because the `backend_seam` template-vs-reencode tests and
+    /// e8's gated `speedup-permille` record compare against it.
     pub fn without_template(mut self) -> Self {
         self.use_template = false;
         self
@@ -474,7 +474,7 @@ enum BoxOutcome {
 
 /// Solves one sub-box, through the skeleton template when one is available
 /// (falling back to one-shot encoding inside
-/// [`VerificationProblem::run_solver_with_template`] for uncovered regions).
+/// [`VerificationProblem::solve_with_template`] for uncovered regions).
 fn solve_box(
     problem: &VerificationProblem,
     template: Option<&ProblemTemplate>,
@@ -485,9 +485,14 @@ fn solve_box(
 ) -> Result<(Verdict, MilpSolution), CoreError> {
     let region = StartRegion::Box(current.clone());
     match template {
-        Some(template) => {
-            problem.run_solver_with_template(template, &region, bounds, scratch, backend)
-        }
+        Some(template) => problem.solve_with_template(
+            template,
+            &region,
+            &mut SolveOptions::new()
+                .bounds(bounds)
+                .scratch(scratch)
+                .backend(backend),
+        ),
         None => problem
             .run_solver(&region, backend)
             .map(|(verdict, _, solution)| (verdict, solution)),

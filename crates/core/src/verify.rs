@@ -6,7 +6,8 @@ use std::time::Instant;
 
 use dpv_absint::{AbstractDomain, BoxDomain, Zonotope};
 use dpv_lp::{
-    default_backend, BasisSnapshot, CancelToken, MilpSolution, MilpStatus, SolverBackend,
+    default_backend, BasisSnapshot, CancelToken, MilpSolution, MilpStatus, SolveContext,
+    SolverBackend,
 };
 use dpv_monitor::ActivationEnvelope;
 use dpv_nn::Network;
@@ -203,14 +204,13 @@ impl ProblemTemplate {
     }
 }
 
-/// Per-solve options for [`VerificationProblem::solve_with_template`] — the
-/// single template solve entry point that replaced the
-/// `solve_with_template_{seeded, cancellable, traced, escalated,
-/// escalated_traced}` fan of variants.
+/// Per-solve options for [`VerificationProblem::solve_with_template`], the
+/// single template solve entry point. The seed, cancellation and tracing
+/// levers are handed down to the backend as one [`SolveContext`].
 ///
 /// Every lever is optional and independently composable (the delta
-/// re-verification path needs seed + cancellation + tracing simultaneously,
-/// which no fixed variant offered):
+/// re-verification path needs seed + cancellation + tracing
+/// simultaneously):
 ///
 /// * [`bounds`](Self::bounds) — precomputed region bounds (one lane of a
 ///   batched [`crate::EncodingTemplate::region_bounds_batch`] sweep) that
@@ -221,7 +221,7 @@ impl ProblemTemplate {
 /// * [`seed`](Self::seed) — a caller-owned warm-start basis, primed before
 ///   the solve and refreshed with the final basis afterwards (the seam the
 ///   obligation server's snapshot pool plugs into). Ignored by escalated
-///   solves, which run cold by design.
+///   solves, which run unseeded by design.
 /// * [`cancel`](Self::cancel) — a cooperative [`CancelToken`] polled inside
 ///   the solver loops; a tripped token can only withhold a verdict
 ///   ([`Verdict::Unknown`]), never fabricate one.
@@ -229,8 +229,8 @@ impl ProblemTemplate {
 ///   instantiation span and per-node telemetry; strictly observational.
 /// * [`escalation`](Self::escalation) — a budget scale for the escalated
 ///   retry path: both search budgets are raised by the scale for this solve
-///   only, the solve runs **cold** (no seed), and the template's stock
-///   limits are restored afterwards.
+///   only, the solve runs **unseeded**, and the template's stock limits are
+///   restored afterwards.
 /// * [`backend`](Self::backend) — the solver backend; defaults to
 ///   [`default_backend`].
 #[derive(Default)]
@@ -286,7 +286,7 @@ impl<'a> SolveOptions<'a> {
     }
 
     /// Escalates the solve: raises both search budgets by `scale` for this
-    /// solve only and runs cold (any [`seed`](Self::seed) is ignored —
+    /// solve only and runs unseeded (any [`seed`](Self::seed) is ignored —
     /// numerical trouble inherited through a basis is the suspected cause
     /// of the outcome being retried).
     pub fn escalation(mut self, scale: usize) -> Self {
@@ -482,55 +482,54 @@ impl VerificationProblem {
         }
     }
 
-    /// Encodes the problem over `region` and hands the MILP to `backend`,
-    /// translating the solver status into a [`Verdict`]. This is the single
-    /// solve entry point every strategy (Lemma 1, Lemma 2, assume-guarantee)
-    /// and the refinement loop go through.
-    pub(crate) fn run_solver(
-        &self,
-        region: &StartRegion,
-        backend: &dyn SolverBackend,
-    ) -> Result<(Verdict, EncodedProblem, MilpSolution), CoreError> {
-        self.run_solver_cancellable(region, backend, None)
-    }
-
-    /// [`VerificationProblem::run_solver`] polling a [`CancelToken`]: a
-    /// tripped token surfaces as [`MilpStatus::Cancelled`] →
-    /// [`Verdict::Unknown`], never as a wrong verdict.
-    pub(crate) fn run_solver_cancellable(
-        &self,
-        region: &StartRegion,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Verdict, EncodedProblem, MilpSolution), CoreError> {
+    /// The tail network after the cut: the part the MILP encodes and the
+    /// part counterexamples are re-executed through.
+    fn tail(&self) -> Result<Network, CoreError> {
         let (_, tail) = self
             .perception
             .split_at(self.cut_layer)
             .map_err(|e| CoreError::Inconsistent(e.to_string()))?;
+        Ok(tail)
+    }
+
+    /// Encodes the problem over `region` from scratch, returning the MILP
+    /// together with the tail network that interprets its solutions.
+    fn encode(&self, region: &StartRegion) -> Result<(EncodedProblem, Network), CoreError> {
+        let tail = self.tail()?;
         let encoded = encode_verification(
             tail.layers(),
             Some(self.characterizer.network()),
             &self.risk,
             region,
         )?;
-        let solution = backend.solve_cancellable(&encoded.milp, &mut None, cancel);
+        Ok((encoded, tail))
+    }
+
+    /// Encodes the problem over `region` and hands the MILP to `backend`,
+    /// translating the solver status into a [`Verdict`]. This is the
+    /// template-free solve every strategy (Lemma 1, Lemma 2,
+    /// assume-guarantee) and the template-free refinement loop go through.
+    pub(crate) fn run_solver(
+        &self,
+        region: &StartRegion,
+        backend: &dyn SolverBackend,
+    ) -> Result<(Verdict, EncodedProblem, MilpSolution), CoreError> {
+        let (encoded, tail) = self.encode(region)?;
+        let solution = backend.solve(&encoded.milp);
         let verdict = self.interpret_solution(&encoded, &solution, &tail, backend);
         Ok((verdict, encoded, solution))
     }
 
     /// Builds a reusable [`ProblemTemplate`] whose MILP skeleton is encoded
-    /// once from `root`; [`VerificationProblem::run_solver_with_template`]
-    /// and [`VerificationProblem::verify_with_template`] then instantiate it
+    /// once from `root`; [`VerificationProblem::solve_with_template`] and
+    /// [`VerificationProblem::verify_with_template`] then instantiate it
     /// per sub-region with bound-only edits. Regions not covered by `root`
     /// transparently fall back to one-shot encoding.
     ///
     /// # Errors
     /// Same conditions as [`encode_verification`].
     pub fn encoding_template(&self, root: &StartRegion) -> Result<ProblemTemplate, CoreError> {
-        let (_, tail) = self
-            .perception
-            .split_at(self.cut_layer)
-            .map_err(|e| CoreError::Inconsistent(e.to_string()))?;
+        let tail = self.tail()?;
         let encoding = EncodingTemplate::build(
             tail.layers(),
             Some(self.characterizer.network()),
@@ -550,10 +549,7 @@ impl VerificationProblem {
     /// Returns [`CoreError::Inconsistent`] when the cut layer cannot split
     /// the network.
     pub fn template_fingerprint(&self, root: &StartRegion) -> Result<Fingerprint, CoreError> {
-        let (_, tail) = self
-            .perception
-            .split_at(self.cut_layer)
-            .map_err(|e| CoreError::Inconsistent(e.to_string()))?;
+        let tail = self.tail()?;
         Ok(Fingerprint::of_template(
             tail.layers(),
             Some(self.characterizer.network()),
@@ -566,6 +562,10 @@ impl VerificationProblem {
     /// skeleton — instantiating a template at its own root is a semantic
     /// no-op, so this skips the clone-and-retighten entirely. Returns the
     /// verdict, the solution and the skeleton's binary/stable counts.
+    ///
+    /// A second path next to [`VerificationProblem::solve_with_template`],
+    /// kept because e9's gated `k1-parity-permille` record measures the
+    /// sharded root fast path it provides.
     pub(crate) fn run_solver_on_template_root(
         &self,
         template: &ProblemTemplate,
@@ -582,46 +582,17 @@ impl VerificationProblem {
         )
     }
 
-    /// [`VerificationProblem::run_solver`] through a [`ProblemTemplate`]:
-    /// the skeleton is re-tightened into `scratch` (allocated on first use,
-    /// reused afterwards) instead of re-encoding the whole MILP. Falls back
-    /// to one-shot encoding when the template does not support `region`.
-    ///
-    /// When `bounds` is given (one lane of a batched
-    /// [`crate::EncodingTemplate::region_bounds_batch`] propagation), the
-    /// propagate half is skipped and the precomputed bounds are applied
-    /// directly — the instantiated problem is identical either way.
-    pub(crate) fn run_solver_with_template(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        backend: &dyn SolverBackend,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            &mut None,
-            backend,
-            None,
-            &TraceHandle::disabled(),
-        )
-    }
-
     /// Solves one obligation (`region` under `template`) with every reuse
     /// and control lever selected through [`SolveOptions`]: the skeleton is
     /// re-tightened into the options' scratch slot instead of re-encoded,
     /// precomputed bounds (one lane of a batched
     /// [`crate::EncodingTemplate::region_bounds_batch`] sweep) skip the
     /// propagate half, a seed primes the backend's warm-start state
-    /// ([`SolverBackend::solve_seeded`]) and receives the final basis back —
+    /// ([`dpv_lp::SolveContext::seed`]) and receives the final basis back —
     /// the cross-request seam the obligation server's snapshot pool plugs
     /// into — a [`CancelToken`] is polled inside the solver loops, a
     /// [`TraceHandle`] records the instantiation span and per-node
-    /// telemetry, and an escalation scale turns the call into the cold
+    /// telemetry, and an escalation scale turns the call into the
     /// budget-raised retry. Falls back to one-shot encoding (seed untouched)
     /// when the template does not support `region`.
     ///
@@ -629,9 +600,18 @@ impl VerificationProblem {
     /// rejected inside the LP layer and the node solves cold. Cancellation
     /// surfaces as [`MilpStatus::Cancelled`] → [`Verdict::Unknown`] — it can
     /// only withhold a verdict, never fabricate one. Tracing is
-    /// observational only. An escalated solve raises its budgets for this
-    /// call alone and restores the template's stock limits afterwards, so
-    /// sibling obligations reusing the scratch see unchanged budgets.
+    /// observational only.
+    ///
+    /// An escalated solve is the retry for `IterationLimit`/`NodeLimit`
+    /// outcomes: it runs unseeded (numerical trouble inherited through a
+    /// basis is the suspected cause) with both search budgets raised by the
+    /// scale (node limit, and the simplex pivot budget via
+    /// [`dpv_lp::LinearProgram::estimated_iteration_budget`]). The raised
+    /// limits apply to this solve only and are restored afterwards, so
+    /// sibling obligations reusing the scratch see the stock budgets and
+    /// report determinism holds. Because the retry solves the same
+    /// instantiation as the canonical unseeded path, a successful retry
+    /// returns the bit-identical verdict a fault-free solve would have.
     ///
     /// # Errors
     /// Propagates encoding errors; template-scoped inputs (bounds or scratch
@@ -650,287 +630,64 @@ impl VerificationProblem {
                 &default_be
             }
         };
-        let disabled = TraceHandle::disabled();
-        let trace = options.tracer.unwrap_or(&disabled);
-        let cancel = options.cancel;
         let mut local_scratch = None;
-        let scratch = match options.scratch.as_deref_mut() {
-            Some(scratch) => scratch,
-            None => &mut local_scratch,
+        let mut one_shot = None;
+        let (encoded, tail, mut seed) = if template.encoding.supports(region) {
+            let scratch = match options.scratch.as_deref_mut() {
+                Some(scratch) => scratch,
+                None => &mut local_scratch,
+            };
+            let disabled = TraceHandle::disabled();
+            let trace = options.tracer.unwrap_or(&disabled);
+            let instantiate_started = trace.now_ns();
+            match (scratch.as_mut(), options.bounds) {
+                (Some(existing), Some(bounds)) => template
+                    .encoding
+                    .instantiate_into_with(region, bounds, existing)?,
+                (Some(existing), None) => template.encoding.instantiate_into(region, existing)?,
+                (None, Some(bounds)) => {
+                    *scratch = Some(template.encoding.instantiate_with(region, bounds)?)
+                }
+                (None, None) => *scratch = Some(template.encoding.instantiate(region)?),
+            }
+            if trace.is_enabled() {
+                trace.event(TraceEvent::span(
+                    dpv_trace::EventKind::Instantiate,
+                    instantiate_started,
+                    trace.now_ns().saturating_sub(instantiate_started),
+                    u64::from(options.bounds.is_some()),
+                ));
+            }
+            let encoded = scratch.as_mut().expect("scratch populated above");
+            let seed = match options.escalation {
+                None => options.seed.as_deref_mut(),
+                Some(_) => None,
+            };
+            (encoded, &template.tail, seed)
+        } else {
+            let (encoded, tail) = one_shot.insert(self.encode(region)?);
+            (encoded, &*tail, None)
         };
-        match options.escalation {
-            Some(scale) => self.solve_template_escalated_impl(
-                template,
-                region,
-                options.bounds,
-                scratch,
-                scale,
-                backend,
-                cancel,
-                trace,
-            ),
-            None => {
-                let mut local_seed = None;
-                let seed = match options.seed.as_deref_mut() {
-                    Some(seed) => seed,
-                    None => &mut local_seed,
-                };
-                self.solve_template_impl(
-                    template,
-                    region,
-                    options.bounds,
-                    scratch,
-                    seed,
-                    backend,
-                    cancel,
-                    trace,
-                )
-            }
+        let stock = (
+            encoded.milp.node_limit(),
+            encoded.milp.lp().iteration_limit(),
+        );
+        if let Some(scale) = options.escalation {
+            raise_budgets(&mut encoded.milp, scale);
         }
-    }
-
-    /// [`VerificationProblem::solve_with_template`] with the seed lever
-    /// only.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().seed(..)`"
-    )]
-    pub fn solve_with_template_seeded(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        seed: &mut Option<BasisSnapshot>,
-        backend: &dyn SolverBackend,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            seed,
-            backend,
-            None,
-            &TraceHandle::disabled(),
-        )
-    }
-
-    /// [`VerificationProblem::solve_with_template`] with the seed and
-    /// cancellation levers.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().seed(..).cancel(..)`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_template_cancellable(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        seed: &mut Option<BasisSnapshot>,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            seed,
-            backend,
-            cancel,
-            &TraceHandle::disabled(),
-        )
-    }
-
-    /// [`VerificationProblem::solve_with_template`] with the seed,
-    /// cancellation and tracing levers.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().seed(..).cancel(..).tracer(..)`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_template_traced(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        seed: &mut Option<BasisSnapshot>,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_impl(
-            template, region, bounds, scratch, seed, backend, cancel, trace,
-        )
-    }
-
-    /// The template solve body: instantiate (or fall back to one-shot
-    /// encoding), solve seeded/cancellable/traced, interpret. Reached
-    /// exclusively through [`VerificationProblem::solve_with_template`] and
-    /// the deprecated fixed-shape shims.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_template_impl(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        seed: &mut Option<BasisSnapshot>,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        if !template.encoding.supports(region) {
-            let (verdict, _, solution) = self.run_solver_cancellable(region, backend, cancel)?;
-            return Ok((verdict, solution));
+        let mut ctx = SolveContext {
+            seed: seed.as_mut().and_then(|seed| seed.take()),
+            cancel: options.cancel,
+            trace: options.tracer,
+        };
+        let solution = backend.solve_with(&encoded.milp, &mut ctx);
+        if let Some(seed) = seed {
+            *seed = ctx.seed;
         }
-        let instantiate_started = trace.now_ns();
-        match (scratch.as_mut(), bounds) {
-            (Some(existing), Some(bounds)) => template
-                .encoding
-                .instantiate_into_with(region, bounds, existing)?,
-            (Some(existing), None) => template.encoding.instantiate_into(region, existing)?,
-            (None, Some(bounds)) => {
-                *scratch = Some(template.encoding.instantiate_with(region, bounds)?)
-            }
-            (None, None) => *scratch = Some(template.encoding.instantiate(region)?),
-        }
-        if trace.is_enabled() {
-            trace.event(TraceEvent::span(
-                dpv_trace::EventKind::Instantiate,
-                instantiate_started,
-                trace.now_ns().saturating_sub(instantiate_started),
-                u64::from(bounds.is_some()),
-            ));
-        }
-        let encoded = scratch.as_ref().expect("scratch populated above");
-        let solution = backend.solve_traced(&encoded.milp, seed, cancel, trace);
-        let verdict = self.interpret_solution(encoded, &solution, &template.tail, backend);
-        Ok((verdict, solution))
-    }
-
-    /// [`VerificationProblem::solve_with_template`] with the escalation
-    /// lever only.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().escalation(..)`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_template_escalated(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        budget_scale: usize,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_escalated_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            budget_scale,
-            backend,
-            cancel,
-            &TraceHandle::disabled(),
-        )
-    }
-
-    /// [`VerificationProblem::solve_with_template`] with the escalation,
-    /// cancellation and tracing levers.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().escalation(..).tracer(..)`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_template_escalated_traced(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        budget_scale: usize,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_escalated_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            budget_scale,
-            backend,
-            cancel,
-            trace,
-        )
-    }
-
-    /// The escalated retry for `IterationLimit`/`NodeLimit` outcomes: solves
-    /// the obligation again **cold** (no warm-basis seed — numerical trouble
-    /// inherited through a basis is the suspected cause) with both search
-    /// budgets raised by `budget_scale` (node limit, and the simplex pivot
-    /// budget via [`dpv_lp::LinearProgram::estimated_iteration_budget`]).
-    /// The raised limits are applied to the instantiated scratch problem for
-    /// this solve only and restored afterwards, so later obligations reusing
-    /// `scratch` see the stock budgets — retries cannot leak budget into
-    /// sibling obligations and break report determinism.
-    ///
-    /// Because the solve runs against the same template instantiation as the
-    /// canonical (unseeded) path, a successful retry returns the bit-identical
-    /// verdict that a fault-free solve of the obligation would have produced.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_template_escalated_impl(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        budget_scale: usize,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        if !template.encoding.supports(region) {
-            let (_, tail) = self
-                .perception
-                .split_at(self.cut_layer)
-                .map_err(|e| CoreError::Inconsistent(e.to_string()))?;
-            let mut encoded = encode_verification(
-                tail.layers(),
-                Some(self.characterizer.network()),
-                &self.risk,
-                region,
-            )?;
-            raise_budgets(&mut encoded.milp, budget_scale);
-            let solution = backend.solve_cancellable(&encoded.milp, &mut None, cancel);
-            let verdict = self.interpret_solution(&encoded, &solution, &tail, backend);
-            return Ok((verdict, solution));
-        }
-        match (scratch.as_mut(), bounds) {
-            (Some(existing), Some(bounds)) => template
-                .encoding
-                .instantiate_into_with(region, bounds, existing)?,
-            (Some(existing), None) => template.encoding.instantiate_into(region, existing)?,
-            (None, Some(bounds)) => {
-                *scratch = Some(template.encoding.instantiate_with(region, bounds)?)
-            }
-            (None, None) => *scratch = Some(template.encoding.instantiate(region)?),
-        }
-        let encoded = scratch.as_mut().expect("scratch populated above");
-        let saved_nodes = encoded.milp.node_limit();
-        let saved_pivots = encoded.milp.lp().iteration_limit();
-        raise_budgets(&mut encoded.milp, budget_scale);
-        let solution = backend.solve_traced(&encoded.milp, &mut None, cancel, trace);
-        encoded.milp.set_node_limit(saved_nodes);
-        encoded.milp.lp_mut().set_iteration_limit(saved_pivots);
-        let verdict = self.interpret_solution(encoded, &solution, &template.tail, backend);
+        // A no-op unless the budgets were raised above.
+        encoded.milp.set_node_limit(stock.0);
+        encoded.milp.lp_mut().set_iteration_limit(stock.1);
+        let verdict = self.interpret_solution(encoded, &solution, tail, backend);
         Ok((verdict, solution))
     }
 
@@ -998,8 +755,11 @@ impl VerificationProblem {
             return self.verify_with(strategy, backend);
         }
         let mut scratch = None;
-        let (verdict, solution) =
-            self.run_solver_with_template(template, &region, None, &mut scratch, backend)?;
+        let (verdict, solution) = self.solve_with_template(
+            template,
+            &region,
+            &mut SolveOptions::new().scratch(&mut scratch).backend(backend),
+        )?;
         let encoded = scratch.expect("supported regions populate the scratch");
         let solve_seconds = start_time.elapsed().as_secs_f64();
         Ok(VerificationOutcome {
@@ -1027,11 +787,7 @@ impl VerificationProblem {
         tol: f64,
     ) -> Result<bool, CoreError> {
         let region = self.start_region(strategy)?;
-        let (_, tail) = self
-            .perception
-            .split_at(self.cut_layer)
-            .map_err(|e| CoreError::Inconsistent(e.to_string()))?;
-        let output = tail.forward(&counterexample.activation);
+        let output = self.tail()?.forward(&counterexample.activation);
         // The MILP pins the characterizer logit at the `>= 0` boundary, so
         // the concrete re-execution may land a rounding error below it; the
         // characterizer check must share the caller's tolerance.

@@ -13,7 +13,7 @@ use dpv_core::{
 };
 use dpv_lp::{
     BranchAndBoundBackend, ExhaustiveBackend, MilpProblem, MilpSolution,
-    ParallelBranchAndBoundBackend, SolverBackend,
+    ParallelBranchAndBoundBackend, SolveContext, SolverBackend,
 };
 use dpv_nn::{Activation, Dense, Layer, Network, NetworkBuilder};
 use dpv_tensor::{Matrix, Vector};
@@ -38,9 +38,9 @@ impl SolverBackend for CountingMockBackend {
         "counting-mock"
     }
 
-    fn solve(&self, problem: &MilpProblem) -> MilpSolution {
+    fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution {
         self.calls.fetch_add(1, Ordering::SeqCst);
-        BranchAndBoundBackend.solve(problem)
+        BranchAndBoundBackend.solve_with(problem, ctx)
     }
 }
 
@@ -207,7 +207,7 @@ impl SolverBackend for IterationLimitedBackend {
         "iteration-limited"
     }
 
-    fn solve(&self, _problem: &MilpProblem) -> MilpSolution {
+    fn solve_with(&self, _problem: &MilpProblem, _ctx: &mut SolveContext<'_>) -> MilpSolution {
         MilpSolution {
             status: dpv_lp::MilpStatus::IterationLimit,
             values: Vec::new(),

@@ -9,65 +9,24 @@
 //! function bit-for-bit, so any verdict derived from one holds for the
 //! other.
 //!
-//! The hash is the workspace's two-lane FNV-1a construction (the same
-//! idiom as `dpv_core::Fingerprint`, which hashes *template* tuples rather
-//! than checkpoints): two independent 64-bit lanes over discriminant tags,
-//! dimension counts and `f64::to_bits` of every parameter, with the lane
-//! index mixed into every byte so the lanes are not related by a simple
-//! offset. `-0.0` and `0.0` hash differently and NaN payloads are stable —
-//! a digest match means byte-identical parameters, never "numerically
-//! close".
+//! The hash is the workspace's two-lane FNV-1a [`ContentHasher`] (shared
+//! with `dpv_core::Fingerprint`, which hashes *template* tuples rather
+//! than checkpoints) under its own tag domain: two independent 64-bit
+//! lanes over discriminant tags, dimension counts and `f64::to_bits` of
+//! every parameter, with the lane index mixed into every byte so the
+//! lanes are not related by a simple offset. `-0.0` and `0.0` hash
+//! differently and NaN payloads are stable — a digest match means
+//! byte-identical parameters, never "numerically close".
 
 use std::fmt;
 
+use dpv_core::ContentHasher;
 use dpv_nn::{Layer, Network};
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV_OFFSET_HI: u64 = 0xcbf2_9ce4_8422_2325;
-// Second lane starts from a different offset (FNV offset xor a golden-ratio
-// constant) so the lanes disagree on every input word.
-const FNV_OFFSET_LO: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15;
-
-/// Two-lane FNV-1a accumulator over 64-bit words.
-struct Hasher {
-    hi: u64,
-    lo: u64,
-}
-
-impl Hasher {
-    fn new() -> Self {
-        Self {
-            hi: FNV_OFFSET_HI,
-            lo: FNV_OFFSET_LO,
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        for (lane, state) in [(0u64, &mut self.hi), (1u64, &mut self.lo)] {
-            let mut s = *state;
-            for byte in w.to_le_bytes() {
-                s ^= u64::from(byte) ^ (lane << 7);
-                s = s.wrapping_mul(FNV_PRIME);
-            }
-            *state = s;
-        }
-    }
-
-    fn tag(&mut self, t: u8) {
-        self.word(0x6467_7400 | u64::from(t));
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.word(v.to_bits());
-    }
-
-    fn floats(&mut self, vs: &[f64]) {
-        self.word(vs.len() as u64);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-}
+/// The tag domain of checkpoint digests (`"dgt"` in ASCII), distinct from
+/// `dpv_core::Fingerprint`'s, so a layer hashed as a digest and as part
+/// of a template fingerprint gives unrelated values.
+const DIGEST_DOMAIN: u64 = 0x6467_7400;
 
 /// 128-bit content hash of one layer's function: kind, dimensions, and
 /// every parameter by bit pattern.
@@ -80,9 +39,10 @@ pub struct LayerDigest {
 impl LayerDigest {
     /// Digest of one layer.
     pub fn of(layer: &Layer) -> Self {
-        let mut h = Hasher::new();
-        hash_layer(&mut h, layer);
-        Self { hi: h.hi, lo: h.lo }
+        let mut h = ContentHasher::new(DIGEST_DOMAIN);
+        h.layer(layer);
+        let (hi, lo) = h.finish();
+        Self { hi, lo }
     }
 
     /// Renders the digest as 32 lowercase hex digits.
@@ -113,7 +73,7 @@ pub struct ModelFingerprint {
 impl ModelFingerprint {
     /// Fingerprint of a checkpoint.
     pub fn of(network: &Network) -> Self {
-        let mut h = Hasher::new();
+        let mut h = ContentHasher::new(DIGEST_DOMAIN);
         h.tag(0x01);
         h.word(network.input_dim() as u64);
         h.word(network.len() as u64);
@@ -122,7 +82,8 @@ impl ModelFingerprint {
             h.word(d.hi);
             h.word(d.lo);
         }
-        Self { hi: h.hi, lo: h.lo }
+        let (hi, lo) = h.finish();
+        Self { hi, lo }
     }
 
     /// Renders the fingerprint as 32 lowercase hex digits.
@@ -141,66 +102,6 @@ impl fmt::Display for ModelFingerprint {
 /// [`dpv_nn::Network::layers`].
 pub fn layer_digests(network: &Network) -> Vec<LayerDigest> {
     network.layers().iter().map(LayerDigest::of).collect()
-}
-
-fn hash_layer(h: &mut Hasher, layer: &Layer) {
-    match layer {
-        Layer::Dense(d) => {
-            h.tag(0x20);
-            h.word(d.input_dim() as u64);
-            h.word(d.output_dim() as u64);
-            h.floats(d.weights().as_slice());
-            h.floats(d.bias().as_slice());
-        }
-        Layer::Activation(a) => {
-            use dpv_nn::Activation::*;
-            match a {
-                Identity => h.tag(0x21),
-                ReLU => h.tag(0x22),
-                LeakyReLU(slope) => {
-                    h.tag(0x23);
-                    h.f64(*slope);
-                }
-                Sigmoid => h.tag(0x24),
-                Tanh => h.tag(0x25),
-            }
-        }
-        Layer::BatchNorm(bn) => {
-            h.tag(0x26);
-            h.word(bn.dim() as u64);
-            h.floats(bn.gamma().as_slice());
-            h.floats(bn.beta().as_slice());
-            h.floats(bn.running_mean().as_slice());
-            h.floats(bn.running_var().as_slice());
-            h.f64(bn.eps());
-        }
-        Layer::Conv2d(c) => {
-            h.tag(0x27);
-            let shape = c.input_shape();
-            h.word(shape.channels as u64);
-            h.word(shape.height as u64);
-            h.word(shape.width as u64);
-            h.word(c.kernel() as u64);
-            h.word(c.stride() as u64);
-            h.floats(c.weights().as_slice());
-            h.floats(c.bias().as_slice());
-        }
-        Layer::MaxPool2d(p) => {
-            h.tag(0x28);
-            let shape = p.input_shape();
-            h.word(shape.channels as u64);
-            h.word(shape.height as u64);
-            h.word(shape.width as u64);
-            h.word(p.pool() as u64);
-        }
-        Layer::Flatten(f) => {
-            h.tag(0x29);
-            let shape = f.shape();
-            h.word(shape.channels as u64);
-            h.word(shape.height as u64);
-            h.word(shape.width as u64);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -281,6 +182,34 @@ mod tests {
             for j in (i + 1)..fps.len() {
                 assert_ne!(fps[i], fps[j], "collision between seeds {i} and {j}");
             }
+        }
+    }
+
+    #[test]
+    fn hash_values_are_pinned() {
+        // Digests are provenance stamps carried by reused verdicts, so
+        // their values must not drift with the shared hasher.
+        let net = checkpoint(2);
+        let pinned = [
+            (
+                LayerDigest::of(&net.layers()[0]).to_hex(),
+                "df7c9184e5770982c751842d80948e9b",
+            ),
+            (
+                LayerDigest::of(&net.layers()[2]).to_hex(),
+                "d50ff72023fa195010b6c7b710255db9",
+            ),
+            (
+                LayerDigest::of(&Layer::Activation(Activation::LeakyReLU(0.1))).to_hex(),
+                "ae331333ba9db248e88bb9f4fcce5061",
+            ),
+            (
+                ModelFingerprint::of(&net).to_hex(),
+                "6d222fd69c10448ae3841f59ee93e0bb",
+            ),
+        ];
+        for (i, (hex, expected)) in pinned.iter().enumerate() {
+            assert_eq!(hex, expected, "digest {i}");
         }
     }
 

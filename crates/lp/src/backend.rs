@@ -5,11 +5,8 @@
 
 use std::fmt;
 
-use dpv_trace::TraceHandle;
-
 use crate::{
-    BasisSnapshot, CancelToken, LpStatus, MilpProblem, MilpSolution, MilpStatus, SolveStats,
-    SOLVER_EPS,
+    LpStatus, MilpProblem, MilpSolution, MilpStatus, SolveContext, SolveStats, SOLVER_EPS,
 };
 
 /// A MILP solving engine.
@@ -20,72 +17,29 @@ use crate::{
 /// counterexample, `NodeLimit`/`Unbounded` → unknown). Implementations must
 /// be `Send + Sync` so one backend instance can serve concurrent
 /// verification jobs.
+///
+/// An engine implements one solve entry point, [`SolverBackend::solve_with`],
+/// which receives the caller's [`SolveContext`] (warm-start seed,
+/// cancellation token, trace handle). Honouring the context is an engine
+/// capability, never a correctness requirement: an engine may ignore any
+/// part of it and stay correct.
 pub trait SolverBackend: fmt::Debug + Send + Sync {
     /// Short human-readable engine name, used in reports and benchmark ids.
     fn name(&self) -> &str;
 
-    /// Solves `problem`. For feasibility problems (all-zero objective) the
-    /// backend may stop at the first integer-feasible point.
-    fn solve(&self, problem: &MilpProblem) -> MilpSolution;
+    /// Solves `problem` under `ctx`. For feasibility problems (all-zero
+    /// objective) the backend may stop at the first integer-feasible point.
+    fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution;
 
-    /// Solves `problem`, optionally priming the engine's warm-start state
-    /// from `seed` and handing the final state back through it, so callers
-    /// holding a pool of [`BasisSnapshot`]s (e.g. the obligation server's
-    /// per-template snapshot pool) can chain repairs across problems.
-    ///
-    /// The default ignores the seed and leaves it untouched — engines
-    /// without warm-start state (cold, exhaustive, external solvers) stay
-    /// correct for free. Seeding is a pure performance hint: a stale or
-    /// foreign snapshot fails the LP layer's structure/validation guards and
-    /// the solve degrades to cold, never to a wrong verdict.
-    fn solve_seeded(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-    ) -> MilpSolution {
-        let _ = seed;
-        self.solve(problem)
-    }
-
-    /// [`SolverBackend::solve_seeded`] with cooperative cancellation: engines
-    /// that can poll a [`CancelToken`] return [`MilpStatus::Cancelled`]
-    /// promptly once it trips (e.g. a request deadline expired).
-    ///
-    /// The default ignores the token and runs [`SolverBackend::solve_seeded`]
-    /// to completion — cancellation support is an engine capability, not a
-    /// correctness requirement, so engines without it stay correct (merely
-    /// less responsive to deadlines).
-    fn solve_cancellable(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-    ) -> MilpSolution {
-        let _ = cancel;
-        self.solve_seeded(problem, seed)
-    }
-
-    /// [`SolverBackend::solve_cancellable`] recording per-node solver
-    /// telemetry through a [`TraceHandle`].
-    ///
-    /// The default ignores the handle and runs
-    /// [`SolverBackend::solve_cancellable`] — telemetry is an engine
-    /// capability, never a correctness requirement, and a disabled handle
-    /// must make the two entry points literally identical.
-    fn solve_traced(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> MilpSolution {
-        let _ = trace;
-        self.solve_cancellable(problem, seed, cancel)
+    /// Solves `problem` with an empty context: no seed, no cancellation,
+    /// no tracing.
+    fn solve(&self, problem: &MilpProblem) -> MilpSolution {
+        self.solve_with(problem, &mut SolveContext::default())
     }
 }
 
 /// The crate's default engine: the depth-first branch-and-bound solver of
-/// [`MilpProblem::solve`], with warm-started node relaxations.
+/// [`MilpProblem::solve_with`], with warm-started node relaxations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchAndBoundBackend;
 
@@ -94,43 +48,18 @@ impl SolverBackend for BranchAndBoundBackend {
         "branch-and-bound"
     }
 
-    fn solve(&self, problem: &MilpProblem) -> MilpSolution {
-        problem.solve()
-    }
-
-    fn solve_seeded(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-    ) -> MilpSolution {
-        problem.solve_seeded(seed)
-    }
-
-    fn solve_cancellable(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-    ) -> MilpSolution {
-        problem.solve_seeded_cancellable(seed, cancel)
-    }
-
-    fn solve_traced(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> MilpSolution {
-        problem.solve_traced(seed, cancel, trace)
+    fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution {
+        problem.solve_with(ctx)
     }
 }
 
 /// The warm-start-free variant of [`BranchAndBoundBackend`]: every node pays
-/// a cold two-phase simplex solve ([`MilpProblem::solve_cold`]). This is the
-/// PR-2 reference engine, kept for benchmarking the warm-start speedup
-/// (`benches/e8_warm_start.rs`) and for equivalence tests — the two engines
-/// explore the identical tree and must return identical statuses.
+/// a cold two-phase simplex solve and the context's seed is left untouched.
+/// The two engines must return identical statuses; their trees can differ
+/// where a relaxation has several optimal vertices. Kept because the
+/// cold/warm equivalence test
+/// (`crates/core/tests/cache_soundness.rs`) and e8's gated
+/// `speedup-permille` record need a cold search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColdBranchAndBoundBackend;
 
@@ -139,8 +68,8 @@ impl SolverBackend for ColdBranchAndBoundBackend {
         "branch-and-bound(cold)"
     }
 
-    fn solve(&self, problem: &MilpProblem) -> MilpSolution {
-        problem.solve_cold()
+    fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution {
+        problem.search(false, ctx)
     }
 }
 
@@ -177,19 +106,15 @@ impl SolverBackend for ExhaustiveBackend {
         "exhaustive-enumeration"
     }
 
-    fn solve(&self, problem: &MilpProblem) -> MilpSolution {
+    /// Ignores the context: the oracle neither seeds, cancels nor traces.
+    fn solve_with(&self, problem: &MilpProblem, _ctx: &mut SolveContext<'_>) -> MilpSolution {
         let binaries = problem.binaries();
         let k = binaries.len();
         let mut stats = SolveStats::default();
         // The budget must stay below the mask width: `1u64 << 64` would wrap
         // and silently enumerate nothing, turning the oracle unsound.
         if k > self.max_binaries.min(63) {
-            return MilpSolution {
-                status: MilpStatus::NodeLimit,
-                values: Vec::new(),
-                objective: 0.0,
-                stats,
-            };
+            return MilpSolution::with_incumbent(MilpStatus::NodeLimit, None, stats);
         }
         let feasibility_only = problem.lp().objective().iter().all(|&c| c == 0.0);
         let maximize = problem.lp().is_maximization();
@@ -227,20 +152,10 @@ impl SolverBackend for ExhaustiveBackend {
                 // `Cancelled` is unreachable here (the oracle solves without
                 // a token) but folds into the same conservative stop.
                 LpStatus::IterationLimit | LpStatus::Cancelled => {
-                    return MilpSolution {
-                        status: MilpStatus::IterationLimit,
-                        values: Vec::new(),
-                        objective: 0.0,
-                        stats,
-                    };
+                    return MilpSolution::with_incumbent(MilpStatus::IterationLimit, None, stats);
                 }
                 LpStatus::Unbounded => {
-                    return MilpSolution {
-                        status: MilpStatus::Unbounded,
-                        values: Vec::new(),
-                        objective: 0.0,
-                        stats,
-                    };
+                    return MilpSolution::with_incumbent(MilpStatus::Unbounded, None, stats);
                 }
                 LpStatus::Optimal => {
                     let better = match &incumbent {
@@ -262,20 +177,11 @@ impl SolverBackend for ExhaustiveBackend {
                 }
             }
         }
-        match incumbent {
-            Some((values, objective)) => MilpSolution {
-                status: MilpStatus::Optimal,
-                values,
-                objective,
-                stats,
-            },
-            None => MilpSolution {
-                status: MilpStatus::Infeasible,
-                values: Vec::new(),
-                objective: 0.0,
-                stats,
-            },
-        }
+        let status = match incumbent {
+            Some(_) => MilpStatus::Optimal,
+            None => MilpStatus::Infeasible,
+        };
+        MilpSolution::with_incumbent(status, incumbent, stats)
     }
 }
 

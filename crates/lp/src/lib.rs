@@ -19,10 +19,13 @@
 //! * [`MilpProblem`] — an LP plus a set of binary variables, solved by
 //!   branch-and-bound over the binaries ([`MilpProblem::solve`]), with every
 //!   node relaxation warm-started from the most recent basis
-//!   ([`SolveStats`] reports the warm/cold split; [`MilpProblem::solve_cold`]
-//!   keeps the PR-2 cold path for comparison). A feasibility-only mode is
+//!   ([`SolveStats`] reports the warm/cold split). A feasibility-only mode is
 //!   what safety verification uses: *is there an assignment inside the
 //!   envelope that triggers the risk condition?*
+//! * [`SolveContext`] — the one per-call context of every solve entry point
+//!   ([`MilpProblem::solve_with`], [`SolverBackend::solve_with`]): a
+//!   warm-start seed that chains dual-simplex repairs across problems, a
+//!   cancellation token and a trace handle, each optional.
 //! * [`encode_relu_big_m`] — the standard big-M encoding of a ReLU
 //!   constraint `y = max(0, x)` with known pre-activation bounds, the
 //!   building block of the network encoding in `dpv-core`.
@@ -30,10 +33,11 @@
 //!   `dpv-core` routes every verification solve through this trait, so
 //!   alternative engines (parallel branch-and-bound, external solvers) can
 //!   be swapped in without touching the verification logic.
-//!   [`BranchAndBoundBackend`] is the default engine; [`ExhaustiveBackend`]
-//!   is a brute-force cross-check oracle for tests; and
-//!   [`ParallelBranchAndBoundBackend`] explores branch-and-bound subtrees on
-//!   work-stealing worker threads with a shared incumbent bound.
+//!   [`BranchAndBoundBackend`] is the default engine;
+//!   [`ColdBranchAndBoundBackend`] runs the same search without warm
+//!   starts; [`ExhaustiveBackend`] is a brute-force cross-check oracle for
+//!   tests; and [`ParallelBranchAndBoundBackend`] explores branch-and-bound
+//!   subtrees on work-stealing worker threads with a shared incumbent bound.
 //! * [`CancelToken`] — a cooperative cancellation handle polled inside the
 //!   simplex pivot loop and the branch-and-bound node loop. A tripped token
 //!   (explicit or deadline-based) makes the solve return promptly with
@@ -81,7 +85,7 @@ pub use backend::{
     SolverBackend,
 };
 pub use cancel::CancelToken;
-pub use milp::{MilpProblem, MilpSolution, MilpStatus, SolveStats};
+pub use milp::{MilpProblem, MilpSolution, MilpStatus, SolveContext, SolveStats};
 pub use model::{Constraint, ConstraintOp, LinearProgram, LpSolution, LpStatus, VarId};
 pub use parallel::ParallelBranchAndBoundBackend;
 pub use relu::{encode_relu_big_m, ReluEncoding};

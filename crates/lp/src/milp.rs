@@ -2,7 +2,9 @@
 
 use dpv_trace::{CounterId, TraceHandle};
 
-use crate::{BasisSnapshot, CancelToken, LinearProgram, LpSolution, LpStatus, VarId, SOLVER_EPS};
+use crate::{
+    simplex, BasisSnapshot, CancelToken, LinearProgram, LpSolution, LpStatus, VarId, SOLVER_EPS,
+};
 
 /// Status of a MILP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,20 +106,46 @@ impl MilpSolution {
     pub fn has_solution(&self) -> bool {
         !self.values.is_empty()
     }
+
+    /// A solution reporting `status` with the incumbent found so far (none:
+    /// empty values, zero objective).
+    pub(crate) fn with_incumbent(
+        status: MilpStatus,
+        incumbent: Option<(Vec<f64>, f64)>,
+        stats: SolveStats,
+    ) -> Self {
+        let (values, objective) = incumbent.unwrap_or_default();
+        Self {
+            status,
+            values,
+            objective,
+            stats,
+        }
+    }
 }
 
-/// Picks the binary variable to branch on at a node whose relaxation is
-/// optimal, or `None` when the relaxation is integral over the unfixed
-/// binaries.
-///
-/// For **feasibility-only** problems (all-zero objective — the query safety
-/// verification issues) the *most* fractional unfixed binary is chosen: its
-/// relaxation value is closest to 1/2, so fixing it perturbs the relaxation
-/// the most and drives infeasible subtrees to contradiction soonest, which
-/// measurably shrinks refutation trees compared to PR-1's first-fractional
-/// rule. For **optimisation** problems the first fractional binary is kept:
-/// diving along the relaxation's suggestion finds strong incumbents early,
-/// and the incumbent bound — not contradiction depth — prunes the tree.
+/// The per-call context of [`MilpProblem::solve_with`] and
+/// [`crate::SolverBackend::solve_with`]: an optional warm-start basis,
+/// cancellation token and trace handle. The default turns all three off,
+/// which is what the plain `solve` methods pass.
+#[derive(Debug, Default)]
+pub struct SolveContext<'a> {
+    /// A warm-start basis priming the search. Engines with warm-start
+    /// state hand their final basis back here, so a caller pooling
+    /// [`BasisSnapshot`]s can chain repairs across problems; engines
+    /// without it (cold, exhaustive, external) leave it untouched.
+    /// Seeding is a pure performance hint: a stale or foreign basis
+    /// degrades the solve to cold, never to a wrong verdict.
+    pub seed: Option<BasisSnapshot>,
+    /// Polled between simplex pivots and branch-and-bound nodes; a
+    /// tripped token ends the solve with [`MilpStatus::Cancelled`].
+    /// Engines that cannot poll ignore it and merely respond slower.
+    pub cancel: Option<&'a CancelToken>,
+    /// Records per-node solver telemetry. Observational only: a disabled
+    /// or absent handle gives the identical search.
+    pub trace: Option<&'a TraceHandle>,
+}
+
 /// Solves one node's LP relaxation against `scratch`, warm-starting from the
 /// rolling basis in `warm` when enabled, and falls back to (and refreshes the
 /// basis from) a cold solve otherwise. Shared by the serial and parallel
@@ -153,7 +181,7 @@ pub(crate) fn solve_node_lp(
         let snapshot_offered = warm.is_some();
         match warm
             .as_mut()
-            .and_then(|snap| scratch.solve_from_basis_cancellable(snap, cancel))
+            .and_then(|snap| simplex::solve_from_basis(scratch, snap, cancel))
         {
             Some(solution) => {
                 stats.warm_solves += 1;
@@ -164,14 +192,14 @@ pub(crate) fn solve_node_lp(
                 if snapshot_offered {
                     stats.warm_declined += 1;
                 }
-                let (solution, snapshot) = scratch.solve_with_snapshot_cancellable(cancel);
+                let (solution, snapshot) = simplex::solve_with_snapshot(scratch, cancel);
                 stats.cold_solves += 1;
                 *warm = snapshot;
                 solution
             }
         }
     } else {
-        let solution = scratch.solve_cancellable(cancel);
+        let solution = simplex::solve(scratch, cancel);
         stats.cold_solves += 1;
         solution
     };
@@ -180,6 +208,18 @@ pub(crate) fn solve_node_lp(
     solution
 }
 
+/// Picks the binary variable to branch on at a node whose relaxation is
+/// optimal, or `None` when the relaxation is integral over the unfixed
+/// binaries.
+///
+/// For **feasibility-only** problems (all-zero objective — the query safety
+/// verification issues) the *most* fractional unfixed binary is chosen: its
+/// relaxation value is closest to 1/2, so fixing it perturbs the relaxation
+/// the most and drives infeasible subtrees to contradiction soonest, which
+/// measurably shrinks refutation trees compared to a first-fractional
+/// rule. For **optimisation** problems the first fractional binary is kept:
+/// diving along the relaxation's suggestion finds strong incumbents early,
+/// and the incumbent bound — not contradiction depth — prunes the tree.
 pub(crate) fn select_branching_variable(
     binaries: &[VarId],
     fixings: &[(VarId, f64)],
@@ -326,126 +366,57 @@ impl MilpProblem {
     /// nodes differ only in binary bounds, so a dual-simplex repair replaces
     /// the two cold phases; [`SolveStats`] records the warm/cold split.
     pub fn solve(&self) -> MilpSolution {
-        self.solve_impl(true, &mut None, None, &TraceHandle::disabled())
+        self.solve_with(&mut SolveContext::default())
     }
 
-    /// [`MilpProblem::solve`] polling a [`CancelToken`] in the node loop and
-    /// inside every LP relaxation; a tripped token returns
-    /// [`MilpStatus::Cancelled`] (with the incumbent found so far) promptly
-    /// instead of searching on.
-    pub fn solve_cancellable(&self, cancel: Option<&CancelToken>) -> MilpSolution {
-        self.solve_impl(true, &mut None, cancel, &TraceHandle::disabled())
-    }
-
-    /// [`MilpProblem::solve`] with warm starting disabled: every node pays a
-    /// cold two-phase solve. Kept as the PR-2 reference path for benchmarks
-    /// and equivalence tests ([`crate::ColdBranchAndBoundBackend`]).
-    pub fn solve_cold(&self) -> MilpSolution {
-        self.solve_impl(false, &mut None, None, &TraceHandle::disabled())
-    }
-
-    /// [`MilpProblem::solve`] with an externally owned rolling basis.
+    /// [`MilpProblem::solve`] under a [`SolveContext`]:
     ///
-    /// The caller's `seed` primes the first node's warm start (when `Some`)
-    /// and on return holds the last solved basis, so consecutive MILPs that
-    /// share a structure — e.g. instantiations of one `EncodingTemplate`
-    /// across obligations or requests — can chain their dual-simplex repairs
-    /// across *problem* boundaries, not just across nodes of one search tree.
-    ///
-    /// Soundness does not depend on the seed matching: a stale or foreign
-    /// basis fails [`LinearProgram::solve_from_basis`]'s structure check or
-    /// its primal/Farkas validation and the node silently falls back to a
-    /// cold two-phase solve (counted in [`SolveStats::cold_solves`]).
-    pub fn solve_seeded(&self, seed: &mut Option<BasisSnapshot>) -> MilpSolution {
-        self.solve_impl(true, seed, None, &TraceHandle::disabled())
+    /// * the context's `seed` primes the first node's warm start and on
+    ///   return holds the last solved basis, so consecutive MILPs that share
+    ///   a structure — instantiations of one `EncodingTemplate` across
+    ///   obligations or requests — chain their dual-simplex repairs across
+    ///   *problem* boundaries. A stale or foreign basis fails
+    ///   [`LinearProgram::solve_from_basis`]'s structure check or its
+    ///   primal/Farkas validation and the node falls back to a cold solve
+    ///   (counted in [`SolveStats::warm_declined`]);
+    /// * the `cancel` token is polled in the node loop and inside every LP
+    ///   relaxation; once tripped the search returns
+    ///   [`MilpStatus::Cancelled`] with the incumbent found so far;
+    /// * the `trace` handle records per-node telemetry (nodes, warm/cold LP
+    ///   split, pivots, refactorisations, sampled progress events). Tracing
+    ///   is observational and never alters the search.
+    pub fn solve_with(&self, ctx: &mut SolveContext<'_>) -> MilpSolution {
+        self.search(true, ctx)
     }
 
-    /// [`MilpProblem::solve_seeded`] with cooperative cancellation (see
-    /// [`MilpProblem::solve_cancellable`]).
-    pub fn solve_seeded_cancellable(
-        &self,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-    ) -> MilpSolution {
-        self.solve_impl(true, seed, cancel, &TraceHandle::disabled())
-    }
-
-    /// [`MilpProblem::solve_seeded_cancellable`] recording per-node solver
-    /// telemetry (branch-and-bound nodes, warm/cold LP split, simplex
-    /// pivots, refactorisations, sampled progress events) through a
-    /// [`TraceHandle`]. With a disabled handle — the default everywhere
-    /// else — this is exactly `solve_seeded_cancellable`: tracing is
-    /// observational and never alters the search.
-    pub fn solve_traced(
-        &self,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> MilpSolution {
-        self.solve_impl(true, seed, cancel, trace)
-    }
-
-    fn solve_impl(
-        &self,
-        warm_enabled: bool,
-        warm: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> MilpSolution {
+    /// The branch-and-bound search behind [`MilpProblem::solve_with`];
+    /// `warm_enabled: false` pays a cold two-phase solve at every node and
+    /// leaves the seed untouched ([`crate::ColdBranchAndBoundBackend`]).
+    pub(crate) fn search(&self, warm_enabled: bool, ctx: &mut SolveContext<'_>) -> MilpSolution {
+        let disabled = TraceHandle::disabled();
+        let trace = ctx.trace.unwrap_or(&disabled);
+        let cancel = ctx.cancel;
+        let warm = &mut ctx.seed;
         let feasibility_only = self.lp.objective().iter().all(|&c| c == 0.0);
         let mut stats = SolveStats::default();
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
         // Each stack entry is a list of (binary var, fixed value) decisions.
         let mut stack: Vec<Vec<(VarId, f64)>> = vec![Vec::new()];
         let mut hit_limit = false;
-        // The single scratch LP all nodes are evaluated against, plus the
-        // pristine binary bounds to restore between nodes, plus the rolling
-        // warm-start basis refreshed after every solved relaxation.
+        // The single scratch LP all nodes are evaluated against; the rolling
+        // warm-start basis is refreshed after every solved relaxation.
         let mut scratch = self.lp.clone();
-        let saved_bounds: Vec<(VarId, f64, f64)> = self
-            .binaries
-            .iter()
-            .map(|&b| {
-                let (lo, hi) = self.lp.bounds(b);
-                (b, lo, hi)
-            })
-            .collect();
 
         while let Some(fixings) = stack.pop() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
-                let (values, objective) = match incumbent {
-                    Some((values, objective)) => (values, objective),
-                    None => (Vec::new(), 0.0),
-                };
-                return MilpSolution {
-                    status: MilpStatus::Cancelled,
-                    values,
-                    objective,
-                    stats,
-                };
+                return MilpSolution::with_incumbent(MilpStatus::Cancelled, incumbent, stats);
             }
             if stats.nodes_explored >= self.node_limit {
                 hit_limit = true;
                 break;
             }
             stats.nodes_explored += 1;
-
-            for &(var, lo, hi) in &saved_bounds {
-                scratch.set_bounds(var, lo, hi);
-            }
-            // A fixing that falls outside the variable's original bounds
-            // (possible when a binary was pre-fixed, e.g. a stable ReLU
-            // phase) makes the node infeasible without solving anything.
-            let mut conflict = false;
-            for &(var, value) in &fixings {
-                let (lo, hi) = self.lp.bounds(var);
-                if value < lo - SOLVER_EPS || value > hi + SOLVER_EPS {
-                    conflict = true;
-                    break;
-                }
-                scratch.set_bounds(var, value, value);
-            }
-            if conflict {
+            if !self.fix_node(&mut scratch, &fixings) {
                 continue;
             }
             let solution = solve_node_lp(&scratch, warm, warm_enabled, &mut stats, cancel, trace);
@@ -455,20 +426,12 @@ impl MilpProblem {
                     // The relaxation could not be solved (budget exhausted or
                     // cancellation); neither pruning nor branching is
                     // justified. Stop conservatively.
-                    let (values, objective) = match incumbent {
-                        Some((values, objective)) => (values, objective),
-                        None => (Vec::new(), 0.0),
+                    let status = if solution.status == LpStatus::Cancelled {
+                        MilpStatus::Cancelled
+                    } else {
+                        MilpStatus::IterationLimit
                     };
-                    return MilpSolution {
-                        status: if solution.status == LpStatus::Cancelled {
-                            MilpStatus::Cancelled
-                        } else {
-                            MilpStatus::IterationLimit
-                        },
-                        values,
-                        objective,
-                        stats,
-                    };
+                    return MilpSolution::with_incumbent(status, incumbent, stats);
                 }
                 LpStatus::Unbounded => {
                     // With every binary fixed the relaxation *is* an integer
@@ -477,23 +440,13 @@ impl MilpProblem {
                     // problem at the root). With binaries still free we
                     // cannot prune, so branch further.
                     if fixings.len() == self.binaries.len() {
-                        return MilpSolution {
-                            status: MilpStatus::Unbounded,
-                            values: Vec::new(),
-                            objective: 0.0,
-                            stats,
-                        };
+                        return MilpSolution::with_incumbent(MilpStatus::Unbounded, None, stats);
                     }
                 }
                 LpStatus::Optimal => {
                     // Bound pruning (only valid for optimisation problems).
                     if let Some((_, best)) = &incumbent {
-                        let worse = if self.lp.is_maximization() {
-                            solution.objective <= *best + SOLVER_EPS
-                        } else {
-                            solution.objective >= *best - SOLVER_EPS
-                        };
-                        if worse {
+                        if self.prunes(solution.objective, *best) {
                             stats.nodes_pruned += 1;
                             continue;
                         }
@@ -501,37 +454,12 @@ impl MilpProblem {
                 }
             }
 
-            let fractional = if solution.status == LpStatus::Optimal {
-                select_branching_variable(
-                    &self.binaries,
-                    &fixings,
-                    &solution.values,
-                    feasibility_only,
-                )
-            } else {
-                // Unbounded relaxation: branch on any unfixed binary.
-                self.binaries
-                    .iter()
-                    .copied()
-                    .find(|&b| fixings.iter().all(|(v, _)| *v != b))
-            };
-
-            match fractional {
+            match self.branching_variable(&fixings, &solution, feasibility_only) {
                 None if solution.status == LpStatus::Optimal => {
                     // Integer feasible.
-                    let objective = solution.objective;
-                    let better = match &incumbent {
-                        None => true,
-                        Some((_, best)) => {
-                            if self.lp.is_maximization() {
-                                objective > *best
-                            } else {
-                                objective < *best
-                            }
-                        }
-                    };
-                    if better {
-                        incumbent = Some((solution.values.clone(), objective));
+                    let best = incumbent.as_ref().map(|(_, best)| *best);
+                    if self.improves(solution.objective, best) {
+                        incumbent = Some((solution.values.clone(), solution.objective));
                     }
                     if feasibility_only {
                         break;
@@ -542,54 +470,109 @@ impl MilpProblem {
                     // fixed already returned `Unbounded` above, so there is
                     // always an unfixed binary to branch on here.
                 }
-                Some(branch_var) => {
-                    // Depth-first: explore the branch suggested by the
-                    // relaxation last so it is popped first.
-                    let suggested = if solution.status == LpStatus::Optimal {
-                        solution.values[branch_var].round().clamp(0.0, 1.0)
-                    } else {
-                        1.0
-                    };
-                    let other = 1.0 - suggested;
-                    let mut first = fixings.clone();
-                    first.push((branch_var, other));
-                    let mut second = fixings;
-                    second.push((branch_var, suggested));
-                    stack.push(first);
-                    stack.push(second);
-                }
+                Some(branch_var) => stack.extend(children(fixings, branch_var, &solution)),
             }
         }
 
-        match incumbent {
-            Some((values, objective)) => MilpSolution {
-                status: if hit_limit {
-                    MilpStatus::NodeLimit
-                } else {
-                    MilpStatus::Optimal
-                },
-                values,
-                objective,
-                stats,
-            },
-            None => MilpSolution {
-                status: if hit_limit {
-                    MilpStatus::NodeLimit
-                } else {
-                    MilpStatus::Infeasible
-                },
-                values: Vec::new(),
-                objective: 0.0,
-                stats,
-            },
+        let status = match (&incumbent, hit_limit) {
+            (_, true) => MilpStatus::NodeLimit,
+            (Some(_), false) => MilpStatus::Optimal,
+            (None, false) => MilpStatus::Infeasible,
+        };
+        MilpSolution::with_incumbent(status, incumbent, stats)
+    }
+
+    /// Points `scratch` (a clone of this problem's LP) at the node
+    /// `fixings`: every binary is reset to its original bounds, then the
+    /// node's binaries are fixed. Returns `false` when a fixing falls
+    /// outside its binary's original bounds (possible when a binary was
+    /// pre-fixed, e.g. a stable ReLU phase): the node is infeasible without
+    /// solving anything.
+    pub(crate) fn fix_node(&self, scratch: &mut LinearProgram, fixings: &[(VarId, f64)]) -> bool {
+        for &b in &self.binaries {
+            let (lo, hi) = self.lp.bounds(b);
+            scratch.set_bounds(b, lo, hi);
+        }
+        fixings.iter().all(|&(var, value)| {
+            let (lo, hi) = self.lp.bounds(var);
+            let inside = value >= lo - SOLVER_EPS && value <= hi + SOLVER_EPS;
+            if inside {
+                scratch.set_bounds(var, value, value);
+            }
+            inside
+        })
+    }
+
+    /// The binary to branch on at a node: by
+    /// [`select_branching_variable`] for an optimal relaxation, any
+    /// unfixed binary for an unbounded one. `None` when there is none.
+    pub(crate) fn branching_variable(
+        &self,
+        fixings: &[(VarId, f64)],
+        relaxation: &LpSolution,
+        feasibility_only: bool,
+    ) -> Option<VarId> {
+        if relaxation.status == LpStatus::Optimal {
+            select_branching_variable(
+                &self.binaries,
+                fixings,
+                &relaxation.values,
+                feasibility_only,
+            )
+        } else {
+            self.binaries
+                .iter()
+                .copied()
+                .find(|&b| fixings.iter().all(|(v, _)| *v != b))
         }
     }
+
+    /// Whether `objective` strictly improves on the incumbent's `best`.
+    pub(crate) fn improves(&self, objective: f64, best: Option<f64>) -> bool {
+        best.is_none_or(|best| {
+            if self.lp.is_maximization() {
+                objective > best
+            } else {
+                objective < best
+            }
+        })
+    }
+
+    /// Bound pruning: whether a relaxation objective `bound` cannot beat the
+    /// incumbent's `best` by more than [`SOLVER_EPS`].
+    pub(crate) fn prunes(&self, bound: f64, best: f64) -> bool {
+        if self.lp.is_maximization() {
+            bound <= best + SOLVER_EPS
+        } else {
+            bound >= best - SOLVER_EPS
+        }
+    }
+}
+
+/// The two children of a node branching on `var`, in push order: the
+/// branch the relaxation suggests comes last, so a depth-first (LIFO)
+/// search explores it first. An unbounded relaxation suggests 1.
+pub(crate) fn children(
+    fixings: Vec<(VarId, f64)>,
+    var: VarId,
+    relaxation: &LpSolution,
+) -> [Vec<(VarId, f64)>; 2] {
+    let suggested = if relaxation.status == LpStatus::Optimal {
+        relaxation.values[var].round().clamp(0.0, 1.0)
+    } else {
+        1.0
+    };
+    let mut other = fixings.clone();
+    other.push((var, 1.0 - suggested));
+    let mut preferred = fixings;
+    preferred.push((var, suggested));
+    [other, preferred]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConstraintOp;
+    use crate::{ConstraintOp, SolverBackend};
 
     #[test]
     fn knapsack_is_solved_exactly() {
@@ -794,11 +777,11 @@ mod tests {
             milp.lp_mut().add_constraint(&coeffs, ConstraintOp::Ge, rhs);
             milp
         };
-        let mut seed = None;
-        let first = build(2.0).solve_seeded(&mut seed);
+        let mut ctx = SolveContext::default();
+        let first = build(2.0).solve_with(&mut ctx);
         assert_eq!(first.status, MilpStatus::Optimal);
-        assert!(seed.is_some(), "seeded solve must hand the basis back");
-        let second = build(3.0).solve_seeded(&mut seed);
+        assert!(ctx.seed.is_some(), "seeded solve must hand the basis back");
+        let second = build(3.0).solve_with(&mut ctx);
         assert_eq!(second.status, MilpStatus::Optimal);
         assert_eq!(
             second.stats.cold_solves, 0,
@@ -824,9 +807,9 @@ mod tests {
         donor
             .lp_mut()
             .add_constraint(&coeffs, ConstraintOp::Ge, 1.0);
-        let mut seed = None;
-        let _ = donor.solve_seeded(&mut seed);
-        assert!(seed.is_some());
+        let mut ctx = SolveContext::default();
+        let _ = donor.solve_with(&mut ctx);
+        assert!(ctx.seed.is_some());
 
         let mut other = MilpProblem::new();
         let x = other.add_binary();
@@ -834,7 +817,7 @@ mod tests {
         other
             .lp_mut()
             .add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0);
-        let seeded = other.solve_seeded(&mut seed);
+        let seeded = other.solve_with(&mut ctx);
         let reference = other.solve();
         assert_eq!(seeded.status, reference.status);
         assert_eq!(seeded.status, MilpStatus::Infeasible);
@@ -863,7 +846,7 @@ mod tests {
             4.0,
         );
         let warm = milp.solve();
-        let cold = milp.solve_cold();
+        let cold = crate::ColdBranchAndBoundBackend.solve(&milp);
         assert_eq!(warm.status, cold.status);
         assert!((warm.objective - cold.objective).abs() < 1e-6);
         assert_eq!(cold.stats.warm_solves, 0);

@@ -336,27 +336,11 @@ impl LinearProgram {
         simplex::solve(self, None)
     }
 
-    /// Like [`LinearProgram::solve`], polling `cancel` between pivots; a
-    /// tripped token yields [`LpStatus::Cancelled`].
-    pub fn solve_cancellable(&self, cancel: Option<&crate::CancelToken>) -> LpSolution {
-        simplex::solve(self, cancel)
-    }
-
     /// Solves cold and, when the final basis supports it, additionally
     /// returns a [`crate::BasisSnapshot`] that [`LinearProgram::solve_from_basis`]
     /// can re-solve from after bound-only changes.
     pub fn solve_with_snapshot(&self) -> (LpSolution, Option<crate::BasisSnapshot>) {
         simplex::solve_with_snapshot(self, None)
-    }
-
-    /// Like [`LinearProgram::solve_with_snapshot`], polling `cancel` between
-    /// pivots; a tripped token yields [`LpStatus::Cancelled`] (and no
-    /// snapshot).
-    pub fn solve_with_snapshot_cancellable(
-        &self,
-        cancel: Option<&crate::CancelToken>,
-    ) -> (LpSolution, Option<crate::BasisSnapshot>) {
-        simplex::solve_with_snapshot(self, cancel)
     }
 
     /// Warm re-solve from a previous solve's basis.
@@ -374,18 +358,6 @@ impl LinearProgram {
     /// updated in place to the new final basis, ready for the next re-solve.
     pub fn solve_from_basis(&self, snapshot: &mut crate::BasisSnapshot) -> Option<LpSolution> {
         simplex::solve_from_basis(self, snapshot, None)
-    }
-
-    /// Like [`LinearProgram::solve_from_basis`], polling `cancel` between
-    /// pivots. A tripped token makes the warm solve *decline* (`None`) —
-    /// callers fall back to the cold path, which then reports
-    /// [`LpStatus::Cancelled`] immediately.
-    pub fn solve_from_basis_cancellable(
-        &self,
-        snapshot: &mut crate::BasisSnapshot,
-        cancel: Option<&crate::CancelToken>,
-    ) -> Option<LpSolution> {
-        simplex::solve_from_basis(self, snapshot, cancel)
     }
 }
 

@@ -35,8 +35,8 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::Mutex;
 
 use crate::{
-    BasisSnapshot, LinearProgram, LpStatus, MilpProblem, MilpSolution, MilpStatus, SolveStats,
-    SolverBackend, VarId, SOLVER_EPS,
+    BasisSnapshot, LinearProgram, LpStatus, MilpProblem, MilpSolution, MilpStatus, SolveContext,
+    SolveStats, SolverBackend, VarId,
 };
 
 /// A branching decision list: the `(binary, fixed value)` pairs on the path
@@ -89,10 +89,7 @@ impl Default for ParallelBranchAndBoundBackend {
 /// State shared by every worker of one solve.
 struct SearchState<'a> {
     problem: &'a MilpProblem,
-    /// Pristine bounds of every binary, restored between nodes.
-    saved_bounds: Vec<(VarId, f64, f64)>,
     feasibility_only: bool,
-    maximize: bool,
     node_limit: usize,
     injector: Injector<Node>,
     stealers: Vec<Stealer<Node>>,
@@ -153,17 +150,8 @@ impl SearchState<'_> {
     /// and new incumbents.
     fn offer_incumbent(&self, values: Vec<f64>, objective: f64) {
         let mut incumbent = self.incumbent.lock();
-        let better = match incumbent.as_ref() {
-            None => true,
-            Some((_, best)) => {
-                if self.maximize {
-                    objective > *best
-                } else {
-                    objective < *best
-                }
-            }
-        };
-        if better {
+        let best = incumbent.as_ref().map(|(_, best)| *best);
+        if self.problem.improves(objective, best) {
             *incumbent = Some((values, objective));
         }
     }
@@ -174,23 +162,17 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
         &self.name
     }
 
-    fn solve(&self, problem: &MilpProblem) -> MilpSolution {
+    /// Only the serial fallback (one worker, or fewer than two binaries)
+    /// honours the context; the worker pool ignores it.
+    fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution {
         let binaries = problem.binaries();
         if self.workers == 1 || binaries.len() < 2 {
-            return problem.solve();
+            return problem.solve_with(ctx);
         }
 
         let state = SearchState {
             problem,
-            saved_bounds: binaries
-                .iter()
-                .map(|&b| {
-                    let (lo, hi) = problem.lp().bounds(b);
-                    (b, lo, hi)
-                })
-                .collect(),
             feasibility_only: problem.lp().objective().iter().all(|&c| c == 0.0),
-            maximize: problem.lp().is_maximization(),
             node_limit: problem.node_limit(),
             injector: Injector::new(),
             stealers: Vec::new(),
@@ -282,43 +264,21 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
         let hit_limit = state.hit_limit.load(Ordering::Acquire) || worker_panicked;
         let iter_limited = state.iter_limited.load(Ordering::Acquire);
         if state.unbounded.load(Ordering::Acquire) {
-            return MilpSolution {
-                status: MilpStatus::Unbounded,
-                values: Vec::new(),
-                objective: 0.0,
-                stats,
-            };
+            return MilpSolution::with_incumbent(MilpStatus::Unbounded, None, stats);
         }
-        match incumbent {
-            Some((values, objective)) => MilpSolution {
-                // A feasibility-only search is complete at the first feasible
-                // point even when another worker tripped a limit in the same
-                // instant; an optimisation search interrupted by a limit has
-                // not proven its incumbent optimal.
-                status: if state.feasibility_only || !(hit_limit || iter_limited) {
-                    MilpStatus::Optimal
-                } else if iter_limited {
-                    MilpStatus::IterationLimit
-                } else {
-                    MilpStatus::NodeLimit
-                },
-                values,
-                objective,
-                stats,
-            },
-            None => MilpSolution {
-                status: if iter_limited {
-                    MilpStatus::IterationLimit
-                } else if hit_limit {
-                    MilpStatus::NodeLimit
-                } else {
-                    MilpStatus::Infeasible
-                },
-                values: Vec::new(),
-                objective: 0.0,
-                stats,
-            },
-        }
+        let status = match &incumbent {
+            // A feasibility-only search is complete at the first feasible
+            // point even when another worker tripped a limit in the same
+            // instant; an optimisation search interrupted by a limit has
+            // not proven its incumbent optimal.
+            Some(_) if state.feasibility_only || !(hit_limit || iter_limited) => {
+                MilpStatus::Optimal
+            }
+            _ if iter_limited => MilpStatus::IterationLimit,
+            _ if hit_limit => MilpStatus::NodeLimit,
+            _ => MilpStatus::Infeasible,
+        };
+        MilpSolution::with_incumbent(status, incumbent, stats)
     }
 }
 
@@ -340,19 +300,8 @@ fn process_node(
         return;
     }
     stats.nodes_explored += 1;
-
-    // Restore the pristine binary bounds, then tighten to this node's
-    // decisions. A fixing outside the variable's original bounds (a
-    // pre-fixed binary, e.g. a stable ReLU phase) is an infeasible node.
-    for &(var, lo, hi) in &state.saved_bounds {
-        scratch.set_bounds(var, lo, hi);
-    }
-    for &(var, value) in &fixings {
-        let (lo, hi) = state.problem.lp().bounds(var);
-        if value < lo - SOLVER_EPS || value > hi + SOLVER_EPS {
-            return;
-        }
-        scratch.set_bounds(var, value, value);
+    if !state.problem.fix_node(scratch, &fixings) {
+        return;
     }
     let solution = crate::milp::solve_node_lp(
         scratch,
@@ -383,12 +332,7 @@ fn process_node(
         }
         LpStatus::Optimal => {
             if let Some(best) = state.incumbent_objective() {
-                let worse = if state.maximize {
-                    solution.objective <= best + SOLVER_EPS
-                } else {
-                    solution.objective >= best - SOLVER_EPS
-                };
-                if worse {
+                if state.problem.prunes(solution.objective, best) {
                     stats.nodes_pruned += 1;
                     return;
                 }
@@ -396,24 +340,13 @@ fn process_node(
         }
     }
 
-    let fractional = if solution.status == LpStatus::Optimal {
-        // Same branching rule as the serial engine (most-fractional for
-        // feasibility-only problems), so serial and parallel explore the
-        // same tree modulo scheduling.
-        crate::milp::select_branching_variable(
-            binaries,
-            &fixings,
-            &solution.values,
-            state.feasibility_only,
-        )
-    } else {
-        binaries
-            .iter()
-            .copied()
-            .find(|&b| fixings.iter().all(|(v, _)| *v != b))
-    };
-
-    match fractional {
+    // Same branching rule as the serial engine (most-fractional for
+    // feasibility-only problems), so serial and parallel explore the same
+    // tree modulo scheduling.
+    match state
+        .problem
+        .branching_variable(&fixings, &solution, state.feasibility_only)
+    {
         None if solution.status == LpStatus::Optimal => {
             state.offer_incumbent(solution.values, solution.objective);
             if state.feasibility_only {
@@ -425,21 +358,12 @@ fn process_node(
             // already flagged the MILP unbounded above.
         }
         Some(branch_var) => {
-            let suggested = if solution.status == LpStatus::Optimal {
-                solution.values[branch_var].round().clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            let other = 1.0 - suggested;
-            let mut first = fixings.clone();
-            first.push((branch_var, other));
-            let mut second = fixings;
-            second.push((branch_var, suggested));
             // Count the children as in flight *before* they become visible
             // to stealers, so `pending` can never under-count.
             state.pending.fetch_add(2, Ordering::AcqRel);
-            local.push(first);
-            local.push(second);
+            for child in crate::milp::children(fixings, branch_var, &solution) {
+                local.push(child);
+            }
         }
     }
 }

@@ -674,14 +674,14 @@ pub(crate) fn solve_with_snapshot(
     lp: &LinearProgram,
     cancel: Option<&CancelToken>,
 ) -> (LpSolution, Option<BasisSnapshot>) {
-    solve_cold(lp, true, cancel)
+    two_phase(lp, true, cancel)
 }
 
 /// Two-phase cold solve. With `want_snapshot` false the snapshot (and its
 /// fingerprint allocations) is skipped entirely — the cheap path for
 /// callers that immediately discard it, like the exhaustive oracle and the
 /// warm-start-free reference engine.
-fn solve_cold(
+fn two_phase(
     lp: &LinearProgram,
     want_snapshot: bool,
     cancel: Option<&CancelToken>,
@@ -887,7 +887,7 @@ fn solve_cold(
 
 /// Backwards-compatible cold solve.
 pub(crate) fn solve(lp: &LinearProgram, cancel: Option<&CancelToken>) -> LpSolution {
-    solve_cold(lp, false, cancel).0
+    two_phase(lp, false, cancel).0
 }
 
 /// Warm re-solve from a previous basis after bound-only (and constraint-rhs)

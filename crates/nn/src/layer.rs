@@ -146,6 +146,24 @@ impl Layer {
         )
     }
 
+    /// Returns `true` when every parameter (weights, biases, batch-norm
+    /// statistics, activation slopes) is finite: no NaN, no ±∞.
+    pub fn is_finite(&self) -> bool {
+        let finite = |values: &[f64]| values.iter().all(|v| v.is_finite());
+        match self {
+            Layer::Dense(d) => finite(d.weights().as_slice()) && finite(d.bias().as_slice()),
+            Layer::Conv2d(c) => finite(c.weights().as_slice()) && finite(c.bias().as_slice()),
+            Layer::BatchNorm(bn) => {
+                [bn.gamma(), bn.beta(), bn.running_mean(), bn.running_var()]
+                    .iter()
+                    .all(|v| finite(v.as_slice()))
+                    && bn.eps().is_finite()
+            }
+            Layer::Activation(Activation::LeakyReLU(slope)) => slope.is_finite(),
+            Layer::Activation(_) | Layer::MaxPool2d(_) | Layer::Flatten(_) => true,
+        }
+    }
+
     /// Number of trainable scalar parameters.
     pub fn parameter_count(&self) -> usize {
         match self {

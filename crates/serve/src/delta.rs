@@ -141,14 +141,15 @@ impl ObligationServer {
     /// than the perception network and regions, when `prior` does not
     /// match `prior_request`'s decomposition, when the two requests
     /// decompose into different obligation shapes, or when decomposition
-    /// itself fails; [`ServeError::EmptyRequest`] as in
-    /// [`ObligationServer::serve`].
+    /// itself fails; [`ServeError::InvalidRequest`] when
+    /// [`VerificationRequest::validate`] rejects `request` (checked first).
     pub fn serve_delta(
         &self,
         prior_request: &VerificationRequest,
         prior: &RequestReport,
         request: &VerificationRequest,
     ) -> Result<ProofDeltaReport, ServeError> {
+        request.validate()?;
         if prior_request.cut_layer != request.cut_layer {
             return Err(inconsistent("delta request changes the cut layer"));
         }

@@ -43,7 +43,8 @@
 //! ## Eviction policy
 //!
 //! The template cache evicts least-recently-used whole templates once
-//! `template_capacity` is exceeded. The snapshot pool keeps at most
+//! `template_capacity` is exceeded, and the snapshot pool drops the bases
+//! of every evicted template with it. The pool keeps at most
 //! `snapshot_per_key` bases per template and discards surplus check-ins.
 //! The verdict cache evicts in FIFO (insertion) order past
 //! `verdict_capacity` entries. All three are bounded so a resident server
@@ -139,11 +140,30 @@
 //! pins this; the soundness argument lives on the `dpv_delta` crate
 //! root).
 //!
+//! ## Accounting
+//!
+//! Every serve-level event — a request, a dedup hit, a retry, a panic, a
+//! cache hit or miss — is counted exactly once, in one always-on store of
+//! relaxed atomics keyed by [`dpv_trace::CounterId`], whether tracing is
+//! on or off. [`ObligationServer::stats`] builds [`ServeStats`] from that
+//! store and [`ObligationServer::trace_snapshot`] exports the same
+//! values, so the two views cannot disagree. Solver-internal counters
+//! (branch-and-bound nodes, warm/cold LP solves, pivots) have no
+//! [`ServeStats`] twin and are recorded through the tracer only.
+//!
+//! ## Request validation
+//!
+//! [`ObligationServer::serve`] and [`ObligationServer::serve_delta`] first
+//! run [`VerificationRequest::validate`]: non-finite tail or characterizer
+//! parameters, non-finite risk coefficients or thresholds, and unbounded
+//! or inverted regions are rejected with [`ServeError::InvalidRequest`]
+//! before anything is admitted.
+//!
 //! ## Observability
 //!
 //! A server built with [`ServerBuilder::tracer`] over an enabled
 //! [`dpv_trace::Tracer`] records per-obligation timelines
-//! (enqueue → dequeue → solve attempts → verdict), typed counters and
+//! (enqueue → dequeue → solve attempts → verdict), solver counters and
 //! latency histograms into lock-free per-thread ring buffers;
 //! [`ObligationServer::trace_snapshot`] exports everything and each
 //! [`RequestReport`] carries a [`RequestTimeline`]. A default build

@@ -3,12 +3,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpv_absint::{AbstractDomain, BoxDomain};
+use dpv_absint::{AbstractDomain, BoxDomain, Interval};
 use dpv_core::{
     split_box, Characterizer, CoreError, RiskCondition, StartRegion, VerificationProblem,
 };
-use dpv_nn::Network;
+use dpv_nn::{Layer, Network};
 use dpv_shard::ShardedEnvelope;
+
+use crate::server::ServeError;
 
 /// Where a request's proof obligations live at the cut layer.
 #[derive(Debug, Clone)]
@@ -104,7 +106,90 @@ fn bisect(root: &BoxDomain, levels: u32, out: &mut Vec<BoxDomain>) {
     bisect(&right, levels - 1, out);
 }
 
+/// `Ok` when every interval is finite and not inverted.
+fn check_intervals(what: &str, intervals: &[Interval]) -> Result<(), ServeError> {
+    match intervals
+        .iter()
+        .position(|iv| !(iv.lo.is_finite() && iv.hi.is_finite() && iv.lo <= iv.hi))
+    {
+        None => Ok(()),
+        Some(i) => Err(ServeError::InvalidRequest(format!(
+            "{what} bound {i} is [{}, {}]: bounds must be finite with lo <= hi",
+            intervals[i].lo, intervals[i].hi
+        ))),
+    }
+}
+
+/// `Ok` when every layer's parameters are finite.
+fn check_layers(what: &str, layers: &[Layer]) -> Result<(), ServeError> {
+    match layers.iter().position(|layer| !layer.is_finite()) {
+        None => Ok(()),
+        Some(i) => Err(ServeError::InvalidRequest(format!(
+            "{what} layer {i} has a non-finite parameter"
+        ))),
+    }
+}
+
 impl VerificationRequest {
+    /// Rejects a malformed request before anything is admitted, so no
+    /// input can panic the server or reach the solver as NaN or ±∞:
+    ///
+    /// * at least one risk condition;
+    /// * finite parameters in the tail after the cut (the head is never
+    ///   encoded) and in the characterizer network;
+    /// * finite coefficients and right-hand sides in every risk
+    ///   inequality;
+    /// * finite, non-inverted (`lo <= hi`) bounds in the region — every
+    ///   shard of a sharded envelope, difference bounds included when
+    ///   they are encoded.
+    ///
+    /// [`crate::ObligationServer::serve`] and
+    /// [`crate::ObligationServer::serve_delta`] call this first.
+    ///
+    /// # Errors
+    /// [`ServeError::InvalidRequest`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        if self.risks.is_empty() {
+            return Err(ServeError::InvalidRequest(
+                "a verification request needs at least one risk condition".into(),
+            ));
+        }
+        let layers = self.perception.layers();
+        check_layers(
+            "tail",
+            &layers[layers.len().min(self.cut_layer.saturating_add(1))..],
+        )?;
+        check_layers("characterizer", self.characterizer.network().layers())?;
+        for risk in &self.risks {
+            for ineq in risk.inequalities() {
+                if !(ineq.rhs.is_finite() && ineq.coeffs.iter().all(|c| c.is_finite())) {
+                    return Err(ServeError::InvalidRequest(format!(
+                        "risk condition `{}` has a non-finite coefficient or threshold",
+                        risk.name()
+                    )));
+                }
+            }
+        }
+        match &self.region {
+            RegionSpec::Single(StartRegion::Box(b)) => check_intervals("region", b.bounds()),
+            RegionSpec::Single(StartRegion::Octagon(o)) => {
+                check_intervals("region", o.bounds())?;
+                check_intervals("region difference", o.diffs())
+            }
+            RegionSpec::Sharded {
+                envelope,
+                use_difference_constraints,
+            } => envelope.shards().iter().try_for_each(|shard| {
+                let octagon = shard.octagon();
+                check_intervals("shard", octagon.bounds())?;
+                if *use_difference_constraints {
+                    check_intervals("shard difference", octagon.diffs())?;
+                }
+                Ok(())
+            }),
+        }
+    }
+
     /// The shard roots of the request, in shard-index order.
     fn shard_roots(&self, problem: &VerificationProblem) -> Result<Vec<StartRegion>, CoreError> {
         match &self.region {
@@ -129,11 +214,6 @@ impl VerificationRequest {
     /// order: family-major, then shard, then sub-box. Obligation indices
     /// are assigned in exactly this order, which is also the fold order.
     pub(crate) fn decompose(&self) -> Result<Vec<ObligationGroup>, CoreError> {
-        if self.risks.is_empty() {
-            return Err(CoreError::Inconsistent(
-                "a verification request needs at least one risk condition".into(),
-            ));
-        }
         let mut groups = Vec::new();
         let mut index = 0usize;
         for (family, risk) in self.risks.iter().enumerate() {

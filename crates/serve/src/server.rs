@@ -20,8 +20,8 @@ use dpv_lp::{
     SolveStats,
 };
 use dpv_trace::{
-    CounterId, EventKind, GaugeId, HistogramId, TraceEvent, TraceHandle, TraceSnapshot, Tracer,
-    NO_OBLIGATION,
+    CounterId, Counters, EventKind, GaugeId, HistogramId, TraceEvent, TraceHandle, TraceSnapshot,
+    Tracer, NO_OBLIGATION,
 };
 
 use crate::fault::{FailureReason, FaultKind, FaultPlan};
@@ -81,15 +81,17 @@ impl ServeConfig {
 pub enum ServeError {
     /// Request decomposition or encoding failed.
     Core(CoreError),
-    /// The request decomposed into zero obligations.
-    EmptyRequest,
+    /// The request is malformed (non-finite parameters, an unbounded or
+    /// inverted region, no obligations) and was rejected before
+    /// admission; the message names the offending field.
+    InvalidRequest(String),
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Core(e) => write!(f, "core error: {e}"),
-            ServeError::EmptyRequest => write!(f, "request decomposed into zero obligations"),
+            ServeError::InvalidRequest(why) => write!(f, "invalid request: {why}"),
         }
     }
 }
@@ -221,14 +223,6 @@ struct PoolState {
     shutdown: bool,
 }
 
-/// Merges a sparse [`ServeStats`] delta into the server accumulator.
-/// Every counter bump in the server goes through this one path (see
-/// [`ServeStats::merge`]), so a new counter cannot be accumulated in one
-/// call site and forgotten in another.
-fn bump(stats: &Mutex<ServeStats>, delta: &ServeStats) {
-    lock(stats).merge(delta);
-}
-
 /// What a worker hands back for one solved obligation.
 #[derive(Debug)]
 struct WorkerOutcome {
@@ -268,14 +262,19 @@ struct Job {
 struct Inner {
     config: ServeConfig,
     templates: TemplateCache,
-    snapshots: SnapshotPool,
+    snapshots: Arc<SnapshotPool>,
     verdicts: Mutex<VerdictCache>,
     injector: Injector<Job>,
     stealers: Vec<Stealer<Job>>,
     state: Mutex<PoolState>,
     work: Condvar,
     space: Condvar,
-    stats: Mutex<ServeStats>,
+    /// The server's one counter store, always on: every serve-level event
+    /// (requests, dedup hits, retries, panics, cache hits, …) is counted
+    /// here exactly once. [`ObligationServer::stats`] and
+    /// [`ObligationServer::trace_snapshot`] both read it; the caches
+    /// count into it too.
+    counters: Arc<Counters>,
     /// The deterministic fault-injection seam (test/bench only; empty in
     /// production). Consulted once per obligation solve by index.
     fault_plan: Mutex<FaultPlan>,
@@ -311,9 +310,7 @@ impl fmt::Debug for ObligationServer {
     }
 }
 
-/// Builder for an [`ObligationServer`] — the single construction path
-/// (the `new`/`new_traced` constructor fork it replaced survives one PR
-/// as deprecated shims).
+/// Builder for an [`ObligationServer`] — the single construction path.
 ///
 /// Every axis defaults sensibly: stock [`ServeConfig`], tracing disabled
 /// (the zero-overhead production default), empty fault plan.
@@ -346,11 +343,13 @@ impl ServerBuilder {
     }
 
     /// Records into `tracer`: admission and worker events land in
-    /// per-thread ring buffers, the template cache and snapshot pool
-    /// record their hit/miss counters, and every report carries a
-    /// [`RequestTimeline`]. Tracing is strictly observational: verdicts,
-    /// fold order and cached bytes are bit-identical to an untraced
-    /// server (pinned by the `trace_parity` proptest).
+    /// per-thread ring buffers, solver telemetry lands in its counters
+    /// and histograms, and every report carries a [`RequestTimeline`].
+    /// The serve-level counters do not need a tracer: they are always on
+    /// (see [`ObligationServer::stats`]). Tracing is strictly
+    /// observational: verdicts, fold order and cached bytes are
+    /// bit-identical to an untraced server (pinned by the `trace_parity`
+    /// proptest).
     pub fn tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
         self
@@ -382,27 +381,7 @@ impl ObligationServer {
         ServerBuilder::new()
     }
 
-    /// Starts a server with `config.workers` persistent worker threads
-    /// and tracing disabled (the zero-overhead default).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ObligationServer::builder().config(..).build()`"
-    )]
-    pub fn new(config: ServeConfig) -> Self {
-        Self::start(config, Tracer::disabled(), FaultPlan::default())
-    }
-
-    /// Starts a server recording into `tracer`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ObligationServer::builder().config(..).tracer(..).build()`"
-    )]
-    pub fn new_traced(config: ServeConfig, tracer: Tracer) -> Self {
-        Self::start(config, tracer, FaultPlan::default())
-    }
-
-    /// The single construction path behind [`ServerBuilder::build`] and
-    /// the deprecated constructor shims.
+    /// The construction path behind [`ServerBuilder::build`].
     fn start(config: ServeConfig, tracer: Tracer, fault_plan: FaultPlan) -> Self {
         let config = ServeConfig {
             workers: config.workers.max(1),
@@ -412,17 +391,22 @@ impl ObligationServer {
         let deques: Vec<Worker<Job>> = (0..config.workers).map(|_| Worker::new_lifo()).collect();
         let stealers = deques.iter().map(Worker::stealer).collect();
         let admission = tracer.register();
+        let counters = Arc::new(Counters::default());
+        let snapshots = Arc::new(SnapshotPool::with_counters(
+            config.snapshot_per_key,
+            Arc::clone(&counters),
+        ));
         let inner = Arc::new(Inner {
             config,
-            templates: TemplateCache::with_tracer(config.template_capacity, &tracer),
-            snapshots: SnapshotPool::with_tracer(config.snapshot_per_key, &tracer),
+            templates: TemplateCache::with_pool(config.template_capacity, Arc::clone(&snapshots)),
+            snapshots,
             verdicts: Mutex::new(VerdictCache::default()),
             injector: Injector::new(),
             stealers,
             state: Mutex::new(PoolState::default()),
             work: Condvar::new(),
             space: Condvar::new(),
-            stats: Mutex::new(ServeStats::default()),
+            counters,
             fault_plan: Mutex::new(fault_plan),
             shutting_down: AtomicBool::new(false),
             tracer,
@@ -447,10 +431,11 @@ impl ObligationServer {
     /// order.
     ///
     /// # Errors
-    /// [`ServeError::Core`] when decomposition or encoding fails;
-    /// [`ServeError::EmptyRequest`] when the request holds no risk
-    /// conditions or regions.
+    /// [`ServeError::InvalidRequest`] when [`VerificationRequest::validate`]
+    /// rejects the request (checked first, before anything is admitted);
+    /// [`ServeError::Core`] when decomposition or encoding fails.
     pub fn serve(&self, request: &VerificationRequest) -> Result<RequestReport, ServeError> {
+        request.validate()?;
         self.serve_with_prefill(request, &[])
     }
 
@@ -481,7 +466,9 @@ impl ObligationServer {
         let groups = request.decompose()?;
         let total: usize = groups.iter().map(|g| g.obligations.len()).sum();
         if total == 0 {
-            return Err(ServeError::EmptyRequest);
+            return Err(ServeError::InvalidRequest(
+                "request decomposed into zero obligations".into(),
+            ));
         }
         rtrace.event(TraceEvent::instant(
             EventKind::RequestBegin,
@@ -492,7 +479,7 @@ impl ObligationServer {
         // Already expired: degrade every obligation without a single
         // solver invocation — a complete report, not an error.
         if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Ok(self.serve_expired(request, &groups, total, started, &rtrace));
+            return Ok(self.serve_expired(request, &groups, total, started));
         }
 
         let state = Arc::new(RequestState {
@@ -523,12 +510,8 @@ impl ObligationServer {
         let mut coordinates = Vec::with_capacity(total);
         let mut deduped = vec![false; total];
         let mut jobs = Vec::new();
-        let mut dedup_hits = 0u64;
         for group in &groups {
-            let (group_jobs, group_dedups) =
-                self.admit_group(group, &state, cancel.as_ref(), request_seq, &rtrace)?;
-            dedup_hits += group_dedups;
-            jobs.extend(group_jobs);
+            jobs.extend(self.admit_group(group, &state, cancel.as_ref(), request_seq, &rtrace)?);
             for obligation in &group.obligations {
                 coordinates.push((obligation.family, obligation.shard, obligation.sub_box));
             }
@@ -583,17 +566,9 @@ impl ObligationServer {
         }
 
         let verdicts = fold_families(request, &outcomes);
-        bump(
-            &self.inner.stats,
-            &ServeStats {
-                requests: 1,
-                obligations: total as u64,
-                dedup_hits,
-                ..ServeStats::default()
-            },
-        );
-        rtrace.add(CounterId::Requests, 1);
-        rtrace.add(CounterId::Obligations, total as u64);
+        let counters = &self.inner.counters;
+        counters.add(CounterId::Requests, 1);
+        counters.add(CounterId::Obligations, total as u64);
         if rtrace.is_enabled() {
             rtrace.event(TraceEvent::span(
                 EventKind::RequestEnd,
@@ -634,7 +609,6 @@ impl ObligationServer {
         groups: &[ObligationGroup],
         total: usize,
         started: Instant,
-        rtrace: &TraceHandle,
     ) -> RequestReport {
         let mut outcomes = Vec::with_capacity(total);
         for group in groups {
@@ -652,19 +626,11 @@ impl ObligationServer {
             }
         }
         let verdicts = fold_families(request, &outcomes);
-        bump(
-            &self.inner.stats,
-            &ServeStats {
-                requests: 1,
-                obligations: total as u64,
-                deadline_skipped: total as u64,
-                ..ServeStats::default()
-            },
-        );
-        rtrace.add(CounterId::Requests, 1);
-        rtrace.add(CounterId::Obligations, total as u64);
-        rtrace.add(CounterId::DeadlineSkipped, total as u64);
-        rtrace.add(CounterId::DegradedDeadlineExceeded, total as u64);
+        let counters = &self.inner.counters;
+        counters.add(CounterId::Requests, 1);
+        counters.add(CounterId::Obligations, total as u64);
+        counters.add(CounterId::DeadlineSkipped, total as u64);
+        counters.add(CounterId::DegradedDeadlineExceeded, total as u64);
         RequestReport {
             verdicts,
             obligations: outcomes,
@@ -695,7 +661,7 @@ impl ObligationServer {
         cancel: Option<&CancelToken>,
         request_seq: u64,
         rtrace: &TraceHandle,
-    ) -> Result<(Vec<Job>, u64), ServeError> {
+    ) -> Result<Vec<Job>, ServeError> {
         let template = self
             .inner
             .templates
@@ -703,7 +669,6 @@ impl ObligationServer {
         let template_fp = template.fingerprint();
 
         let mut pending: Vec<(&Obligation, (Fingerprint, Fingerprint))> = Vec::new();
-        let mut dedup_hits = 0u64;
         {
             let verdicts = lock(&self.inner.verdicts);
             let mut outcomes = lock(&state.outcomes);
@@ -716,14 +681,13 @@ impl ObligationServer {
                 let key = (template_fp, Fingerprint::of_region(&obligation.region));
                 match verdicts.get(&key) {
                     Some(verdict) => {
-                        dedup_hits += 1;
+                        self.inner.counters.add(CounterId::DedupHits, 1);
                         if rtrace.is_enabled() {
                             let mut event =
                                 TraceEvent::instant(EventKind::DedupHit, rtrace.now_ns(), 0);
                             event.obligation = obligation.index as u64;
                             rtrace.event(event);
                         }
-                        rtrace.add(CounterId::DedupHits, 1);
                         outcomes[obligation.index] = Some(WorkerOutcome {
                             verdict,
                             solve_ns: 0,
@@ -776,7 +740,7 @@ impl ObligationServer {
                 }
             })
             .collect();
-        Ok((jobs, dedup_hits))
+        Ok(jobs)
     }
 
     /// Pushes jobs into the pool, blocking whenever `queue_capacity`
@@ -806,25 +770,40 @@ impl ObligationServer {
         }
     }
 
-    /// A point-in-time statistics snapshot: the merge-based accumulator
-    /// plus the live queue-depth and cache readings.
+    /// A point-in-time statistics snapshot, read from the server's
+    /// always-on counter store plus the live queue-depth and cache
+    /// readings. Tracing on or off makes no difference to it.
     pub fn stats(&self) -> ServeStats {
-        let mut stats = *lock(&self.inner.stats);
-        {
+        let count = |id| self.inner.counters.get(id);
+        let (queue_depth, max_queue_depth) = {
             let state = lock(&self.inner.state);
-            stats.queue_depth = state.in_flight;
-            stats.max_queue_depth = state.max_in_flight;
+            (state.in_flight, state.max_in_flight)
+        };
+        ServeStats {
+            requests: count(CounterId::Requests),
+            obligations: count(CounterId::Obligations),
+            solved: count(CounterId::Solved),
+            dedup_hits: count(CounterId::DedupHits),
+            canonical_resolves: count(CounterId::CanonicalResolves),
+            retries: count(CounterId::Retries),
+            retry_successes: count(CounterId::RetrySuccesses),
+            worker_panics: count(CounterId::WorkerPanics),
+            quarantined: count(CounterId::Quarantined),
+            deadline_skipped: count(CounterId::DeadlineSkipped),
+            queue_depth,
+            max_queue_depth,
+            total_solve_ns: u128::from(count(CounterId::SolveNanos)),
+            templates: self.inner.templates.stats(),
+            snapshots: self.inner.snapshots.stats(),
         }
-        stats.templates = self.inner.templates.stats();
-        stats.snapshots = self.inner.snapshots.stats();
-        stats
     }
 
-    /// A full export of the server's tracer: counters, gauges,
-    /// histograms and every buffered event. Empty (with
+    /// A full export of the server's tracer: counters (the server's
+    /// always-on store plus the solver counters recorded through the
+    /// tracer), gauges, histograms and every buffered event. Empty (with
     /// `enabled: false`) for servers built without a tracer.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.inner.tracer.snapshot()
+        self.inner.tracer.snapshot_with(&self.inner.counters)
     }
 
     /// The configuration the server was started with.
@@ -921,27 +900,13 @@ fn run_job_isolated(
         })) {
             Ok(outcome) => return outcome,
             Err(_) => {
-                bump(
-                    &inner.stats,
-                    &ServeStats {
-                        worker_panics: 1,
-                        ..ServeStats::default()
-                    },
-                );
-                trace.add(CounterId::WorkerPanics, 1);
+                inner.counters.add(CounterId::WorkerPanics, 1);
                 // The panic may have unwound mid-instantiation; the
                 // scratch is suspect, so the retry starts cold.
                 *scratch = None;
                 if attempt == 1 {
-                    bump(
-                        &inner.stats,
-                        &ServeStats {
-                            quarantined: 1,
-                            ..ServeStats::default()
-                        },
-                    );
-                    trace.add(CounterId::Quarantined, 1);
-                    trace.add(CounterId::DegradedWorkerPanic, 1);
+                    inner.counters.add(CounterId::Quarantined, 1);
+                    inner.counters.add(CounterId::DegradedWorkerPanic, 1);
                 }
             }
         }
@@ -1056,7 +1021,7 @@ fn run_job(
         trace.observe(HistogramId::QueueWaitNs, queue_wait);
     }
     if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-        return deadline_skip(inner, trace, 0);
+        return deadline_skip(inner, 0);
     }
     let fault = lock(&inner.fault_plan).fault_at(job.index);
     match fault {
@@ -1066,7 +1031,7 @@ fn run_job(
         Some(FaultKind::Delay { millis }) => {
             std::thread::sleep(std::time::Duration::from_millis(millis));
             if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return deadline_skip(inner, trace, started.elapsed().as_nanos());
+                return deadline_skip(inner, started.elapsed().as_nanos());
             }
         }
         _ => {}
@@ -1137,14 +1102,7 @@ fn run_job(
         solution.status,
         MilpStatus::NodeLimit | MilpStatus::IterationLimit
     ) {
-        bump(
-            &inner.stats,
-            &ServeStats {
-                retries: 1,
-                ..ServeStats::default()
-            },
-        );
-        trace.add(CounterId::Retries, 1);
+        inner.counters.add(CounterId::Retries, 1);
         if !matches!(fault, Some(FaultKind::ExhaustIterations)) {
             let retry_started = trace.now_ns();
             let retried = job.problem.solve_with_template(
@@ -1171,14 +1129,7 @@ fn run_job(
                     retry_solution.status,
                     MilpStatus::Optimal | MilpStatus::Infeasible | MilpStatus::Unbounded
                 ) {
-                    bump(
-                        &inner.stats,
-                        &ServeStats {
-                            retry_successes: 1,
-                            ..ServeStats::default()
-                        },
-                    );
-                    trace.add(CounterId::RetrySuccesses, 1);
+                    inner.counters.add(CounterId::RetrySuccesses, 1);
                     verdict = retry_verdict;
                     solution = retry_solution;
                     retry_adopted = true;
@@ -1211,14 +1162,7 @@ fn run_job(
         if let Ok((canonical_verdict, canonical_solution)) = resolved {
             verdict = canonical_verdict;
             solution = canonical_solution;
-            bump(
-                &inner.stats,
-                &ServeStats {
-                    canonical_resolves: 1,
-                    ..ServeStats::default()
-                },
-            );
-            trace.add(CounterId::CanonicalResolves, 1);
+            inner.counters.add(CounterId::CanonicalResolves, 1);
         }
     }
 
@@ -1234,7 +1178,9 @@ fn run_job(
     };
     if let Some(reason) = degraded {
         verdict = Verdict::Unknown(reason.code().to_string());
-        trace.add(CounterId::for_failure_code(reason.code()), 1);
+        inner
+            .counters
+            .add(CounterId::for_failure_code(reason.code()), 1);
     } else {
         lock(&inner.verdicts).insert(
             inner.config.verdict_capacity,
@@ -1251,16 +1197,9 @@ fn run_job(
 
 /// The degraded outcome of an obligation whose request deadline expired
 /// before (or while) the worker picked it up.
-fn deadline_skip(inner: &Arc<Inner>, trace: &TraceHandle, solve_ns: u128) -> WorkerOutcome {
-    bump(
-        &inner.stats,
-        &ServeStats {
-            deadline_skipped: 1,
-            ..ServeStats::default()
-        },
-    );
-    trace.add(CounterId::DeadlineSkipped, 1);
-    trace.add(CounterId::DegradedDeadlineExceeded, 1);
+fn deadline_skip(inner: &Arc<Inner>, solve_ns: u128) -> WorkerOutcome {
+    inner.counters.add(CounterId::DeadlineSkipped, 1);
+    inner.counters.add(CounterId::DegradedDeadlineExceeded, 1);
     WorkerOutcome {
         verdict: Verdict::Unknown(FailureReason::DeadlineExceeded.code().to_string()),
         solve_ns,
@@ -1280,13 +1219,10 @@ fn verdict_class(verdict: &Verdict) -> dpv_trace::VerdictClass {
 /// Completion bookkeeping: writes the outcome, releases one unit of
 /// queue capacity, and wakes the submitter when its request drained.
 fn complete_job(inner: &Arc<Inner>, job: Job, outcome: WorkerOutcome, handle: &TraceHandle) {
-    bump(
-        &inner.stats,
-        &ServeStats {
-            solved: 1,
-            total_solve_ns: outcome.solve_ns,
-            ..ServeStats::default()
-        },
+    inner.counters.add(CounterId::Solved, 1);
+    inner.counters.add(
+        CounterId::SolveNanos,
+        u64::try_from(outcome.solve_ns).unwrap_or(u64::MAX),
     );
     if handle.is_enabled() {
         let trace = handle.tagged(job.request_seq, job.index as u64);

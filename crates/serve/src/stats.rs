@@ -8,6 +8,11 @@ use serde::{Deserialize, Serialize};
 /// latency. Returned by [`crate::ObligationServer::stats`] and attached
 /// to every [`crate::RequestReport`].
 ///
+/// A view, not an accumulator: every counter is read from the server's
+/// one always-on counter store (keyed by [`dpv_trace::CounterId`]),
+/// which each event increments exactly once, tracing on or off. The
+/// trace export reads the same store, so the two can never disagree.
+///
 /// Counters are cumulative since the server was created. Latency and
 /// queue-depth figures are *cost* telemetry and deliberately not part of
 /// the deterministic report surface (verdicts are; see the crate docs).
@@ -53,39 +58,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Accumulates `other` into `self`: cumulative counters (requests,
-    /// obligations, retries, panics, cache hits/misses/evictions,
-    /// solve-time) **sum**; the point-in-time readings (`queue_depth`,
-    /// `templates.entries`) **take `other`'s value** as the more recent
-    /// observation; `max_queue_depth` keeps the **max**.
-    ///
-    /// This is the server's single accumulation path: request and worker
-    /// deltas are built as sparse `ServeStats` values and merged, so a
-    /// counter can't be forgotten in one call site and double-counted in
-    /// another.
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.requests += other.requests;
-        self.obligations += other.obligations;
-        self.solved += other.solved;
-        self.dedup_hits += other.dedup_hits;
-        self.canonical_resolves += other.canonical_resolves;
-        self.retries += other.retries;
-        self.retry_successes += other.retry_successes;
-        self.worker_panics += other.worker_panics;
-        self.quarantined += other.quarantined;
-        self.deadline_skipped += other.deadline_skipped;
-        self.queue_depth = other.queue_depth;
-        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        self.total_solve_ns += other.total_solve_ns;
-        self.templates.hits += other.templates.hits;
-        self.templates.misses += other.templates.misses;
-        self.templates.evictions += other.templates.evictions;
-        self.templates.entries = other.templates.entries;
-        self.snapshots.hits += other.snapshots.hits;
-        self.snapshots.misses += other.snapshots.misses;
-        self.snapshots.discarded += other.snapshots.discarded;
-    }
-
     /// Deduplicated obligations per thousand decomposed, in `0..=1000`.
     pub fn dedup_rate_permille(&self) -> u64 {
         (self.dedup_hits * 1000)
@@ -164,87 +136,5 @@ mod tests {
         assert_eq!(stats.dedup_rate_permille(), 250);
         assert_eq!(stats.template_hit_rate_permille(), 750);
         assert_eq!(stats.mean_obligation_latency_ns(), 300);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_keeps_point_in_time_semantics() {
-        let mut total = ServeStats {
-            requests: 1,
-            obligations: 8,
-            solved: 6,
-            dedup_hits: 2,
-            retries: 1,
-            queue_depth: 5,
-            max_queue_depth: 7,
-            total_solve_ns: 100,
-            templates: CacheStats {
-                hits: 4,
-                misses: 2,
-                evictions: 1,
-                entries: 2,
-            },
-            snapshots: SnapshotPoolStats {
-                hits: 3,
-                misses: 3,
-                discarded: 1,
-            },
-            ..ServeStats::default()
-        };
-        let delta = ServeStats {
-            requests: 1,
-            obligations: 4,
-            solved: 4,
-            canonical_resolves: 1,
-            retry_successes: 1,
-            worker_panics: 2,
-            quarantined: 1,
-            deadline_skipped: 3,
-            queue_depth: 2,
-            max_queue_depth: 3,
-            total_solve_ns: 50,
-            templates: CacheStats {
-                hits: 1,
-                misses: 0,
-                evictions: 0,
-                entries: 3,
-            },
-            snapshots: SnapshotPoolStats {
-                hits: 1,
-                misses: 0,
-                discarded: 0,
-            },
-            ..ServeStats::default()
-        };
-        total.merge(&delta);
-        assert_eq!(total.requests, 2);
-        assert_eq!(total.obligations, 12);
-        assert_eq!(total.solved, 10);
-        assert_eq!(total.dedup_hits, 2);
-        assert_eq!(total.canonical_resolves, 1);
-        assert_eq!(total.retries, 1);
-        assert_eq!(total.retry_successes, 1);
-        assert_eq!(total.worker_panics, 2);
-        assert_eq!(total.quarantined, 1);
-        assert_eq!(total.deadline_skipped, 3);
-        assert_eq!(total.queue_depth, 2, "point-in-time: takes other's");
-        assert_eq!(total.max_queue_depth, 7, "high-water: keeps the max");
-        assert_eq!(total.total_solve_ns, 150);
-        assert_eq!(total.templates.hits, 5);
-        assert_eq!(total.templates.entries, 3, "point-in-time: takes other's");
-        assert_eq!(total.snapshots.hits, 4);
-    }
-
-    #[test]
-    fn merging_a_default_only_resets_point_in_time_readings() {
-        let mut total = ServeStats {
-            requests: 3,
-            queue_depth: 4,
-            max_queue_depth: 9,
-            ..ServeStats::default()
-        };
-        total.merge(&ServeStats::default());
-        assert_eq!(total.requests, 3);
-        assert_eq!(total.queue_depth, 0);
-        assert_eq!(total.max_queue_depth, 9);
     }
 }

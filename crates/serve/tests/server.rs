@@ -2,14 +2,16 @@
 //! order, verdict parity with the direct dpv-core paths, deduplication,
 //! backpressure, and determinism across worker counts and cache states.
 
-use dpv_absint::BoxDomain;
+use dpv_absint::{AbstractDomain, BoxDomain, Interval};
 use dpv_core::{
     Characterizer, InputProperty, RiskCondition, SolveOptions, StartRegion, Verdict,
     VerificationProblem,
 };
 use dpv_lp::BranchAndBoundBackend;
-use dpv_nn::{Activation, Network, NetworkBuilder};
-use dpv_serve::{ObligationServer, RegionSpec, RequestReport, ServeConfig, VerificationRequest};
+use dpv_nn::{Activation, Layer, Network, NetworkBuilder};
+use dpv_serve::{
+    ObligationServer, RegionSpec, RequestReport, ServeConfig, ServeError, VerificationRequest,
+};
 use dpv_shard::{ShardConfig, ShardedEnvelope};
 use dpv_tensor::Vector;
 use rand::rngs::StdRng;
@@ -29,20 +31,27 @@ fn perception(seed: u64) -> Network {
         .build()
 }
 
-fn characterizer(seed: u64) -> Characterizer {
+fn characterizer_network(seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc4a2);
-    let head = NetworkBuilder::new(CUT_WIDTH)
+    NetworkBuilder::new(CUT_WIDTH)
         .dense(3, &mut rng)
         .activation(Activation::ReLU)
         .dense(1, &mut rng)
-        .build();
+        .build()
+}
+
+fn characterizer_from(network: Network) -> Characterizer {
     Characterizer::from_network(
         InputProperty::new("p", "synthetic property"),
         CUT,
-        head,
+        network,
         0.9,
     )
     .unwrap()
+}
+
+fn characterizer(seed: u64) -> Characterizer {
+    characterizer_from(characterizer_network(seed))
 }
 
 /// One provably-safe and one trivially-reachable risk condition: the
@@ -274,5 +283,109 @@ fn empty_risk_family_is_rejected() {
     let server = ObligationServer::builder()
         .config(ServeConfig::default())
         .build();
-    assert!(server.serve(&request).is_err());
+    assert!(matches!(
+        server.serve(&request),
+        Err(ServeError::InvalidRequest(_))
+    ));
+}
+
+#[test]
+fn snapshot_pool_keys_stay_within_template_capacity() {
+    // Every request is a new checkpoint, so each one builds fresh
+    // templates and evicts older ones; the pool must drop the evicted
+    // templates' bases instead of keeping a key per template ever served.
+    let config = ServeConfig {
+        template_capacity: 2,
+        ..ServeConfig::with_workers(1)
+    };
+    let server = ObligationServer::builder().config(config).build();
+    for seed in 0..6 {
+        server.serve(&box_request(seed, 1)).unwrap();
+        let keys = server.stats().snapshots.keys;
+        assert!(
+            keys <= config.template_capacity,
+            "request {seed}: {keys} pooled keys for {} resident templates",
+            config.template_capacity
+        );
+    }
+    let stats = server.stats();
+    assert_eq!(stats.templates.evictions, 10, "2 templates per request");
+    assert!(
+        stats.snapshots.keys > 0,
+        "resident templates keep their bases"
+    );
+}
+
+/// Sets the first weight of dense `layer` in `network`.
+fn set_weight(network: &mut Network, layer: usize, value: f64) {
+    match &mut network.layers_mut()[layer] {
+        Layer::Dense(d) => d.weights_mut()[(0, 0)] = value,
+        other => panic!("layer {layer} is {} by construction", other.describe()),
+    }
+}
+
+#[test]
+fn malformed_requests_are_rejected_and_the_server_keeps_serving() {
+    let valid = box_request(7, 1);
+    let reference = ObligationServer::builder().build().serve(&valid).unwrap();
+    let tail_weight = |value| {
+        let mut request = box_request(7, 1);
+        set_weight(&mut request.perception, CUT + 2, value);
+        request
+    };
+    let mut nan_characterizer = characterizer_network(7);
+    set_weight(&mut nan_characterizer, 0, f64::NAN);
+    let mut nan_threshold = box_request(7, 1);
+    nan_threshold.risks[0] = RiskCondition::new("nan").output_ge(0, f64::NAN);
+    let region = |lo, hi| VerificationRequest {
+        region: RegionSpec::Single(StartRegion::Box(BoxDomain::from_intervals(vec![
+            Interval {
+                lo,
+                hi
+            };
+            CUT_WIDTH
+        ]))),
+        ..box_request(7, 1)
+    };
+    let malformed = [
+        ("a NaN tail weight", tail_weight(f64::NAN)),
+        ("a +inf tail weight", tail_weight(f64::INFINITY)),
+        (
+            "a NaN characterizer weight",
+            VerificationRequest {
+                characterizer: characterizer_from(nan_characterizer),
+                ..box_request(7, 1)
+            },
+        ),
+        ("a NaN risk threshold", nan_threshold),
+        (
+            "an unbounded region",
+            region(f64::NEG_INFINITY, f64::INFINITY),
+        ),
+        ("an inverted region", region(1.0, -1.0)),
+    ];
+
+    let server = ObligationServer::builder().build();
+    for (case, request) in &malformed {
+        assert!(
+            matches!(server.serve(request), Err(ServeError::InvalidRequest(_))),
+            "serve accepted {case}"
+        );
+        assert!(
+            matches!(
+                server.serve_delta(&valid, &reference, request),
+                Err(ServeError::InvalidRequest(_))
+            ),
+            "serve_delta accepted {case}"
+        );
+    }
+    assert_eq!(server.stats().requests, 0, "nothing was admitted");
+
+    // The head is never encoded, so it cannot make a request malformed.
+    let mut head_nan = box_request(7, 1);
+    set_weight(&mut head_nan.perception, 0, f64::NAN);
+    for request in [head_nan, valid] {
+        let report = server.serve(&request).unwrap();
+        assert_eq!(deterministic_view(&report), deterministic_view(&reference));
+    }
 }

@@ -6,6 +6,9 @@
 //! A [`Tracer`] owns one shared [`MetricsStore`-shaped] set of typed
 //! counters/gauges/histograms ([`CounterId`], [`GaugeId`],
 //! [`HistogramId`]) plus one event ring buffer per registered handle.
+//! The counter array is also usable on its own, without a tracer
+//! ([`Counters`]): the obligation server keeps its always-on counters in
+//! one and exports them through [`Tracer::snapshot_with`].
 //! Events ([`TraceEvent`]) are fixed-width six-word records forming an
 //! implicit span hierarchy through their tags: request → obligation →
 //! solve attempt → {instantiate, warm LP, cold LP, branch-and-bound
@@ -67,7 +70,7 @@ mod snapshot;
 
 pub use event::{EventKind, TraceEvent, VerdictClass, NO_OBLIGATION, NO_REQUEST};
 pub use metrics::{
-    bucket_index, bucket_upper_bound, CounterId, GaugeId, HistogramId, HISTOGRAM_BUCKETS,
+    bucket_index, bucket_upper_bound, CounterId, Counters, GaugeId, HistogramId, HISTOGRAM_BUCKETS,
 };
 pub use snapshot::{GaugeSnapshot, HistogramSnapshot, TraceSnapshot, WorkerEvents};
 
@@ -185,19 +188,7 @@ impl Tracer {
             buffer
         };
         TraceHandle {
-            shared: Some(Arc::clone(shared)),
-            buffer: Some(buffer),
-            request: NO_REQUEST,
-            obligation: NO_OBLIGATION,
-        }
-    }
-
-    /// A bufferless handle for metric-only recorders (the cache layer):
-    /// counters/gauges/histograms work, events are dropped.
-    pub fn metrics_handle(&self) -> TraceHandle {
-        TraceHandle {
-            shared: self.shared.clone(),
-            buffer: None,
+            sink: Some((Arc::clone(shared), buffer)),
             request: NO_REQUEST,
             obligation: NO_OBLIGATION,
         }
@@ -206,6 +197,14 @@ impl Tracer {
     /// A point-in-time snapshot of every metric and every surviving
     /// event. A disabled tracer snapshots to the empty default.
     pub fn snapshot(&self) -> TraceSnapshot {
+        self.snapshot_with(&Counters::default())
+    }
+
+    /// [`Tracer::snapshot`] with `counters` added into the exported
+    /// counters: the export of a recorder that keeps some counters in a
+    /// store of its own (the obligation server's always-on store). A
+    /// disabled tracer still snapshots to the empty default.
+    pub fn snapshot_with(&self, counters: &Counters) -> TraceSnapshot {
         let Some(shared) = &self.shared else {
             return TraceSnapshot::default();
         };
@@ -220,7 +219,10 @@ impl Tracer {
             record_ops: shared.record_ops.load(Ordering::Relaxed),
             counters: CounterId::ALL
                 .iter()
-                .map(|&id| (id.name().to_string(), shared.metrics.counter(id)))
+                .map(|&id| {
+                    let value = shared.metrics.counters.get(id) + counters.get(id);
+                    (id.name().to_string(), value)
+                })
                 .collect(),
             gauges: GaugeId::ALL
                 .iter()
@@ -265,8 +267,8 @@ impl Tracer {
 /// method a single `Option` branch — no clock read, no atomic.
 #[derive(Debug, Clone)]
 pub struct TraceHandle {
-    shared: Option<Arc<Shared>>,
-    buffer: Option<Arc<RingBuffer>>,
+    /// The tracer's shared state and this handle's ring buffer.
+    sink: Option<(Arc<Shared>, Arc<RingBuffer>)>,
     request: u64,
     obligation: u64,
 }
@@ -281,8 +283,7 @@ impl TraceHandle {
     /// A handle that records nothing.
     pub fn disabled() -> TraceHandle {
         TraceHandle {
-            shared: None,
-            buffer: None,
+            sink: None,
             request: NO_REQUEST,
             obligation: NO_OBLIGATION,
         }
@@ -290,7 +291,7 @@ impl TraceHandle {
 
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
+        self.sink.is_some()
     }
 
     /// A clone of this handle whose untagged events inherit the given
@@ -298,8 +299,7 @@ impl TraceHandle {
     /// to leave a tag unset).
     pub fn tagged(&self, request: u64, obligation: u64) -> TraceHandle {
         TraceHandle {
-            shared: self.shared.clone(),
-            buffer: self.buffer.clone(),
+            sink: self.sink.clone(),
             request,
             obligation,
         }
@@ -309,21 +309,21 @@ impl TraceHandle {
     /// clock read, so span timing code must be gated on
     /// [`TraceHandle::is_enabled`]).
     pub fn now_ns(&self) -> u64 {
-        self.shared.as_ref().map_or(0, |s| s.now_ns())
+        self.sink.as_ref().map_or(0, |(shared, _)| shared.now_ns())
     }
 
     /// Adds to a counter.
     pub fn add(&self, id: CounterId, n: u64) {
-        let Some(shared) = &self.shared else {
+        let Some((shared, _)) = &self.sink else {
             return;
         };
         shared.tick();
-        shared.metrics.add(id, n);
+        shared.metrics.counters.add(id, n);
     }
 
     /// Sets a gauge (and raises its high-water mark).
     pub fn gauge(&self, id: GaugeId, value: u64) {
-        let Some(shared) = &self.shared else {
+        let Some((shared, _)) = &self.sink else {
             return;
         };
         shared.tick();
@@ -332,7 +332,7 @@ impl TraceHandle {
 
     /// Records a histogram observation.
     pub fn observe(&self, id: HistogramId, value: u64) {
-        let Some(shared) = &self.shared else {
+        let Some((shared, _)) = &self.sink else {
             return;
         };
         shared.tick();
@@ -340,16 +340,12 @@ impl TraceHandle {
     }
 
     /// Records an event into this handle's ring buffer, filling in the
-    /// worker tag and any unset request/obligation tags. Dropped (with
-    /// the op still counted) on a bufferless metrics handle.
+    /// worker tag and any unset request/obligation tags.
     pub fn event(&self, mut event: TraceEvent) {
-        let Some(shared) = &self.shared else {
+        let Some((shared, buffer)) = &self.sink else {
             return;
         };
         shared.tick();
-        let Some(buffer) = &self.buffer else {
-            return;
-        };
         event.worker = buffer.worker();
         if event.request == NO_REQUEST {
             event.request = self.request;
@@ -366,21 +362,19 @@ impl TraceHandle {
     /// [`EventKind::WarmLp`]/[`EventKind::ColdLp`] and
     /// [`EventKind::BnbProgress`] events per [`TraceConfig`].
     pub fn lp_node(&self, warm: bool, iterations: u64) {
-        let Some(shared) = &self.shared else {
+        let Some((shared, buffer)) = &self.sink else {
             return;
         };
         shared.tick();
-        let nodes = shared.metrics.add(CounterId::BnbNodes, 1);
+        let counters = &shared.metrics.counters;
+        let nodes = counters.add(CounterId::BnbNodes, 1);
         let temperature = if warm {
             CounterId::WarmLpSolves
         } else {
             CounterId::ColdLpSolves
         };
-        let solves = shared.metrics.add(temperature, 1);
-        shared.metrics.add(CounterId::SimplexIterations, iterations);
-        let Some(buffer) = &self.buffer else {
-            return;
-        };
+        let solves = counters.add(temperature, 1);
+        counters.add(CounterId::SimplexIterations, iterations);
         let lp_every = shared.config.lp_sample_every.max(1);
         if (solves.wrapping_sub(1)) % lp_every == 0 {
             let kind = if warm {
@@ -496,20 +490,6 @@ mod tests {
         assert_eq!(count(EventKind::WarmLp), 2);
         assert_eq!(count(EventKind::ColdLp), 2);
         assert_eq!(count(EventKind::BnbProgress), 3);
-    }
-
-    #[test]
-    fn metrics_handle_counts_but_drops_events() {
-        let tracer = Tracer::enabled();
-        let handle = tracer.metrics_handle();
-        assert!(handle.is_enabled());
-        handle.add(CounterId::TemplateHits, 3);
-        handle.event(TraceEvent::instant(EventKind::Enqueue, 1, 0));
-        handle.lp_node(true, 1);
-        let snapshot = tracer.snapshot();
-        assert_eq!(snapshot.counter("template-hits"), 3);
-        assert_eq!(snapshot.counter("bnb-nodes"), 1);
-        assert!(snapshot.workers.is_empty());
     }
 
     #[test]

@@ -23,6 +23,11 @@ pub enum CounterId {
     Obligations,
     /// Obligations answered from the verdict cache without solving.
     DedupHits,
+    /// Obligations handed to the solver pool and completed.
+    Solved,
+    /// Wall-clock nanoseconds spent solving obligations, summed over the
+    /// pool's workers.
+    SolveNanos,
     /// Seeded counterexamples re-solved unseeded for canonical reports.
     CanonicalResolves,
     /// Template-cache lookups answered from the cache.
@@ -73,10 +78,12 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in export order.
-    pub const ALL: [CounterId; 26] = [
+    pub const ALL: [CounterId; 28] = [
         CounterId::Requests,
         CounterId::Obligations,
         CounterId::DedupHits,
+        CounterId::Solved,
+        CounterId::SolveNanos,
         CounterId::CanonicalResolves,
         CounterId::TemplateHits,
         CounterId::TemplateMisses,
@@ -108,6 +115,8 @@ impl CounterId {
             CounterId::Requests => "requests",
             CounterId::Obligations => "obligations",
             CounterId::DedupHits => "dedup-hits",
+            CounterId::Solved => "solved",
+            CounterId::SolveNanos => "solve-nanos",
             CounterId::CanonicalResolves => "canonical-resolves",
             CounterId::TemplateHits => "template-hits",
             CounterId::TemplateMisses => "template-misses",
@@ -247,10 +256,44 @@ struct AtomicGauge {
     high_water: AtomicU64,
 }
 
+/// One relaxed `AtomicU64` per [`CounterId`]: a counter store that needs
+/// no tracer. A [`crate::Tracer`] keeps one for what its handles record;
+/// the obligation server keeps its own for the serve-level counters, so
+/// those count whether tracing is on or off.
+#[derive(Debug)]
+pub struct Counters {
+    values: [AtomicU64; CounterId::ALL.len()],
+}
+
+impl Default for Counters {
+    fn default() -> Self {
+        Counters {
+            values: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl Counters {
+    /// Adds `n` to counter `id` and returns its new value.
+    pub fn add(&self, id: CounterId, n: u64) -> u64 {
+        match self.values.get(id as usize) {
+            Some(counter) => counter.fetch_add(n, Ordering::Relaxed) + n,
+            None => 0,
+        }
+    }
+
+    /// The current value of counter `id`.
+    pub fn get(&self, id: CounterId) -> u64 {
+        self.values
+            .get(id as usize)
+            .map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+}
+
 /// The fixed metric store shared by every handle of one tracer.
 #[derive(Debug)]
 pub(crate) struct MetricsStore {
-    counters: [AtomicU64; CounterId::ALL.len()],
+    pub(crate) counters: Counters,
     gauges: [AtomicGauge; GaugeId::ALL.len()],
     histograms: [AtomicHistogram; HistogramId::ALL.len()],
 }
@@ -258,26 +301,13 @@ pub(crate) struct MetricsStore {
 impl MetricsStore {
     pub(crate) fn new() -> MetricsStore {
         MetricsStore {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            counters: Counters::default(),
             gauges: std::array::from_fn(|_| AtomicGauge {
                 value: AtomicU64::new(0),
                 high_water: AtomicU64::new(0),
             }),
             histograms: std::array::from_fn(|_| AtomicHistogram::new()),
         }
-    }
-
-    pub(crate) fn add(&self, id: CounterId, n: u64) -> u64 {
-        match self.counters.get(id as usize) {
-            Some(counter) => counter.fetch_add(n, Ordering::Relaxed) + n,
-            None => 0,
-        }
-    }
-
-    pub(crate) fn counter(&self, id: CounterId) -> u64 {
-        self.counters
-            .get(id as usize)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
     pub(crate) fn set_gauge(&self, id: GaugeId, value: u64) {
@@ -346,11 +376,11 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_report() {
-        let store = MetricsStore::new();
+        let store = Counters::default();
         assert_eq!(store.add(CounterId::Retries, 2), 2);
         assert_eq!(store.add(CounterId::Retries, 3), 5);
-        assert_eq!(store.counter(CounterId::Retries), 5);
-        assert_eq!(store.counter(CounterId::Requests), 0);
+        assert_eq!(store.get(CounterId::Retries), 5);
+        assert_eq!(store.get(CounterId::Requests), 0);
     }
 
     #[test]
