@@ -37,7 +37,12 @@
 //! in either direction are noise. A value *above* 1000 means k = 1 is
 //! *slower* than the monolithic path (the committed baseline of 1007 ⇒
 //! 0.7% slower), below 1000 means faster. `tools/benchgate` enforces the
-//! [950, 1050] band in CI.
+//! [950, 1050] band in CI. The metric is the median over
+//! [`PARITY_PAIRS`] back-to-back monolithic/k = 1 pairs (alternating which
+//! runs first), not a ratio of the two timing rows' means: each row is a
+//! separate block of 3 samples, and host-load drift between the blocks
+//! moved that ratio from 752 to 1077 at one commit on a 2-core host,
+//! while the two solves of a pair share their load.
 
 use std::time::Instant;
 
@@ -55,6 +60,9 @@ use dpv_lp::{BranchAndBoundBackend, SolverBackend};
 use dpv_monitor::{ActivationEnvelope, RuntimeMonitor};
 use dpv_scenegen::{render_scene, DatasetBundle, GeneratorConfig, OddSampler, PropertyKind};
 use dpv_shard::{ShardConfig, ShardedEnvelope, ShardedMonitor};
+
+/// Interleaved monolithic/k = 1 pairs behind `e9/k1-parity-permille`.
+const PARITY_PAIRS: usize = 15;
 
 fn bench_e9(c: &mut Criterion) {
     // Multi-modal ODD: 80% of the scenes are either straight or tight
@@ -212,21 +220,29 @@ fn bench_e9(c: &mut Criterion) {
     }
 
     // --- Timed benchmark entries ----------------------------------------
+    let time_monolithic = || {
+        let start = Instant::now();
+        let outcome = problem
+            .verify_with(&monolithic_strategy, &BranchAndBoundBackend)
+            .expect("monolithic verification");
+        assert!(outcome.verdict.is_safe());
+        start.elapsed().as_secs_f64()
+    };
+    let time_sharded = |envelope: &ShardedEnvelope| {
+        let start = Instant::now();
+        let report = problem
+            .verify_sharded_with(envelope, &shard_config, &BranchAndBoundBackend)
+            .expect("sharded verification");
+        assert!(report.verdict.is_safe());
+        start.elapsed().as_secs_f64()
+    };
     let mut group = c.benchmark_group("e9");
     group.sample_size(3);
     let mut means: Vec<(String, f64)> = Vec::new();
     {
         let mut samples = Vec::new();
         group.bench_function(BenchmarkId::new("verify", "monolithic"), |b| {
-            b.iter(|| {
-                let start = Instant::now();
-                let outcome = problem
-                    .verify_with(&monolithic_strategy, &BranchAndBoundBackend)
-                    .expect("monolithic verification");
-                samples.push(start.elapsed().as_secs_f64());
-                assert!(outcome.verdict.is_safe());
-                outcome.nodes_explored
-            })
+            b.iter(|| samples.push(time_monolithic()))
         });
         means.push((
             "monolithic".into(),
@@ -236,15 +252,7 @@ fn bench_e9(c: &mut Criterion) {
     for (label, envelope) in [("sharded-k1", &sharded_k1), ("sharded-k4", &sharded_k4)] {
         let mut samples = Vec::new();
         group.bench_function(BenchmarkId::new("verify", label), |b| {
-            b.iter(|| {
-                let start = Instant::now();
-                let report = problem
-                    .verify_sharded_with(envelope, &shard_config, &BranchAndBoundBackend)
-                    .expect("sharded verification");
-                samples.push(start.elapsed().as_secs_f64());
-                assert!(report.verdict.is_safe());
-                report.solver_stats().nodes_explored
-            })
+            b.iter(|| samples.push(time_sharded(envelope)))
         });
         means.push((
             label.into(),
@@ -271,8 +279,31 @@ fn bench_e9(c: &mut Criterion) {
         k4_mean,
         mono_mean / k4_mean.max(1e-9)
     );
-    criterion::report_metric("e9/k1-parity-permille", permille(mono_mean, k1_mean));
     criterion::report_metric("e9/shard-speedup-permille", permille(mono_mean, k4_mean));
+
+    // --- k = 1 parity: median of interleaved pairs -----------------------
+    let time_k1 = || time_sharded(&sharded_k1);
+    let mut ratios: Vec<f64> = (0..PARITY_PAIRS)
+        .map(|pair| {
+            let (mono, k1) = if pair % 2 == 0 {
+                let mono = time_monolithic();
+                (mono, time_k1())
+            } else {
+                let k1 = time_k1();
+                (time_monolithic(), k1)
+            };
+            mono / k1
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let parity = ratios[PARITY_PAIRS / 2];
+    println!(
+        "e9 k1 parity: median monolithic/k1 ratio {parity:.3} over {PARITY_PAIRS} interleaved \
+         pairs (range {:.3}-{:.3})",
+        ratios[0],
+        ratios[PARITY_PAIRS - 1]
+    );
+    criterion::report_metric("e9/k1-parity-permille", permille(parity, 1.0));
 
     // --- Monitor: detection-rate delta on identical frames ---------------
     let mono_monitor = RuntimeMonitor::new(outcome.perception.clone(), cut, monolithic.clone())

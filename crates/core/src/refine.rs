@@ -108,7 +108,7 @@ impl RefinementReport {
 ///
 /// The sub-boxes of one refinement generation are independent MILP solves
 /// (the backends behind the seam are `Send + Sync`), so they can be
-/// dispatched across a scoped thread pool. Verdict selection stays
+/// dispatched across scoped worker threads. Verdict selection stays
 /// deterministic regardless of scheduling: sub-boxes carry their position in
 /// the breadth-first work-list, results are folded back **in index order**,
 /// and the lowest-index data-supported counterexample wins.
@@ -184,7 +184,7 @@ impl RefinementVerifier {
     }
 
     /// Dispatches the sub-box work-list across `config.workers` scoped
-    /// threads. Verdicts are reproducible regardless of scheduling (see
+    /// worker threads. Verdicts are reproducible regardless of scheduling (see
     /// [`ParallelRefinementConfig`]); reported statistics count only the
     /// sub-boxes folded into the verdict, so they are deterministic too,
     /// even though workers may speculatively solve a few boxes beyond a
@@ -379,7 +379,8 @@ impl RefinementVerifier {
     }
 
     /// The concurrent work-list: one breadth-first generation of sub-boxes
-    /// at a time is solved across `workers` scoped threads; results are then
+    /// at a time is solved across `workers` scoped worker threads (one
+    /// [`fan_out`] per generation); results are then
     /// folded back sequentially in work-list order, so the verdict — and in
     /// particular which data-supported counterexample is reported — does not
     /// depend on thread scheduling.
@@ -499,9 +500,10 @@ fn solve_box(
     }
 }
 
-/// Solves every box of `generation` across `workers` scoped threads and
-/// returns the outcomes indexed like the input (position `i` holds box
-/// `i`'s result), so the caller's fold is scheduling-independent.
+/// Solves every box of `generation` across `workers` worker threads (one
+/// scratch encoding each) and returns the outcomes indexed like the input
+/// (position `i` holds box `i`'s result), so the caller's fold is
+/// scheduling-independent.
 ///
 /// Before the workers spawn, the bound propagation for every surviving
 /// (non-pruned, template-covered) sibling is done in **one batched SoA
@@ -525,63 +527,89 @@ fn solve_generation(
         })
         .collect();
     let bounds = batch_region_bounds(template, generation, &pruned);
+    fan_out(
+        generation.len(),
+        workers,
+        || None::<EncodedProblem>,
+        |scratch, index| {
+            if pruned[index] {
+                return Ok(BoxOutcome::Pruned);
+            }
+            solve_box(
+                problem,
+                template,
+                scratch,
+                &generation[index],
+                bounds[index].as_ref(),
+                backend,
+            )
+            .map(|(verdict, solution)| BoxOutcome::Solved {
+                verdict,
+                stats: solution.stats,
+            })
+        },
+    )
+}
 
+/// Runs `work(&mut state, index)` for every `index` in `0..count` and
+/// returns the results indexed like the input, so a caller folding them in
+/// order is scheduling-independent. Up to `workers` scoped threads pull
+/// indices from a shared cursor, each with one `init()` state of its own
+/// (a scratch encoding, say); with `workers <= 1` everything runs inline
+/// on the caller. A panic in `work` is re-raised on the caller.
+///
+/// This is the one work-index dispenser of the crate: the refinement
+/// generations and the sharded obligations both fan out through it.
+pub(crate) fn fan_out<S, T>(
+    count: usize,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T>
+where
+    T: Send,
+{
+    let workers = workers.min(count);
+    if workers <= 1 {
+        let mut state = None;
+        return (0..count)
+            .map(|index| work(state.get_or_insert_with(&init), index))
+            .collect();
+    }
+    // The cursor only hands out distinct indices; results travel back
+    // through `join`, which orders them after the worker's writes.
     let cursor = AtomicUsize::new(0);
-    let workers = workers.min(generation.len()).max(1);
-    let collected = crossbeam::thread::scope(|scope| {
+    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let cursor = &cursor;
-                let pruned = &pruned;
-                let bounds = &bounds;
-                scope.spawn(move |_| {
-                    let mut local: Vec<(usize, Result<BoxOutcome, CoreError>)> = Vec::new();
-                    let mut scratch: Option<EncodedProblem> = None;
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut done = Vec::new();
                     loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= generation.len() {
-                            break;
+                        if index >= count {
+                            return done;
                         }
-                        let current = &generation[index];
-                        let outcome = if pruned[index] {
-                            Ok(BoxOutcome::Pruned)
-                        } else {
-                            solve_box(
-                                problem,
-                                template,
-                                &mut scratch,
-                                current,
-                                bounds[index].as_ref(),
-                                backend,
-                            )
-                            .map(|(verdict, solution)| {
-                                BoxOutcome::Solved {
-                                    verdict,
-                                    stats: solution.stats,
-                                }
-                            })
-                        };
-                        local.push((index, outcome));
+                        done.push((index, work(&mut state, index)));
                     }
-                    local
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("refinement worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("scoped refinement threads");
-
-    let mut outcomes: Vec<Option<Result<BoxOutcome, CoreError>>> =
-        (0..generation.len()).map(|_| None).collect();
-    for (index, outcome) in collected {
-        outcomes[index] = Some(outcome);
-    }
-    outcomes
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (index, result) in done {
+                        slots[index] = Some(result);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    slots
         .into_iter()
-        .map(|slot| slot.expect("every box receives exactly one outcome"))
+        .map(|slot| slot.expect("the cursor hands out every index exactly once"))
         .collect()
 }
 
@@ -890,6 +918,50 @@ mod tests {
         let verifier = RefinementVerifier::new(2000, 0.05);
         let (_, report) = verifier.verify(&problem, &region, &references).unwrap();
         assert!(report.solver_stats.nodes_explored >= report.verification_calls);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_input_order() {
+        for workers in [1, 2, 8] {
+            for count in [0, 1, 5, 64] {
+                let inits = AtomicUsize::new(0);
+                let results = fan_out(
+                    count,
+                    workers,
+                    || inits.fetch_add(1, Ordering::Relaxed),
+                    |_, index| index * 10,
+                );
+                let expected: Vec<usize> = (0..count).map(|index| index * 10).collect();
+                assert_eq!(results, expected, "{workers} workers, {count} items");
+                let inits = inits.into_inner();
+                assert!(
+                    inits <= workers.min(count) && (count == 0 || inits >= 1),
+                    "{workers} workers, {count} items: init ran {inits} times"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_reraises_a_worker_panic_on_the_caller() {
+        for workers in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                fan_out(
+                    8,
+                    workers,
+                    || (),
+                    |(), index| {
+                        assert_ne!(index, 5, "work item 5 failed");
+                        index
+                    },
+                )
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("assert_ne! formats its message");
+            assert!(message.contains("work item 5 failed"), "{message}");
+        }
     }
 
     #[test]

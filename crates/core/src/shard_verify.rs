@@ -10,8 +10,9 @@
 //!
 //! * each shard's region fixes more ReLU phases (fewer free binaries,
 //!   smaller branch-and-bound trees);
-//! * the obligations are embarrassingly parallel and are dispatched across
-//!   a scoped worker pool exactly like the PR-2 refinement work-list;
+//! * the obligations are embarrassingly parallel and fan out across scoped
+//!   worker threads through the same ordered dispatcher as the refinement
+//!   work-list;
 //! * each obligation is encoded through its own PR-3
 //!   [`crate::EncodingTemplate`], so a later refinement of a shard can
 //!   re-tighten the same skeleton instead of re-encoding.
@@ -29,12 +30,12 @@
 //! the refinement work-list's lowest-index rule: reports are identical run
 //! to run for a deterministic backend, regardless of scheduling.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dpv_lp::{default_backend, SolveStats, SolverBackend};
 use dpv_shard::ShardedEnvelope;
 
+use crate::refine::fan_out;
 use crate::{CoreError, StartRegion, Verdict, VerificationProblem};
 
 /// Configuration of a sharded verification run.
@@ -154,7 +155,7 @@ impl VerificationProblem {
     }
 
     /// Verifies the problem once per envelope shard, dispatching the
-    /// obligations across `config.workers` scoped threads, and aggregates
+    /// obligations across `config.workers` worker threads, and aggregates
     /// the verdicts: the property holds iff it holds on **every** shard;
     /// otherwise the lowest-index shard's counterexample wins (see the
     /// module docs for the determinism rule). With a single shard this is
@@ -174,26 +175,12 @@ impl VerificationProblem {
 
         let start_time = Instant::now();
         let outcomes = self.solve_obligations(envelope, &regions, config, backend);
-        let mut shards = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            shards.push(outcome?);
-        }
-
-        // Index-ordered aggregation: counterexamples take precedence (they
-        // are conclusive for the whole union), then solver give-ups; the
-        // lowest index wins within each class.
-        let mut verdict = Verdict::Safe;
-        for shard in &shards {
-            match (&verdict, &shard.verdict) {
-                (_, Verdict::Safe) => {}
-                (Verdict::Safe, other) => verdict = other.clone(),
-                (Verdict::Unknown(_), Verdict::Unsafe(_)) => verdict = shard.verdict.clone(),
-                _ => {}
-            }
-        }
+        let shards = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         Ok(ShardedVerificationReport {
-            verdict,
+            // Counterexamples are conclusive for the whole union, so they
+            // take precedence over solver give-ups.
+            verdict: Verdict::fold(shards.iter().map(|shard| &shard.verdict)),
             shards,
             backend: backend.name().to_string(),
             total_seconds: start_time.elapsed().as_secs_f64(),
@@ -242,9 +229,8 @@ impl VerificationProblem {
             .collect())
     }
 
-    /// Solves every shard obligation, pulling shard indices from a shared
-    /// cursor across `config.workers` scoped threads (the PR-2 work-list
-    /// pattern), and returns the outcomes indexed like the shards.
+    /// Solves every shard obligation across `config.workers` worker
+    /// threads and returns the outcomes indexed like the shards.
     fn solve_obligations(
         &self,
         envelope: &ShardedEnvelope,
@@ -252,7 +238,6 @@ impl VerificationProblem {
         config: &ShardedVerificationConfig,
         backend: &dyn SolverBackend,
     ) -> Vec<Result<ShardObligation, CoreError>> {
-        let shard_count = envelope.shard_count();
         let solve_one = |index: usize| -> Result<ShardObligation, CoreError> {
             let shard_start = Instant::now();
             let shard = envelope.shard(index);
@@ -275,46 +260,12 @@ impl VerificationProblem {
             })
         };
 
-        let workers = config.workers.clamp(1, shard_count.max(1));
-        if workers <= 1 {
-            return (0..shard_count).map(solve_one).collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let collected = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let solve_one = &solve_one;
-                    scope.spawn(move |_| {
-                        let mut local = Vec::new();
-                        loop {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            if index >= shard_count {
-                                break;
-                            }
-                            local.push((index, solve_one(index)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("shard worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("scoped shard workers");
-
-        let mut outcomes: Vec<Option<Result<ShardObligation, CoreError>>> =
-            (0..shard_count).map(|_| None).collect();
-        for (index, outcome) in collected {
-            outcomes[index] = Some(outcome);
-        }
-        outcomes
-            .into_iter()
-            .map(|slot| slot.expect("every shard receives exactly one outcome"))
-            .collect()
+        fan_out(
+            envelope.shard_count(),
+            config.workers,
+            || (),
+            |(), index| solve_one(index),
+        )
     }
 }
 

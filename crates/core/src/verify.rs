@@ -127,6 +127,24 @@ impl Verdict {
     pub fn is_unsafe(&self) -> bool {
         matches!(self, Verdict::Unsafe(_))
     }
+
+    /// Folds the verdicts of independent obligations, given in index
+    /// order, into the verdict of their conjunction: `Safe` unless some
+    /// obligation is not; then the lowest-index counterexample, which
+    /// beats any give-up; otherwise the lowest-index give-up. Sharded
+    /// verification and the obligation server (`dpv-serve`) both fold
+    /// through this, so their aggregate verdicts cannot drift apart.
+    pub fn fold<'a>(verdicts: impl IntoIterator<Item = &'a Verdict>) -> Verdict {
+        let mut folded = &Verdict::Safe;
+        for verdict in verdicts {
+            if let (Verdict::Safe, _) | (Verdict::Unknown(_), Verdict::Unsafe(_)) =
+                (folded, verdict)
+            {
+                folded = verdict;
+            }
+        }
+        folded.clone()
+    }
 }
 
 /// The result of one verification run, with enough metadata to reproduce the

@@ -37,7 +37,8 @@
 //!   [`ColdBranchAndBoundBackend`] runs the same search without warm
 //!   starts; [`ExhaustiveBackend`] is a brute-force cross-check oracle for
 //!   tests; and [`ParallelBranchAndBoundBackend`] explores branch-and-bound
-//!   subtrees on work-stealing worker threads with a shared incumbent bound.
+//!   subtrees on scoped worker threads, each diving its own deque and
+//!   stealing from its peers', with a shared incumbent bound.
 //! * [`CancelToken`] — a cooperative cancellation handle polled inside the
 //!   simplex pivot loop and the branch-and-bound node loop. A tripped token
 //!   (explicit or deadline-based) makes the solve return promptly with

@@ -137,9 +137,12 @@ pub struct SolveContext<'a> {
     /// Seeding is a pure performance hint: a stale or foreign basis
     /// degrades the solve to cold, never to a wrong verdict.
     pub seed: Option<BasisSnapshot>,
-    /// Polled between simplex pivots and branch-and-bound nodes; a
-    /// tripped token ends the solve with [`MilpStatus::Cancelled`].
-    /// Engines that cannot poll ignore it and merely respond slower.
+    /// Polled between simplex pivots and branch-and-bound nodes by every
+    /// branch-and-bound engine in this crate, serial, cold and parallel
+    /// alike; a tripped token ends the solve with
+    /// [`MilpStatus::Cancelled`] and the incumbent found so far. Engines
+    /// that cannot poll (the exhaustive oracle) ignore it and merely
+    /// respond slower.
     pub cancel: Option<&'a CancelToken>,
     /// Records per-node solver telemetry. Observational only: a disabled
     /// or absent handle gives the identical search.

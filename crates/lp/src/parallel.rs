@@ -3,20 +3,24 @@
 //! The verification MILPs this workspace produces are feasibility-dominated
 //! tree searches whose nodes (LP relaxations) are independent except for the
 //! incumbent bound — exactly the shape that parallelises well. The engine
-//! here follows the classic work-stealing design:
+//! here follows the classic work-stealing design on `std` primitives:
 //!
-//! * every worker owns a LIFO deque of open subtrees (so each worker dives
-//!   depth-first, keeping its scratch LP warm near the leaves) and steals
-//!   the **oldest** node of a victim when idle (so stolen work is a subtree
-//!   close to the root — a large chunk, amortising the steal);
-//! * the root node starts in a shared [`Injector`] queue; termination is a
-//!   single atomic counter of in-flight nodes;
+//! * every worker owns a mutex-guarded deque of open subtrees: it pushes and
+//!   pops at the back (LIFO, so each worker dives depth-first, keeping its
+//!   scratch LP warm near the leaves) and, when idle, steals the **oldest**
+//!   node at the front of a victim's deque (a subtree close to the root — a
+//!   large chunk, amortising the steal);
+//! * the root node starts in worker 0's deque; termination is a single
+//!   atomic counter of in-flight nodes;
 //! * the incumbent (best integer-feasible solution so far) is published
-//!   through a [`parking_lot::Mutex`] so every worker prunes against the
-//!   globally best bound, not just its own;
+//!   through a [`Mutex`] so every worker prunes against the globally best
+//!   bound, not just its own;
 //! * feasibility-only problems (all-zero objective — the query safety
 //!   verification actually issues) stop the whole fleet at the first
-//!   integer-feasible point via an atomic stop flag.
+//!   integer-feasible point via an atomic stop flag;
+//! * the context's cancellation token is polled before every node and
+//!   inside every node LP; once it trips the fleet stops and the solve
+//!   reports [`MilpStatus::Cancelled`], like the serial engine.
 //!
 //! Like the serial engine, node evaluation is allocation-free with respect
 //! to the model: each worker keeps one scratch [`LinearProgram`], tightening
@@ -29,14 +33,13 @@
 //! callers that need reproducible artefacts deduplicate at a higher level
 //! (see `RefinementVerifier`'s lowest-index selection rule in `dpv-core`).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::{
-    BasisSnapshot, LinearProgram, LpStatus, MilpProblem, MilpSolution, MilpStatus, SolveContext,
-    SolveStats, SolverBackend, VarId,
+    BasisSnapshot, CancelToken, LinearProgram, LpStatus, MilpProblem, MilpSolution, MilpStatus,
+    SolveContext, SolveStats, SolverBackend, VarId,
 };
 
 /// A branching decision list: the `(binary, fixed value)` pairs on the path
@@ -86,20 +89,33 @@ impl Default for ParallelBranchAndBoundBackend {
     }
 }
 
+/// Locks a search mutex. A worker that panics mid-node holds no lock (the
+/// locked sections only push, pop or replace whole values), so a poisoned
+/// guard still holds consistent data and the surviving workers carry on.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// State shared by every worker of one solve.
 struct SearchState<'a> {
     problem: &'a MilpProblem,
     feasibility_only: bool,
     node_limit: usize,
-    injector: Injector<Node>,
-    stealers: Vec<Stealer<Node>>,
+    cancel: Option<&'a CancelToken>,
+    /// One deque of open subtrees per worker: the owner pushes and pops at
+    /// the back, thieves take from the front.
+    deques: Vec<Mutex<VecDeque<Node>>>,
     /// Best integer-feasible `(values, objective)` found so far.
     incumbent: Mutex<Option<(Vec<f64>, f64)>>,
     /// Set when the whole search should halt (first feasible point of a
-    /// feasibility-only problem, proven unboundedness, or the node limit).
+    /// feasibility-only problem, proven unboundedness, the node limit, or
+    /// cancellation).
     stop: AtomicBool,
     unbounded: AtomicBool,
     hit_limit: AtomicBool,
+    /// Set when the cancellation token tripped; the whole search then
+    /// reports [`MilpStatus::Cancelled`].
+    cancelled: AtomicBool,
     /// Set when some relaxation ran out of its simplex pivot budget; the
     /// whole search then reports [`MilpStatus::IterationLimit`].
     iter_limited: AtomicBool,
@@ -116,40 +132,24 @@ impl SearchState<'_> {
         !self.stop.load(Ordering::Acquire) && self.pending.load(Ordering::Acquire) > 0
     }
 
-    /// Takes the next open node: local deque first (depth-first), then the
-    /// injector, then the cold end of a victim's deque.
-    fn find_node(&self, local: &Worker<Node>) -> Option<Node> {
-        if let Some(node) = local.pop() {
+    /// Takes the next open node for worker `me`: the back of its own deque
+    /// first (depth-first), then the front of a victim's deque.
+    fn find_node(&self, me: usize) -> Option<Node> {
+        if let Some(node) = lock(&self.deques[me]).pop_back() {
             return Some(node);
         }
-        loop {
-            match self.injector.steal() {
-                Steal::Success(node) => return Some(node),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-        for stealer in &self.stealers {
-            loop {
-                match stealer.steal() {
-                    Steal::Success(node) => return Some(node),
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        }
-        None
+        self.deques.iter().find_map(|deque| lock(deque).pop_front())
     }
 
     /// Reads the incumbent objective, if any.
     fn incumbent_objective(&self) -> Option<f64> {
-        self.incumbent.lock().as_ref().map(|(_, obj)| *obj)
+        lock(&self.incumbent).as_ref().map(|(_, obj)| *obj)
     }
 
     /// Publishes an integer-feasible point, keeping the better of the old
     /// and new incumbents.
     fn offer_incumbent(&self, values: Vec<f64>, objective: f64) {
-        let mut incumbent = self.incumbent.lock();
+        let mut incumbent = lock(&self.incumbent);
         let best = incumbent.as_ref().map(|(_, best)| *best);
         if self.problem.improves(objective, best) {
             *incumbent = Some((values, objective));
@@ -162,40 +162,40 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
         &self.name
     }
 
-    /// Only the serial fallback (one worker, or fewer than two binaries)
-    /// honours the context; the worker pool ignores it.
+    /// The worker pool honours the context's cancellation token (polled
+    /// before every node and inside every node LP); the seed and trace
+    /// handle are honoured only by the serial fallback (one worker, or
+    /// fewer than two binaries).
     fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution {
         let binaries = problem.binaries();
         if self.workers == 1 || binaries.len() < 2 {
             return problem.solve_with(ctx);
         }
 
+        let deques: Vec<Mutex<VecDeque<Node>>> =
+            (0..self.workers).map(|_| Mutex::default()).collect();
+        lock(&deques[0]).push_back(Node::new());
         let state = SearchState {
             problem,
             feasibility_only: problem.lp().objective().iter().all(|&c| c == 0.0),
             node_limit: problem.node_limit(),
-            injector: Injector::new(),
-            stealers: Vec::new(),
+            cancel: ctx.cancel,
+            deques,
             incumbent: Mutex::new(None),
             stop: AtomicBool::new(false),
             unbounded: AtomicBool::new(false),
             hit_limit: AtomicBool::new(false),
+            cancelled: AtomicBool::new(false),
             iter_limited: AtomicBool::new(false),
             pending: AtomicUsize::new(1),
             nodes_charged: AtomicUsize::new(0),
         };
-        state.injector.push(Node::new());
-
-        let locals: Vec<Worker<Node>> = (0..self.workers).map(|_| Worker::new_lifo()).collect();
-        let mut state = state;
-        state.stealers = locals.iter().map(Worker::stealer).collect();
         let state = &state;
 
-        let stats = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = locals
-                .into_iter()
-                .map(|local| {
-                    scope.spawn(move |_| {
+        let (stats, worker_panicked) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.workers)
+                .map(|me| {
+                    scope.spawn(move || {
                         let mut scratch = state.problem.lp().clone();
                         // Per-worker rolling warm-start basis. Any basis of
                         // the shared matrix is dual feasible for any node, so
@@ -211,12 +211,12 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
                         // the worker running a long LP solve.
                         let mut idle_rounds = 0u32;
                         while state.active() {
-                            match state.find_node(&local) {
+                            match state.find_node(me) {
                                 Some(node) => {
                                     idle_rounds = 0;
                                     process_node(
                                         state,
-                                        &local,
+                                        me,
                                         &mut scratch,
                                         &mut warm,
                                         &mut stats,
@@ -253,27 +253,26 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
             }
             (total, panicked)
         });
-        // `scope` itself only errs when a spawned thread panicked; all joins
-        // above already swallow that, but stay defensive rather than unwrap.
-        let (stats, worker_panicked) = stats.unwrap_or((SolveStats::default(), true));
 
-        let incumbent = state.incumbent.lock().take();
+        let incumbent = lock(&state.incumbent).take();
         // A dead worker may have dropped queued subtrees on the floor; treat
         // the search as truncated (NodeLimit-class "unknown") unless it is a
         // feasibility problem that already found its witness.
         let hit_limit = state.hit_limit.load(Ordering::Acquire) || worker_panicked;
         let iter_limited = state.iter_limited.load(Ordering::Acquire);
+        let cancelled = state.cancelled.load(Ordering::Acquire);
         if state.unbounded.load(Ordering::Acquire) {
             return MilpSolution::with_incumbent(MilpStatus::Unbounded, None, stats);
         }
         let status = match &incumbent {
             // A feasibility-only search is complete at the first feasible
-            // point even when another worker tripped a limit in the same
-            // instant; an optimisation search interrupted by a limit has
-            // not proven its incumbent optimal.
-            Some(_) if state.feasibility_only || !(hit_limit || iter_limited) => {
+            // point even when another worker tripped a limit or the token in
+            // the same instant; an interrupted optimisation search has not
+            // proven its incumbent optimal.
+            Some(_) if state.feasibility_only || !(hit_limit || iter_limited || cancelled) => {
                 MilpStatus::Optimal
             }
+            _ if cancelled => MilpStatus::Cancelled,
             _ if iter_limited => MilpStatus::IterationLimit,
             _ if hit_limit => MilpStatus::NodeLimit,
             _ => MilpStatus::Infeasible,
@@ -283,16 +282,21 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
 }
 
 /// Evaluates one node against the worker's scratch LP and pushes any
-/// children onto the worker's own deque (LIFO, so the relaxation-suggested
-/// branch is explored first).
+/// children onto the back of worker `me`'s deque (LIFO, so the
+/// relaxation-suggested branch is explored first).
 fn process_node(
     state: &SearchState<'_>,
-    local: &Worker<Node>,
+    me: usize,
     scratch: &mut LinearProgram,
     warm: &mut Option<BasisSnapshot>,
     stats: &mut SolveStats,
     fixings: Node,
 ) {
+    if state.cancel.is_some_and(CancelToken::is_cancelled) {
+        state.cancelled.store(true, Ordering::Release);
+        state.stop.store(true, Ordering::Release);
+        return;
+    }
     let charged = state.nodes_charged.fetch_add(1, Ordering::AcqRel);
     if charged >= state.node_limit {
         state.hit_limit.store(true, Ordering::Release);
@@ -308,15 +312,18 @@ fn process_node(
         warm,
         true,
         stats,
-        None,
+        state.cancel,
         &dpv_trace::TraceHandle::disabled(),
     );
     let binaries = state.problem.binaries();
     match solution.status {
         LpStatus::Infeasible => return,
-        // `Cancelled` is unreachable (no token is threaded into the parallel
-        // engine yet) but degrades identically if it ever appears.
-        LpStatus::IterationLimit | LpStatus::Cancelled => {
+        LpStatus::Cancelled => {
+            state.cancelled.store(true, Ordering::Release);
+            state.stop.store(true, Ordering::Release);
+            return;
+        }
+        LpStatus::IterationLimit => {
             state.iter_limited.store(true, Ordering::Release);
             state.stop.store(true, Ordering::Release);
             return;
@@ -361,9 +368,7 @@ fn process_node(
             // Count the children as in flight *before* they become visible
             // to stealers, so `pending` can never under-count.
             state.pending.fetch_add(2, Ordering::AcqRel);
-            for child in crate::milp::children(fixings, branch_var, &solution) {
-                local.push(child);
-            }
+            lock(&state.deques[me]).extend(crate::milp::children(fixings, branch_var, &solution));
         }
     }
 }
@@ -469,6 +474,21 @@ mod tests {
         let oracle = ExhaustiveBackend::default().solve(&milp);
         assert_eq!(parallel.status, oracle.status);
         assert!((parallel.objective - oracle.objective).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_tripped_token_cancels_the_worker_pool() {
+        let token = CancelToken::new();
+        token.cancel();
+        let solution = ParallelBranchAndBoundBackend::new(4).solve_with(
+            &knapsack(),
+            &mut SolveContext {
+                cancel: Some(&token),
+                ..SolveContext::default()
+            },
+        );
+        assert_eq!(solution.status, MilpStatus::Cancelled);
+        assert!(!solution.has_solution());
     }
 
     #[test]

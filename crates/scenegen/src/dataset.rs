@@ -1,7 +1,6 @@
 //! Dataset builders: rendered scenes paired with affordance targets or
 //! property labels, generated in parallel.
 
-use crossbeam::thread;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -159,24 +158,22 @@ fn render_all(scenes: &[SceneParams], config: &SceneConfig, threads: usize) -> V
         return scenes.iter().map(|s| render_scene(s, config)).collect();
     }
     let chunk = scenes.len().div_ceil(threads);
-    let mut rendered: Vec<Vec<Vector>> = Vec::new();
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = scenes
             .chunks(chunk)
             .map(|part| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     part.iter()
                         .map(|s| render_scene(s, config))
                         .collect::<Vec<_>>()
                 })
             })
             .collect();
-        for handle in handles {
-            rendered.push(handle.join().expect("render worker panicked"));
-        }
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("render worker panicked"))
+            .collect()
     })
-    .expect("render scope panicked");
-    rendered.into_iter().flatten().collect()
 }
 
 /// Convenience wrapper: generates the perception (affordance regression)

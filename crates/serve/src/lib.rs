@@ -5,7 +5,8 @@
 //! network × risk-property family × characterizer × region, optionally
 //! sharded), decomposes each request into proof obligations
 //! (shard × property-family member × sub-box), and drains the obligations
-//! through a persistent work-stealing pool that survives across requests.
+//! through a persistent worker pool, fed by one FIFO queue, that survives
+//! across requests.
 //! What makes residency pay is the shared state *between* requests:
 //!
 //! * a [`dpv_core::TemplateCache`] of [`dpv_core::ProblemTemplate`]s keyed

@@ -1,15 +1,14 @@
-//! The resident obligation server: a persistent work-stealing pool
-//! draining proof obligations through shared template/basis caches.
+//! The resident obligation server: a persistent worker pool draining one
+//! FIFO queue of proof obligations through shared template/basis caches.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::deque::{Injector, Stealer, Worker};
 use dpv_absint::BoxDomain;
 use dpv_core::{
     CoreError, EncodedProblem, Fingerprint, ProblemTemplate, RegionBounds, SnapshotPool,
@@ -83,7 +82,9 @@ pub enum ServeError {
     Core(CoreError),
     /// The request is malformed (non-finite parameters, an unbounded or
     /// inverted region, no obligations) and was rejected before
-    /// admission; the message names the offending field.
+    /// admission; the message names the offending field. Also returned,
+    /// naming the panic, when admission of a request that passed
+    /// validation panics (finite bounds that overflow to NaN).
     InvalidRequest(String),
 }
 
@@ -212,12 +213,15 @@ impl VerdictCache {
     }
 }
 
-/// Obligation-pool state guarded by one mutex: the in-flight count (the
-/// backpressure bound) and the shutdown flag. Every queue push happens
-/// while holding this lock, so a worker that observes "no work" under
-/// the lock cannot miss a wake-up.
-#[derive(Debug, Default)]
+/// Obligation-pool state guarded by one mutex: the job queue, the
+/// in-flight count (the backpressure bound) and the shutdown flag. A
+/// worker that finds the queue empty sleeps on `work` without releasing
+/// the lock in between, so it cannot miss a push.
+#[derive(Default)]
 struct PoolState {
+    /// Admitted jobs no worker has picked up yet, oldest first. FIFO, so a
+    /// later request cannot starve an earlier one.
+    queue: VecDeque<Job>,
     in_flight: usize,
     max_in_flight: usize,
     shutdown: bool,
@@ -264,8 +268,6 @@ struct Inner {
     templates: TemplateCache,
     snapshots: Arc<SnapshotPool>,
     verdicts: Mutex<VerdictCache>,
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
     state: Mutex<PoolState>,
     work: Condvar,
     space: Condvar,
@@ -278,7 +280,6 @@ struct Inner {
     /// The deterministic fault-injection seam (test/bench only; empty in
     /// production). Consulted once per obligation solve by index.
     fault_plan: Mutex<FaultPlan>,
-    shutting_down: AtomicBool,
     /// The trace sink shared by admission, workers and both caches.
     /// Disabled unless the server was built with
     /// [`ServerBuilder::tracer`]; recording through a disabled tracer is
@@ -388,8 +389,6 @@ impl ObligationServer {
             queue_capacity: config.queue_capacity.max(1),
             ..config
         };
-        let deques: Vec<Worker<Job>> = (0..config.workers).map(|_| Worker::new_lifo()).collect();
-        let stealers = deques.iter().map(Worker::stealer).collect();
         let admission = tracer.register();
         let counters = Arc::new(Counters::default());
         let snapshots = Arc::new(SnapshotPool::with_counters(
@@ -401,24 +400,19 @@ impl ObligationServer {
             templates: TemplateCache::with_pool(config.template_capacity, Arc::clone(&snapshots)),
             snapshots,
             verdicts: Mutex::new(VerdictCache::default()),
-            injector: Injector::new(),
-            stealers,
             state: Mutex::new(PoolState::default()),
             work: Condvar::new(),
             space: Condvar::new(),
             counters,
             fault_plan: Mutex::new(fault_plan),
-            shutting_down: AtomicBool::new(false),
             tracer,
             admission,
             request_seq: AtomicU64::new(0),
         });
-        let workers = deques
-            .into_iter()
-            .enumerate()
-            .map(|(me, local)| {
+        let workers = (0..config.workers)
+            .map(|_| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner, &local, me))
+                std::thread::spawn(move || worker_loop(&inner))
             })
             .collect();
         Self { inner, workers }
@@ -432,8 +426,9 @@ impl ObligationServer {
     ///
     /// # Errors
     /// [`ServeError::InvalidRequest`] when [`VerificationRequest::validate`]
-    /// rejects the request (checked first, before anything is admitted);
-    /// [`ServeError::Core`] when decomposition or encoding fails.
+    /// rejects the request (checked first, before anything is admitted) or
+    /// admission panics; [`ServeError::Core`] when decomposition or
+    /// encoding fails.
     pub fn serve(&self, request: &VerificationRequest) -> Result<RequestReport, ServeError> {
         request.validate()?;
         self.serve_with_prefill(request, &[])
@@ -506,16 +501,39 @@ impl ObligationServer {
         }
 
         // Admission: per template group, dedup first, then one batched
-        // bound sweep over the surviving sibling boxes, then enqueue.
-        let mut coordinates = Vec::with_capacity(total);
-        let mut deduped = vec![false; total];
-        let mut jobs = Vec::new();
-        for group in &groups {
-            jobs.extend(self.admit_group(group, &state, cancel.as_ref(), request_seq, &rtrace)?);
-            for obligation in &group.obligations {
-                coordinates.push((obligation.family, obligation.shard, obligation.sub_box));
+        // bound sweep over the surviving sibling boxes, then enqueue. A
+        // finite request can still overflow to NaN bounds on the way, and
+        // the interval layer panics on those; admission runs under
+        // `catch_unwind` so that panic becomes an error for this request
+        // alone. That is safe: templates are built outside the cache lock,
+        // and no job is enqueued until every group is admitted.
+        let admitted = catch_unwind(AssertUnwindSafe(|| {
+            let mut jobs = Vec::new();
+            for group in &groups {
+                jobs.extend(self.admit_group(
+                    group,
+                    &state,
+                    cancel.as_ref(),
+                    request_seq,
+                    &rtrace,
+                )?);
             }
-        }
+            Ok::<_, ServeError>(jobs)
+        }));
+        let jobs = admitted.map_err(|payload| {
+            let why = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a non-string panic payload");
+            ServeError::InvalidRequest(format!("admission failed: {why}"))
+        })??;
+        let coordinates: Vec<_> = groups
+            .iter()
+            .flat_map(|group| &group.obligations)
+            .map(|obligation| (obligation.family, obligation.shard, obligation.sub_box))
+            .collect();
+        let mut deduped = vec![false; total];
         {
             // Dedup answers were written straight into `outcomes`; mark
             // which indices they were (prefilled slots are also filled,
@@ -762,8 +780,7 @@ impl ObligationServer {
                 state.in_flight += 1;
                 state.max_in_flight = state.max_in_flight.max(state.in_flight);
                 depth = state.in_flight;
-                // Push under the lock so sleeping workers cannot miss it.
-                self.inner.injector.push(job);
+                state.queue.push_back(job);
             }
             self.inner.work.notify_one();
             rtrace.gauge(GaugeId::QueueDepth, depth as u64);
@@ -814,7 +831,6 @@ impl ObligationServer {
 
 impl Drop for ObligationServer {
     fn drop(&mut self) {
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
         {
             let mut state = lock(&self.inner.state);
             state.shutdown = true;
@@ -828,8 +844,7 @@ impl Drop for ObligationServer {
 }
 
 /// Folds per-obligation verdicts into per-family verdicts in
-/// obligation-index order: `Safe` only if every obligation is safe, a
-/// counterexample beats a give-up, lowest index wins within each class.
+/// obligation-index order (see [`Verdict::fold`]).
 fn fold_families(
     request: &VerificationRequest,
     outcomes: &[ObligationOutcome],
@@ -838,32 +853,20 @@ fn fold_families(
         .risks
         .iter()
         .enumerate()
-        .map(|(family, risk)| {
-            let mut verdict = Verdict::Safe;
-            for outcome in outcomes.iter().filter(|o| o.family == family) {
-                match (&verdict, &outcome.verdict) {
-                    (_, Verdict::Safe) => {}
-                    (Verdict::Safe, other) => verdict = other.clone(),
-                    (Verdict::Unknown(_), Verdict::Unsafe(_)) => {
-                        verdict = outcome.verdict.clone();
-                    }
-                    _ => {}
-                }
-            }
-            FamilyVerdict {
-                family,
-                risk: risk.name().to_string(),
-                verdict,
-            }
+        .map(|(family, risk)| FamilyVerdict {
+            family,
+            risk: risk.name().to_string(),
+            verdict: Verdict::fold(
+                outcomes
+                    .iter()
+                    .filter(|o| o.family == family)
+                    .map(|o| &o.verdict),
+            ),
         })
         .collect()
 }
 
-/// How many extra jobs a worker pulls from the injector into its local
-/// deque per refill, leaving the surplus stealable by idle peers.
-const REFILL_BATCH: usize = 4;
-
-fn worker_loop(inner: &Arc<Inner>, local: &Worker<Job>, me: usize) {
+fn worker_loop(inner: &Arc<Inner>) {
     let backend = BranchAndBoundBackend;
     // Each worker thread owns one trace ring buffer for its lifetime.
     let handle = inner.tracer.register();
@@ -871,7 +874,7 @@ fn worker_loop(inner: &Arc<Inner>, local: &Worker<Job>, me: usize) {
     // (content-addressed, so "one template" means one fingerprint).
     let mut scratch: Option<EncodedProblem> = None;
     let mut scratch_fp: Option<Fingerprint> = None;
-    while let Some(job) = next_job(inner, local, me) {
+    while let Some(job) = next_job(inner) {
         if scratch_fp != Some(job.template.fingerprint()) {
             scratch = None;
             scratch_fp = Some(job.template.fingerprint());
@@ -918,48 +921,18 @@ fn run_job_isolated(
     }
 }
 
-/// Pops the next job: own deque first (depth-first), then a batched
-/// refill from the injector (surplus lands in the local deque where
-/// peers can steal it), then a steal from a peer; otherwise sleeps on
-/// the work condvar until a push or shutdown.
-fn next_job(inner: &Arc<Inner>, local: &Worker<Job>, me: usize) -> Option<Job> {
+/// Pops the oldest queued job, sleeping on the work condvar until a push;
+/// `None` once the queue is drained and the server is shutting down.
+fn next_job(inner: &Inner) -> Option<Job> {
+    let mut state = lock(&inner.state);
     loop {
-        if let Some(job) = local.pop() {
+        if let Some(job) = state.queue.pop_front() {
             return Some(job);
         }
-        let mut refilled = false;
-        for _ in 0..REFILL_BATCH {
-            match inner.injector.steal().success() {
-                Some(job) => {
-                    local.push(job);
-                    refilled = true;
-                }
-                None => break,
-            }
-        }
-        if refilled {
-            // Peers may be sleeping while stealable work sits in our
-            // deque; wake them to contend for it.
-            inner.work.notify_all();
-            continue;
-        }
-        for (peer, stealer) in inner.stealers.iter().enumerate() {
-            if peer == me {
-                continue;
-            }
-            if let Some(job) = stealer.steal().success() {
-                return Some(job);
-            }
-        }
-        let state = lock(&inner.state);
         if state.shutdown {
             return None;
         }
-        // Re-check under the lock: every push happens while holding it,
-        // so "still empty here" cannot race a missed notification.
-        if inner.injector.is_empty() && inner.stealers.iter().all(Stealer::is_empty) {
-            drop(wait(&inner.work, state));
-        }
+        state = wait(&inner.work, state);
     }
 }
 

@@ -316,10 +316,10 @@ fn snapshot_pool_keys_stay_within_template_capacity() {
     );
 }
 
-/// Sets the first weight of dense `layer` in `network`.
-fn set_weight(network: &mut Network, layer: usize, value: f64) {
+/// Sets the weight at `entry` of dense `layer` in `network`.
+fn set_weight(network: &mut Network, layer: usize, entry: (usize, usize), value: f64) {
     match &mut network.layers_mut()[layer] {
-        Layer::Dense(d) => d.weights_mut()[(0, 0)] = value,
+        Layer::Dense(d) => d.weights_mut()[entry] = value,
         other => panic!("layer {layer} is {} by construction", other.describe()),
     }
 }
@@ -330,11 +330,11 @@ fn malformed_requests_are_rejected_and_the_server_keeps_serving() {
     let reference = ObligationServer::builder().build().serve(&valid).unwrap();
     let tail_weight = |value| {
         let mut request = box_request(7, 1);
-        set_weight(&mut request.perception, CUT + 2, value);
+        set_weight(&mut request.perception, CUT + 2, (0, 0), value);
         request
     };
     let mut nan_characterizer = characterizer_network(7);
-    set_weight(&mut nan_characterizer, 0, f64::NAN);
+    set_weight(&mut nan_characterizer, 0, (0, 0), f64::NAN);
     let mut nan_threshold = box_request(7, 1);
     nan_threshold.risks[0] = RiskCondition::new("nan").output_ge(0, f64::NAN);
     let region = |lo, hi| VerificationRequest {
@@ -347,6 +347,11 @@ fn malformed_requests_are_rejected_and_the_server_keeps_serving() {
         ]))),
         ..box_request(7, 1)
     };
+    // Finite everywhere, but 1e10 · 1e300 overflows to ±inf during bound
+    // propagation and inf − inf is NaN.
+    let mut overflowing = region(1e300, 1e300);
+    set_weight(&mut overflowing.perception, CUT + 2, (0, 0), 1e10);
+    set_weight(&mut overflowing.perception, CUT + 2, (0, 1), -1e10);
     let malformed = [
         ("a NaN tail weight", tail_weight(f64::NAN)),
         ("a +inf tail weight", tail_weight(f64::INFINITY)),
@@ -363,6 +368,7 @@ fn malformed_requests_are_rejected_and_the_server_keeps_serving() {
             region(f64::NEG_INFINITY, f64::INFINITY),
         ),
         ("an inverted region", region(1.0, -1.0)),
+        ("an overflowing finite request", overflowing),
     ];
 
     let server = ObligationServer::builder().build();
@@ -383,7 +389,7 @@ fn malformed_requests_are_rejected_and_the_server_keeps_serving() {
 
     // The head is never encoded, so it cannot make a request malformed.
     let mut head_nan = box_request(7, 1);
-    set_weight(&mut head_nan.perception, 0, f64::NAN);
+    set_weight(&mut head_nan.perception, 0, (0, 0), f64::NAN);
     for request in [head_nan, valid] {
         let report = server.serve(&request).unwrap();
         assert_eq!(deterministic_view(&report), deterministic_view(&reference));

@@ -30,7 +30,7 @@
 //!   risk conditions, the layer-abstraction / assume-guarantee verification
 //!   strategies, and the statistical (Table I) reasoning.
 //! * [`serve`] — resident obligation server: a long-lived verification
-//!   service with a persistent work-stealing pool, cross-request template
+//!   service with a persistent FIFO worker pool, cross-request template
 //!   and basis caches, batched admission and verdict deduplication.
 //! * [`delta`] — continuous delta-verification across retrains: per-layer
 //!   checkpoint fingerprinting and diffing, weight-hull bound-absorption
