@@ -1,7 +1,5 @@
 //! The box (interval vector) abstract domain.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_nn::{Activation, Layer};
 use dpv_tensor::Vector;
 
@@ -12,7 +10,7 @@ use crate::{AbstractDomain, Interval};
 /// The cheapest sound abstraction — and, as the paper observes in Section V,
 /// often too coarse on its own, which is why the monitored envelope also
 /// records adjacent-neuron differences ([`crate::OctagonLite`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxDomain {
     bounds: Vec<Interval>,
 }

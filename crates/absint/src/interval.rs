@@ -1,6 +1,5 @@
 //! Closed intervals of `f64` with outward-directed arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A closed interval `[lo, hi]`.
@@ -12,7 +11,7 @@ use std::fmt;
 /// assert_eq!(b, Interval::new(0.0, 2.0));
 /// assert!(a.contains(0.5, 0.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Lower bound.
     pub lo: f64,

@@ -1,8 +1,6 @@
 //! The "octagon-lite" domain: a box plus bounds on adjacent-neuron
 //! differences.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_tensor::Vector;
 
 use crate::{AbstractDomain, BoxDomain, Interval};
@@ -22,7 +20,7 @@ pub type BoundRows = Vec<(usize, f64, f64)>;
 /// the `diff(n)` operation that computes it. Unlike a full octagon domain it
 /// only tracks the `d−1` adjacent pairs, which keeps both the runtime
 /// monitor and the MILP encoding linear in the layer width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OctagonLite {
     bounds: Vec<Interval>,
     diffs: Vec<Interval>,

@@ -1,7 +1,5 @@
 //! The zonotope abstract domain (affine forms with shared noise symbols).
 
-use serde::{Deserialize, Serialize};
-
 use dpv_nn::{Activation, Layer};
 use dpv_tensor::Vector;
 
@@ -14,7 +12,7 @@ use crate::{AbstractDomain, BoxDomain, Interval};
 /// *exactly*; unstable ReLUs use the standard minimal-area relaxation that
 /// introduces one fresh noise symbol per unstable neuron; max-pool falls back
 /// to the box abstraction of the affected window (sound, coarser).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zonotope {
     centre: Vector,
     generators: Vec<Vector>,

@@ -55,7 +55,6 @@ impl From<dpv_monitor::MonitorError> for CoreError {
     fn from(value: dpv_monitor::MonitorError) -> Self {
         match value {
             dpv_monitor::MonitorError::Mismatch(msg) => CoreError::Inconsistent(msg),
-            dpv_monitor::MonitorError::MalformedLog(msg) => CoreError::Data(msg),
             dpv_monitor::MonitorError::EmptyActivations => {
                 CoreError::Data("cannot build an envelope from zero activations".into())
             }
@@ -101,7 +100,7 @@ mod tests {
     fn converts_monitor_errors() {
         let err: CoreError = dpv_monitor::MonitorError::Mismatch("dim".into()).into();
         assert!(matches!(err, CoreError::Inconsistent(_)));
-        let err: CoreError = dpv_monitor::MonitorError::MalformedLog("short".into()).into();
+        let err: CoreError = dpv_monitor::MonitorError::EmptyActivations.into();
         assert!(matches!(err, CoreError::Data(_)));
     }
 }

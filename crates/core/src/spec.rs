@@ -1,6 +1,5 @@
 //! Specifications: input properties φ and output risk conditions ψ.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dpv_tensor::Vector;
@@ -13,7 +12,7 @@ use dpv_tensor::Vector;
 /// semantics live in the labelled examples used to train the characterizer
 /// (produced by an oracle — in this workspace, the scene generator's hidden
 /// parameters; in the paper, a human expert).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InputProperty {
     name: String,
     description: String,
@@ -46,7 +45,7 @@ impl fmt::Display for InputProperty {
 }
 
 /// Direction of a linear inequality over the network output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputOp {
     /// `Σ coeff_i · out_i ≤ rhs`
     Le,
@@ -55,7 +54,7 @@ pub enum OutputOp {
 }
 
 /// One linear inequality over the network output vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearInequality {
     /// Dense coefficients over the output dimensions.
     pub coeffs: Vec<f64>,
@@ -98,7 +97,7 @@ impl LinearInequality {
 /// assert!(psi.is_satisfied(&Vector::from_slice(&[-0.7, 0.0]), 0.0));
 /// assert!(!psi.is_satisfied(&Vector::from_slice(&[0.2, 0.0]), 0.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RiskCondition {
     name: String,
     inequalities: Vec<LinearInequality>,

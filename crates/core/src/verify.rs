@@ -89,6 +89,11 @@ impl VerificationStrategy {
     }
 }
 
+/// Tolerance of a counterexample's concrete re-execution: the output may
+/// miss the risk condition, and the characterizer logit may fall below
+/// zero, by at most this much.
+const WITNESS_TOL: f64 = 1e-6;
+
 /// A counterexample at the cut layer: an activation inside the start region
 /// whose tail image satisfies the risk condition while the characterizer
 /// fires.
@@ -459,6 +464,12 @@ impl VerificationProblem {
     /// Translates a MILP solve into a [`Verdict`], re-running the tail
     /// concretely for counterexamples so they are self-contained and
     /// numerically honest. Shared by the one-shot and template solve paths.
+    ///
+    /// A solver witness is first clamped into its cut variables' bounds
+    /// (the obligation's box). It is reported as [`Verdict::Unsafe`] only
+    /// when the re-executed output meets the risk and the characterizer
+    /// fires, both within [`WITNESS_TOL`]; otherwise the verdict is
+    /// `Unknown("invalid-counterexample")`.
     fn interpret_solution(
         &self,
         encoded: &EncodedProblem,
@@ -469,17 +480,27 @@ impl VerificationProblem {
         match solution.status {
             MilpStatus::Infeasible => Verdict::Safe,
             MilpStatus::Optimal => {
+                let lp = encoded.milp.lp();
                 let activation: Vector = encoded
                     .cut_vars
                     .iter()
-                    .map(|&v| solution.values[v])
+                    .map(|&v| {
+                        let (lo, hi) = lp.bounds(v);
+                        solution.values[v].max(lo).min(hi)
+                    })
                     .collect();
                 let output = tail.forward(&activation);
-                let logit = Some(self.characterizer.logit(&activation));
+                let logit = self.characterizer.logit(&activation);
+                if !self.risk.is_satisfied(&output, WITNESS_TOL)
+                    || logit.is_nan()
+                    || logit < -WITNESS_TOL
+                {
+                    return Verdict::Unknown("invalid-counterexample".to_string());
+                }
                 Verdict::Unsafe(CounterExample {
                     activation,
                     output,
-                    logit,
+                    logit: Some(logit),
                 })
             }
             MilpStatus::NodeLimit => Verdict::Unknown(format!("{} node limit", backend.name())),

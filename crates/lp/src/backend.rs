@@ -293,6 +293,24 @@ mod tests {
     }
 
     #[test]
+    fn cold_engine_hands_a_worn_seed_back() {
+        let milp = knapsack();
+        let (_, seed) = milp.lp().solve_with_snapshot();
+        let mut seed = seed.expect("the knapsack relaxation yields a basis");
+        // Wear the basis down to the warm engine's refactorisation interval.
+        for _ in 0..256 {
+            assert!(milp.lp().solve_from_basis(&mut seed).is_some());
+        }
+        let mut ctx = SolveContext {
+            seed: Some(seed),
+            ..SolveContext::default()
+        };
+        let solution = ColdBranchAndBoundBackend.solve_with(&milp, &mut ctx);
+        assert_eq!(solution.status, MilpStatus::Optimal);
+        assert!(ctx.seed.is_some(), "the cold engine dropped the seed");
+    }
+
+    #[test]
     fn backends_are_object_safe() {
         let engines: Vec<Box<dyn SolverBackend>> = vec![
             Box::new(BranchAndBoundBackend),

@@ -172,9 +172,12 @@ pub(crate) fn solve_node_lp(
     /// periodic fresh factorisation keeps the certificate's bail-out rate —
     /// and hence the warm hit rate — high on deep search trees.
     const REFACTOR_INTERVAL: usize = 256;
-    if warm
-        .as_ref()
-        .is_some_and(|snapshot| snapshot.warm_uses() >= REFACTOR_INTERVAL)
+    // A cold search never reads the seed, so it hands the caller's seed
+    // back untouched.
+    if warm_enabled
+        && warm
+            .as_ref()
+            .is_some_and(|snapshot| snapshot.warm_uses() >= REFACTOR_INTERVAL)
     {
         *warm = None;
         trace.add(CounterId::Refactorisations, 1);

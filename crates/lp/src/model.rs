@@ -1,6 +1,5 @@
 //! LP model builder and solution types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::simplex;
@@ -9,7 +8,7 @@ use crate::simplex;
 pub type VarId = usize;
 
 /// Relational operator of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConstraintOp {
     /// `a·x ≤ b`
     Le,
@@ -30,7 +29,7 @@ impl fmt::Display for ConstraintOp {
 }
 
 /// One linear constraint `Σ coeff_i · x_i  op  rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Sparse coefficient list `(variable, coefficient)`.
     pub coeffs: Vec<(VarId, f64)>,
@@ -41,7 +40,7 @@ pub struct Constraint {
 }
 
 /// Status of an LP solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpStatus {
     /// An optimal solution was found.
     Optimal,
@@ -102,7 +101,7 @@ impl LpSolution {
 /// Variables are created with [`LinearProgram::add_variable`], which returns
 /// a [`VarId`] used in constraint and objective coefficient lists. The
 /// objective defaults to the constant zero (pure feasibility problem).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearProgram {
     pub(crate) lower: Vec<f64>,
     pub(crate) upper: Vec<f64>,

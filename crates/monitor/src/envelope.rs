@@ -1,12 +1,10 @@
 //! The activation envelope `S̃` built from training-data activations.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_absint::{BoxDomain, Interval, OctagonLite};
 use dpv_nn::Network;
-use dpv_tensor::{Matrix, Vector};
+use dpv_tensor::Vector;
 
-use crate::{MonitorError, Violation, ViolationKind};
+use crate::{EnvelopeSoa, MonitorError, MonitoredRegion, Violation, ViolationKind};
 
 /// An over-approximation of the layer-`l` activations observed on a data
 /// set: per-neuron `[min, max]` plus `[min, max]` of every adjacent-neuron
@@ -16,7 +14,7 @@ use crate::{MonitorError, Violation, ViolationKind};
 /// over-approximates the activations of the *training data* (not of every
 /// possible input), so any proof relative to it must be accompanied by a
 /// runtime monitor checking containment (see [`crate::RuntimeMonitor`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivationEnvelope {
     layer: usize,
     octagon: OctagonLite,
@@ -161,12 +159,23 @@ impl ActivationEnvelope {
             margin: self.margin.max(other.margin),
         }
     }
+}
+
+/// The one-member region: in ODD iff the envelope contains the activation.
+impl MonitoredRegion for ActivationEnvelope {
+    fn dim(&self) -> usize {
+        self.octagon.dim()
+    }
+
+    fn soa(&self) -> Vec<EnvelopeSoa> {
+        vec![EnvelopeSoa::from_envelope(self)]
+    }
 
     /// Every constraint of the envelope the activation violates (empty iff
     /// [`ActivationEnvelope::contains`] holds at the same tolerance). This
     /// is the single source of the violation diagnostics reported by
-    /// [`crate::RuntimeMonitor`] and by the sharded monitor in `dpv-shard`.
-    pub fn violations(&self, activation: &Vector, tol: f64) -> Vec<Violation> {
+    /// [`crate::RuntimeMonitor`], whichever region it enforces.
+    fn violations(&self, activation: &Vector, tol: f64) -> Vec<Violation> {
         let mut violations = Vec::new();
         for (i, interval) in self.neuron_bounds().iter().enumerate() {
             let v = activation[i];
@@ -193,23 +202,6 @@ impl ActivationEnvelope {
             }
         }
         violations
-    }
-
-    /// Fraction of a set of activations that falls inside the envelope —
-    /// the coverage statistic reported in the experiments.
-    ///
-    /// Routed through the batched SoA containment sweep
-    /// ([`crate::union_contained_mask`]) so coverage statistics and the
-    /// batched monitors share one containment code path.
-    pub fn coverage(&self, activations: &[Vector], tol: f64) -> f64 {
-        if activations.is_empty() {
-            return 1.0;
-        }
-        let frames = Matrix::from_columns(activations)
-            .expect("coverage activations must share one dimension");
-        let soa = crate::EnvelopeSoa::from_envelope(self);
-        let mask = crate::union_contained_mask(std::slice::from_ref(&soa), &frames, tol);
-        mask.count_contained() as f64 / activations.len() as f64
     }
 }
 

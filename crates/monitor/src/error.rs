@@ -3,13 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while assembling a monitor or replaying logged evidence.
+/// Errors produced while building an envelope or assembling a monitor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MonitorError {
     /// The monitor's cut layer or envelope does not fit the network.
     Mismatch(String),
-    /// A persisted activation log could not be decoded.
-    MalformedLog(String),
     /// An envelope was requested over zero activation samples; an envelope is
     /// the hull of observed data, so there is nothing to build it from.
     EmptyActivations,
@@ -19,7 +17,6 @@ impl fmt::Display for MonitorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MonitorError::Mismatch(msg) => write!(f, "monitor mismatch: {msg}"),
-            MonitorError::MalformedLog(msg) => write!(f, "malformed activation log: {msg}"),
             MonitorError::EmptyActivations => {
                 write!(f, "cannot build an envelope from zero activations")
             }
@@ -38,9 +35,6 @@ mod tests {
         assert!(MonitorError::Mismatch("dim".into())
             .to_string()
             .contains("dim"));
-        assert!(MonitorError::MalformedLog("short".into())
-            .to_string()
-            .contains("short"));
         assert!(MonitorError::EmptyActivations
             .to_string()
             .contains("zero activations"));

@@ -16,28 +16,26 @@
 //!   from Section V), built from recorded activations of the training data,
 //!   optionally widened by a safety margin.
 //! * [`RuntimeMonitor`] — wraps the perception network's head (layers up to
-//!   the cut) together with an envelope, classifies incoming images as
-//!   in/out of the monitored region, reports which constraint was violated,
-//!   and keeps thread-safe counters of everything it has seen.
-//! * [`ActivationLog`] — a compact binary log of activation vectors
-//!   (little-endian `f64`s framed per record) so ODD evidence can be
-//!   persisted and replayed cheaply.
+//!   the cut) together with a [`MonitoredRegion`] (by default one
+//!   envelope), classifies incoming images as in/out of the monitored
+//!   region, reports which constraint was violated, and keeps thread-safe
+//!   counters of everything it has seen.
 //!
 //! ## Sharded monitoring
 //!
 //! The `dpv-shard` crate partitions the training activations into k-means
 //! clusters and builds one [`ActivationEnvelope`] per cluster (a
-//! `ShardedEnvelope`). Its `ShardedMonitor` reuses this crate's verdict
-//! vocabulary ([`MonitorVerdict`], [`Violation`], [`MonitorReport`]) with
-//! **any-shard semantics**: a frame is in ODD iff its activation lies in at
-//! least one shard. Because every shard is a subset of the single envelope
-//! over the same data while the shard *union* still contains every training
-//! activation, the sharded monitor accepts every training frame, flags
-//! everything this crate's [`RuntimeMonitor`] flags, and additionally flags
-//! activations that fall *between* the data's modes — strictly tighter
-//! out-of-ODD detection at the price of up to `k` containment checks per
-//! frame. Out-of-union frames report the violations of the shard whose
-//! centroid is nearest.
+//! `ShardedEnvelope`, which implements [`MonitoredRegion`]). Its
+//! `ShardedMonitor` is the alias `RuntimeMonitor<ShardedEnvelope>`: this
+//! crate's monitor with **any-shard semantics**, in ODD iff the activation
+//! lies in at least one shard. Because every shard is a subset of the
+//! single envelope over the same data while the shard *union* still
+//! contains every training activation, the sharded monitor accepts every
+//! training frame, flags everything the one-envelope monitor flags, and
+//! additionally flags activations that fall *between* the data's modes —
+//! strictly tighter out-of-ODD detection at the price of up to `k`
+//! containment checks per frame. Out-of-union frames report the violations
+//! of the shard whose centroid is nearest.
 //!
 //! ## Example
 //!
@@ -66,12 +64,12 @@
 
 mod envelope;
 mod error;
-mod log;
 mod monitor;
 mod soa;
 
 pub use envelope::ActivationEnvelope;
 pub use error::MonitorError;
-pub use log::ActivationLog;
-pub use monitor::{MonitorReport, MonitorVerdict, RuntimeMonitor, Violation, ViolationKind};
+pub use monitor::{
+    MonitorReport, MonitorVerdict, MonitoredRegion, RuntimeMonitor, Violation, ViolationKind,
+};
 pub use soa::{union_contained_mask, ContainmentMask, EnvelopeSoa};

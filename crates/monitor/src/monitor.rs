@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpv_nn::Network;
-use dpv_tensor::Vector;
+use dpv_tensor::{Matrix, Vector};
 
 use crate::soa::{union_contained_mask, EnvelopeSoa};
 use crate::{ActivationEnvelope, MonitorError};
@@ -77,8 +77,46 @@ impl MonitorReport {
     }
 }
 
+/// A region the runtime monitor enforces: the union of one or more member
+/// envelopes.
+///
+/// An activation is in the region iff *some* member contains it. The
+/// monitor caches [`MonitoredRegion::soa`] once and tests containment on
+/// it; the region is asked for [`MonitoredRegion::violations`] only for
+/// activations outside every member. [`ActivationEnvelope`] is the
+/// one-member region; `dpv-shard`'s `ShardedEnvelope` has one member per
+/// activation cluster.
+pub trait MonitoredRegion {
+    /// Dimension of the monitored activation vector.
+    fn dim(&self) -> usize;
+
+    /// One SoA flattening per member, in member order.
+    fn soa(&self) -> Vec<EnvelopeSoa>;
+
+    /// The violations reported for an activation outside every member.
+    fn violations(&self, activation: &Vector, tol: f64) -> Vec<Violation>;
+
+    /// Fraction of `activations` inside some member (1.0 when empty) — the
+    /// coverage statistic reported in the experiments.
+    ///
+    /// Routed through the batched SoA union sweep
+    /// ([`union_contained_mask`]), the containment code path of
+    /// [`RuntimeMonitor::check_frames`], so coverage statistics cannot
+    /// drift from monitor verdicts.
+    fn coverage(&self, activations: &[Vector], tol: f64) -> f64 {
+        if activations.is_empty() {
+            return 1.0;
+        }
+        let frames = Matrix::from_columns(activations)
+            .expect("coverage activations must share one dimension");
+        let mask = union_contained_mask(&self.soa(), &frames, tol);
+        mask.count_contained() as f64 / activations.len() as f64
+    }
+}
+
 /// The runtime monitor: evaluates the perception network up to the cut
-/// layer and checks the resulting activation against the envelope.
+/// layer and checks the resulting activation against a
+/// [`MonitoredRegion`] — by default one [`ActivationEnvelope`].
 ///
 /// The monitor is `Sync`: the per-frame counters are plain atomics
 /// (monotonically increasing, relaxed ordering) so one monitor instance
@@ -88,22 +126,23 @@ impl MonitorReport {
 /// landed yet; quiescent reports (after joining the checking threads) are
 /// exact.
 ///
-/// Containment itself runs on a cached [`EnvelopeSoa`] flattening of the
-/// envelope — the same code path the batched [`RuntimeMonitor::check_frames`]
-/// sweeps — so scalar and batched verdicts cannot drift.
+/// Containment itself runs on a cached [`EnvelopeSoa`] flattening of every
+/// member of the region — the same code path the batched
+/// [`RuntimeMonitor::check_frames`] sweeps — so scalar and batched
+/// verdicts cannot drift.
 #[derive(Debug)]
-pub struct RuntimeMonitor {
+pub struct RuntimeMonitor<E: MonitoredRegion = ActivationEnvelope> {
     network: Network,
     cut_layer: usize,
-    envelope: ActivationEnvelope,
-    soa: EnvelopeSoa,
+    envelope: E,
+    soa: Vec<EnvelopeSoa>,
     tolerance: f64,
     frames: AtomicUsize,
     in_odd: AtomicUsize,
     out_of_odd: AtomicUsize,
 }
 
-impl RuntimeMonitor {
+impl<E: MonitoredRegion> RuntimeMonitor<E> {
     /// Creates a monitor for `network`, monitoring the activation after
     /// `cut_layer` (zero-based) against `envelope`.
     ///
@@ -111,11 +150,7 @@ impl RuntimeMonitor {
     /// Returns [`MonitorError::Mismatch`] when the cut layer is out of range
     /// or the envelope dimension does not match the network's activation
     /// dimension at that layer.
-    pub fn new(
-        network: Network,
-        cut_layer: usize,
-        envelope: ActivationEnvelope,
-    ) -> Result<Self, MonitorError> {
+    pub fn new(network: Network, cut_layer: usize, envelope: E) -> Result<Self, MonitorError> {
         if cut_layer >= network.len() {
             return Err(MonitorError::Mismatch(format!(
                 "cut layer {cut_layer} out of range for a network with {} layers",
@@ -129,7 +164,7 @@ impl RuntimeMonitor {
                 envelope.dim()
             )));
         }
-        let soa = EnvelopeSoa::from_envelope(&envelope);
+        let soa = envelope.soa();
         Ok(Self {
             network,
             cut_layer,
@@ -147,8 +182,8 @@ impl RuntimeMonitor {
         self.cut_layer
     }
 
-    /// The envelope being enforced.
-    pub fn envelope(&self) -> &ActivationEnvelope {
+    /// The region being enforced.
+    pub fn envelope(&self) -> &E {
         &self.envelope
     }
 
@@ -183,8 +218,8 @@ impl RuntimeMonitor {
 
     /// Checks a batch of input frames in one pass: a single batched forward
     /// pass to the cut layer ([`Network::activation_at_batch`]) followed by
-    /// one SoA containment sweep over all frames, with the violation lists
-    /// materialised only for the frames that escape the envelope.
+    /// one SoA union sweep over all frames and members, with the violation
+    /// lists materialised only for the frames that escape the region.
     ///
     /// Verdicts (including violation lists) are identical to calling
     /// [`RuntimeMonitor::check`] frame by frame in order — the batch path
@@ -192,11 +227,7 @@ impl RuntimeMonitor {
     /// updates. Statistics are updated once for the whole batch.
     pub fn check_frames(&self, inputs: &[Vector]) -> Vec<MonitorVerdict> {
         let activations = self.network.activation_matrix_at(self.cut_layer, inputs);
-        let mask = union_contained_mask(
-            std::slice::from_ref(&self.soa),
-            &activations,
-            self.tolerance,
-        );
+        let mask = union_contained_mask(&self.soa, &activations, self.tolerance);
         let verdicts: Vec<MonitorVerdict> = (0..inputs.len())
             .map(|f| {
                 if mask.is_contained(f) {
@@ -219,12 +250,16 @@ impl RuntimeMonitor {
 
     /// Pure classification without statistics side effects.
     ///
-    /// Containment runs on the cached SoA flattening (the batch code
-    /// path); the violation list — empty exactly when containment holds,
-    /// see [`ActivationEnvelope::violations`] — is only materialised for
-    /// frames outside the envelope.
+    /// In ODD iff some member's cached SoA flattening (the batch code path)
+    /// contains the activation, members tested in order; the region's
+    /// violation list is only materialised for frames outside every member.
     pub fn classify(&self, activation: &Vector) -> MonitorVerdict {
-        if self.soa.contains(activation.as_slice(), self.tolerance) {
+        let point = activation.as_slice();
+        if self
+            .soa
+            .iter()
+            .any(|soa| soa.contains(point, self.tolerance))
+        {
             MonitorVerdict::InOdd
         } else {
             MonitorVerdict::OutOfOdd {

@@ -4,7 +4,7 @@
 //! same cumulative statistics; and `coverage`, which routes through the same
 //! SoA sweep, must equal the per-frame containment fraction.
 
-use dpv_monitor::{ActivationEnvelope, RuntimeMonitor};
+use dpv_monitor::{ActivationEnvelope, MonitoredRegion, RuntimeMonitor};
 use dpv_nn::{Activation, Network, NetworkBuilder};
 use dpv_tensor::Vector;
 use proptest::prelude::*;

@@ -1,7 +1,5 @@
 //! Element-wise activation functions.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_tensor::{Matrix, Vector};
 
 /// Element-wise activation functions supported by the library.
@@ -17,7 +15,7 @@ use dpv_tensor::{Matrix, Vector};
 /// assert_eq!(Activation::ReLU.apply(-2.0), 0.0);
 /// assert_eq!(Activation::ReLU.apply(3.0), 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Activation {
     /// The identity function (no-op). Useful as a named cut point.
     Identity,

@@ -1,7 +1,5 @@
 //! One-dimensional batch normalisation.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_tensor::{Matrix, Vector};
 
 /// Batch normalisation over a 1-D feature vector.
@@ -26,7 +24,7 @@ use dpv_tensor::{Matrix, Vector};
 /// let y = bn.forward(&x);
 /// assert!(y.iter().zip(x.iter()).all(|(a, b)| (a - b).abs() < 1e-4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchNorm1d {
     gamma: Vector,
     beta: Vector,

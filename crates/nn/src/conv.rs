@@ -1,7 +1,5 @@
 //! Two-dimensional convolution over flattened channel-major images.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_tensor::{Initializer, Matrix, Vector};
 use rand::Rng;
 
@@ -17,7 +15,7 @@ use crate::layer::TensorShape;
 ///
 /// The kernel weights are stored as a matrix of shape
 /// `(out_channels, in_channels * kernel * kernel)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conv2d {
     in_shape: TensorShape,
     out_channels: usize,

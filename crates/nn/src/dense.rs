@@ -1,7 +1,5 @@
 //! Fully connected (dense / affine) layer.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_tensor::{Initializer, Matrix, Vector};
 use rand::Rng;
 
@@ -17,7 +15,7 @@ use rand::Rng;
 /// let y = layer.forward(&Vector::from_slice(&[2.0, 3.0]));
 /// assert_eq!(y.as_slice(), &[2.5, -2.5]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     weights: Matrix,
     bias: Vector,

@@ -1,14 +1,12 @@
 //! The closed set of layers a network may contain, plus the gradient
 //! containers used during backpropagation.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_tensor::{Matrix, Vector};
 
 use crate::{Activation, BatchNorm1d, Conv2d, Dense, Flatten, MaxPool2d};
 
 /// Shape of a channel-major feature map `(channels, height, width)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorShape {
     /// Number of channels.
     pub channels: usize,
@@ -44,7 +42,7 @@ impl TensorShape {
 /// The enum is deliberately closed (not a trait object): the verification
 /// crates pattern-match on it to build MILP encodings and abstract
 /// transformers, and a closed set makes the soundness argument auditable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// Fully connected affine layer.
     Dense(Dense),

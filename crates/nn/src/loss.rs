@@ -1,7 +1,5 @@
 //! Loss functions.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_tensor::Vector;
 
 /// The loss functions used in this workspace.
@@ -12,7 +10,7 @@ use dpv_tensor::Vector;
 ///   characterizer; the network outputs a raw logit and the sigmoid is folded
 ///   into the loss, so the trained characterizer can be verified with a
 ///   *linear* threshold (`logit >= 0`) instead of a non-linear sigmoid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossKind {
     /// Mean squared error.
     Mse,

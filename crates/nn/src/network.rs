@@ -1,7 +1,5 @@
 //! Feed-forward network container.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_tensor::{Matrix, Vector};
 
 use crate::layer::LayerCache;
@@ -58,7 +56,7 @@ impl ActivationTrace {
 /// assert_eq!(net.output_dim(), 2);
 /// assert_eq!(net.forward(&Vector::zeros(4)).len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     input_dim: usize,
     layers: Vec<Layer>,

@@ -1,7 +1,5 @@
 //! Max-pooling and flattening layers.
 
-use serde::{Deserialize, Serialize};
-
 use dpv_tensor::Vector;
 
 use crate::layer::TensorShape;
@@ -11,7 +9,7 @@ use crate::layer::TensorShape;
 /// The pooling window is square (`pool` × `pool`) and the stride equals the
 /// window size (non-overlapping pooling), which is how the perception
 /// front-end downsamples feature maps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaxPool2d {
     in_shape: TensorShape,
     pool: usize,
@@ -127,7 +125,7 @@ impl MaxPool2d {
 /// treated as a flat vector. Numerically it is the identity (inputs are
 /// already flat vectors); it exists so a network's shape bookkeeping stays
 /// explicit and serialisable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flatten {
     shape: TensorShape,
 }

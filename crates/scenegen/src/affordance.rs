@@ -1,7 +1,6 @@
 //! Ground-truth affordances: the next waypoint offset and orientation.
 
 use dpv_tensor::Vector;
-use serde::{Deserialize, Serialize};
 
 use crate::{SceneConfig, SceneParams};
 
@@ -10,7 +9,7 @@ pub const AFFORDANCE_DIM: usize = 2;
 
 /// The affordance the paper's network predicts: where the vehicle should go
 /// next. Positive values mean "to the right".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Affordance {
     /// Lateral offset of the next waypoint relative to the current ego
     /// position, normalised to roughly `[-1, 1]` (positive = steer right).

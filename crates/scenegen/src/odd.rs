@@ -9,7 +9,6 @@
 //! starts from an in-ODD scene and pushes one dimension far outside its
 //! configured range, so detection rates decompose cleanly by class.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{SceneConfig, SceneParams};
@@ -21,7 +20,7 @@ use crate::{SceneConfig, SceneParams};
 /// the ODD for *any* configuration (a class whose dimension is disabled in
 /// the ODD, e.g. occlusion under [`SceneConfig::small`], violates it with
 /// any positive amount and is pushed near the physical maximum instead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OddViolation {
     /// Road curvature far beyond `max_curvature` (1.5–3× the ODD limit):
     /// a hairpin the highway ODD never contains.

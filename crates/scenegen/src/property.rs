@@ -1,6 +1,5 @@
 //! Input-property oracles over scene parameters.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{SceneConfig, SceneParams};
@@ -12,7 +11,7 @@ use crate::{SceneConfig, SceneParams};
 /// labels images with "the road strongly bends to the right" etc. The
 /// trained characterizer only ever sees the *image* (through the perception
 /// network's close-to-output activations), never these parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PropertyKind {
     /// The road bends to the right with at least the strong-bend curvature.
     BendsRight,

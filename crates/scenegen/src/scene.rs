@@ -1,7 +1,5 @@
 //! Scene parameters and global scene-generation configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// The hidden state of one road scene. The renderer maps this to pixels;
 /// the affordance and property oracles map it to training labels.
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///   centre (in lane-width units, so ±0.5 touches the lane boundary).
 /// * `heading_error` > 0 means the ego vehicle points to the right of the
 ///   road direction (radians, small angles).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneParams {
     /// Signed road curvature (positive bends right).
     pub curvature: f64,
@@ -133,7 +131,7 @@ impl SceneParams {
 
 /// Static configuration of the scene generator: image geometry, the ODD
 /// parameter ranges, and the thresholds used by the property oracles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneConfig {
     /// Image height in pixels (rows; the bottom row is nearest to the ego vehicle).
     pub height: usize,

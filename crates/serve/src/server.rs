@@ -1112,7 +1112,10 @@ fn run_job(
     }
 
     // The escalated retry is already cold and unseeded, hence canonical.
-    if was_seeded && !retry_adopted && verdict.is_unsafe() {
+    // Keyed on the status, not the verdict: an `Optimal` solve whose
+    // witness failed re-execution is re-solved too, so its verdict never
+    // depends on which basis the pool handed out.
+    if was_seeded && !retry_adopted && solution.status == MilpStatus::Optimal {
         let canonical_started = trace.now_ns();
         let resolved = job.problem.solve_with_template(
             &job.template,

@@ -1,7 +1,6 @@
 //! Aggregate statistics of a resident obligation server.
 
 use dpv_core::{CacheStats, SnapshotPoolStats};
-use serde::{Deserialize, Serialize};
 
 /// A point-in-time snapshot of everything a resident server has done:
 /// cache effectiveness, dedup rate, queue pressure and per-obligation
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// Counters are cumulative since the server was created. Latency and
 /// queue-depth figures are *cost* telemetry and deliberately not part of
 /// the deterministic report surface (verdicts are; see the crate docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Requests served to completion.
     pub requests: u64,

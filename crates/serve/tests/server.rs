@@ -395,3 +395,65 @@ fn malformed_requests_are_rejected_and_the_server_keeps_serving() {
         assert_eq!(deterministic_view(&report), deterministic_view(&reference));
     }
 }
+
+/// The sub-boxes of `root` in obligation order: `levels` widest-dimension
+/// bisections, left child before right child.
+fn sub_boxes(root: &BoxDomain, levels: u32) -> Vec<BoxDomain> {
+    if levels == 0 {
+        return vec![root.clone()];
+    }
+    let (left, right) = dpv_core::split_box(root);
+    let mut boxes = sub_boxes(&left, levels - 1);
+    boxes.extend(sub_boxes(&right, levels - 1));
+    boxes
+}
+
+#[test]
+fn unsafe_witnesses_reproduce_under_a_huge_finite_tail_weight() {
+    // Finite, so it passes validation, but big enough to swamp the
+    // solver's tolerances: the raw witnesses of both families miss the
+    // risk once the tail is re-executed.
+    let mut request = box_request(7, 1);
+    set_weight(&mut request.perception, CUT + 2, (0, 0), 1e12);
+    let report = ObligationServer::builder().build().serve(&request).unwrap();
+    let (_, tail) = request.perception.split_at(CUT).unwrap();
+    for o in &report.obligations {
+        if let Verdict::Unsafe(cex) = &o.verdict {
+            let output = tail.forward(&cex.activation);
+            assert!(
+                request.risks[o.family].is_satisfied(&output, 1e-6),
+                "obligation {}: witness output {:?} misses the risk",
+                o.index,
+                output.as_slice()
+            );
+            assert!(
+                request.characterizer.logit(&cex.activation) >= -1e-6,
+                "obligation {}: the characterizer does not fire on the witness",
+                o.index
+            );
+        }
+    }
+}
+
+#[test]
+fn unsafe_witnesses_lie_inside_their_obligation_box() {
+    let server = ObligationServer::builder().build();
+    let root = BoxDomain::uniform(CUT_WIDTH, -1.0, 1.0);
+    for seed in 1..=8 {
+        for subdivision in 0..=2 {
+            let report = server.serve(&box_request(seed, subdivision)).unwrap();
+            let boxes = sub_boxes(&root, subdivision);
+            for o in &report.obligations {
+                if let Verdict::Unsafe(cex) = &o.verdict {
+                    assert!(
+                        boxes[o.sub_box].box_contains(cex.activation.as_slice(), 0.0),
+                        "seed {seed}, subdivision {subdivision}, obligation {}: \
+                         witness {:?} leaves its box",
+                        o.index,
+                        cex.activation.as_slice()
+                    );
+                }
+            }
+        }
+    }
+}

@@ -1,17 +1,15 @@
 //! The sharded activation envelope: one [`ActivationEnvelope`] per
 //! activation cluster.
 
-use serde::{Deserialize, Serialize};
-
-use dpv_monitor::{union_contained_mask, ActivationEnvelope, EnvelopeSoa, MonitorError};
+use dpv_monitor::{ActivationEnvelope, MonitorError};
 use dpv_nn::Network;
-use dpv_tensor::{Matrix, Vector};
+use dpv_tensor::Vector;
 
 use crate::kmeans::nearest_centroid;
 use crate::{kmeans, kmeans_auto, KMeansConfig};
 
 /// How many shards (clusters) to build.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClusterSelection {
     /// Exactly this many clusters (clamped to the sample count; clusters
     /// that would end up empty are dropped).
@@ -28,7 +26,7 @@ pub enum ClusterSelection {
 }
 
 /// Configuration of a sharded-envelope build.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
     /// Cluster-count policy.
     pub clusters: ClusterSelection,
@@ -82,7 +80,7 @@ impl Default for ShardConfig {
 /// shard therefore keeps the assume-guarantee contract intact (monitor the
 /// union at run time), while each per-shard MILP sees a strictly tighter
 /// start region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedEnvelope {
     layer: usize,
     margin: f64,
@@ -279,34 +277,10 @@ impl ShardedEnvelope {
 
     /// Index of the shard whose centroid is nearest to the activation (ties
     /// break to the lowest index). Defined for every activation, inside the
-    /// union or not — the monitor reports violations against this shard.
+    /// union or not — the [`crate::ShardedMonitor`] reports violations
+    /// against this shard.
     pub fn nearest_shard(&self, activation: &Vector) -> usize {
         nearest_centroid(&self.centroids, activation).0
-    }
-
-    /// Flattens every shard into the SoA containment layout, aligned with
-    /// [`ShardedEnvelope::shards`]. The flattening is rebuilt on demand (it
-    /// is deliberately *not* part of the serialised/compared envelope
-    /// state); callers on a hot path — the [`crate::ShardedMonitor`] —
-    /// build it once and cache it.
-    pub fn soa_shards(&self) -> Vec<EnvelopeSoa> {
-        self.shards.iter().map(EnvelopeSoa::from_envelope).collect()
-    }
-
-    /// Fraction of `activations` inside the shard union (1.0 when empty).
-    ///
-    /// Routed through the batched SoA union sweep
-    /// ([`dpv_monitor::union_contained_mask`]) — the same containment code
-    /// path the batched [`crate::ShardedMonitor::check_frames`] uses, so
-    /// coverage statistics cannot drift from monitor verdicts.
-    pub fn coverage(&self, activations: &[Vector], tol: f64) -> f64 {
-        if activations.is_empty() {
-            return 1.0;
-        }
-        let frames = Matrix::from_columns(activations)
-            .expect("coverage activations must share one dimension");
-        let mask = union_contained_mask(&self.soa_shards(), &frames, tol);
-        mask.count_contained() as f64 / activations.len() as f64
     }
 
     /// Folds every shard back into a single monolithic envelope (the join of
@@ -352,6 +326,7 @@ impl ShardedEnvelope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpv_monitor::MonitoredRegion;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

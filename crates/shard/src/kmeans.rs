@@ -22,12 +22,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use dpv_tensor::Vector;
 
 /// Hyper-parameters of one k-means run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeansConfig {
     /// Maximum number of Lloyd iterations (assignment + mean update).
     pub max_iterations: usize,

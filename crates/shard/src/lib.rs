@@ -21,9 +21,12 @@
 //!   cluster, with the invariant that the shard **union contains every
 //!   sample** the monolithic envelope was built from while each shard is a
 //!   *subset* of the monolithic envelope.
-//! * [`ShardedMonitor`] — the runtime-monitor mode in which containment
-//!   means membership in *any* shard: strictly tighter out-of-ODD detection
-//!   than the single octagon, at `k` containment checks per frame.
+//! * [`ShardedMonitor`] — `dpv_monitor::RuntimeMonitor<ShardedEnvelope>`:
+//!   the one runtime monitor, enforcing the shard union through
+//!   [`ShardedEnvelope`]'s [`dpv_monitor::MonitoredRegion`] impl.
+//!   Containment means membership in *any* shard: strictly tighter
+//!   out-of-ODD detection than the single octagon, at up to `k`
+//!   containment checks per frame.
 //!
 //! Verification per shard — one MILP per cluster, each over a tighter start
 //! region — lives in `dpv-core` (`VerificationProblem::verify_sharded`),

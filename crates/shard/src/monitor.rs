@@ -1,225 +1,48 @@
-//! The sharded runtime monitor: containment in **any** shard counts as
+//! The sharded runtime monitor: [`RuntimeMonitor`] over a
+//! [`ShardedEnvelope`], where containment in **any** shard counts as
 //! in-ODD.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use dpv_monitor::{union_contained_mask, EnvelopeSoa, MonitorError, MonitorReport, MonitorVerdict};
-use dpv_nn::Network;
+use dpv_monitor::{EnvelopeSoa, MonitoredRegion, RuntimeMonitor, Violation};
 use dpv_tensor::Vector;
 
-use crate::kmeans::squared_distance;
 use crate::ShardedEnvelope;
 
-/// The sharded counterpart of [`dpv_monitor::RuntimeMonitor`]: evaluates
-/// the perception network up to the cut layer and checks the activation
-/// against a [`ShardedEnvelope`].
+/// The runtime monitor enforcing a [`ShardedEnvelope`]: it evaluates the
+/// perception network up to the cut layer and checks the activation
+/// against the shard union.
 ///
 /// Semantics: a frame is **in ODD** iff its activation lies inside *at
-/// least one* shard. Because the shard union is a subset of the monolithic
-/// envelope over the same data, the sharded monitor accepts everything only
-/// a tighter region would — it can only *raise* out-of-ODD detection
-/// relative to the single-octagon monitor, never lower it, while still
-/// accepting every training-set activation (each one lies in its own
-/// cluster's shard by construction).
+/// least one* shard (shards tested in index order). Because the shard
+/// union is a subset of the monolithic envelope over the same data, the
+/// sharded monitor can only *raise* out-of-ODD detection relative to the
+/// single-octagon monitor, never lower it, while still accepting every
+/// training-set activation (each one lies in its own cluster's shard by
+/// construction).
 ///
 /// When a frame is out of every shard, the reported violations are those of
 /// the shard whose centroid is nearest to the activation — the cluster the
 /// frame "should" have belonged to — so the diagnostics stay as actionable
 /// as the monolithic monitor's.
-///
-/// Containment runs on a cached [`EnvelopeSoa`] flattening of every shard
-/// (one contiguous `lo`/`hi` slice pair per shard) shared between the
-/// scalar [`ShardedMonitor::check`] and the batched
-/// [`ShardedMonitor::check_frames`], so the two paths cannot drift. Shard
-/// union semantics are unchanged: in-ODD iff *any* shard contains the
-/// activation, shards tested in index order, lowest-index shard wins.
-///
-/// The per-frame statistics are plain atomics (monotonic counters,
-/// relaxed ordering): a [`ShardedMonitor::report`] taken while checks are
-/// in flight may observe a frame before its in/out increment, but
-/// quiescent reports are exact and the hot path never contends on a lock.
-#[derive(Debug)]
-pub struct ShardedMonitor {
-    network: Network,
-    cut_layer: usize,
-    envelope: ShardedEnvelope,
-    soa: Vec<EnvelopeSoa>,
-    tolerance: f64,
-    frames: AtomicUsize,
-    in_odd: AtomicUsize,
-    out_of_odd: AtomicUsize,
-}
+pub type ShardedMonitor = RuntimeMonitor<ShardedEnvelope>;
 
-impl ShardedMonitor {
-    /// Creates a sharded monitor for `network`, monitoring the activation
-    /// after `cut_layer` (zero-based) against the shard union.
-    ///
-    /// # Errors
-    /// Returns [`MonitorError::Mismatch`] when the cut layer is out of range
-    /// or the envelope dimension does not match the network's activation
-    /// dimension at that layer — the same contract as
-    /// [`dpv_monitor::RuntimeMonitor::new`].
-    pub fn new(
-        network: Network,
-        cut_layer: usize,
-        envelope: ShardedEnvelope,
-    ) -> Result<Self, MonitorError> {
-        if cut_layer >= network.len() {
-            return Err(MonitorError::Mismatch(format!(
-                "cut layer {cut_layer} out of range for a network with {} layers",
-                network.len()
-            )));
-        }
-        let dim = network.layer_output_dim(cut_layer);
-        if dim != envelope.dim() {
-            return Err(MonitorError::Mismatch(format!(
-                "sharded envelope dimension {} does not match layer dimension {dim}",
-                envelope.dim()
-            )));
-        }
-        let soa = envelope.soa_shards();
-        Ok(Self {
-            network,
-            cut_layer,
-            envelope,
-            soa,
-            tolerance: 1e-9,
-            frames: AtomicUsize::new(0),
-            in_odd: AtomicUsize::new(0),
-            out_of_odd: AtomicUsize::new(0),
-        })
+/// The shard union: one member per shard, in shard order.
+impl MonitoredRegion for ShardedEnvelope {
+    fn dim(&self) -> usize {
+        self.shard(0).dim()
     }
 
-    /// The monitored cut layer.
-    pub fn cut_layer(&self) -> usize {
-        self.cut_layer
+    fn soa(&self) -> Vec<EnvelopeSoa> {
+        self.shards()
+            .iter()
+            .map(EnvelopeSoa::from_envelope)
+            .collect()
     }
 
-    /// The shard union being enforced.
-    pub fn envelope(&self) -> &ShardedEnvelope {
-        &self.envelope
-    }
-
-    /// Sets the numerical tolerance used for containment checks.
-    pub fn set_tolerance(&mut self, tolerance: f64) {
-        self.tolerance = tolerance.max(0.0);
-    }
-
-    /// Computes the monitored activation for an input image.
-    pub fn activation(&self, input: &Vector) -> Vector {
-        self.network.activation_at(self.cut_layer, input)
-    }
-
-    /// Checks one input frame end to end (forward pass to the cut layer
-    /// plus shard-union containment) and updates the statistics.
-    pub fn check(&self, input: &Vector) -> MonitorVerdict {
-        let activation = self.activation(input);
-        self.check_activation(&activation)
-    }
-
-    /// Checks an already-computed activation against the shard union and
-    /// updates the statistics.
-    pub fn check_activation(&self, activation: &Vector) -> MonitorVerdict {
-        let verdict = self.classify(activation);
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        match &verdict {
-            MonitorVerdict::InOdd => self.in_odd.fetch_add(1, Ordering::Relaxed),
-            MonitorVerdict::OutOfOdd { .. } => self.out_of_odd.fetch_add(1, Ordering::Relaxed),
-        };
-        verdict
-    }
-
-    /// Checks a batch of input frames in one pass: one batched forward
-    /// pass to the cut layer ([`Network::activation_at_batch`]) and one
-    /// SoA union sweep over all frames and shards, with nearest-shard
-    /// violation lists materialised only for the frames that escape the
-    /// union.
-    ///
-    /// Verdicts (including violation lists) are identical to calling
-    /// [`ShardedMonitor::check`] frame by frame in order; statistics are
-    /// updated once for the whole batch.
-    pub fn check_frames(&self, inputs: &[Vector]) -> Vec<MonitorVerdict> {
-        let activations = self.network.activation_matrix_at(self.cut_layer, inputs);
-        let mask = union_contained_mask(&self.soa, &activations, self.tolerance);
-        let verdicts: Vec<MonitorVerdict> = (0..inputs.len())
-            .map(|f| {
-                if mask.is_contained(f) {
-                    MonitorVerdict::InOdd
-                } else {
-                    let activation = activations.col_vector(f);
-                    let nearest = self.envelope.nearest_shard(&activation);
-                    MonitorVerdict::OutOfOdd {
-                        violations: self
-                            .envelope
-                            .shard(nearest)
-                            .violations(&activation, self.tolerance),
-                    }
-                }
-            })
-            .collect();
-        let in_odd = mask.count_contained();
-        self.frames.fetch_add(inputs.len(), Ordering::Relaxed);
-        self.in_odd.fetch_add(in_odd, Ordering::Relaxed);
-        self.out_of_odd
-            .fetch_add(inputs.len() - in_odd, Ordering::Relaxed);
-        verdicts
-    }
-
-    /// Pure classification without statistics side effects: in ODD iff the
-    /// activation lies in any shard; otherwise the violations of the
-    /// nearest shard (by centroid) are reported.
-    ///
-    /// Runs a *single* pass over the shards: each shard is tested for
-    /// containment (returning immediately on the first hit — shard union
-    /// semantics, lowest index wins) while the centroid distance is
-    /// accumulated along the way, so the out-of-union path no longer
-    /// re-walks every centroid after a full containment scan.
-    pub fn classify(&self, activation: &Vector) -> MonitorVerdict {
-        match self.locate(activation) {
-            Ok(_) => MonitorVerdict::InOdd,
-            Err(nearest) => MonitorVerdict::OutOfOdd {
-                violations: self
-                    .envelope
-                    .shard(nearest)
-                    .violations(activation, self.tolerance),
-            },
-        }
-    }
-
-    /// Single shard sweep: `Ok(index)` of the first (lowest-index) shard
-    /// containing the activation, or `Err(index)` of the nearest shard by
-    /// centroid (ties break to the lowest index, the k-means rule) when no
-    /// shard contains it.
-    fn locate(&self, activation: &Vector) -> Result<usize, usize> {
-        let mut best = 0usize;
-        let mut best_d2 = f64::INFINITY;
-        for (i, (soa, centroid)) in self.soa.iter().zip(self.envelope.centroids()).enumerate() {
-            if soa.contains(activation.as_slice(), self.tolerance) {
-                return Ok(i);
-            }
-            let d2 = squared_distance(centroid, activation);
-            if d2 < best_d2 {
-                best = i;
-                best_d2 = d2;
-            }
-        }
-        Err(best)
-    }
-
-    /// Snapshot of the cumulative statistics.
-    pub fn report(&self) -> MonitorReport {
-        MonitorReport {
-            frames: self.frames.load(Ordering::Relaxed),
-            in_odd: self.in_odd.load(Ordering::Relaxed),
-            out_of_odd: self.out_of_odd.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets the cumulative statistics.
-    pub fn reset(&self) {
-        self.frames.store(0, Ordering::Relaxed);
-        self.in_odd.store(0, Ordering::Relaxed);
-        self.out_of_odd.store(0, Ordering::Relaxed);
+    /// The violations of the nearest shard by centroid (ties break to the
+    /// lowest index, see [`ShardedEnvelope::nearest_shard`]).
+    fn violations(&self, activation: &Vector, tol: f64) -> Vec<Violation> {
+        self.shard(self.nearest_shard(activation))
+            .violations(activation, tol)
     }
 }
 
@@ -227,8 +50,8 @@ impl ShardedMonitor {
 mod tests {
     use super::*;
     use crate::ShardConfig;
-    use dpv_monitor::RuntimeMonitor;
-    use dpv_nn::{Activation, NetworkBuilder};
+    use dpv_monitor::MonitorVerdict;
+    use dpv_nn::{Activation, Network, NetworkBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -4,7 +4,7 @@
 //! argument rests on), and every shard must stay inside the monolithic
 //! envelope (so sharded monitoring only tightens detection).
 
-use dpv_monitor::ActivationEnvelope;
+use dpv_monitor::{ActivationEnvelope, MonitoredRegion, RuntimeMonitor};
 use dpv_nn::{Activation, NetworkBuilder};
 use dpv_shard::{kmeans, KMeansConfig, ShardConfig, ShardedEnvelope, ShardedMonitor};
 use dpv_tensor::Vector;
@@ -144,8 +144,52 @@ proptest! {
         prop_assert_eq!(batched_monitor.report(), scalar_monitor.report());
     }
 
-    /// `ShardedEnvelope::coverage` routes through the batched SoA union
-    /// sweep; it must equal the per-activation `contains` fraction.
+    /// A one-shard monitor is the monolithic monitor: a
+    /// `ShardConfig::fixed(1)` `ShardedMonitor` and a `RuntimeMonitor` over
+    /// `merged()` return equal verdicts, violation lists included, through
+    /// both `check` and `check_frames`.
+    #[test]
+    fn one_shard_monitor_is_the_monolithic_monitor(seed in 0u64..500) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0e5d);
+        let input_dim = rng.gen_range(2usize..5);
+        let net = NetworkBuilder::new(input_dim)
+            .dense(rng.gen_range(2usize..6), &mut rng)
+            .activation(Activation::ReLU)
+            .dense(rng.gen_range(2usize..4), &mut rng)
+            .build();
+        let training: Vec<Vector> = (0..rng.gen_range(1usize..40))
+            .map(|_| {
+                Vector::from_vec(
+                    (0..input_dim).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                )
+            })
+            .collect();
+        let margin = if rng.gen_bool(0.5) { 0.0 } else { 0.02 };
+        let config = ShardConfig::fixed(1).with_seed(seed);
+        let sharded = ShardedEnvelope::from_inputs(&net, 1, &training, margin, &config).unwrap();
+        let monolithic = RuntimeMonitor::new(net.clone(), 1, sharded.merged()).unwrap();
+        let one_shard = ShardedMonitor::new(net, 1, sharded).unwrap();
+
+        let probes: Vec<Vector> = (0..rng.gen_range(0usize..80))
+            .map(|_| {
+                let scale = if rng.gen_bool(0.6) { 1.0 } else { 40.0 };
+                Vector::from_vec(
+                    (0..input_dim)
+                        .map(|_| scale * rng.gen_range(-1.0..1.0))
+                        .collect(),
+                )
+            })
+            .collect();
+        for probe in &probes {
+            prop_assert_eq!(one_shard.check(probe), monolithic.check(probe));
+        }
+        prop_assert_eq!(one_shard.check_frames(&probes), monolithic.check_frames(&probes));
+        prop_assert_eq!(one_shard.report(), monolithic.report());
+    }
+
+    /// `MonitoredRegion::coverage` on a sharded envelope routes through the
+    /// batched SoA union sweep; it must equal the per-activation `contains`
+    /// fraction.
     #[test]
     fn sharded_coverage_equals_per_frame_containment_fraction(seed in 0u64..500) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc0fe);

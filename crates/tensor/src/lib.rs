@@ -2,7 +2,7 @@
 //!
 //! Dense linear-algebra substrate for the direct-perception verification
 //! workspace. The crate intentionally stays small and dependency-free
-//! (besides `rand` for initialisation and `serde` for persistence): the
+//! (besides `rand` for initialisation): the
 //! networks verified in the paper are modest in size once the verification
 //! is restricted to close-to-output layers, so a straightforward dense
 //! [`Matrix`]/[`Vector`] pair with `f64` elements is sufficient and keeps

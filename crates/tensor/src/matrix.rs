@@ -1,6 +1,5 @@
 //! A dense, row-major matrix of `f64` values.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -17,7 +16,7 @@ use crate::{ShapeError, Vector};
 /// let v = Vector::from_slice(&[3.0, 4.0]);
 /// assert_eq!(m.matvec(&v).as_slice(), &[3.0, 8.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

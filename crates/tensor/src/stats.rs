@@ -1,8 +1,6 @@
 //! Streaming statistics used to build activation envelopes and batch-norm
 //! statistics without storing every sample.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-dimension running minimum and maximum over a stream of vectors.
 ///
 /// This is exactly the "abstraction by aggregating visited neuron values"
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(mm.min(0), Some(-0.1));
 /// assert_eq!(mm.max(1), Some(1.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningMinMax {
     mins: Vec<f64>,
     maxs: Vec<f64>,
@@ -133,7 +131,7 @@ impl RunningMinMax {
 /// assert!((s.mean() - 2.0).abs() < 1e-12);
 /// assert!((s.variance() - 2.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

@@ -1,6 +1,5 @@
 //! A dense, heap-allocated vector of `f64` values.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
@@ -21,7 +20,7 @@ use crate::ShapeError;
 /// assert_eq!(v.argmax(), 0);
 /// assert!((v.dot(&v) - 14.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
     data: Vec<f64>,
 }

@@ -4,7 +4,7 @@
 //! recorded: every counter/gauge/histogram plus the surviving events of
 //! every ring buffer. It exports to JSON ([`TraceSnapshot::to_json`]) and
 //! imports back ([`TraceSnapshot::from_json`]) with a self-contained
-//! parser (the workspace's serde shim is a deliberate no-op), and dumps
+//! parser (the workspace has no serialisation dependency), and dumps
 //! Prometheus-style text ([`TraceSnapshot::to_prometheus`]) for scrape
 //! endpoints.
 

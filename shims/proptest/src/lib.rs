@@ -69,7 +69,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Number-of-elements specification for [`vec`]: an exact size or a
+    /// Number-of-elements specification for [`vec()`]: an exact size or a
     /// half-open range of sizes.
     #[derive(Debug, Clone)]
     pub struct SizeRange {

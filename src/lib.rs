@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use dpv_delta::{CheckpointDiff, DeltaPlanner, ModelFingerprint};
     pub use dpv_lp::{LinearProgram, MilpProblem, MilpStatus};
-    pub use dpv_monitor::{ActivationEnvelope, MonitorVerdict, RuntimeMonitor};
+    pub use dpv_monitor::{ActivationEnvelope, MonitorVerdict, MonitoredRegion, RuntimeMonitor};
     pub use dpv_nn::{Activation, Dataset, Layer, Network, NetworkBuilder, TrainConfig};
     pub use dpv_scenegen::{OddSampler, OddViolation, PropertyKind, SceneConfig, SceneParams};
     pub use dpv_serve::{
