@@ -224,9 +224,9 @@ impl SnapshotPoolStats {
 /// ([`SnapshotPool::check_out`]), seed the backend with it
 /// ([`crate::VerificationProblem::solve_with_template`] with a seed in its
 /// [`crate::SolveOptions`]), and check
-/// the refreshed basis back in afterwards — so the dual-simplex repair
-/// chain that PR 3 ran *within* one search tree now spans obligations,
-/// workers and requests.
+/// the refreshed basis back in afterwards — so the warm-start chain that
+/// PR 3 ran *within* one search tree now spans obligations, workers and
+/// requests.
 ///
 /// **Guard.** Check-out is keyed strictly by template fingerprint: a basis
 /// deposited under template A is unreachable from template B even when the

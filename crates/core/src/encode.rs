@@ -76,6 +76,71 @@ impl StartRegion {
     }
 }
 
+/// `Ok` when every interval is finite and not inverted.
+fn check_intervals(what: &str, intervals: &[Interval]) -> Result<(), CoreError> {
+    match intervals
+        .iter()
+        .position(|iv| !(iv.lo.is_finite() && iv.hi.is_finite() && iv.lo <= iv.hi))
+    {
+        None => Ok(()),
+        Some(i) => Err(CoreError::Inconsistent(format!(
+            "{what} bound {i} is [{}, {}]: bounds must be finite with lo <= hi",
+            intervals[i].lo, intervals[i].hi
+        ))),
+    }
+}
+
+/// `Ok` when every layer's parameters are finite.
+fn check_layers(what: &str, layers: &[Layer]) -> Result<(), CoreError> {
+    match layers.iter().position(|layer| !layer.is_finite()) {
+        None => Ok(()),
+        Some(i) => Err(CoreError::Inconsistent(format!(
+            "{what} layer {i} has a non-finite parameter"
+        ))),
+    }
+}
+
+/// Rejects the inputs the MILP encoder cannot take, before any of them is
+/// encoded: a NaN or infinite parameter in the `tail` (the layers after the
+/// cut) or in the `characterizer`, a non-finite coefficient or threshold in
+/// a risk inequality, and a non-finite or inverted (`lo > hi`) bound in a
+/// start region, an octagon's difference bounds included. The LP layer keeps
+/// every variable boxed, so only finite inputs may reach it.
+/// [`crate::VerificationProblem`] runs this before every encoding, and the
+/// obligation server runs it on each request before admission.
+///
+/// # Errors
+/// [`CoreError::Inconsistent`] naming the first offending field.
+pub fn check_finite<'a>(
+    tail: &[Layer],
+    characterizer: &Network,
+    risks: impl IntoIterator<Item = &'a RiskCondition>,
+    regions: impl IntoIterator<Item = &'a StartRegion>,
+) -> Result<(), CoreError> {
+    check_layers("tail", tail)?;
+    check_layers("characterizer", characterizer.layers())?;
+    for risk in risks {
+        for ineq in risk.inequalities() {
+            if !(ineq.rhs.is_finite() && ineq.coeffs.iter().all(|c| c.is_finite())) {
+                return Err(CoreError::Inconsistent(format!(
+                    "risk condition `{}` has a non-finite coefficient or threshold",
+                    risk.name()
+                )));
+            }
+        }
+    }
+    for region in regions {
+        match region {
+            StartRegion::Box(b) => check_intervals("region", b.bounds())?,
+            StartRegion::Octagon(o) => {
+                check_intervals("region", o.bounds())?;
+                check_intervals("region difference", o.diffs())?;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A fully encoded verification instance.
 #[derive(Debug, Clone)]
 pub struct EncodedProblem {

@@ -54,7 +54,7 @@ mod workflow;
 pub use cache::{CacheStats, SnapshotPool, SnapshotPoolStats, TemplateCache};
 pub use characterizer::{Characterizer, CharacterizerConfig};
 pub use encode::{
-    encode_verification, EncodedProblem, EncodingTemplate, RegionBounds, StartRegion,
+    check_finite, encode_verification, EncodedProblem, EncodingTemplate, RegionBounds, StartRegion,
 };
 pub use error::CoreError;
 pub use fingerprint::{ContentHasher, Fingerprint};

@@ -15,8 +15,8 @@ use dpv_tensor::Vector;
 use dpv_trace::{TraceEvent, TraceHandle};
 
 use crate::{
-    encode_verification, Characterizer, CoreError, EncodedProblem, EncodingTemplate, Fingerprint,
-    RegionBounds, RiskCondition, StartRegion,
+    check_finite, encode_verification, Characterizer, CoreError, EncodedProblem, EncodingTemplate,
+    Fingerprint, RegionBounds, RiskCondition, StartRegion,
 };
 
 /// Which abstract domain computes the Lemma-2 set from the input domain.
@@ -508,9 +508,6 @@ impl VerificationProblem {
                 "{} simplex iteration limit (numerical trouble)",
                 backend.name()
             )),
-            MilpStatus::Unbounded => {
-                Verdict::Unknown("relaxation unbounded (missing bounds)".to_string())
-            }
             // Callers that thread a deadline (the obligation server) key off
             // `solution.status == Cancelled` for their machine-readable
             // failure code; this string is the human-facing rendition.
@@ -531,10 +528,22 @@ impl VerificationProblem {
         Ok(tail)
     }
 
+    /// [`check_finite`] over this problem's tail, characterizer and risk and
+    /// the start `region`.
+    fn check_finite(&self, tail: &Network, region: &StartRegion) -> Result<(), CoreError> {
+        check_finite(
+            tail.layers(),
+            self.characterizer.network(),
+            [&self.risk],
+            [region],
+        )
+    }
+
     /// Encodes the problem over `region` from scratch, returning the MILP
     /// together with the tail network that interprets its solutions.
     fn encode(&self, region: &StartRegion) -> Result<(EncodedProblem, Network), CoreError> {
         let tail = self.tail()?;
+        self.check_finite(&tail, region)?;
         let encoded = encode_verification(
             tail.layers(),
             Some(self.characterizer.network()),
@@ -566,9 +575,12 @@ impl VerificationProblem {
     /// transparently fall back to one-shot encoding.
     ///
     /// # Errors
-    /// Same conditions as [`encode_verification`].
+    /// Same conditions as [`encode_verification`], plus
+    /// [`CoreError::Inconsistent`] when [`check_finite`] rejects the
+    /// problem or `root`.
     pub fn encoding_template(&self, root: &StartRegion) -> Result<ProblemTemplate, CoreError> {
         let tail = self.tail()?;
+        self.check_finite(&tail, root)?;
         let encoding = EncodingTemplate::build(
             tail.layers(),
             Some(self.characterizer.network()),
@@ -735,7 +747,8 @@ impl VerificationProblem {
     ///
     /// # Errors
     /// Propagates encoding errors ([`CoreError::NotPiecewiseLinear`],
-    /// [`CoreError::Inconsistent`]).
+    /// [`CoreError::Inconsistent`]); a non-finite tail, characterizer, risk
+    /// or region is rejected by [`check_finite`] before anything is encoded.
     pub fn verify(
         &self,
         strategy: &VerificationStrategy,
@@ -984,6 +997,42 @@ mod tests {
         .is_err());
         // Wrong cut layer relative to the characterizer.
         assert!(VerificationProblem::new(perception, 1, characterizer, risk).is_err());
+    }
+
+    #[test]
+    fn non_finite_inputs_are_rejected_before_encoding() {
+        let (perception, characterizer, _) = setup(1);
+        let risk = RiskCondition::new("r").output_le(0, 0.0);
+        let strategy = VerificationStrategy::LayerAbstraction { bound: 1.0 };
+        // A +inf tail weight used to panic inside the encoder's interval
+        // propagation ("interval bounds must not be NaN").
+        let mut infinite_tail = perception.clone();
+        match &mut infinite_tail.layers_mut()[4] {
+            dpv_nn::Layer::Dense(d) => d.weights_mut()[(0, 0)] = f64::INFINITY,
+            other => panic!("layer 4 is {} by construction", other.describe()),
+        }
+        let problem =
+            VerificationProblem::new(infinite_tail, 3, characterizer.clone(), risk.clone())
+                .unwrap();
+        assert!(matches!(
+            problem.verify(&strategy),
+            Err(CoreError::Inconsistent(_))
+        ));
+        let root = problem.start_region(&strategy).unwrap();
+        assert!(problem.encoding_template(&root).is_err());
+
+        let nan_threshold = RiskCondition::new("nan").output_le(0, f64::NAN);
+        let problem =
+            VerificationProblem::new(perception.clone(), 3, characterizer.clone(), nan_threshold)
+                .unwrap();
+        assert!(problem.verify(&strategy).is_err());
+
+        let problem = VerificationProblem::new(perception, 3, characterizer, risk).unwrap();
+        let unbounded = VerificationStrategy::LayerAbstraction {
+            bound: f64::INFINITY,
+        };
+        assert!(problem.verify(&unbounded).is_err());
+        assert!(problem.verify(&strategy).is_ok());
     }
 
     #[test]

@@ -14,9 +14,9 @@ use crate::{
 /// `dpv-core` encodes every verification question as a [`MilpProblem`] and
 /// hands it to a backend; the backend returns a [`MilpSolution`] whose
 /// status drives the safety verdict (`Infeasible` → safe, `Optimal` →
-/// counterexample, `NodeLimit`/`Unbounded` → unknown). Implementations must
-/// be `Send + Sync` so one backend instance can serve concurrent
-/// verification jobs.
+/// counterexample, `NodeLimit`/`IterationLimit`/`Cancelled` → unknown).
+/// Implementations must be `Send + Sync` so one backend instance can serve
+/// concurrent verification jobs.
 ///
 /// An engine implements one solve entry point, [`SolverBackend::solve_with`],
 /// which receives the caller's [`SolveContext`] (warm-start seed,
@@ -53,8 +53,9 @@ impl SolverBackend for BranchAndBoundBackend {
     }
 }
 
-/// The warm-start-free variant of [`BranchAndBoundBackend`]: every node pays
-/// a cold two-phase simplex solve and the context's seed is left untouched.
+/// The warm-start-free variant of [`BranchAndBoundBackend`]: every node
+/// starts the dual simplex from the slack basis and the context's seed is
+/// left untouched.
 /// The two engines must return identical statuses; their trees can differ
 /// where a relaxation has several optimal vertices. Kept because the
 /// cold/warm equivalence test
@@ -153,9 +154,6 @@ impl SolverBackend for ExhaustiveBackend {
                 // a token) but folds into the same conservative stop.
                 LpStatus::IterationLimit | LpStatus::Cancelled => {
                     return MilpSolution::with_incumbent(MilpStatus::IterationLimit, None, stats);
-                }
-                LpStatus::Unbounded => {
-                    return MilpSolution::with_incumbent(MilpStatus::Unbounded, None, stats);
                 }
                 LpStatus::Optimal => {
                     let better = match &incumbent {

@@ -7,15 +7,22 @@
 //!
 //! The crate provides:
 //!
-//! * [`LinearProgram`] — a model builder for LPs with per-variable bounds
-//!   and `≤ / ≥ / =` row constraints, solved by a dense two-phase primal
-//!   simplex ([`LinearProgram::solve`]). A solved program can hand out a
-//!   [`BasisSnapshot`] ([`LinearProgram::solve_with_snapshot`]); after
-//!   **bound-only** edits ([`LinearProgram::set_bounds`],
-//!   [`LinearProgram::set_constraint_rhs`]) the snapshot re-solves warm via
-//!   a dual-simplex repair ([`LinearProgram::solve_from_basis`]) instead of
-//!   two cold phases — the hot-path primitive behind incremental
-//!   branch-and-bound and the refinement sweep.
+//! * [`LinearProgram`] — a model builder for LPs with finite per-variable
+//!   bounds and `≤ / ≥ / =` row constraints, solved by one engine: a
+//!   bounded-variable dual simplex on a dense row-major tableau. Every
+//!   variable is boxed, so the slack basis is dual feasible and a solve
+//!   needs no phase 1 ([`LinearProgram::solve`]). A solved program hands
+//!   out its final basis as a [`BasisSnapshot`]
+//!   ([`LinearProgram::solve_with_snapshot`]); after **bound-only** edits
+//!   ([`LinearProgram::set_bounds`], [`LinearProgram::set_constraint_rhs`])
+//!   the same dual simplex restarts from it
+//!   ([`LinearProgram::solve_from_basis`]), which is the hot-path primitive
+//!   behind incremental branch-and-bound and the refinement sweep. Cold and
+//!   warm solves differ only in their start basis, and every result is
+//!   checked against the live program: an optimum must be primal feasible,
+//!   and an infeasibility must carry a Farkas certificate whose tolerance
+//!   scales with the magnitudes it sums. A result that fails its check is
+//!   never reported as `Infeasible`.
 //! * [`MilpProblem`] — an LP plus a set of binary variables, solved by
 //!   branch-and-bound over the binaries ([`MilpProblem::solve`]), with every
 //!   node relaxation warm-started from the most recent basis
@@ -24,7 +31,7 @@
 //!   envelope that triggers the risk condition?*
 //! * [`SolveContext`] — the one per-call context of every solve entry point
 //!   ([`MilpProblem::solve_with`], [`SolverBackend::solve_with`]): a
-//!   warm-start seed that chains dual-simplex repairs across problems, a
+//!   warm-start seed that chains dual-simplex solves across problems, a
 //!   cancellation token and a trace handle, each optional.
 //! * [`encode_relu_big_m`] — the standard big-M encoding of a ReLU
 //!   constraint `y = max(0, x)` with known pre-activation bounds, the
@@ -34,11 +41,12 @@
 //!   alternative engines (parallel branch-and-bound, external solvers) can
 //!   be swapped in without touching the verification logic.
 //!   [`BranchAndBoundBackend`] is the default engine;
-//!   [`ColdBranchAndBoundBackend`] runs the same search without warm
-//!   starts; [`ExhaustiveBackend`] is a brute-force cross-check oracle for
-//!   tests; and [`ParallelBranchAndBoundBackend`] explores branch-and-bound
-//!   subtrees on scoped worker threads, each diving its own deque and
-//!   stealing from its peers', with a shared incumbent bound.
+//!   [`ColdBranchAndBoundBackend`] runs the same search with every node
+//!   started from the slack basis; [`ExhaustiveBackend`] is a brute-force
+//!   cross-check oracle for tests; and [`ParallelBranchAndBoundBackend`]
+//!   explores branch-and-bound subtrees on scoped worker threads, each
+//!   diving its own deque and stealing from its peers', with a shared
+//!   incumbent bound.
 //! * [`CancelToken`] — a cooperative cancellation handle polled inside the
 //!   simplex pivot loop and the branch-and-bound node loop. A tripped token
 //!   (explicit or deadline-based) makes the solve return promptly with
@@ -55,10 +63,10 @@
 //! ```
 //! use dpv_lp::{ConstraintOp, LinearProgram, LpStatus};
 //!
-//! // maximise x + y  s.t.  x + 2y <= 4,  3x + y <= 6,  x,y >= 0
+//! // maximise x + y  s.t.  x + 2y <= 4,  3x + y <= 6,  x,y in [0, 10]
 //! let mut lp = LinearProgram::new();
-//! let x = lp.add_variable(0.0, f64::INFINITY);
-//! let y = lp.add_variable(0.0, f64::INFINITY);
+//! let x = lp.add_variable(0.0, 10.0);
+//! let y = lp.add_variable(0.0, 10.0);
 //! lp.set_objective(&[(x, 1.0), (y, 1.0)], true);
 //! lp.add_constraint(&[(x, 1.0), (y, 2.0)], ConstraintOp::Le, 4.0);
 //! lp.add_constraint(&[(x, 3.0), (y, 1.0)], ConstraintOp::Le, 6.0);

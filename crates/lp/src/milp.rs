@@ -12,19 +12,22 @@ pub enum MilpStatus {
     /// An optimal (or, for feasibility problems, some) integer-feasible
     /// solution was found.
     Optimal,
-    /// No integer-feasible solution exists.
+    /// No integer-feasible solution exists: every node was pruned by a
+    /// certified LP infeasibility, a conflicting fixing or the incumbent
+    /// bound.
     Infeasible,
-    /// The relaxation is unbounded in the optimisation direction.
-    Unbounded,
     /// The node limit was exhausted before the search completed. The
     /// incumbent (if any) is returned, but optimality/infeasibility is not
     /// proven. Verification callers must treat this as "unknown".
     NodeLimit,
-    /// An LP relaxation ran out of its simplex pivot budget
-    /// ([`LpStatus::IterationLimit`]) — numerical trouble in the model. The
-    /// search stops conservatively; like [`MilpStatus::NodeLimit`] this is
-    /// "unknown", never a verdict, so a degenerate model cannot abort the
-    /// verification process.
+    /// An LP relaxation ended [`LpStatus::IterationLimit`]: it ran out of its
+    /// simplex pivot budget, or its result failed the check against the live
+    /// program (an optimum that is not primal feasible, or an infeasibility
+    /// whose Farkas certificate does not hold) — numerical trouble in the
+    /// model. The search stops conservatively; like [`MilpStatus::NodeLimit`]
+    /// this is "unknown", never a verdict, so a degenerate or badly scaled
+    /// model cannot abort the verification process or prune a feasible
+    /// subtree.
     IterationLimit,
     /// A [`CancelToken`] tripped (explicit cancellation or an expired
     /// deadline) before the search completed. The incumbent (if any) is
@@ -41,16 +44,19 @@ pub struct SolveStats {
     /// Number of nodes pruned (by incumbent bound, or — for enumeration
     /// backends — by infeasibility of the assignment's LP).
     pub nodes_pruned: usize,
-    /// LP relaxations re-solved warm from a parent basis (dual simplex).
+    /// LP relaxations solved from a [`BasisSnapshot`] of an earlier solve.
     pub warm_solves: usize,
-    /// LP relaxations solved cold (two full simplex phases).
+    /// LP relaxations solved from the slack basis. Both kinds run the same
+    /// dual simplex; only the start basis differs.
     pub cold_solves: usize,
-    /// Warm starts that were *offered* a basis but declined it — the dual
-    /// re-solve bailed (stale certificate, cancellation mid-pivot, …) and
-    /// fell back to a cold solve. Every decline is also counted in
-    /// [`SolveStats::cold_solves`]; the split makes warm-hit accounting
-    /// exact: `warm_solves + warm_declined` is the number of solves that
-    /// actually had a snapshot in hand.
+    /// Solves that were *offered* a snapshot but declined it: the snapshot
+    /// did not fit the program, or the run stopped on its pivot budget or
+    /// cancellation, or its result failed the check (an optimum that is not
+    /// primal feasible, an infeasibility without a valid Farkas
+    /// certificate). A decline restarts from the slack basis and is also
+    /// counted in [`SolveStats::cold_solves`]; the split makes warm-hit
+    /// accounting exact: `warm_solves + warm_declined` is the number of
+    /// solves that actually had a snapshot in hand.
     pub warm_declined: usize,
     /// Total simplex pivots across every LP solve of the run.
     pub simplex_iterations: usize,
@@ -132,7 +138,7 @@ impl MilpSolution {
 pub struct SolveContext<'a> {
     /// A warm-start basis priming the search. Engines with warm-start
     /// state hand their final basis back here, so a caller pooling
-    /// [`BasisSnapshot`]s can chain repairs across problems; engines
+    /// [`BasisSnapshot`]s can chain warm starts across problems; engines
     /// without it (cold, exhaustive, external) leave it untouched.
     /// Seeding is a pure performance hint: a stale or foreign basis
     /// degrades the solve to cold, never to a wrong verdict.
@@ -166,11 +172,11 @@ pub(crate) fn solve_node_lp(
     cancel: Option<&CancelToken>,
     trace: &TraceHandle,
 ) -> LpSolution {
-    /// Warm re-solves per snapshot before a forced cold refactorisation.
-    /// The identity block accumulates floating-point drift with every pivot;
-    /// the Farkas certificate already guards against *wrong* verdicts, but a
-    /// periodic fresh factorisation keeps the certificate's bail-out rate —
-    /// and hence the warm hit rate — high on deep search trees.
+    /// Warm re-solves per snapshot before a forced restart from the slack
+    /// basis. The tableau accumulates floating-point drift with every pivot;
+    /// the result checks already guard against *wrong* answers, but a
+    /// periodic fresh tableau keeps their decline rate — and hence the warm
+    /// hit rate — high on deep search trees.
     const REFACTOR_INTERVAL: usize = 256;
     // A cold search never reads the seed, so it hands the caller's seed
     // back untouched.
@@ -369,8 +375,9 @@ impl MilpProblem {
     /// on descent and restored from a saved snapshot on backtrack. Each
     /// node's relaxation is additionally **warm-started** from the most
     /// recent solved basis ([`LinearProgram::solve_from_basis`]): consecutive
-    /// nodes differ only in binary bounds, so a dual-simplex repair replaces
-    /// the two cold phases; [`SolveStats`] records the warm/cold split.
+    /// nodes differ only in binary bounds, so the dual simplex starts a few
+    /// pivots from the answer instead of at the slack basis; [`SolveStats`]
+    /// records the warm/cold split.
     pub fn solve(&self) -> MilpSolution {
         self.solve_with(&mut SolveContext::default())
     }
@@ -380,10 +387,10 @@ impl MilpProblem {
     /// * the context's `seed` primes the first node's warm start and on
     ///   return holds the last solved basis, so consecutive MILPs that share
     ///   a structure — instantiations of one `EncodingTemplate` across
-    ///   obligations or requests — chain their dual-simplex repairs across
-    ///   *problem* boundaries. A stale or foreign basis fails
+    ///   obligations or requests — chain their warm starts across *problem*
+    ///   boundaries. A stale or foreign basis fails
     ///   [`LinearProgram::solve_from_basis`]'s structure check or its
-    ///   primal/Farkas validation and the node falls back to a cold solve
+    ///   primal/Farkas check and the node restarts from the slack basis
     ///   (counted in [`SolveStats::warm_declined`]);
     /// * the `cancel` token is polled in the node loop and inside every LP
     ///   relaxation; once tripped the search returns
@@ -396,7 +403,7 @@ impl MilpProblem {
     }
 
     /// The branch-and-bound search behind [`MilpProblem::solve_with`];
-    /// `warm_enabled: false` pays a cold two-phase solve at every node and
+    /// `warm_enabled: false` starts every node from the slack basis and
     /// leaves the seed untouched ([`crate::ColdBranchAndBoundBackend`]).
     pub(crate) fn search(&self, warm_enabled: bool, ctx: &mut SolveContext<'_>) -> MilpSolution {
         let disabled = TraceHandle::disabled();
@@ -429,25 +436,15 @@ impl MilpProblem {
             match solution.status {
                 LpStatus::Infeasible => continue,
                 LpStatus::IterationLimit | LpStatus::Cancelled => {
-                    // The relaxation could not be solved (budget exhausted or
-                    // cancellation); neither pruning nor branching is
-                    // justified. Stop conservatively.
+                    // The relaxation could not be solved (budget exhausted,
+                    // failed check or cancellation); neither pruning nor
+                    // branching is justified. Stop conservatively.
                     let status = if solution.status == LpStatus::Cancelled {
                         MilpStatus::Cancelled
                     } else {
                         MilpStatus::IterationLimit
                     };
                     return MilpSolution::with_incumbent(status, incumbent, stats);
-                }
-                LpStatus::Unbounded => {
-                    // With every binary fixed the relaxation *is* an integer
-                    // assignment, so an unbounded ray there proves the MILP
-                    // itself unbounded (this also covers a binary-free
-                    // problem at the root). With binaries still free we
-                    // cannot prune, so branch further.
-                    if fixings.len() == self.binaries.len() {
-                        return MilpSolution::with_incumbent(MilpStatus::Unbounded, None, stats);
-                    }
                 }
                 LpStatus::Optimal => {
                     // Bound pruning (only valid for optimisation problems).
@@ -460,8 +457,13 @@ impl MilpProblem {
                 }
             }
 
-            match self.branching_variable(&fixings, &solution, feasibility_only) {
-                None if solution.status == LpStatus::Optimal => {
+            match select_branching_variable(
+                &self.binaries,
+                &fixings,
+                &solution.values,
+                feasibility_only,
+            ) {
+                None => {
                     // Integer feasible.
                     let best = incumbent.as_ref().map(|(_, best)| *best);
                     if self.improves(solution.objective, best) {
@@ -471,12 +473,7 @@ impl MilpProblem {
                         break;
                     }
                 }
-                None => {
-                    // Unreachable: an unbounded relaxation with every binary
-                    // fixed already returned `Unbounded` above, so there is
-                    // always an unfixed binary to branch on here.
-                }
-                Some(branch_var) => stack.extend(children(fixings, branch_var, &solution)),
+                Some(branch_var) => stack.extend(children(fixings, branch_var, &solution.values)),
             }
         }
 
@@ -509,30 +506,6 @@ impl MilpProblem {
         })
     }
 
-    /// The binary to branch on at a node: by
-    /// [`select_branching_variable`] for an optimal relaxation, any
-    /// unfixed binary for an unbounded one. `None` when there is none.
-    pub(crate) fn branching_variable(
-        &self,
-        fixings: &[(VarId, f64)],
-        relaxation: &LpSolution,
-        feasibility_only: bool,
-    ) -> Option<VarId> {
-        if relaxation.status == LpStatus::Optimal {
-            select_branching_variable(
-                &self.binaries,
-                fixings,
-                &relaxation.values,
-                feasibility_only,
-            )
-        } else {
-            self.binaries
-                .iter()
-                .copied()
-                .find(|&b| fixings.iter().all(|(v, _)| *v != b))
-        }
-    }
-
     /// Whether `objective` strictly improves on the incumbent's `best`.
     pub(crate) fn improves(&self, objective: f64, best: Option<f64>) -> bool {
         best.is_none_or(|best| {
@@ -556,18 +529,14 @@ impl MilpProblem {
 }
 
 /// The two children of a node branching on `var`, in push order: the
-/// branch the relaxation suggests comes last, so a depth-first (LIFO)
-/// search explores it first. An unbounded relaxation suggests 1.
+/// branch the relaxation `values` suggest comes last, so a depth-first
+/// (LIFO) search explores it first.
 pub(crate) fn children(
     fixings: Vec<(VarId, f64)>,
     var: VarId,
-    relaxation: &LpSolution,
+    values: &[f64],
 ) -> [Vec<(VarId, f64)>; 2] {
-    let suggested = if relaxation.status == LpStatus::Optimal {
-        relaxation.values[var].round().clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
+    let suggested = values[var].round().clamp(0.0, 1.0);
     let mut other = fixings.clone();
     other.push((var, 1.0 - suggested));
     let mut preferred = fixings;
@@ -685,32 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_milp_with_binaries_is_reported_unbounded() {
-        // Regression: an unbounded MILP whose only integer structure is an
-        // unrelated binary used to terminate with no incumbent and be
-        // misreported as Infeasible. The continuous direction w → ∞ is
-        // feasible for every assignment of the binary, so the MILP is
-        // genuinely unbounded.
-        let mut milp = MilpProblem::new();
-        let b = milp.add_binary();
-        let w = milp.add_variable(0.0, f64::INFINITY);
-        milp.lp_mut().set_objective(&[(w, 1.0)], true);
-        milp.lp_mut()
-            .add_constraint(&[(w, 1.0), (b, -1.0)], ConstraintOp::Ge, 0.0);
-        let sol = milp.solve();
-        assert_eq!(sol.status, MilpStatus::Unbounded);
-        assert!(!sol.has_solution());
-    }
-
-    #[test]
-    fn unbounded_lp_without_binaries_is_still_reported() {
-        let mut milp = MilpProblem::new();
-        let w = milp.add_variable(0.0, f64::INFINITY);
-        milp.lp_mut().set_objective(&[(w, 1.0)], true);
-        assert_eq!(milp.solve().status, MilpStatus::Unbounded);
-    }
-
-    #[test]
     fn solve_stats_aggregate_with_add_assign() {
         let mut total = SolveStats::default();
         total += SolveStats {
@@ -772,7 +715,7 @@ mod tests {
     fn seeded_solve_reuses_the_callers_basis_across_problems() {
         // Two problems sharing a structure (same binaries, same rows, only a
         // rhs apart): the basis handed out by the first solve must prime the
-        // second one, replacing its cold root solve with a warm repair.
+        // second one, replacing its cold root solve with a warm start.
         let build = |rhs: f64| {
             let mut milp = MilpProblem::new();
             for _ in 0..4 {

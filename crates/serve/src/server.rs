@@ -1100,7 +1100,7 @@ fn run_job(
             if let Ok((retry_verdict, retry_solution)) = retried {
                 if matches!(
                     retry_solution.status,
-                    MilpStatus::Optimal | MilpStatus::Infeasible | MilpStatus::Unbounded
+                    MilpStatus::Optimal | MilpStatus::Infeasible
                 ) {
                     inner.counters.add(CounterId::RetrySuccesses, 1);
                     verdict = retry_verdict;

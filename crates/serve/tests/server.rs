@@ -457,3 +457,32 @@ fn unsafe_witnesses_lie_inside_their_obligation_box() {
         }
     }
 }
+
+#[test]
+fn wide_regions_never_report_safe() {
+    // Both families return guard-checked `Unsafe` over [-1e7, 1e7]^4, so a
+    // `Safe` verdict over any region containing it is wrong. Wider regions
+    // make the LPs badly scaled; they may end `Unsafe` or `Unknown`.
+    let server = ObligationServer::builder().build();
+    let wide = |w: f64, subdivision| VerificationRequest {
+        region: RegionSpec::Single(StartRegion::Box(BoxDomain::uniform(CUT_WIDTH, -w, w))),
+        ..box_request(7, subdivision)
+    };
+    let anchor = server.serve(&wide(1e7, 0)).unwrap();
+    assert!(anchor
+        .verdicts
+        .iter()
+        .all(|family| family.verdict.is_unsafe()));
+    for w in [1e8, 1e9, 1e12, 1e15] {
+        for subdivision in [0, 1] {
+            let report = server.serve(&wide(w, subdivision)).unwrap();
+            for family in &report.verdicts {
+                assert!(
+                    !family.verdict.is_safe(),
+                    "w = {w:e}, subdivision {subdivision}: `{}` reported Safe",
+                    family.risk
+                );
+            }
+        }
+    }
+}

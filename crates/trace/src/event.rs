@@ -43,10 +43,10 @@ pub enum EventKind {
     /// The unseeded canonicalisation re-solve span for a seeded
     /// counterexample.
     CanonicalResolve = 8,
-    /// A sampled warm (dual-simplex repair) LP node solve (`detail` =
+    /// A sampled warm (snapshot-start) LP node solve (`detail` =
     /// simplex iterations of the sampled solve).
     WarmLp = 9,
-    /// A sampled cold (two-phase) LP node solve (`detail` = simplex
+    /// A sampled cold (slack-basis start) LP node solve (`detail` = simplex
     /// iterations of the sampled solve).
     ColdLp = 10,
     /// Sampled branch-and-bound progress (`detail` = nodes explored so

@@ -42,9 +42,9 @@ pub enum CounterId {
     SnapshotMisses,
     /// Snapshot-pool check-ins dropped because the pool was full.
     SnapshotDiscards,
-    /// LP node relaxations re-solved warm (dual-simplex repair).
+    /// LP node relaxations solved from a snapshot basis (warm).
     WarmLpSolves,
-    /// LP node relaxations solved cold (two full phases).
+    /// LP node relaxations solved from the slack basis (cold).
     ColdLpSolves,
     /// Total simplex pivots across every LP solve.
     SimplexIterations,

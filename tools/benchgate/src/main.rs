@@ -28,10 +28,12 @@
 //!   path in *either* direction. The committed e9 baseline of 1007 means
 //!   k = 1 is 0.7% slower — well inside the band; exact parity is not the
 //!   contract, the band is.
-//! * `*frames-per-sec*` — higher is better with 50% relative slack: these
-//!   are absolute throughput records (frames·1000/s), so runner speed does
-//!   *not* cancel the way it does for ratios; the loose floor only catches
-//!   the batch path collapsing to per-frame work.
+//! * `*-per-sec-*` — higher is better with 50% relative slack: these are
+//!   absolute throughput records (e11's frames·1000/s, e8's node LPs·1000/s),
+//!   so runner speed does *not* cancel the way it does for ratios; the loose
+//!   floor only catches an order-of-magnitude collapse, such as the batch
+//!   monitor path falling back to per-frame work or the LP engine losing
+//!   its warm starts.
 //! * `dedup-parity-permille` — a **zero-width band at 1000**: a verdict
 //!   served from the dedup cache must equal the solved one exactly.
 //! * `*hit-rate*`, `*dedup-rate*` — higher is better with absolute slack
@@ -91,12 +93,12 @@ fn rule_for(id: &str) -> Gate {
             centre: 1000,
             halfwidth: 50,
         }
-    } else if id.contains("frames-per-sec") {
-        // Absolute throughput (frames·1000/s) is machine-speed dependent in
-        // a way the timing *ratios* are not, so the floor is a loose 50% of
-        // the committed baseline — it catches order-of-magnitude collapses
-        // (e.g. the batch path silently falling back to per-frame work)
-        // without flaking on slower CI runners.
+    } else if id.contains("-per-sec-") {
+        // Absolute throughput (frames or node LPs ·1000/s) is machine-speed
+        // dependent in a way the timing *ratios* are not, so the floor is a
+        // loose 50% of the committed baseline — it catches order-of-magnitude
+        // collapses (e.g. the batch path silently falling back to per-frame
+        // work) without flaking on slower CI runners.
         Gate::HigherIsBetter {
             rel_permille: 500,
             abs: 0,
@@ -509,13 +511,18 @@ mod tests {
 
     #[test]
     fn frames_per_sec_floor_is_half_the_baseline() {
-        let baseline = report(&[("e11/monitor-batch-frames-per-sec-permille", 92_000_000)]);
-        // A slower runner at 60% of the committed throughput passes …
-        let fresh = report(&[("e11/monitor-batch-frames-per-sec-permille", 55_200_000)]);
-        assert!(gate(&baseline, &fresh).unwrap()[0].passed);
-        // … but dropping below half (the batch path collapsing) fails.
-        let fresh = report(&[("e11/monitor-batch-frames-per-sec-permille", 40_000_000)]);
-        assert!(!gate(&baseline, &fresh).unwrap()[0].passed);
+        for id in [
+            "e11/monitor-batch-frames-per-sec-permille",
+            "e8/refine-sweep/node-lps-per-sec-permille",
+        ] {
+            let baseline = report(&[(id, 92_000_000)]);
+            // A slower runner at 60% of the committed throughput passes …
+            let fresh = report(&[(id, 55_200_000)]);
+            assert!(gate(&baseline, &fresh).unwrap()[0].passed, "{id}");
+            // … but dropping below half (a collapse) fails.
+            let fresh = report(&[(id, 40_000_000)]);
+            assert!(!gate(&baseline, &fresh).unwrap()[0].passed, "{id}");
+        }
     }
 
     #[test]
