@@ -1,5 +1,5 @@
 //! E8: incremental solving — warm-started dual simplex + the MILP encoding
-//! template, versus the PR-2 cold path.
+//! template, versus re-encoding and cold solves.
 //!
 //! Two workloads on the E6 cut-4 harness (the widened envelope at the
 //! earlier cut, whose MILPs have 20+ unstable ReLUs and genuinely deep
@@ -8,25 +8,26 @@
 //! * **e6-cut4-refute** — the gap-calibrated refutation MILP from E7, solved
 //!   by the cold engine (`branch-and-bound(cold)`, every node starts the
 //!   dual simplex from the slack basis) and by the warm engine (every node
-//!   after the root starts it from the rolling basis). Isolates the solver-level win and reports the warm-hit rate
-//!   and total pivot counts.
+//!   after the root starts it from the rolling basis). Reports the time,
+//!   warm-hit rate and pivot count of each.
 //! * **refine-sweep** — a full refinement sweep over the widened cut-4
 //!   envelope with a reachable risk threshold: spurious corner
 //!   counterexamples force region splits, so one sweep re-solves the same
-//!   (tail, risk, characterizer) triple over dozens of sub-boxes. The PR-2
-//!   variant re-encodes every sub-box and solves cold; the PR-3 variant
+//!   (tail, risk, characterizer) triple over dozens of sub-boxes. The cold
+//!   variant re-encodes every sub-box and solves cold; the template variant
 //!   instantiates the one `EncodingTemplate` skeleton per sub-box and solves
-//!   warm. Both produce identical verdicts (asserted); the end-to-end
-//!   speedup is the headline number.
+//!   warm. Both produce identical verdicts (asserted).
 //!
 //! Run with `CRITERION_JSON=BENCH_e8.json` for machine-readable results;
 //! besides the timing records the file carries `e8/refine-sweep/speedup-permille`
 //! (cold mean ÷ warm mean × 1000), `e8/…/warm-hit-permille` and
 //! `e8/refine-sweep/node-lps-per-sec-permille` (node LPs × 1000 per second
-//! of the warm-template sweep, an absolute LP-throughput floor) metric
-//! records, so CI artifacts document the acceptance numbers — the ≥1.5×
-//! end-to-end win, the warm majority and the LP throughput — without
-//! parsing stdout. Unlike E7
+//! of the warm-template sweep) metric records, so CI artifacts carry them
+//! without parsing stdout. The speedup record reports the ratio and does
+//! not show a win: with one dual simplex on both sides the cold sweep is
+//! the faster one (about 0.7× on a 2-core x86 host), because template LPs
+//! keep the root skeleton's rows and warm tableaux are dense. The node-LP
+//! record is the absolute LP-throughput floor. Unlike E7
 //! this benchmark is single-threaded throughout: warm starting composes with
 //! the parallel backend (each worker keeps its own rolling basis), but the
 //! comparison here isolates the incremental-solving effect.

@@ -90,6 +90,24 @@ fn check_intervals(what: &str, intervals: &[Interval]) -> Result<(), CoreError> 
     }
 }
 
+/// `Ok` when interval propagation gave layer `index` of a chain finite
+/// output bounds. Finite inputs can still overflow (a 1e300 weight over a
+/// wide region gives `[−∞, ∞]`), and the LP layer only takes boxed
+/// variables.
+fn check_propagated(index: usize, bounds: &BoxDomain) -> Result<(), CoreError> {
+    if bounds
+        .bounds()
+        .iter()
+        .all(|iv| iv.lo.is_finite() && iv.hi.is_finite())
+    {
+        Ok(())
+    } else {
+        Err(CoreError::Inconsistent(format!(
+            "interval bounds of layer {index} overflow; the encoding needs finite bounds"
+        )))
+    }
+}
+
 /// `Ok` when every layer's parameters are finite.
 fn check_layers(what: &str, layers: &[Layer]) -> Result<(), CoreError> {
     match layers.iter().position(|layer| !layer.is_finite()) {
@@ -129,16 +147,19 @@ pub fn check_finite<'a>(
             }
         }
     }
-    for region in regions {
-        match region {
-            StartRegion::Box(b) => check_intervals("region", b.bounds())?,
-            StartRegion::Octagon(o) => {
-                check_intervals("region", o.bounds())?;
-                check_intervals("region difference", o.diffs())?;
-            }
+    regions.into_iter().try_for_each(check_region)
+}
+
+/// `Ok` when `region`'s bounds, an octagon's difference bounds included,
+/// are finite with `lo <= hi`.
+fn check_region(region: &StartRegion) -> Result<(), CoreError> {
+    match region {
+        StartRegion::Box(b) => check_intervals("region", b.bounds()),
+        StartRegion::Octagon(o) => {
+            check_intervals("region", o.bounds())?;
+            check_intervals("region difference", o.diffs())
         }
     }
-    Ok(())
 }
 
 /// A fully encoded verification instance.
@@ -224,7 +245,10 @@ fn chain_size_estimate(input_dim: usize, layers: &[Layer]) -> (usize, usize) {
 /// records the per-layer variable plan for an [`EncodingTemplate`].
 ///
 /// Interval propagation ping-pongs between two reused bound buffers instead
-/// of allocating a fresh `BoxDomain` per layer.
+/// of allocating a fresh `BoxDomain` per layer. Every propagated bound is
+/// checked before it becomes a variable bound: an overflow to an infinite
+/// bound is a [`CoreError::Inconsistent`]. A ReLU stage takes its bounds from
+/// the checked stage before it, or from `input_box`.
 fn encode_layers(
     milp: &mut MilpProblem,
     inputs: &[VarId],
@@ -237,7 +261,7 @@ fn encode_layers(
     let mut vars = inputs.to_vec();
     let mut bounds = input_box.clone();
     let mut scratch = BoxDomain::from_intervals(Vec::new());
-    for layer in layers {
+    for (index, layer) in layers.iter().enumerate() {
         let mut stage_indicators: Option<Vec<Option<VarId>>> = None;
         match layer {
             Layer::Dense(d) => {
@@ -249,6 +273,7 @@ fn encode_layers(
                     )));
                 }
                 bounds.apply_layer_into(layer, &mut scratch);
+                check_propagated(index, &scratch)?;
                 let mut out_vars = Vec::with_capacity(d.output_dim());
                 for j in 0..d.output_dim() {
                     let interval = scratch.bounds()[j];
@@ -276,6 +301,7 @@ fn encode_layers(
                 }
                 let (a, b) = bn.affine_form();
                 bounds.apply_layer_into(layer, &mut scratch);
+                check_propagated(index, &scratch)?;
                 let mut out_vars = Vec::with_capacity(bn.dim());
                 for j in 0..bn.dim() {
                     let interval = scratch.bounds()[j];
@@ -355,6 +381,7 @@ fn encode_core(
     region: &StartRegion,
     mut plan: Option<&mut TemplatePlan>,
 ) -> Result<EncodedProblem, CoreError> {
+    check_region(region)?;
     let mut milp = MilpProblem::new();
     let box_domain = region.box_domain();
     let dim = region.dim();
@@ -495,7 +522,9 @@ fn encode_core(
 /// # Errors
 /// Returns [`CoreError::NotPiecewiseLinear`] when the tail or characterizer
 /// contains layers the encoder cannot represent, and
-/// [`CoreError::Inconsistent`] on dimension mismatches.
+/// [`CoreError::Inconsistent`] on dimension mismatches, on a region bound
+/// that is not finite, and when interval propagation overflows to an
+/// infinite bound.
 pub fn encode_verification(
     tail: &[Layer],
     characterizer: Option<&Network>,
@@ -1144,6 +1173,18 @@ mod tests {
         assert!(matches!(
             encode_verification(&tail, None, &risk, &region),
             Err(CoreError::NotPiecewiseLinear(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_non_finite_regions() {
+        // Every LP variable is boxed, so an unbounded region is an error
+        // here instead of a panic in `add_variable`.
+        let region = StartRegion::Box(BoxDomain::uniform(2, 0.0, f64::INFINITY));
+        let risk = RiskCondition::new("r").output_ge(0, 0.5);
+        assert!(matches!(
+            encode_verification(&identity_relu_tail(), None, &risk, &region),
+            Err(CoreError::Inconsistent(_))
         ));
     }
 

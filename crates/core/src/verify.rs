@@ -504,8 +504,12 @@ impl VerificationProblem {
                 })
             }
             MilpStatus::NodeLimit => Verdict::Unknown(format!("{} node limit", backend.name())),
+            // Also a result that failed its check after a slack-basis
+            // start; a budget-raised retry repeats that check and fails it
+            // again.
             MilpStatus::IterationLimit => Verdict::Unknown(format!(
-                "{} simplex iteration limit (numerical trouble)",
+                "{} simplex iteration limit or failed result check (numerical trouble; \
+                 a raised budget does not help a failed check)",
                 backend.name()
             )),
             // Callers that thread a deadline (the obligation server) key off
@@ -1033,6 +1037,49 @@ mod tests {
         };
         assert!(problem.verify(&unbounded).is_err());
         assert!(problem.verify(&strategy).is_ok());
+    }
+
+    #[test]
+    fn interval_overflow_from_finite_inputs_is_an_error() {
+        // Every input is finite, but a 1e300 weight in the last dense layer
+        // over a ±1e10 region propagates to [−∞, ∞]; the encoder must refuse
+        // that bound instead of handing it to the LP layer, which panics.
+        let (perception, characterizer, _) = setup(1);
+        let risk = RiskCondition::new("r").output_le(0, 0.0);
+        let wide = VerificationStrategy::LayerAbstraction { bound: 1e10 };
+        let mut huge_tail = perception.clone();
+        match &mut huge_tail.layers_mut()[4] {
+            dpv_nn::Layer::Dense(d) => d.weights_mut()[(0, 0)] = 1e300,
+            other => panic!("layer 4 is {} by construction", other.describe()),
+        }
+        let problem =
+            VerificationProblem::new(huge_tail, 3, characterizer.clone(), risk.clone()).unwrap();
+        assert!(matches!(
+            problem.verify(&wide),
+            Err(CoreError::Inconsistent(_))
+        ));
+        let root = problem.start_region(&wide).unwrap();
+        assert!(problem.encoding_template(&root).is_err());
+
+        // The same overflow in the characterizer's last dense layer.
+        let mut head = characterizer.network().clone();
+        let last = head.layers().len() - 1;
+        match &mut head.layers_mut()[last] {
+            dpv_nn::Layer::Dense(d) => d.weights_mut()[(0, 0)] = 1e300,
+            other => panic!("the characterizer ends in {}", other.describe()),
+        }
+        let huge_characterizer = Characterizer::from_network(
+            characterizer.property().clone(),
+            3,
+            head,
+            characterizer.training_accuracy(),
+        )
+        .unwrap();
+        let problem = VerificationProblem::new(perception, 3, huge_characterizer, risk).unwrap();
+        assert!(matches!(
+            problem.verify(&wide),
+            Err(CoreError::Inconsistent(_))
+        ));
     }
 
     #[test]

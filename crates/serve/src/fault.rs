@@ -142,7 +142,9 @@ pub enum FailureReason {
     /// single in-place retry) and the obligation was quarantined.
     WorkerPanic,
     /// The simplex iteration budget was exhausted on the original solve
-    /// *and* on the escalated cold retry.
+    /// *and* on the escalated cold retry, or an LP result failed its check
+    /// after a slack-basis start. The check is deterministic, so the retry
+    /// fails it again and the obligation is solved twice.
     IterationLimit,
     /// The branch-and-bound node budget was exhausted on the original
     /// solve *and* on the escalated cold retry.

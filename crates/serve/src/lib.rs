@@ -82,7 +82,7 @@
 //! |----------------------|----------------------------------------------------|
 //! | `deadline-exceeded`  | the request deadline expired before/during a solve |
 //! | `worker-panic`       | the obligation panicked twice and was quarantined  |
-//! | `iteration-limit`    | simplex budget exhausted, even after escalation    |
+//! | `iteration-limit`    | simplex budget exhausted after escalation, or an LP result failed its check (the retry repeats it) |
 //! | `node-limit`         | branch-and-bound budget exhausted after escalation |
 //! | `slot-lost`          | internal accounting bug (reported, never a crash)  |
 //!
