@@ -19,6 +19,12 @@
 //! - `serve/template-hit-rate-permille` and `serve/dedup-rate-permille` —
 //!   deterministic cache-economics of the three-request script, gated with
 //!   the small absolute slack of the deterministic-rate tolerance class.
+//! - `serve/warm-obligations-per-sec-permille` — absolute solver
+//!   throughput: obligations × 1000 per second of the wide request on a
+//!   2-worker server whose template cache is warm and whose verdict cache
+//!   is off, so every obligation is solved. The server is built and warmed
+//!   outside the timed loop. Gated by the 50% floor of the `-per-sec-`
+//!   rule.
 
 use std::time::Instant;
 
@@ -36,6 +42,8 @@ const CUT_WIDTH: usize = 8;
 const WORKERS: usize = 2;
 /// Mean over this many serve() calls for the timed speedup record.
 const REPS: usize = 3;
+/// Timed serves of the warm request behind the throughput record.
+const THROUGHPUT_SERVES: usize = 10;
 
 fn perception() -> Network {
     let mut rng = StdRng::seed_from_u64(0xe12);
@@ -168,6 +176,35 @@ fn bench_serve(c: &mut Criterion) {
         "warm request must be at least 5x cheaper (got {speedup} permille)"
     );
     criterion::report_metric("serve/warm-request-speedup-permille", speedup);
+
+    // --- Absolute throughput: every obligation solved on a warm template
+    // cache, with the server built and warmed outside the timed loop. ---
+    let solver = ObligationServer::builder()
+        .config(ServeConfig {
+            verdict_capacity: 0,
+            ..serve_config()
+        })
+        .build();
+    assert_eq!(
+        verdict_view(&solver.serve(&wide).unwrap()),
+        verdict_view(&cold)
+    );
+    let mut solving_seconds = 0.0;
+    for _ in 0..THROUGHPUT_SERVES {
+        let t = Instant::now();
+        let report = solver.serve(&wide).unwrap();
+        solving_seconds += t.elapsed().as_secs_f64();
+        assert_eq!(verdict_view(&report), verdict_view(&cold));
+    }
+    let obligations = (THROUGHPUT_SERVES * cold.obligations.len()) as f64;
+    println!(
+        "e12: warm solver {:.0} obligations/s",
+        obligations / solving_seconds
+    );
+    criterion::report_metric(
+        "serve/warm-obligations-per-sec-permille",
+        permille(obligations, solving_seconds),
+    );
 
     println!(
         "e12: cold {:.3}ms warm {:.3}ms speedup {}x/1000 (capped) | {}",

@@ -10,26 +10,23 @@
 //!   skeleton encoding; concurrent verification jobs share one immutable
 //!   template.
 //! * [`SnapshotPool`] — rolling [`BasisSnapshot`]s pooled *per template
-//!   fingerprint* with interior mutability, so warm dual-simplex bases flow
-//!   between workers and across requests. The fingerprint keying is the
-//!   load-bearing cross-template guard: the LP layer's own
-//!   `StructureFingerprint` deliberately excludes bound values, right-hand
-//!   sides and (for the all-zero feasibility objective) any useful cost
-//!   signature, so two templates differing only in a risk threshold can
-//!   look alike to it. Pooling by template fingerprint means a snapshot can
-//!   never be offered to a structurally different template in the first
-//!   place — and even a hypothetical mix-up only costs a cold re-solve, as
-//!   the LP layer validates every warm start before trusting it.
+//!   fingerprint*, so warm dual-simplex bases can flow between solves of
+//!   one template. The obligation server no longer uses it: every
+//!   obligation is solved from the slack basis, with warm starts only
+//!   inside its own branch-and-bound tree. The pool stays until
+//!   perfbench's single-thread replay, which still mirrors it, moves off
+//!   it.
 //!
 //! Both caches are `Send + Sync` (a `Mutex` around plain maps — lock hold
 //! times are a few pointer moves, never a solve) and deliberately
 //! verdict-neutral: any entry can be evicted at any time without changing
 //! what a verification returns, only what it costs. Both count hits,
 //! misses and evictions into a [`Counters`] store; the obligation server
-//! gives them one shared store and builds its statistics from it.
+//! hands the template cache its own store
+//! ([`TemplateCache::with_counters`]) and builds its statistics from it.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use dpv_lp::BasisSnapshot;
 use dpv_trace::{CounterId, Counters};
@@ -37,8 +34,6 @@ use dpv_trace::{CounterId, Counters};
 use crate::fingerprint::Fingerprint;
 use crate::verify::ProblemTemplate;
 use crate::{CoreError, StartRegion, VerificationProblem};
-
-use std::sync::Arc;
 
 /// Counters describing a [`TemplateCache`]'s effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,15 +68,12 @@ impl CacheStats {
 /// **Eviction.** Least-recently-used beyond `capacity`: every hit refreshes
 /// an entry's recency; inserting beyond capacity drops the stalest entry.
 /// Because templates are handed out as `Arc`s, eviction never invalidates a
-/// template a worker is still solving with. A cache built
-/// [`with_pool`](TemplateCache::with_pool) also drops the pooled bases of
-/// every template it evicts.
+/// template a worker is still solving with.
 #[derive(Debug)]
 pub struct TemplateCache {
     capacity: usize,
     inner: Mutex<TemplateCacheInner>,
     counters: Arc<Counters>,
-    pool: Option<Arc<SnapshotPool>>,
 }
 
 #[derive(Debug, Default)]
@@ -103,22 +95,16 @@ impl TemplateCacheInner {
 impl TemplateCache {
     /// Creates a cache holding at most `capacity` templates (minimum 1).
     pub fn new(capacity: usize) -> Self {
+        Self::with_counters(capacity, Arc::default())
+    }
+
+    /// [`TemplateCache::new`] counting hits, misses and evictions into
+    /// `counters`.
+    pub fn with_counters(capacity: usize, counters: Arc<Counters>) -> Self {
         Self {
             capacity: capacity.max(1),
             inner: Mutex::new(TemplateCacheInner::default()),
-            counters: Arc::default(),
-            pool: None,
-        }
-    }
-
-    /// A cache whose evictions also drop the evicted templates' bases from
-    /// `pool`, so the pool holds bases of resident templates only. It
-    /// counts into the pool's [`Counters`] store.
-    pub fn with_pool(capacity: usize, pool: Arc<SnapshotPool>) -> Self {
-        Self {
-            counters: Arc::clone(&pool.counters),
-            pool: Some(pool),
-            ..Self::new(capacity)
+            counters,
         }
     }
 
@@ -158,13 +144,9 @@ impl TemplateCache {
             inner.map.remove(&stale);
             evicted += 1;
         }
-        let resident = (evicted > 0).then(|| inner.order.clone());
         drop(inner);
-        if let Some(resident) = resident {
+        if evicted > 0 {
             self.counters.add(CounterId::TemplateEvictions, evicted);
-            if let Some(pool) = &self.pool {
-                pool.retain(&resident);
-            }
         }
         Ok(template)
     }
@@ -220,13 +202,17 @@ impl SnapshotPoolStats {
 /// A pool of warm [`BasisSnapshot`]s segregated by template
 /// [`Fingerprint`].
 ///
-/// Workers check a basis out before solving an obligation
-/// ([`SnapshotPool::check_out`]), seed the backend with it
+/// A caller checks a basis out before solving an obligation
+/// ([`SnapshotPool::check_out`]), seeds the backend with it
 /// ([`crate::VerificationProblem::solve_with_template`] with a seed in its
-/// [`crate::SolveOptions`]), and check
-/// the refreshed basis back in afterwards — so the warm-start chain that
-/// PR 3 ran *within* one search tree now spans obligations, workers and
-/// requests.
+/// [`crate::SolveOptions`]), and checks the refreshed basis back in
+/// afterwards, so warm starts chain across obligations of one template.
+///
+/// The obligation server no longer uses the pool: a seeded solve's witness
+/// depends on which basis it drew, so the server solves every obligation
+/// from the slack basis instead. The pool stays until perfbench's
+/// single-thread replay, which still mirrors the old server path, moves
+/// off it.
 ///
 /// **Guard.** Check-out is keyed strictly by template fingerprint: a basis
 /// deposited under template A is unreachable from template B even when the
@@ -236,33 +222,22 @@ impl SnapshotPoolStats {
 /// never to a wrong verdict — but the pool keying is what keeps the *hit
 /// rate* honest across templates.
 ///
-/// **Eviction.** Each template keeps at most `per_key` bases (FIFO beyond
-/// that); `per_key == 0` disables pooling entirely, which is also the
-/// determinism-friendly configuration for reproducing a solve with no warm
-/// state. Linked to a [`TemplateCache::with_pool`], the pool drops a
-/// template's bases when the cache evicts the template, so a long-lived
-/// server keeps at most `template_capacity` keys (plus keys checked in
-/// by solves that outlived an eviction, until the next eviction).
+/// **Capacity.** Each template keeps at most `per_key` bases (surplus
+/// check-ins are dropped); `per_key == 0` disables pooling entirely.
 #[derive(Debug)]
 pub struct SnapshotPool {
     per_key: usize,
     pools: Mutex<HashMap<Fingerprint, Vec<BasisSnapshot>>>,
-    counters: Arc<Counters>,
+    counters: Counters,
 }
 
 impl SnapshotPool {
     /// Creates a pool keeping at most `per_key` bases per template.
     pub fn new(per_key: usize) -> Self {
-        Self::with_counters(per_key, Arc::default())
-    }
-
-    /// [`SnapshotPool::new`] counting hits, misses and discards into
-    /// `counters`.
-    pub fn with_counters(per_key: usize, counters: Arc<Counters>) -> Self {
         Self {
             per_key,
             pools: Mutex::default(),
-            counters,
+            counters: Counters::default(),
         }
     }
 
@@ -293,14 +268,6 @@ impl SnapshotPool {
             drop(pools);
             self.counters.add(CounterId::SnapshotDiscards, 1);
         }
-    }
-
-    /// Drops the bases of every template not in `resident`.
-    fn retain(&self, resident: &[Fingerprint]) {
-        self.pools
-            .lock()
-            .expect("snapshot pool poisoned")
-            .retain(|fp, _| resident.contains(fp));
     }
 
     /// Current effectiveness counters.
@@ -458,25 +425,6 @@ mod tests {
             disabled.check_out(fp).is_none(),
             "per_key=0 disables pooling"
         );
-    }
-
-    #[test]
-    fn evicting_a_template_drops_its_pooled_bases() {
-        let pool = Arc::new(SnapshotPool::new(2));
-        let cache = TemplateCache::with_pool(1, Arc::clone(&pool));
-        let p = problem(10.0);
-        let first = cache.get_or_build(&p, &region(-1.0, 1.0)).unwrap();
-        pool.check_in(first.fingerprint(), any_basis());
-        assert_eq!(pool.stats().keys, 1);
-        let second = cache.get_or_build(&p, &region(-0.5, 0.5)).unwrap();
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(pool.stats().keys, 0, "the evicted template's bases go");
-        pool.check_in(second.fingerprint(), any_basis());
-        assert!(pool.check_out(first.fingerprint()).is_none());
-        assert!(pool.check_out(second.fingerprint()).is_some());
-        // Both count into one store.
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!((pool.stats().hits, pool.stats().misses), (1, 1));
     }
 
     #[test]

@@ -220,8 +220,7 @@ impl ProblemTemplate {
 
     /// Content-addressed identity of the underlying encoding template — the
     /// key under which this template is shared in a
-    /// [`crate::cache::TemplateCache`] and under which its warm bases pool
-    /// in a [`crate::cache::SnapshotPool`].
+    /// [`crate::cache::TemplateCache`].
     pub fn fingerprint(&self) -> Fingerprint {
         self.encoding.fingerprint()
     }
@@ -242,9 +241,11 @@ impl ProblemTemplate {
 ///   skeleton is re-tightened into instead of re-encoded; omit it to pay a
 ///   fresh instantiation per call.
 /// * [`seed`](Self::seed) — a caller-owned warm-start basis, primed before
-///   the solve and refreshed with the final basis afterwards (the seam the
-///   obligation server's snapshot pool plugs into). Ignored by escalated
-///   solves, which run unseeded by design.
+///   the solve and refreshed with the final basis afterwards, so a caller
+///   can chain warm starts across obligations of one template (a
+///   [`crate::SnapshotPool`] does). The obligation server passes none: a
+///   seeded witness depends on the seed. Ignored by escalated solves,
+///   which run unseeded by design.
 /// * [`cancel`](Self::cancel) — a cooperative [`CancelToken`] polled inside
 ///   the solver loops; a tripped token can only withhold a verdict
 ///   ([`Verdict::Unknown`]), never fabricate one.
@@ -505,11 +506,11 @@ impl VerificationProblem {
             }
             MilpStatus::NodeLimit => Verdict::Unknown(format!("{} node limit", backend.name())),
             // Also a result that failed its check after a slack-basis
-            // start; a budget-raised retry repeats that check and fails it
-            // again.
+            // start (`SolveStats::failed_checks`); the check is
+            // deterministic, so such a solve is not retried.
             MilpStatus::IterationLimit => Verdict::Unknown(format!(
                 "{} simplex iteration limit or failed result check (numerical trouble; \
-                 a raised budget does not help a failed check)",
+                 a failed check is not retried)",
                 backend.name()
             )),
             // Callers that thread a deadline (the obligation server) key off
@@ -643,9 +644,8 @@ impl VerificationProblem {
     /// precomputed bounds (one lane of a batched
     /// [`crate::EncodingTemplate::region_bounds_batch`] sweep) skip the
     /// propagate half, a seed primes the backend's warm-start state
-    /// ([`dpv_lp::SolveContext::seed`]) and receives the final basis back —
-    /// the cross-request seam the obligation server's snapshot pool plugs
-    /// into — a [`CancelToken`] is polled inside the solver loops, a
+    /// ([`dpv_lp::SolveContext::seed`]) and receives the final basis back,
+    /// a [`CancelToken`] is polled inside the solver loops, a
     /// [`TraceHandle`] records the instantiation span and per-node
     /// telemetry, and an escalation scale turns the call into the
     /// budget-raised retry. Falls back to one-shot encoding (seed untouched)
@@ -657,10 +657,12 @@ impl VerificationProblem {
     /// only withhold a verdict, never fabricate one. Tracing is
     /// observational only.
     ///
-    /// An escalated solve is the retry for `IterationLimit`/`NodeLimit`
-    /// outcomes: it runs unseeded (numerical trouble inherited through a
-    /// basis is the suspected cause) with both search budgets raised by the
-    /// scale (node limit, and the simplex pivot budget via
+    /// An escalated solve is the retry for budget-exhausted
+    /// `IterationLimit`/`NodeLimit` outcomes (not for a failed result
+    /// check, see [`dpv_lp::SolveStats::failed_checks`]): it runs unseeded
+    /// (numerical trouble inherited through a basis is the suspected
+    /// cause) with both search budgets raised by the scale (node limit,
+    /// and the simplex pivot budget via
     /// [`dpv_lp::LinearProgram::estimated_iteration_budget`]). The raised
     /// limits apply to this solve only and are restored afterwards, so
     /// sibling obligations reusing the scratch see the stock budgets and

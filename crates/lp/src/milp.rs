@@ -24,10 +24,10 @@ pub enum MilpStatus {
     /// simplex pivot budget, or its result failed the check against the live
     /// program (an optimum that is not primal feasible, or an infeasibility
     /// whose Farkas certificate does not hold) — numerical trouble in the
-    /// model. The search stops conservatively; like [`MilpStatus::NodeLimit`]
-    /// this is "unknown", never a verdict, so a degenerate or badly scaled
-    /// model cannot abort the verification process or prune a feasible
-    /// subtree.
+    /// model. [`SolveStats::failed_checks`] tells the two apart. The search
+    /// stops conservatively; like [`MilpStatus::NodeLimit`] this is
+    /// "unknown", never a verdict, so a degenerate or badly scaled model
+    /// cannot abort the verification process or prune a feasible subtree.
     IterationLimit,
     /// A [`CancelToken`] tripped (explicit cancellation or an expired
     /// deadline) before the search completed. The incumbent (if any) is
@@ -60,6 +60,13 @@ pub struct SolveStats {
     pub warm_declined: usize,
     /// Total simplex pivots across every LP solve of the run.
     pub simplex_iterations: usize,
+    /// Slack-basis LP solves whose result failed its check (an optimum
+    /// that is not primal feasible, an infeasibility without a valid
+    /// Farkas certificate). Each ends the search
+    /// [`MilpStatus::IterationLimit`]; unlike an exhausted budget, a retry
+    /// with raised budgets repeats the same pivots and fails the same
+    /// check.
+    pub failed_checks: usize,
 }
 
 impl SolveStats {
@@ -82,6 +89,7 @@ impl std::ops::AddAssign for SolveStats {
         self.cold_solves += rhs.cold_solves;
         self.warm_declined += rhs.warm_declined;
         self.simplex_iterations += rhs.simplex_iterations;
+        self.failed_checks += rhs.failed_checks;
     }
 }
 
@@ -204,20 +212,31 @@ pub(crate) fn solve_node_lp(
                 if snapshot_offered {
                     stats.warm_declined += 1;
                 }
-                let (solution, snapshot) = simplex::solve_with_snapshot(scratch, cancel);
-                stats.cold_solves += 1;
+                let (solution, snapshot) = cold_node_lp(scratch, stats, cancel);
                 *warm = snapshot;
                 solution
             }
         }
     } else {
-        let solution = simplex::solve(scratch, cancel);
-        stats.cold_solves += 1;
-        solution
+        cold_node_lp(scratch, stats, cancel).0
     };
     stats.simplex_iterations += solution.iterations;
     trace.lp_node(warm_used, solution.iterations as u64);
     solution
+}
+
+/// Solves one node's LP relaxation from the slack basis, counting the solve
+/// and, when its result fails the check, the failed check.
+fn cold_node_lp(
+    scratch: &LinearProgram,
+    stats: &mut SolveStats,
+    cancel: Option<&CancelToken>,
+) -> (LpSolution, Option<BasisSnapshot>) {
+    stats.cold_solves += 1;
+    simplex::solve_checked(scratch, cancel).unwrap_or_else(|iterations| {
+        stats.failed_checks += 1;
+        (simplex::failed_check(iterations), None)
+    })
 }
 
 /// Picks the binary variable to branch on at a node whose relaxation is
@@ -663,6 +682,7 @@ mod tests {
             cold_solves: 1,
             warm_declined: 1,
             simplex_iterations: 9,
+            failed_checks: 1,
         };
         total += SolveStats {
             nodes_explored: 5,
@@ -671,6 +691,7 @@ mod tests {
             cold_solves: 1,
             warm_declined: 0,
             simplex_iterations: 11,
+            failed_checks: 2,
         };
         assert_eq!(total.nodes_explored, 8);
         assert_eq!(total.nodes_pruned, 3);
@@ -678,6 +699,7 @@ mod tests {
         assert_eq!(total.cold_solves, 2);
         assert_eq!(total.warm_declined, 1);
         assert_eq!(total.simplex_iterations, 20);
+        assert_eq!(total.failed_checks, 3);
         assert!((total.warm_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(SolveStats::default().warm_hit_rate(), 0.0);
         let sum = total

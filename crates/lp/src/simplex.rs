@@ -576,26 +576,33 @@ fn run(
 }
 
 /// Solves `lp` from the slack basis, returning the final basis as a snapshot
-/// when the solve ends optimal. A result that fails its check ends
-/// [`LpStatus::IterationLimit`]: there is no other start to fall back to.
+/// when the solve ends optimal. `Err` carries the pivots spent when the
+/// result failed its check: there is no other start to fall back to.
+pub(crate) fn solve_checked(
+    lp: &LinearProgram,
+    cancel: Option<&CancelToken>,
+) -> Result<(LpSolution, Option<BasisSnapshot>), usize> {
+    let mut basis = Basis::slack(lp);
+    let solution = run(lp, &mut basis, cancel)?;
+    let snapshot = solution.is_optimal().then(|| BasisSnapshot::new(lp, basis));
+    Ok((solution, snapshot))
+}
+
+/// The result of a slack-basis solve that failed its check after
+/// `iterations` pivots: [`LpStatus::IterationLimit`], never `Infeasible`.
+pub(crate) fn failed_check(iterations: usize) -> LpSolution {
+    LpSolution {
+        iterations,
+        ..LpSolution::non_optimal(LpStatus::IterationLimit)
+    }
+}
+
+/// [`solve_checked`], reporting a failed check as [`failed_check`] does.
 pub(crate) fn solve_with_snapshot(
     lp: &LinearProgram,
     cancel: Option<&CancelToken>,
 ) -> (LpSolution, Option<BasisSnapshot>) {
-    let mut basis = Basis::slack(lp);
-    match run(lp, &mut basis, cancel) {
-        Ok(solution) => {
-            let snapshot = solution.is_optimal().then(|| BasisSnapshot::new(lp, basis));
-            (solution, snapshot)
-        }
-        Err(iterations) => (
-            LpSolution {
-                iterations,
-                ..LpSolution::non_optimal(LpStatus::IterationLimit)
-            },
-            None,
-        ),
-    }
+    solve_checked(lp, cancel).unwrap_or_else(|iterations| (failed_check(iterations), None))
 }
 
 /// Solves `lp` from the slack basis.

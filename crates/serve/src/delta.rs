@@ -128,7 +128,7 @@ impl ObligationServer {
     /// tail is untouched or whose perturbation is provably absorbed by the
     /// bound slack reuse the prior verdict without solving; the rest go
     /// through the ordinary admission path (dedup cache, batched bounds,
-    /// warm-started pool).
+    /// worker pool).
     ///
     /// `prior_request` must be the request that produced `prior`, and
     /// `request` must agree with it on cut layer, characterizer and risk

@@ -26,13 +26,13 @@ pub enum FaultKind {
     /// [`FailureReason::IterationLimit`].
     ExhaustIterations,
     /// The first solve exhausts its iteration budget; the escalated
-    /// cold retry succeeds, so the final verdict equals the fault-free
-    /// one (and `retry_successes` ticks).
+    /// retry succeeds, so the final verdict equals the fault-free one
+    /// (and `retry_successes` ticks).
     TransientExhaust,
-    /// The basis snapshot checked out for the obligation is replaced
-    /// with a basis from a foreign, unrelated LP. The LP layer's
-    /// structural guard must reject it and fall back to a cold solve —
-    /// the verdict is unchanged.
+    /// The obligation's solve is seeded with a basis from a foreign,
+    /// unrelated LP. The LP layer's structural guard must reject it at
+    /// the root and fall back to the slack basis — the verdict is
+    /// unchanged.
     PoisonSnapshot,
     /// The worker sleeps before solving — for deadline-expiry tests.
     Delay {
@@ -142,12 +142,13 @@ pub enum FailureReason {
     /// single in-place retry) and the obligation was quarantined.
     WorkerPanic,
     /// The simplex iteration budget was exhausted on the original solve
-    /// *and* on the escalated cold retry, or an LP result failed its check
-    /// after a slack-basis start. The check is deterministic, so the retry
-    /// fails it again and the obligation is solved twice.
+    /// *and* on the escalated retry, or an LP result failed its check
+    /// after a slack-basis start. A failed check is not retried: the check
+    /// is deterministic, so a retry would repeat the same pivots and fail
+    /// it again.
     IterationLimit,
     /// The branch-and-bound node budget was exhausted on the original
-    /// solve *and* on the escalated cold retry.
+    /// solve *and* on the escalated retry.
     NodeLimit,
     /// Internal accounting lost the obligation's outcome slot — reported
     /// instead of crashing the submitter. Should never happen; its

@@ -12,10 +12,6 @@
 //! * a [`dpv_core::TemplateCache`] of [`dpv_core::ProblemTemplate`]s keyed
 //!   by canonical structural [`dpv_core::Fingerprint`]s, so a repeat
 //!   request re-tightens a cached MILP skeleton instead of re-encoding it;
-//! * a [`dpv_core::SnapshotPool`] of rolling
-//!   [`dpv_lp::BasisSnapshot`]s, keyed by the same fingerprints, so the
-//!   branch-and-bound root LP of a new obligation starts from a basis an
-//!   earlier obligation of the *same* template finished with;
 //! * a verdict cache for **deduplication**: an obligation whose
 //!   `(template, sub-region)` fingerprint pair was already solved returns
 //!   the recorded verdict without touching the solver.
@@ -30,26 +26,14 @@
 //! | cache             | key                                               |
 //! |-------------------|---------------------------------------------------|
 //! | template cache    | `Fingerprint::of_template(tail, char, risk, root)` |
-//! | snapshot pool     | the owning template's fingerprint                  |
 //! | verdict (dedup)   | `(template fingerprint, Fingerprint::of_region)`   |
-//!
-//! Keying the snapshot pool by the *template* fingerprint is load-bearing
-//! for soundness hygiene: the LP layer's structural check cannot tell two
-//! feasibility problems apart when they differ only in a constraint
-//! right-hand side (all-zero objective), so the pool never offers a basis
-//! across template boundaries in the first place — the LP layer's
-//! primal/Farkas validation remains the backstop, degrading a stale seed
-//! to a cold solve rather than a wrong verdict.
 //!
 //! ## Eviction policy
 //!
 //! The template cache evicts least-recently-used whole templates once
-//! `template_capacity` is exceeded, and the snapshot pool drops the bases
-//! of every evicted template with it. The pool keeps at most
-//! `snapshot_per_key` bases per template and discards surplus check-ins.
-//! The verdict cache evicts in FIFO (insertion) order past
-//! `verdict_capacity` entries. All three are bounded so a resident server
-//! cannot grow without limit across requests.
+//! `template_capacity` is exceeded. The verdict cache evicts in FIFO
+//! (insertion) order past `verdict_capacity` entries. Both are bounded so
+//! a resident server cannot grow without limit across requests.
 //!
 //! ## Backpressure contract
 //!
@@ -63,14 +47,14 @@
 //!
 //! ## Determinism
 //!
-//! Workers race, caches warm up, seeds come and go — yet the *verdicts*
-//! of a request are a pure function of the request: results are folded in
+//! Workers race and caches warm up — yet the *verdicts* of a request are
+//! a pure function of the request. Every obligation is solved from the
+//! slack basis, with warm starts only inside its own branch-and-bound
+//! tree, so its verdict, witness and solver statistics do not depend on
+//! which worker took it or what was solved before. Results are folded in
 //! obligation-index order (lowest-index counterexample beats lowest-index
-//! give-up, as in [`dpv_core::VerificationProblem::verify_sharded_with`]),
-//! and any obligation whose seeded solve finds a counterexample is
-//! re-solved unseeded so the reported point never depends on pool state
-//! (see [`ServeStats::canonical_resolves`]). Timings and solver statistics
-//! are explicitly *not* part of the deterministic surface.
+//! give-up, as in [`dpv_core::VerificationProblem::verify_sharded_with`]).
+//! Timings are explicitly *not* part of the deterministic surface.
 //!
 //! ## Failure-reason taxonomy
 //!
@@ -82,7 +66,7 @@
 //! |----------------------|----------------------------------------------------|
 //! | `deadline-exceeded`  | the request deadline expired before/during a solve |
 //! | `worker-panic`       | the obligation panicked twice and was quarantined  |
-//! | `iteration-limit`    | simplex budget exhausted after escalation, or an LP result failed its check (the retry repeats it) |
+//! | `iteration-limit`    | simplex budget exhausted after escalation, or an LP result failed its check (not retried) |
 //! | `node-limit`         | branch-and-bound budget exhausted after escalation |
 //! | `slot-lost`          | internal accounting bug (reported, never a crash)  |
 //!
@@ -94,11 +78,13 @@
 //! ## Retry and quarantine policy
 //!
 //! * A solve that exhausts its node or iteration budget is retried
-//!   **once**, on a cold unseeded solver with budgets raised 4× (and
-//!   restored afterwards), before degrading — so a transient exhaustion
-//!   caused by a stale warm-start cannot produce a spurious give-up, and
-//!   a successful retry is bit-identical to the canonical fault-free
-//!   verdict ([`ServeStats::retries`], [`ServeStats::retry_successes`]).
+//!   **once**, unseeded with budgets raised 4× (and restored afterwards),
+//!   before degrading — so a transient exhaustion cannot produce a
+//!   spurious give-up, and a successful retry is bit-identical to the
+//!   canonical fault-free verdict ([`ServeStats::retries`],
+//!   [`ServeStats::retry_successes`]). A solve whose LP result failed its
+//!   check ([`dpv_lp::SolveStats::failed_checks`]) is not retried: the
+//!   check is deterministic, so the retry would fail it again.
 //! * A worker panic while solving is caught; the obligation is retried
 //!   **once** in place with fresh scratch, and a second panic
 //!   quarantines it: verdict `Unknown("worker-panic")`, never cached,
@@ -133,8 +119,8 @@
 //! ([`dpv_delta::CheckpointDiff`]), obligations whose tail is untouched
 //! reuse the prior verdict verbatim and tail perturbations provably inside
 //! the bound slack reuse prior `Safe` verdicts by absorption
-//! ([`dpv_delta::DeltaPlanner`]); only the remainder is re-solved — warm
-//! on the resident caches. The [`ProofDeltaReport`] carries a
+//! ([`dpv_delta::DeltaPlanner`]); only the remainder is re-solved, on the
+//! resident template cache. The [`ProofDeltaReport`] carries a
 //! [`dpv_delta::Disposition`] per obligation (reused / absorbed /
 //! re-proved / newly-degraded) and is **bit-for-bit equal** to a
 //! from-scratch serve of the same request (the `delta` parity proptest

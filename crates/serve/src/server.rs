@@ -1,5 +1,6 @@
 //! The resident obligation server: a persistent worker pool draining one
-//! FIFO queue of proof obligations through shared template/basis caches.
+//! FIFO queue of proof obligations through shared template and verdict
+//! caches.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -11,8 +12,8 @@ use std::time::Instant;
 
 use dpv_absint::BoxDomain;
 use dpv_core::{
-    CoreError, EncodedProblem, Fingerprint, ProblemTemplate, RegionBounds, SnapshotPool,
-    SolveOptions, StartRegion, TemplateCache, Verdict, VerificationProblem,
+    CoreError, EncodedProblem, Fingerprint, ProblemTemplate, RegionBounds, SolveOptions,
+    StartRegion, TemplateCache, Verdict, VerificationProblem,
 };
 use dpv_lp::{
     BranchAndBoundBackend, CancelToken, ConstraintOp, LinearProgram, MilpSolution, MilpStatus,
@@ -29,7 +30,7 @@ use crate::stats::ServeStats;
 use crate::timeline::RequestTimeline;
 
 /// Budget multiplier applied to the single escalated retry of a
-/// node-limit / iteration-limit solve (cold, unseeded, limits restored
+/// node-limit / iteration-limit solve (unseeded, limits restored
 /// afterwards — see [`dpv_core::SolveOptions::escalation`]).
 const ESCALATION_SCALE: usize = 4;
 
@@ -46,8 +47,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// LRU capacity of the shared template cache.
     pub template_capacity: usize,
-    /// Pooled bases kept per template fingerprint (0 disables basis
-    /// reuse — the cheapest fully-cold configuration).
+    /// No longer read: the server keeps no basis pool and solves every
+    /// obligation from the slack basis. The field stays until perfbench's
+    /// replay, which sizes its own [`dpv_core::SnapshotPool`] from it,
+    /// moves off the pool.
     pub snapshot_per_key: usize,
     /// FIFO capacity of the verdict (dedup) cache (0 disables dedup).
     pub verdict_capacity: usize,
@@ -129,14 +132,18 @@ pub struct ObligationOutcome {
     pub shard: usize,
     /// Sub-box index within the shard.
     pub sub_box: usize,
-    /// The verdict (canonical: independent of cache and pool state).
+    /// The verdict (canonical: independent of cache state and scheduling).
     pub verdict: Verdict,
     /// Whether the verdict came from the dedup cache without solving.
     pub deduped: bool,
     /// Wall-clock nanoseconds spent solving (0 when deduped). Cost
     /// telemetry only — scheduling-dependent.
     pub solve_ns: u128,
-    /// Solver statistics (zeroed when deduped). Cost telemetry only.
+    /// Solver statistics (zeroed when deduped). Every obligation is
+    /// solved from the slack basis, so the counts are a pure function of
+    /// the obligation and equal a direct
+    /// [`VerificationProblem::solve_with_template`] of it; only
+    /// `solve_ns` depends on scheduling.
     pub stats: SolveStats,
 }
 
@@ -266,7 +273,6 @@ struct Job {
 struct Inner {
     config: ServeConfig,
     templates: TemplateCache,
-    snapshots: Arc<SnapshotPool>,
     verdicts: Mutex<VerdictCache>,
     state: Mutex<PoolState>,
     work: Condvar,
@@ -391,14 +397,12 @@ impl ObligationServer {
         };
         let admission = tracer.register();
         let counters = Arc::new(Counters::default());
-        let snapshots = Arc::new(SnapshotPool::with_counters(
-            config.snapshot_per_key,
-            Arc::clone(&counters),
-        ));
         let inner = Arc::new(Inner {
             config,
-            templates: TemplateCache::with_pool(config.template_capacity, Arc::clone(&snapshots)),
-            snapshots,
+            templates: TemplateCache::with_counters(
+                config.template_capacity,
+                Arc::clone(&counters),
+            ),
             verdicts: Mutex::new(VerdictCache::default()),
             state: Mutex::new(PoolState::default()),
             work: Condvar::new(),
@@ -801,7 +805,6 @@ impl ObligationServer {
             obligations: count(CounterId::Obligations),
             solved: count(CounterId::Solved),
             dedup_hits: count(CounterId::DedupHits),
-            canonical_resolves: count(CounterId::CanonicalResolves),
             retries: count(CounterId::Retries),
             retry_successes: count(CounterId::RetrySuccesses),
             worker_panics: count(CounterId::WorkerPanics),
@@ -811,7 +814,9 @@ impl ObligationServer {
             max_queue_depth,
             total_solve_ns: u128::from(count(CounterId::SolveNanos)),
             templates: self.inner.templates.stats(),
-            snapshots: self.inner.snapshots.stats(),
+            // The server keeps no basis pool and never re-solves, so
+            // `snapshots` and `canonical_resolves` stay at their defaults.
+            ..ServeStats::default()
         }
     }
 
@@ -960,23 +965,22 @@ fn foreign_snapshot() -> Option<dpv_lp::BasisSnapshot> {
     snapshot
 }
 
-/// Solves one obligation with every reuse lever plus the resilience
-/// policy, in this order:
+/// Solves one obligation with the resilience policy, in this order:
 ///
 /// 1. **deadline gate** — an expired request deadline skips the solve
 ///    outright (`Unknown("deadline-exceeded")`, no solver invocation);
 /// 2. **fault injection** — the obligation's planned fault (if any)
-///    fires: panic, delay, injected exhaustion, or snapshot poisoning;
-/// 3. **seeded solve** — with the request's cancel token polled between
-///    simplex pivots and branch-and-bound nodes;
+///    fires: panic, delay, injected exhaustion, or a poisoned seed;
+/// 3. **solve** — from the slack basis, with warm starts only inside the
+///    obligation's own branch-and-bound tree, so the verdict, its witness
+///    and the solver statistics are pure functions of the obligation; the
+///    request's cancel token is polled between simplex pivots and
+///    branch-and-bound nodes;
 /// 4. **escalated retry** — a node-/iteration-limit outcome is retried
-///    once on a cold solver with `ESCALATION_SCALE`× budgets before
-///    degrading;
-/// 5. **canonicalisation** — counterexamples found by a *seeded* solve
-///    are re-solved unseeded so the reported verdict is a pure function
-///    of the obligation, not of the pool's warm-start state (statuses
-///    are already path-invariant; vertex coordinates are not);
-/// 6. **degraded rewrite** — leftover Cancelled/NodeLimit/IterationLimit
+///    once with `ESCALATION_SCALE`× budgets before degrading, unless an LP
+///    result failed its check: the retry would repeat the same pivots and
+///    fail the same check;
+/// 5. **degraded rewrite** — leftover Cancelled/NodeLimit/IterationLimit
 ///    statuses become stable [`FailureReason`] codes, and degraded
 ///    outcomes are *never* written to the verdict cache.
 fn run_job(
@@ -998,8 +1002,6 @@ fn run_job(
     }
     let fault = lock(&inner.fault_plan).fault_at(job.index);
     match fault {
-        // Injected before the snapshot checkout, so a panicking
-        // obligation can never leak a checked-out basis.
         Some(FaultKind::Panic) => panic!("injected fault: panic at obligation {}", job.index),
         Some(FaultKind::Delay { millis }) => {
             std::thread::sleep(std::time::Duration::from_millis(millis));
@@ -1009,27 +1011,26 @@ fn run_job(
         }
         _ => {}
     }
-    let template_fp = job.template.fingerprint();
     let cancel = job.cancel.as_ref();
 
-    // Injected exhaustion replaces the real solve (and the seed checkout
-    // with it) by a deterministic IterationLimit outcome.
+    // Injected exhaustion replaces the real solve by a deterministic
+    // IterationLimit outcome.
     let injected_exhaust = matches!(
         fault,
         Some(FaultKind::ExhaustIterations | FaultKind::TransientExhaust)
     );
-    let (mut verdict, mut solution, was_seeded) = if injected_exhaust {
+    let (mut verdict, mut solution) = if injected_exhaust {
         (
             Verdict::Unknown(FailureReason::IterationLimit.code().to_string()),
             exhausted_solution(),
-            false,
         )
     } else {
-        let mut seed = inner.snapshots.check_out(template_fp);
-        if matches!(fault, Some(FaultKind::PoisonSnapshot)) {
-            seed = foreign_snapshot();
-        }
-        let was_seeded = seed.is_some();
+        // A poisoned seed is a foreign basis: the LP guard declines it at
+        // the root, and from there the search is the unseeded one.
+        let mut seed = match fault {
+            Some(FaultKind::PoisonSnapshot) => foreign_snapshot(),
+            _ => None,
+        };
         let attempt_started = trace.now_ns();
         let solved = job.problem.solve_with_template(
             &job.template,
@@ -1047,10 +1048,10 @@ fn run_job(
                 EventKind::SolveAttempt,
                 attempt_started,
                 trace.now_ns().saturating_sub(attempt_started),
-                u64::from(was_seeded),
+                0,
             ));
         }
-        let (verdict, solution) = match solved {
+        match solved {
             Ok(pair) => pair,
             Err(e) => {
                 return WorkerOutcome {
@@ -1059,22 +1060,19 @@ fn run_job(
                     stats: SolveStats::default(),
                 }
             }
-        };
-        if let Some(basis) = seed.take() {
-            inner.snapshots.check_in(template_fp, basis);
         }
-        (verdict, solution, was_seeded)
     };
 
-    // One escalated retry for budget-exhausted solves: cold, unseeded,
-    // raised budgets (restored afterwards), so a successful retry is
-    // bit-identical to the canonical fault-free verdict. A persistent
-    // injected exhaustion (`ExhaustIterations`) exhausts the retry too.
-    let mut retry_adopted = false;
+    // One escalated retry for budget-exhausted solves: unseeded, raised
+    // budgets (restored afterwards), so a successful retry is
+    // bit-identical to the fault-free verdict. A persistent injected
+    // exhaustion (`ExhaustIterations`) exhausts the retry too. A result
+    // that failed its check is not retried: the check is deterministic.
     if matches!(
         solution.status,
         MilpStatus::NodeLimit | MilpStatus::IterationLimit
-    ) {
+    ) && solution.stats.failed_checks == 0
+    {
         inner.counters.add(CounterId::Retries, 1);
         if !matches!(fault, Some(FaultKind::ExhaustIterations)) {
             let retry_started = trace.now_ns();
@@ -1105,40 +1103,8 @@ fn run_job(
                     inner.counters.add(CounterId::RetrySuccesses, 1);
                     verdict = retry_verdict;
                     solution = retry_solution;
-                    retry_adopted = true;
                 }
             }
-        }
-    }
-
-    // The escalated retry is already cold and unseeded, hence canonical.
-    // Keyed on the status, not the verdict: an `Optimal` solve whose
-    // witness failed re-execution is re-solved too, so its verdict never
-    // depends on which basis the pool handed out.
-    if was_seeded && !retry_adopted && solution.status == MilpStatus::Optimal {
-        let canonical_started = trace.now_ns();
-        let resolved = job.problem.solve_with_template(
-            &job.template,
-            &job.region,
-            &mut SolveOptions::new()
-                .bounds(job.bounds.as_ref())
-                .scratch(scratch)
-                .cancel(cancel)
-                .backend(backend)
-                .tracer(trace),
-        );
-        if trace.is_enabled() {
-            trace.event(TraceEvent::span(
-                EventKind::CanonicalResolve,
-                canonical_started,
-                trace.now_ns().saturating_sub(canonical_started),
-                0,
-            ));
-        }
-        if let Ok((canonical_verdict, canonical_solution)) = resolved {
-            verdict = canonical_verdict;
-            solution = canonical_solution;
-            inner.counters.add(CounterId::CanonicalResolves, 1);
         }
     }
 
@@ -1248,7 +1214,6 @@ mod tests {
     fn shared_plumbing_is_send_and_sync() {
         assert_send_sync::<ProblemTemplate>();
         assert_send_sync::<TemplateCache>();
-        assert_send_sync::<SnapshotPool>();
         assert_send_sync::<Fingerprint>();
         assert_send_sync::<Job>();
         assert_send_sync::<Inner>();

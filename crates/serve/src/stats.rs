@@ -25,11 +25,13 @@ pub struct ServeStats {
     pub solved: u64,
     /// Obligations answered from the verdict cache without solving.
     pub dedup_hits: u64,
-    /// Seeded solves that found a counterexample and were re-solved
-    /// unseeded so the reported point is independent of pool state.
+    /// Always 0: the server solves every obligation from the slack basis,
+    /// so no witness needs a canonical re-solve. The field stays until
+    /// perfbench's replay, which reads it, moves off the old path.
     pub canonical_resolves: u64,
-    /// Budget-exhausted solves (node or iteration limit) retried once on
-    /// a cold solver with escalated budgets before degrading.
+    /// Budget-exhausted solves (node or iteration limit) retried once,
+    /// unseeded, with escalated budgets before degrading. A solve whose LP
+    /// result failed its check is not retried.
     pub retries: u64,
     /// Escalated retries that produced a definitive verdict, rescuing an
     /// obligation that would otherwise have degraded.
@@ -52,7 +54,9 @@ pub struct ServeStats {
     pub total_solve_ns: u128,
     /// Template-cache effectiveness (hits, misses, evictions, entries).
     pub templates: CacheStats,
-    /// Snapshot-pool effectiveness (hits, misses, discards, pooled).
+    /// Always the default: the server keeps no basis pool. The field
+    /// stays until perfbench's replay, which reads it, moves off the
+    /// pool.
     pub snapshots: SnapshotPoolStats,
 }
 
@@ -80,7 +84,7 @@ impl ServeStats {
     pub fn summary(&self) -> String {
         format!(
             "{} requests | {} obligations ({} solved, {} deduped, {}‰ dedup) | \
-             templates {}/{} hit/miss | bases {}/{} hit/miss | queue {} (max {}) | \
+             templates {}/{} hit/miss | queue {} (max {}) | \
              {} ns/obligation | {} retries ({} rescued) | {} panics ({} quarantined) | \
              {} deadline-skipped",
             self.requests,
@@ -90,8 +94,6 @@ impl ServeStats {
             self.dedup_rate_permille(),
             self.templates.hits,
             self.templates.misses,
-            self.snapshots.hits,
-            self.snapshots.misses,
             self.queue_depth,
             self.max_queue_depth,
             self.mean_obligation_latency_ns(),

@@ -10,8 +10,8 @@
 
 use dpv_trace::{EventKind, TraceEvent, TraceSnapshot, VerdictClass, NO_OBLIGATION};
 
-/// One solver phase of an obligation: instantiation, a solve attempt,
-/// an escalated retry or a canonicalising re-solve.
+/// One solver phase of an obligation: instantiation, a solve attempt or
+/// an escalated retry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttemptSpan {
     /// Which phase this span covers.
@@ -20,7 +20,8 @@ pub struct AttemptSpan {
     pub at_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Kind-specific payload (e.g. whether a solve attempt was seeded).
+    /// Kind-specific payload (e.g. the budget scale of an escalated
+    /// retry).
     pub detail: u64,
 }
 
@@ -35,7 +36,7 @@ pub struct ObligationTimeline {
     pub dequeued_at_ns: Option<u64>,
     /// Queue wait as recorded by the worker at dequeue.
     pub queue_wait_ns: Option<u64>,
-    /// Instantiation / solve / retry / canonicalise spans, in time order.
+    /// Instantiation / solve / retry spans, in time order.
     pub attempts: Vec<AttemptSpan>,
     /// The verdict class the worker reported.
     pub verdict: Option<VerdictClass>,
@@ -92,10 +93,7 @@ impl RequestTimeline {
                     timeline.obligation_mut(event.obligation).verdict =
                         Some(VerdictClass::from_u64(event.detail));
                 }
-                EventKind::Instantiate
-                | EventKind::SolveAttempt
-                | EventKind::EscalatedRetry
-                | EventKind::CanonicalResolve => {
+                EventKind::Instantiate | EventKind::SolveAttempt | EventKind::EscalatedRetry => {
                     timeline
                         .obligation_mut(event.obligation)
                         .attempts

@@ -36,30 +36,27 @@ pub enum EventKind {
     DedupHit = 4,
     /// A template instantiation (bound re-tightening) span.
     Instantiate = 5,
-    /// The primary solve attempt span (`detail` = 1 when warm-seeded).
+    /// The primary solve attempt span.
     SolveAttempt = 6,
     /// The escalated cold retry span after budget exhaustion.
     EscalatedRetry = 7,
-    /// The unseeded canonicalisation re-solve span for a seeded
-    /// counterexample.
-    CanonicalResolve = 8,
     /// A sampled warm (snapshot-start) LP node solve (`detail` =
     /// simplex iterations of the sampled solve).
-    WarmLp = 9,
+    WarmLp = 8,
     /// A sampled cold (slack-basis start) LP node solve (`detail` = simplex
     /// iterations of the sampled solve).
-    ColdLp = 10,
+    ColdLp = 9,
     /// Sampled branch-and-bound progress (`detail` = nodes explored so
     /// far in the current search tree).
-    BnbProgress = 11,
+    BnbProgress = 10,
     /// An obligation's final verdict (`detail` = a
     /// [`VerdictClass`] discriminant).
-    Verdict = 12,
+    Verdict = 11,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 13] = [
+    pub const ALL: [EventKind; 12] = [
         EventKind::RequestBegin,
         EventKind::RequestEnd,
         EventKind::Enqueue,
@@ -68,7 +65,6 @@ impl EventKind {
         EventKind::Instantiate,
         EventKind::SolveAttempt,
         EventKind::EscalatedRetry,
-        EventKind::CanonicalResolve,
         EventKind::WarmLp,
         EventKind::ColdLp,
         EventKind::BnbProgress,
@@ -91,7 +87,6 @@ impl EventKind {
             EventKind::Instantiate => "instantiate",
             EventKind::SolveAttempt => "solve-attempt",
             EventKind::EscalatedRetry => "escalated-retry",
-            EventKind::CanonicalResolve => "canonical-resolve",
             EventKind::WarmLp => "warm-lp",
             EventKind::ColdLp => "cold-lp",
             EventKind::BnbProgress => "bnb-progress",

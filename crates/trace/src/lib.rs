@@ -12,7 +12,7 @@
 //! Events ([`TraceEvent`]) are fixed-width six-word records forming an
 //! implicit span hierarchy through their tags: request → obligation →
 //! solve attempt → {instantiate, warm LP, cold LP, branch-and-bound
-//! progress, escalated retry, canonicalisation}. Timestamps are
+//! progress, escalated retry}. Timestamps are
 //! nanoseconds on the monotonic clock since the tracer's creation.
 //!
 //! # Ring-buffer semantics

@@ -28,8 +28,6 @@ pub enum CounterId {
     /// Wall-clock nanoseconds spent solving obligations, summed over the
     /// pool's workers.
     SolveNanos,
-    /// Seeded counterexamples re-solved unseeded for canonical reports.
-    CanonicalResolves,
     /// Template-cache lookups answered from the cache.
     TemplateHits,
     /// Template-cache lookups that had to build.
@@ -52,7 +50,8 @@ pub enum CounterId {
     Refactorisations,
     /// Branch-and-bound nodes explored.
     BnbNodes,
-    /// Budget-exhausted solves retried once with escalated budgets.
+    /// Budget-exhausted solves retried once with escalated budgets (a
+    /// failed result check is not retried).
     Retries,
     /// Escalated retries that produced a definitive verdict.
     RetrySuccesses,
@@ -78,13 +77,12 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in export order.
-    pub const ALL: [CounterId; 28] = [
+    pub const ALL: [CounterId; 27] = [
         CounterId::Requests,
         CounterId::Obligations,
         CounterId::DedupHits,
         CounterId::Solved,
         CounterId::SolveNanos,
-        CounterId::CanonicalResolves,
         CounterId::TemplateHits,
         CounterId::TemplateMisses,
         CounterId::TemplateEvictions,
@@ -117,7 +115,6 @@ impl CounterId {
             CounterId::DedupHits => "dedup-hits",
             CounterId::Solved => "solved",
             CounterId::SolveNanos => "solve-nanos",
-            CounterId::CanonicalResolves => "canonical-resolves",
             CounterId::TemplateHits => "template-hits",
             CounterId::TemplateMisses => "template-misses",
             CounterId::TemplateEvictions => "template-evictions",

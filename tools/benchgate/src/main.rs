@@ -29,11 +29,11 @@
 //!   k = 1 is 0.7% slower — well inside the band; exact parity is not the
 //!   contract, the band is.
 //! * `*-per-sec-*` — higher is better with 50% relative slack: these are
-//!   absolute throughput records (e11's frames·1000/s, e8's node LPs·1000/s),
-//!   so runner speed does *not* cancel the way it does for ratios; the loose
-//!   floor only catches an order-of-magnitude collapse, such as the batch
-//!   monitor path falling back to per-frame work or the LP engine losing
-//!   its warm starts.
+//!   absolute throughput records (e11's frames·1000/s, e8's node
+//!   LPs·1000/s, e12's served obligations·1000/s), so runner speed does
+//!   *not* cancel the way it does for ratios; the loose floor only catches
+//!   an order-of-magnitude collapse, such as the batch monitor path falling
+//!   back to per-frame work or the LP engine losing its warm starts.
 //! * `dedup-parity-permille` — a **zero-width band at 1000**: a verdict
 //!   served from the dedup cache must equal the solved one exactly.
 //! * `*hit-rate*`, `*dedup-rate*` — higher is better with absolute slack
@@ -94,11 +94,11 @@ fn rule_for(id: &str) -> Gate {
             halfwidth: 50,
         }
     } else if id.contains("-per-sec-") {
-        // Absolute throughput (frames or node LPs ·1000/s) is machine-speed
-        // dependent in a way the timing *ratios* are not, so the floor is a
-        // loose 50% of the committed baseline — it catches order-of-magnitude
-        // collapses (e.g. the batch path silently falling back to per-frame
-        // work) without flaking on slower CI runners.
+        // Absolute throughput (frames, node LPs or obligations ·1000/s) is
+        // machine-speed dependent in a way the timing *ratios* are not, so
+        // the floor is a loose 50% of the committed baseline — it catches
+        // order-of-magnitude collapses (e.g. the batch path silently falling
+        // back to per-frame work) without flaking on slower CI runners.
         Gate::HigherIsBetter {
             rel_permille: 500,
             abs: 0,
@@ -514,6 +514,7 @@ mod tests {
         for id in [
             "e11/monitor-batch-frames-per-sec-permille",
             "e8/refine-sweep/node-lps-per-sec-permille",
+            "serve/warm-obligations-per-sec-permille",
         ] {
             let baseline = report(&[(id, 92_000_000)]);
             // A slower runner at 60% of the committed throughput passes …
