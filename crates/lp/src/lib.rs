@@ -8,7 +8,8 @@
 //! The crate provides:
 //!
 //! * [`LinearProgram`] — a model builder for LPs with finite per-variable
-//!   bounds and `≤ / ≥ / =` row constraints, solved by one engine: a
+//!   bounds and `≤ / ≥ / =` row constraints (every bound, coefficient and
+//!   right-hand side must be finite), solved by one engine: a
 //!   bounded-variable dual simplex on a dense row-major tableau. Every
 //!   variable is boxed, so the slack basis is dual feasible and a solve
 //!   needs no phase 1 ([`LinearProgram::solve`]). A solved program hands

@@ -110,6 +110,11 @@ fn check_bounds(lower: f64, upper: f64) {
     );
 }
 
+/// Panics unless a constraint's right-hand side is finite.
+fn check_rhs(rhs: f64) {
+    assert!(rhs.is_finite(), "constraint rhs must be finite, got {rhs}");
+}
+
 /// A linear program with per-variable bounds.
 ///
 /// Variables are created with [`LinearProgram::add_variable`], which returns
@@ -216,13 +221,21 @@ impl LinearProgram {
 
     /// Sets the objective `Σ coeff_i · x_i`, maximised when `maximize` is
     /// `true` and minimised otherwise. Variables not mentioned keep
-    /// coefficient zero.
+    /// coefficient zero; a variable mentioned twice gets the sum.
+    ///
+    /// # Panics
+    /// Panics when a referenced variable does not exist or a coefficient
+    /// (or the sum of a variable's coefficients) is NaN or infinite.
     pub fn set_objective(&mut self, coeffs: &[(VarId, f64)], maximize: bool) {
         for c in &mut self.objective {
             *c = 0.0;
         }
-        for (var, coeff) in coeffs {
-            self.objective[*var] += coeff;
+        for &(var, coeff) in coeffs {
+            self.objective[var] += coeff;
+            assert!(
+                self.objective[var].is_finite(),
+                "objective coefficients must be finite, got {coeff} for variable {var}"
+            );
         }
         self.maximize = maximize;
     }
@@ -230,14 +243,18 @@ impl LinearProgram {
     /// Adds a row constraint.
     ///
     /// # Panics
-    /// Panics when a referenced variable does not exist or the right-hand
-    /// side is NaN.
+    /// Panics when a referenced variable does not exist, or a coefficient
+    /// or the right-hand side is NaN or infinite.
     pub fn add_constraint(&mut self, coeffs: &[(VarId, f64)], op: ConstraintOp, rhs: f64) {
-        assert!(!rhs.is_nan(), "constraint rhs must not be NaN");
-        for (var, _) in coeffs {
+        check_rhs(rhs);
+        for &(var, coeff) in coeffs {
             assert!(
-                *var < self.num_variables(),
+                var < self.num_variables(),
                 "constraint references unknown variable {var}"
+            );
+            assert!(
+                coeff.is_finite(),
+                "constraint coefficients must be finite, got {coeff} for variable {var}"
             );
         }
         self.constraints.push(Constraint {
@@ -255,9 +272,9 @@ impl LinearProgram {
     /// rows).
     ///
     /// # Panics
-    /// Panics when `index` is out of range or `rhs` is NaN.
+    /// Panics when `index` is out of range or `rhs` is NaN or infinite.
     pub fn set_constraint_rhs(&mut self, index: usize, rhs: f64) {
-        assert!(!rhs.is_nan(), "constraint rhs must not be NaN");
+        check_rhs(rhs);
         self.constraints[index].rhs = rhs;
     }
 
@@ -454,6 +471,31 @@ mod tests {
         let mut lp = LinearProgram::new();
         let x = lp.add_variable(0.0, 1.0);
         lp.set_bounds(x, f64::NEG_INFINITY, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn set_objective_rejects_non_finite_coefficients() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_variable(0.0, 1.0);
+        lp.set_objective(&[(x, f64::NAN)], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn add_constraint_rejects_non_finite_data() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_variable(0.0, 1.0);
+        lp.add_constraint(&[(x, f64::INFINITY)], ConstraintOp::Le, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn set_constraint_rhs_rejects_infinite_values() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_variable(0.0, 1.0);
+        lp.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0);
+        lp.set_constraint_rhs(0, f64::NEG_INFINITY);
     }
 
     #[test]

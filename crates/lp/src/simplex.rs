@@ -3,12 +3,20 @@
 //! Every variable of a [`LinearProgram`] is boxed: `add_variable` and
 //! `set_bounds` reject infinite bounds. Each row `a·x (op) b` gets one slack
 //! `s` with `a·x + s = b`, where `s ∈ [0, ∞)` for `≤`, `s ∈ (−∞, 0]` for `≥`
-//! and `s = 0` for `=`. The engine keeps the row-major tableau `B⁻¹·[A | I]`
-//! of m rows × (n structurals + m slacks) and pivots it in place. Bounds stay
-//! implicit: each nonbasic column sits at one of its bounds. The slack block
-//! of the tableau is `B⁻¹` itself, which serves twice: every solve starts by
-//! refreshing the basic values `x_B = B⁻¹·(b − N·x_N)` from the live rows and
-//! bounds, and an infeasible row reads its Farkas multipliers from it.
+//! and `s = 0` for `=`. Of the n structural and m slack columns, m are basic
+//! and n nonbasic. The engine keeps the row-major m × n tableau `B⁻¹·N` of the
+//! nonbasic columns only and pivots it in place: the basic columns of
+//! `B⁻¹·[A | I]` are unit vectors that no pivot changes, so they are not
+//! stored. Tableau column `k` holds nonbasic column `nonbasic[k]`, and a
+//! pivot hands position `k` from the entering column to the leaving one.
+//! Bounds stay implicit: each nonbasic column sits at one of its bounds.
+//!
+//! `B⁻¹` is the slack block of `B⁻¹·[A | I]`: row r of it holds the tableau
+//! entries of the nonbasic slacks, a 1 at the slack that is basic in row r
+//! (if one is) and zeros at the other basic slacks. It serves twice: every
+//! solve starts by refreshing the basic values `x_B = B⁻¹·(b − N·x_N)` from
+//! the live rows and bounds, and an infeasible row reads its Farkas
+//! multipliers from it.
 //!
 //! # One routine, two start bases
 //!
@@ -27,17 +35,32 @@
 //! See Chvátal, *Linear Programming* (1983), ch. 8, and Koberstein, *The
 //! Dual Simplex Method* (2005).
 //!
+//! # Summation order
+//!
+//! The pivot sequence is a function of the program and the start basis, and
+//! it does not depend on which columns the tableau stores. Every sum runs in
+//! column order, whatever the tableau position of a column: the ratio test
+//! walks the nonbasic columns by ascending index (its tie-breaks depend on
+//! the order), and `x_B` and the Farkas sums add their terms in slack order.
+//! The unit columns a full `B⁻¹·[A | I]` tableau would add contribute only
+//! products with an exact zero, and adding ±0 leaves any nonzero partial sum
+//! unchanged, so the full tableau pivots identically, up to the sign of a
+//! zero, as long as the arithmetic stays finite. The `pivot_pin` test of
+//! this crate pins the sequence.
+//!
 //! # Checked results
 //!
 //! A result counts only after a check against the live program. An optimum
 //! must be primal feasible within 1e-6. An infeasibility must carry a Farkas
 //! certificate: the multipliers `y` of the row that stopped the ratio test
-//! are read from the `B⁻¹` block, `y·A` and `y·b` are recomputed from the
-//! live constraints, and `y·b` must lie outside the range of `y·A·x + y·s`
-//! over the bounds by more than a tolerance relative to the magnitudes
-//! summed. When a check fails after a snapshot start, the warm solve declines
-//! and the caller restarts from the slack basis; after a slack start, the
-//! solve ends [`LpStatus::IterationLimit`], never `Infeasible`.
+//! are read from `B⁻¹`, `y·A` and `y·b` are recomputed from the live
+//! constraints, and `y·b` must lie outside the range of `y·A·x + y·s` over
+//! the bounds by more than a tolerance relative to the magnitudes summed.
+//! When a check fails after a snapshot start, the warm solve declines and
+//! the caller restarts from the slack basis; after a slack start, the solve
+//! ends [`LpStatus::IterationLimit`], never `Infeasible`.
+
+use std::hint::select_unpredictable;
 
 use crate::{CancelToken, ConstraintOp, LinearProgram, LpSolution, LpStatus, SOLVER_EPS};
 
@@ -77,7 +100,7 @@ fn slack_bounds(op: ConstraintOp) -> (f64, f64) {
 }
 
 /// The default pivot budget of a program with `n` variables and `m` rows:
-/// the tableau width `n + m` plus the row count, times 200, plus 50 000.
+/// the column count `n + m` plus the row count, times 200, plus 50 000.
 pub(crate) fn default_iteration_budget(n: usize, m: usize) -> usize {
     50_000 + 200 * (n + 2 * m)
 }
@@ -85,34 +108,38 @@ pub(crate) fn default_iteration_budget(n: usize, m: usize) -> usize {
 /// The state a solve pivots in place.
 #[derive(Debug, Clone)]
 struct Basis {
-    /// Row-major `m × (n + m)` tableau `B⁻¹·[A | I]`.
+    /// Row-major `m × n` tableau `B⁻¹·N`; column `k` is `nonbasic[k]`.
     tableau: Vec<f64>,
     /// Basic column of each row.
     head: Vec<usize>,
+    /// Nonbasic column of each tableau column.
+    nonbasic: Vec<usize>,
     /// Where each column sits.
     place: Vec<Place>,
+    /// The row of each basic column, the tableau column of each nonbasic one.
+    slot: Vec<usize>,
 }
 
 impl Basis {
-    /// The slack basis of `lp`: tableau `[A | I]`, every slack basic, every
+    /// The slack basis of `lp`: tableau `A`, every slack basic, every
     /// structural nonbasic (its bound is picked when the solve starts).
     fn slack(lp: &LinearProgram) -> Self {
         let (n, m) = (lp.num_variables(), lp.constraints.len());
-        let width = n + m;
-        let mut tableau = vec![0.0; m * width];
+        let mut tableau = vec![0.0; m * n];
         for (i, constraint) in lp.constraints.iter().enumerate() {
-            let row = &mut tableau[i * width..(i + 1) * width];
+            let row = &mut tableau[i * n..(i + 1) * n];
             for &(j, a) in &constraint.coeffs {
                 row[j] += a;
             }
-            row[n + i] = 1.0;
         }
         let mut place = vec![Place::Lower; n];
-        place.resize(width, Place::Basic);
+        place.resize(n + m, Place::Basic);
         Self {
             tableau,
-            head: (n..width).collect(),
+            head: (n..n + m).collect(),
+            nonbasic: (0..n).collect(),
             place,
+            slot: (0..n).chain(0..m).collect(),
         }
     }
 }
@@ -120,8 +147,10 @@ impl Basis {
 /// The final basis of a solved [`LinearProgram`], reusable as the start of a
 /// re-solve after bound-only edits (see [`LinearProgram::solve_from_basis`]).
 ///
-/// It holds the tableau `B⁻¹·[A | I]`, the basic column of each row and the
-/// bound each nonbasic column sits at. Any such basis is dual feasible for
+/// It holds the m × n tableau `B⁻¹·N` of the nonbasic columns, the basic
+/// column of each row, the nonbasic column of each tableau column and the
+/// bound each nonbasic column sits at; the basic columns of `B⁻¹·[A | I]`
+/// are unit vectors and are not stored. Any such basis is dual feasible for
 /// every program with the same rows and objective, whatever its bounds and
 /// right-hand sides, so a re-solve starts the dual simplex from it instead of
 /// from the slack basis. A snapshot records the variable count, the rows'
@@ -160,7 +189,7 @@ impl BasisSnapshot {
     /// Whether `lp` has the rows and objective this basis was built for.
     fn fits(&self, lp: &LinearProgram) -> bool {
         self.basis.head.len() == lp.constraints.len()
-            && self.basis.place.len() == lp.num_variables() + lp.constraints.len()
+            && self.basis.nonbasic.len() == lp.num_variables()
             && self.nnz == nnz(lp)
             && self.maximize == lp.maximize
             && self.objective == lp.objective
@@ -182,20 +211,61 @@ enum End {
     Cancelled,
 }
 
+/// The bounds of a column: a variable's box, or the slack bounds of its row.
+fn column_bounds(lp: &LinearProgram, j: usize) -> (f64, f64) {
+    match j.checked_sub(lp.num_variables()) {
+        None => (lp.lower[j], lp.upper[j]),
+        Some(row) => slack_bounds(lp.constraints[row].op),
+    }
+}
+
+/// The bounds of a row's basic variable, and the values below and above
+/// which the pricing counts it as violated.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    lower: f64,
+    upper: f64,
+    floor: f64,
+    ceiling: f64,
+}
+
+impl Window {
+    fn new((lower, upper): (f64, f64)) -> Self {
+        Self {
+            lower,
+            upper,
+            floor: lower - PRIMAL_TOL * (1.0 + lower.abs()),
+            ceiling: upper + PRIMAL_TOL * (1.0 + upper.abs()),
+        }
+    }
+
+    /// How far `x` lies outside the bounds, zero when it is within
+    /// tolerance, and whether it must rise (`true`) or fall to get back.
+    /// Outside the tolerance the amount is positive.
+    fn violation(&self, x: f64) -> (f64, bool) {
+        let rise = x < self.floor;
+        let fall = select_unpredictable(x > self.ceiling, x - self.upper, 0.0);
+        (select_unpredictable(rise, self.lower - x, fall), rise)
+    }
+}
+
 /// One dual simplex run over a borrowed [`Basis`].
 struct Simplex<'a> {
     lp: &'a LinearProgram,
     n: usize,
-    width: usize,
-    tableau: &'a mut [f64],
-    head: &'a mut [usize],
-    place: &'a mut [Place],
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    /// Reduced costs of the minimised objective.
+    basis: &'a mut Basis,
+    /// Reduced costs of the minimised objective, one per tableau column.
     reduced: Vec<f64>,
+    /// Whether the objective has a nonzero coefficient. Without one every
+    /// reduced cost is and stays zero.
+    priced: bool,
     /// Value of the basic variable of each row.
     values: Vec<f64>,
+    /// Bounds of the basic variable of each row.
+    windows: Vec<Window>,
+    /// The columns the ratio test may pick, the nonbasic ones that are not
+    /// fixed, as `(column, tableau column)` in ascending column order.
+    candidates: Vec<(usize, usize)>,
     iterations: usize,
     budget: usize,
     cancel: Option<&'a CancelToken>,
@@ -203,7 +273,8 @@ struct Simplex<'a> {
 
 impl<'a> Simplex<'a> {
     /// Prices `basis` for `lp`: reduced costs from the tableau, each
-    /// nonbasic column at the bound its reduced cost picks, and basic values
+    /// nonbasic column at the bound its reduced cost picks (in column
+    /// order), the candidate list and row windows, and basic values
     /// refreshed from the live rows. `None` when a nonbasic column's reduced
     /// cost asks for an infinite bound, i.e. the basis is not dual feasible.
     fn start(
@@ -212,34 +283,28 @@ impl<'a> Simplex<'a> {
         cancel: Option<&'a CancelToken>,
     ) -> Option<Self> {
         let (n, m) = (lp.num_variables(), lp.constraints.len());
-        let width = n + m;
-        let (mut lower, mut upper) = (lp.lower.clone(), lp.upper.clone());
-        for constraint in &lp.constraints {
-            let (lo, hi) = slack_bounds(constraint.op);
-            lower.push(lo);
-            upper.push(hi);
-        }
         let sign = if lp.maximize { -1.0 } else { 1.0 };
-        let mut reduced: Vec<f64> = lp.objective.iter().map(|c| sign * c).collect();
-        reduced.resize(width, 0.0);
-        if reduced.iter().any(|&c| c != 0.0) {
-            let cost = reduced.clone();
-            for (r, &basic) in basis.head.iter().enumerate() {
-                let cb = cost[basic];
+        let cost = |j: usize| if j < n { sign * lp.objective[j] } else { 0.0 };
+        let mut reduced: Vec<f64> = basis.nonbasic.iter().map(|&j| cost(j)).collect();
+        let priced = lp.objective.iter().any(|&c| c != 0.0);
+        // A nonzero objective coefficient means n ≥ 1.
+        if priced {
+            for (row, &basic) in basis.tableau.chunks_exact(n).zip(&basis.head) {
+                let cb = cost(basic);
                 if cb != 0.0 {
-                    let row = &basis.tableau[r * width..(r + 1) * width];
                     for (d, t) in reduced.iter_mut().zip(row) {
                         *d -= cb * t;
                     }
                 }
             }
         }
+        let mut candidates = Vec::with_capacity(n);
         for (j, place) in basis.place.iter_mut().enumerate() {
             if *place == Place::Basic {
-                reduced[j] = 0.0;
                 continue;
             }
-            let d = reduced[j];
+            let (lower, upper) = column_bounds(lp, j);
+            let d = reduced[basis.slot[j]];
             let want_upper = if d > DUAL_TOL {
                 false
             } else if d < -DUAL_TOL {
@@ -247,25 +312,31 @@ impl<'a> Simplex<'a> {
             } else {
                 *place == Place::Upper
             };
-            *place = match (want_upper, lower[j].is_finite(), upper[j].is_finite()) {
+            *place = match (want_upper, lower.is_finite(), upper.is_finite()) {
                 (true, _, true) | (false, false, _) => Place::Upper,
                 _ => Place::Lower,
             };
             if d.abs() > DUAL_FEAS_TOL && want_upper != (*place == Place::Upper) {
                 return None;
             }
+            if lower != upper {
+                candidates.push((j, basis.slot[j]));
+            }
         }
+        let windows = basis
+            .head
+            .iter()
+            .map(|&j| Window::new(column_bounds(lp, j)))
+            .collect();
         let mut simplex = Self {
             lp,
             n,
-            width,
-            tableau: &mut basis.tableau,
-            head: &mut basis.head,
-            place: &mut basis.place,
-            lower,
-            upper,
+            basis,
             reduced,
+            priced,
             values: vec![0.0; m],
+            windows,
+            candidates,
             iterations: 0,
             budget: lp
                 .max_iterations
@@ -278,57 +349,50 @@ impl<'a> Simplex<'a> {
 
     /// The value of nonbasic column `j`.
     fn bound_value(&self, j: usize) -> f64 {
-        match self.place[j] {
-            Place::Upper => self.upper[j],
-            _ => self.lower[j],
+        let (lower, upper) = column_bounds(self.lp, j);
+        match self.basis.place[j] {
+            Place::Upper => upper,
+            _ => lower,
         }
     }
 
     /// Recomputes `x_B = B⁻¹·(b − N·x_N)` from the live constraints. Nonbasic
     /// slacks sit at their finite bound, which is always zero, so only the
-    /// nonbasic structurals enter `N·x_N`.
+    /// nonbasic structurals enter `N·x_N`; a basic structural enters it with
+    /// the value zero, whose term changes no nonzero partial sum. Each row
+    /// adds its terms in slack order: a nonbasic slack's tableau column, or
+    /// the 1 of the row's own basic slack; the other basic slacks' zeros
+    /// are skipped.
     fn refresh(&mut self) {
-        let residual: Vec<f64> = self
-            .lp
-            .constraints
-            .iter()
-            .map(|constraint| {
-                constraint
-                    .coeffs
-                    .iter()
-                    .filter(|&&(j, _)| self.place[j] != Place::Basic)
-                    .fold(constraint.rhs, |acc, &(j, a)| acc - a * self.bound_value(j))
+        let x_n: Vec<f64> = (0..self.n)
+            .map(|j| match self.basis.place[j] {
+                Place::Basic => 0.0,
+                _ => self.bound_value(j),
             })
             .collect();
-        let (n, width) = (self.n, self.width);
-        for (r, value) in self.values.iter_mut().enumerate() {
-            *value = self.tableau[r * width + n..(r + 1) * width]
+        let (basis, n) = (&*self.basis, self.n);
+        self.values.fill(0.0);
+        for (slack, constraint) in (n..).zip(&self.lp.constraints) {
+            let residual = constraint
+                .coeffs
                 .iter()
-                .zip(&residual)
-                .map(|(inverse, r)| inverse * r)
-                .sum();
-        }
-    }
-
-    /// How far the basic variable of `row` lies outside its bounds, and
-    /// whether it must rise (`true`) or fall to get back; `None` when it is
-    /// within tolerance.
-    fn violation(&self, row: usize) -> Option<(f64, bool)> {
-        let (j, x) = (self.head[row], self.values[row]);
-        let (lo, hi) = (self.lower[j], self.upper[j]);
-        if x < lo - PRIMAL_TOL * (1.0 + lo.abs()) {
-            Some((lo - x, true))
-        } else if x > hi + PRIMAL_TOL * (1.0 + hi.abs()) {
-            Some((x - hi, false))
-        } else {
-            None
+                .fold(constraint.rhs, |acc, &(j, a)| acc - a * x_n[j]);
+            let at = basis.slot[slack];
+            if basis.place[slack] == Place::Basic {
+                self.values[at] += residual;
+            } else {
+                let rows = basis.tableau.chunks_exact(n);
+                for (value, row) in self.values.iter_mut().zip(rows) {
+                    *value += row[at] * residual;
+                }
+            }
         }
     }
 
     /// Pivots until the basis is primal feasible, a row proves the program
     /// infeasible, the budget runs out or the token trips.
     fn iterate(&mut self) -> End {
-        let bland_after = 2 * self.head.len() + 32;
+        let bland_after = 2 * self.basis.head.len() + 32;
         let mut pivots = 0usize;
         loop {
             if self.iterations & CANCEL_POLL_MASK == 0
@@ -337,27 +401,10 @@ impl<'a> Simplex<'a> {
                 return End::Cancelled;
             }
             let bland = pivots >= bland_after;
-            // Leaving row: the most violated (fast phase), or the smallest
-            // basic index among the violated rows (Bland phase).
-            let mut leaving: Option<(usize, f64, bool)> = None;
-            for row in 0..self.head.len() {
-                if let Some((amount, rise)) = self.violation(row) {
-                    let better = leaving.is_none_or(|(best, best_amount, _)| {
-                        if bland {
-                            self.head[row] < self.head[best]
-                        } else {
-                            amount > best_amount
-                        }
-                    });
-                    if better {
-                        leaving = Some((row, amount, rise));
-                    }
-                }
-            }
-            let Some((row, _, rise)) = leaving else {
+            let Some((row, rise)) = self.leaving(bland) else {
                 return End::Optimal;
             };
-            let Some(col) = self.entering(row, rise, bland) else {
+            let Some(candidate) = self.entering(row, rise, bland) else {
                 return End::Infeasible(row, rise);
             };
             if self.budget == 0 {
@@ -365,38 +412,82 @@ impl<'a> Simplex<'a> {
             }
             self.budget -= 1;
             pivots += 1;
-            self.pivot(row, col, rise);
+            self.pivot(row, candidate, rise);
         }
     }
 
-    /// The dual ratio test on `row`. The row reads `x_p = β − Σ α_j·x_j`, so
+    /// The leaving row and whether its basic variable must rise: the most
+    /// violated row (fast phase), or the one with the smallest basic index
+    /// among the violated rows (Bland phase); `None` when no row is
+    /// violated. A violation amount is positive, so the fast phase can
+    /// score an unviolated row zero and keep the first of the largest.
+    fn leaving(&self, bland: bool) -> Option<(usize, bool)> {
+        let rows = self.windows.iter().zip(&self.values);
+        let violations = rows.map(|(window, &x)| window.violation(x)).enumerate();
+        if bland {
+            let head = &self.basis.head;
+            return violations
+                .filter(|&(_, (amount, _))| amount > 0.0)
+                .min_by_key(|&(row, _)| head[row])
+                .map(|(row, (_, rise))| (row, rise));
+        }
+        let mut leaving = None;
+        let mut most = 0.0;
+        for (row, (amount, rise)) in violations {
+            if amount > most {
+                most = amount;
+                leaving = Some((row, rise));
+            }
+        }
+        leaving
+    }
+
+    /// The dual ratio test on `row`, returning the index of the entering
+    /// column in the candidate list. The row reads `x_p = β − Σ α_j·x_j`, so
     /// raising `x_p` needs a column that can rise where `α_j < 0` (at its
     /// lower bound) or fall where `α_j > 0` (at its upper bound), and
     /// lowering `x_p` the reverse. Among those, the smallest `|d_j / α_j|`
     /// keeps every reduced cost on its bound's side; ties go to the largest
     /// |α_j| (fast phase) or the smallest index (Bland phase). Fixed columns
-    /// never enter.
+    /// never enter. Without an objective every ratio is zero, so the largest
+    /// |α_j| wins (the first of equals), or in the Bland phase the first
+    /// eligible column.
     fn entering(&self, row: usize, rise: bool, bland: bool) -> Option<usize> {
-        let alphas = &self.tableau[row * self.width..(row + 1) * self.width];
-        let mut entering: Option<(usize, f64, f64)> = None;
-        for (j, &alpha) in alphas.iter().enumerate() {
-            let place = self.place[j];
-            if place == Place::Basic || self.lower[j] == self.upper[j] {
-                continue;
+        let alphas = &self.basis.tableau[row * self.n..(row + 1) * self.n];
+        // A candidate's α, whether it sits at its lower bound, and whether
+        // it is eligible.
+        let candidate = |j: usize, k: usize| {
+            let alpha = alphas[k];
+            let at_lower = self.basis.place[j] == Place::Lower;
+            let signed = select_unpredictable(rise == at_lower, -alpha, alpha);
+            (alpha, at_lower, signed > PIVOT_TOL)
+        };
+        if !self.priced {
+            let mut entering = None;
+            let mut largest = 0.0;
+            for (index, &(j, k)) in self.candidates.iter().enumerate() {
+                let (alpha, _, eligible) = candidate(j, k);
+                let magnitude = select_unpredictable(eligible, alpha.abs(), 0.0);
+                if magnitude > largest {
+                    if bland {
+                        return Some(index);
+                    }
+                    largest = magnitude;
+                    entering = Some(index);
+                }
             }
-            let at_lower = place == Place::Lower;
-            let eligible = if rise == at_lower {
-                alpha < -PIVOT_TOL
-            } else {
-                alpha > PIVOT_TOL
-            };
+            return entering;
+        }
+        let mut entering: Option<(usize, f64, f64)> = None;
+        for (index, &(j, k)) in self.candidates.iter().enumerate() {
+            let (alpha, at_lower, eligible) = candidate(j, k);
             if !eligible {
                 continue;
             }
             let d = if at_lower {
-                self.reduced[j]
+                self.reduced[k]
             } else {
-                -self.reduced[j]
+                -self.reduced[k]
             };
             let ratio = d.max(0.0) / alpha.abs();
             let better = entering.is_none_or(|(_, best, magnitude)| {
@@ -404,75 +495,92 @@ impl<'a> Simplex<'a> {
                     || (ratio <= best + DUAL_TOL && !bland && alpha.abs() > magnitude)
             });
             if better {
-                entering = Some((j, ratio, alpha.abs()));
+                entering = Some((index, ratio, alpha.abs()));
             }
         }
-        entering.map(|(j, _, _)| j)
+        entering.map(|(index, _, _)| index)
     }
 
-    /// Pivots `col` into the basis at `row`; the leaving variable goes to
-    /// the bound it violated (its lower one when `rise`).
-    fn pivot(&mut self, row: usize, col: usize, rise: bool) {
-        let width = self.width;
-        let leaving = self.head[row];
-        let alpha = self.tableau[row * width + col];
-        let target = if rise {
-            self.lower[leaving]
-        } else {
-            self.upper[leaving]
-        };
+    /// Pivots candidate `index` into the basis at `row`; the leaving
+    /// variable goes to the bound it violated (its lower one when `rise`)
+    /// and takes over the entering column's tableau column.
+    fn pivot(&mut self, row: usize, index: usize, rise: bool) {
+        let n = self.n;
+        let (col, k) = self.candidates[index];
+        let leaving = self.basis.head[row];
+        let alpha = self.basis.tableau[row * n + k];
+        let window = self.windows[row];
+        let target = if rise { window.lower } else { window.upper };
         // Primal step: move the entering column so the leaving variable
         // lands on its bound, carrying every basic value along.
         let step = (self.values[row] - target) / alpha;
         let entering_value = self.bound_value(col) + step;
-        for (value, tableau_row) in self.values.iter_mut().zip(self.tableau.chunks_exact(width)) {
-            let factor = tableau_row[col];
-            if factor != 0.0 {
-                *value -= factor * step;
-            }
-        }
-        self.values[row] = entering_value;
 
-        // Tableau step, in place: scale the pivot row, then eliminate the
-        // entering column from every other row.
-        let (above, rest) = self.tableau.split_at_mut(row * width);
-        let (pivot_row, below) = rest.split_at_mut(width);
+        // Tableau step, in place: scale the pivot row, whose column k now
+        // holds the leaving column's unit entry over α; then, in every
+        // other row that has an entry at k, carry the basic value along,
+        // clear the entry (the leaving column's zero) and eliminate.
+        let (above, rest) = self.basis.tableau.split_at_mut(row * n);
+        let (pivot_row, below) = rest.split_at_mut(n);
         let inverse = 1.0 / alpha;
         for value in pivot_row.iter_mut() {
             *value *= inverse;
         }
-        pivot_row[col] = 1.0;
-        for other in above
-            .chunks_exact_mut(width)
-            .chain(below.chunks_exact_mut(width))
-        {
-            let factor = other[col];
+        pivot_row[k] = inverse;
+        let (values_above, values_rest) = self.values.split_at_mut(row);
+        let (pivot_value, values_below) = values_rest.split_at_mut(1);
+        let others = above.chunks_exact_mut(n).chain(below.chunks_exact_mut(n));
+        for (other, value) in others.zip(values_above.iter_mut().chain(values_below)) {
+            let factor = other[k];
             if factor != 0.0 {
+                *value -= factor * step;
+                other[k] = 0.0;
                 for (o, p) in other.iter_mut().zip(pivot_row.iter()) {
                     *o -= factor * p;
                 }
             }
         }
+        pivot_value[0] = entering_value;
 
         // Dual step: the same elimination on the reduced-cost row.
-        let factor = self.reduced[col];
+        let factor = self.reduced[k];
+        self.reduced[k] = 0.0;
         if factor != 0.0 {
             for (d, p) in self.reduced.iter_mut().zip(pivot_row.iter()) {
                 *d -= factor * p;
             }
         }
-        self.reduced[col] = 0.0;
 
-        self.head[row] = col;
-        self.place[col] = Place::Basic;
-        self.place[leaving] = if rise { Place::Lower } else { Place::Upper };
+        let basis = &mut *self.basis;
+        basis.head[row] = col;
+        basis.nonbasic[k] = leaving;
+        basis.slot[col] = row;
+        basis.slot[leaving] = k;
+        basis.place[col] = Place::Basic;
+        basis.place[leaving] = if rise { Place::Lower } else { Place::Upper };
+        self.windows[row] = Window::new(column_bounds(self.lp, col));
+        // The leaving column, whose bounds `window` holds, takes the
+        // entering one's place in the candidate list, moved to keep the list
+        // in column order, unless it is fixed.
+        if window.lower == window.upper {
+            self.candidates.remove(index);
+        } else {
+            let to = self.candidates.partition_point(|&(j, _)| j < leaving);
+            if to <= index {
+                self.candidates[to..=index].rotate_right(1);
+                self.candidates[to] = (leaving, k);
+            } else {
+                self.candidates[index..to].rotate_left(1);
+                self.candidates[to - 1] = (leaving, k);
+            }
+        }
         self.iterations += 1;
     }
 
     /// The structural values of the current basis.
     fn solution_values(&self) -> Vec<f64> {
         let mut values: Vec<f64> = (0..self.n).map(|j| self.bound_value(j)).collect();
-        for (&basic, &value) in self.head.iter().zip(&self.values) {
+        for (&basic, &value) in self.basis.head.iter().zip(&self.values) {
             if basic < self.n {
                 values[basic] = value;
             }
@@ -483,24 +591,29 @@ impl<'a> Simplex<'a> {
     /// Checks the Farkas certificate of `row` against the live program;
     /// `rise` says the row's basic variable sits below its lower bound.
     ///
-    /// The row's multipliers `y` are its entries in the `B⁻¹` block. Every
-    /// feasible point satisfies `y·A·x + y·s = y·b`, and the row claims that
-    /// the left side cannot reach `y·b`: it stays above it when `rise`,
-    /// below it otherwise. The left side is recomputed from the live
-    /// constraints and bounded over the variable and slack bounds. A
-    /// multiplier whose slack would make that bound infinite is dropped
-    /// first (it is rounding noise on a column the ratio test skipped); any
-    /// `y` gives a valid implied equation, so dropping it keeps the check
-    /// exact. The claim holds when the bound clears `y·b` by more than
-    /// [`CERT_TOL`] times the magnitudes summed, which covers the rounding
-    /// error of the check itself.
+    /// The row's multipliers `y` are its row of `B⁻¹`. Every feasible point
+    /// satisfies `y·A·x + y·s = y·b`, and the row claims that the left side
+    /// cannot reach `y·b`: it stays above it when `rise`, below it
+    /// otherwise. The left side is recomputed from the live constraints and
+    /// bounded over the variable and slack bounds. A multiplier whose slack
+    /// would make that bound infinite is dropped first (it is rounding noise
+    /// on a column the ratio test skipped); any `y` gives a valid implied
+    /// equation, so dropping it keeps the check exact. The claim holds when
+    /// the bound clears `y·b` by more than [`CERT_TOL`] times the magnitudes
+    /// summed, which covers the rounding error of the check itself.
     fn certify(&self, row: usize, rise: bool) -> bool {
-        let lp = self.lp;
-        let multipliers = &self.tableau[row * self.width + self.n..(row + 1) * self.width];
-        let mut combined = vec![0.0; self.n];
-        let mut magnitude = vec![0.0; self.n];
+        let (lp, basis, n) = (self.lp, &*self.basis, self.n);
+        let entries = &basis.tableau[row * n..(row + 1) * n];
+        let multiplier = |j: usize| match basis.place[j] {
+            Place::Basic if basis.slot[j] == row => 1.0,
+            Place::Basic => 0.0,
+            _ => entries[basis.slot[j]],
+        };
+        let mut combined = vec![0.0; n];
+        let mut magnitude = vec![0.0; n];
         let (mut rhs, mut scale) = (0.0f64, 0.0f64);
-        for (constraint, &y) in lp.constraints.iter().zip(multipliers) {
+        for (slack, constraint) in (n..).zip(&lp.constraints) {
+            let y = multiplier(slack);
             let (s_lo, s_hi) = slack_bounds(constraint.op);
             let slack_term = if rise {
                 (y * s_lo).min(y * s_hi)
