@@ -1,5 +1,6 @@
-//! E7: scaling of the parallel branch-and-bound backend and the concurrent
-//! refinement work-list.
+//! E7: parallelism across proof obligations — the serial
+//! branch-and-bound engine on three verification workloads, the concurrent
+//! refinement work-list, and the obligation server's worker scaling.
 //!
 //! Three workloads, spanning the tree sizes verification actually produces:
 //!
@@ -7,25 +8,34 @@
 //!   once the envelope is widened), with the risk threshold placed in the
 //!   middle of the integrality gap between the LP-relaxation bound and the
 //!   exact reachable minimum. The MILP is infeasible but the root relaxation
-//!   is not, so proving safety requires refuting the whole branch-and-bound
-//!   tree (hundreds of nodes) — the embarrassingly parallel workload.
+//!   is not, so proving safety requires refuting a whole branch-and-bound
+//!   tree (dozens of nodes).
 //! * **e6-cut6-bound** — exact reachable-output bound computation at the
 //!   default close-to-output cut: an optimisation MILP with incumbent
 //!   pruning over a small tree.
 //! * **e1-provable** — the paper's E1 assume-guarantee query, whose root
 //!   relaxation is already infeasible: a single-node solve that measures the
-//!   per-query overhead floor (encoding + one LP) of every engine.
+//!   per-query overhead floor (encoding + one LP).
 //!
-//! Each workload compares the serial engine and the parallel backend at
-//! 1/2/4/8 workers; a final section dispatches the refinement work-list
-//! serially and in parallel.
+//! Every solve runs on the calling thread. Parallelism lives one level up,
+//! across proof obligations: a refinement section dispatches the work-list
+//! serially and with 4 workers, and on a multi-core host a serve section
+//! records the gated metric
+//!
+//! * `e7/serve-parallel-speedup-2-permille` — the e6-cut4-refute tail
+//!   served as [`SERVE_SUBDIVISION`]-fold bisected sub-box obligations (32)
+//!   by a 1-worker and a 2-worker `ObligationServer`, both with the verdict
+//!   cache off and a warm template cache. Each of [`SPEEDUP_ROUNDS`] rounds
+//!   times [`SPEEDUP_SERVES`] serves per server, alternating which server
+//!   goes first; the record is the median over rounds of 1-worker mean ÷
+//!   2-worker mean. `BENCH_e7_multicore.json` holds the baseline measured
+//!   on a 2-core host; benchgate's `parallel-speedup` rule gates it with
+//!   50% relative slack.
 //!
 //! Run with `CRITERION_JSON=BENCH_e7.json` to capture machine-readable
-//! results. The emitted file includes `host_cpus`: on a single-core host the
-//! worker sweep can only measure coordination overhead (the refutation tree
-//! must be explored either way), while multi-core hosts see the subtree
-//! fan-out as wall-clock speedup. CI's bench-smoke step records the numbers
-//! either way, with reduced samples via `CRITERION_SAMPLE_SIZE`.
+//! results. The emitted file includes `host_cpus`; a single-core host emits
+//! no speed-up record. CI's bench-smoke step records the numbers either
+//! way, with reduced samples via `CRITERION_SAMPLE_SIZE`.
 
 use std::time::Instant;
 
@@ -37,28 +47,31 @@ use dpv_absint::{AbstractDomain, BoxDomain};
 use dpv_bench::{bench_config, permille, quick_outcome};
 use dpv_core::{
     encode_verification, AssumeGuarantee, Characterizer, CharacterizerConfig, InputProperty,
-    ParallelRefinementConfig, RefinementVerifier, RiskCondition, StartRegion, VerificationProblem,
-    VerificationStrategy,
+    ParallelRefinementConfig, RefinementVerifier, RiskCondition, StartRegion, Verdict,
+    VerificationProblem, VerificationStrategy,
 };
-use dpv_lp::{BranchAndBoundBackend, MilpProblem, ParallelBranchAndBoundBackend, SolverBackend};
+use dpv_lp::{BranchAndBoundBackend, MilpProblem, SolverBackend};
 use dpv_monitor::ActivationEnvelope;
 use dpv_scenegen::{DatasetBundle, GeneratorConfig, PropertyKind};
+use dpv_serve::{ObligationServer, RegionSpec, RequestReport, ServeConfig, VerificationRequest};
 use dpv_tensor::Vector;
 
-const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
+/// Bisection levels of the served cut-4 request: 2^5 = 32 obligations.
+const SERVE_SUBDIVISION: u32 = 5;
+/// Alternating rounds behind the serve speed-up record (the median is
+/// taken over rounds).
+const SPEEDUP_ROUNDS: usize = 7;
+/// Timed serves per server per round.
+const SPEEDUP_SERVES: usize = 10;
 
-/// The engines every workload compares: the serial default and the
-/// parallel worker sweep.
-fn engines() -> Vec<(String, Box<dyn SolverBackend>)> {
-    let mut engines: Vec<(String, Box<dyn SolverBackend>)> =
-        vec![("serial/1".into(), Box::new(BranchAndBoundBackend))];
-    for workers in WORKER_SWEEP {
-        engines.push((
-            format!("parallel/{workers}"),
-            Box::new(ParallelBranchAndBoundBackend::new(workers)),
-        ));
-    }
-    engines
+/// The deterministic surface of a served report: the per-obligation
+/// verdicts, witnesses included, in obligation-index order.
+fn verdicts(report: &RequestReport) -> Vec<Verdict> {
+    report
+        .obligations
+        .iter()
+        .map(|o| o.verdict.clone())
+        .collect()
 }
 
 /// One benchmarked verification query.
@@ -106,6 +119,7 @@ fn bench_e7(c: &mut Criterion) {
     let examples = dpv_scenegen::property_examples(&scene, PropertyKind::BendsRight, 160, &mut rng);
 
     let mut workloads: Vec<(String, Workload)> = Vec::new();
+    let serve_request;
 
     // e6-cut4-refute: widened envelope at the earlier cut → 20+ unstable
     // ReLUs and a genuine integrality gap to place the threshold in.
@@ -154,6 +168,15 @@ fn bench_e7(c: &mut Criterion) {
             exact.objective - 0.05
         };
         let risk = RiskCondition::new("steer far left").output_le(0, threshold);
+        serve_request = VerificationRequest {
+            perception: outcome.perception.clone(),
+            cut_layer: cut,
+            characterizer: characterizer.clone(),
+            risks: vec![risk.clone()],
+            region: RegionSpec::Single(StartRegion::Box(envelope.box_only())),
+            subdivision: SERVE_SUBDIVISION,
+            deadline: None,
+        };
         let problem =
             VerificationProblem::new(outcome.perception.clone(), cut, characterizer, risk)
                 .expect("problem assembly");
@@ -217,74 +240,97 @@ fn bench_e7(c: &mut Criterion) {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("=== E7: parallel scaling (host has {host_cpus} CPUs) ===");
+    println!("=== E7: obligation-level parallelism (host has {host_cpus} CPUs) ===");
     println!(
         "{:<16} {:<28} {:>10} {:>10} {:>12}",
         "workload", "backend", "seconds", "nodes", "nodes/sec"
     );
     for (label, workload) in &workloads {
-        for (_, engine) in &engines() {
-            let (seconds, nodes) = workload.run(engine.as_ref());
-            println!(
-                "{:<16} {:<28} {:>10.3} {:>10} {:>12.0}",
-                label,
-                engine.name(),
-                seconds,
-                nodes,
-                nodes as f64 / seconds.max(1e-9)
-            );
-        }
+        let (seconds, nodes) = workload.run(&BranchAndBoundBackend);
+        println!(
+            "{:<16} {:<28} {:>10.3} {:>10} {:>12.0}",
+            label,
+            BranchAndBoundBackend.name(),
+            seconds,
+            nodes,
+            nodes as f64 / seconds.max(1e-9)
+        );
     }
 
-    // On a multi-core host, turn the worker sweep on the embarrassingly
-    // parallel refutation workload into wall-clock speedup records: serial
-    // mean ÷ parallel mean, per worker count that fits the host. These rows
-    // are deliberately absent from the committed single-core baseline
-    // (`host_cpus: 1` in `BENCH_e7.json`), where the sweep can only measure
-    // coordination overhead; a multi-core CI profile records them so the
-    // subtree fan-out shows up as a gated metric the first time a multi-core
-    // baseline is committed.
+    // On a multi-core host, record how the obligation server scales from
+    // one worker to two on the cut-4 tail. Both servers are built and
+    // served once outside the timed loop, so the rounds time solver work
+    // on a warm template cache, never server start-up.
     if host_cpus > 1 {
-        let (label, refute) = &workloads[0];
-        let reps = 3usize;
-        let measure = |backend: &dyn SolverBackend| {
-            let mut total = 0.0;
-            for _ in 0..reps {
+        let servers = [1, 2].map(|workers| {
+            ObligationServer::builder()
+                .config(ServeConfig {
+                    verdict_capacity: 0,
+                    ..ServeConfig::with_workers(workers)
+                })
+                .build()
+        });
+        let warm_up = servers[0].serve(&serve_request).expect("serve");
+        let reference = verdicts(&warm_up);
+        assert_eq!(
+            verdicts(&servers[1].serve(&serve_request).expect("serve")),
+            reference
+        );
+        let mean_serve = |server: &ObligationServer| {
+            let mut seconds = 0.0;
+            for _ in 0..SPEEDUP_SERVES {
                 let start = Instant::now();
-                refute.run(backend);
-                total += start.elapsed().as_secs_f64();
+                let report = server.serve(&serve_request).expect("serve");
+                seconds += start.elapsed().as_secs_f64();
+                assert_eq!(verdicts(&report), reference);
             }
-            total / reps as f64
+            seconds / SPEEDUP_SERVES as f64
         };
-        let serial_mean = measure(&BranchAndBoundBackend);
-        for workers in WORKER_SWEEP.iter().copied().filter(|&n| n > 1) {
-            let parallel_mean = measure(&ParallelBranchAndBoundBackend::new(workers));
-            let speedup = permille(serial_mean, parallel_mean);
-            println!(
-                "{label} multicore: serial {serial_mean:.3}s vs {workers} workers \
-                 {parallel_mean:.3}s ({:.2}x)",
-                serial_mean / parallel_mean.max(1e-9)
-            );
-            criterion::report_metric(format!("e7/parallel-speedup-{workers}-permille"), speedup);
-            // Lenient self-check: with real cores available, the parallel
-            // backend must not be pathologically slower than the serial one
-            // (CI runners jitter, so the floor is loose).
-            assert!(
-                speedup >= 500,
-                "parallel/{workers} was more than 2x slower than serial on a \
-                 {host_cpus}-core host ({speedup} permille)"
-            );
-        }
+        let mut ratios: Vec<f64> = (0..SPEEDUP_ROUNDS)
+            .map(|round| {
+                let (one, two) = if round % 2 == 0 {
+                    let one = mean_serve(&servers[0]);
+                    (one, mean_serve(&servers[1]))
+                } else {
+                    let two = mean_serve(&servers[1]);
+                    (mean_serve(&servers[0]), two)
+                };
+                one / two
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let speedup = permille(ratios[SPEEDUP_ROUNDS / 2], 1.0);
+        println!(
+            "serve multicore: {} obligations, {} nodes, {:?}; median 1-worker/2-worker \
+             ratio {:.3} over {SPEEDUP_ROUNDS} rounds (range {:.3}-{:.3})",
+            warm_up.obligations.len(),
+            warm_up
+                .obligations
+                .iter()
+                .map(|o| o.stats.nodes_explored)
+                .sum::<usize>(),
+            warm_up.verdicts[0].verdict,
+            ratios[SPEEDUP_ROUNDS / 2],
+            ratios[0],
+            ratios[SPEEDUP_ROUNDS - 1]
+        );
+        criterion::report_metric("e7/serve-parallel-speedup-2-permille", speedup);
+        // Lenient self-check: with real cores available, two workers must
+        // not be pathologically slower than one (CI runners jitter, so the
+        // floor is loose).
+        assert!(
+            speedup >= 500,
+            "2 serve workers were more than 2x slower than 1 on a \
+             {host_cpus}-core host ({speedup} permille)"
+        );
     }
 
     let mut group = c.benchmark_group("e7");
     group.sample_size(5);
     for (label, workload) in &workloads {
-        for (engine_id, engine) in engines() {
-            group.bench_function(BenchmarkId::new(label.clone(), engine_id), |b| {
-                b.iter(|| workload.run(engine.as_ref()))
-            });
-        }
+        group.bench_function(BenchmarkId::new(label.clone(), "serial/1"), |b| {
+            b.iter(|| workload.run(&BranchAndBoundBackend))
+        });
     }
 
     // Refinement work-list dispatch, serial vs parallel, on the trained

@@ -27,10 +27,9 @@
 //! not show a win: with one dual simplex on both sides the cold sweep is
 //! the faster one (about 0.7× on a 2-core x86 host), because template LPs
 //! keep the root skeleton's rows and warm tableaux are dense. The node-LP
-//! record is the absolute LP-throughput floor. Unlike E7
-//! this benchmark is single-threaded throughout: warm starting composes with
-//! the parallel backend (each worker keeps its own rolling basis), but the
-//! comparison here isolates the incremental-solving effect.
+//! record is the absolute LP-throughput floor. Every solve runs on the
+//! calling thread, so the comparison isolates the incremental-solving
+//! effect.
 
 use std::time::Instant;
 

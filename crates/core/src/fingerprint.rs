@@ -6,8 +6,9 @@
 //! process-local atomic template counter so that identity is a pure function
 //! of content — two templates built from the same `(tail, risk,
 //! characterizer, region)` tuple share a fingerprint even across threads,
-//! requests, or server restarts, which is what makes cross-run template and
-//! basis caches (`crate::cache`, `dpv-serve`) possible.
+//! requests, or server restarts, which is what makes cross-run caches
+//! possible: the template cache and basis pool of `crate::cache`, and the
+//! template and verdict caches of `dpv-serve`.
 //!
 //! The hash is two independent 64-bit FNV-1a lanes fed with discriminant
 //! tags, dimension counts, and the raw IEEE-754 bit patterns of every

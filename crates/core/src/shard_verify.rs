@@ -46,10 +46,7 @@ pub struct ShardedVerificationConfig {
     /// the same ablation switch as [`crate::AssumeGuarantee`].
     pub use_difference_constraints: bool,
     /// Worker threads solving shard obligations concurrently. One (or
-    /// zero) keeps the dispatch on the calling thread. Combine shard-level
-    /// workers with a *serial* backend: stacking them on top of
-    /// [`dpv_lp::ParallelBranchAndBoundBackend`] multiplies the two thread
-    /// counts and oversubscribes the host.
+    /// zero) keeps the dispatch on the calling thread.
     pub workers: usize,
 }
 

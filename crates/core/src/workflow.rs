@@ -9,7 +9,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dpv_lp::{default_backend, ParallelBranchAndBoundBackend, SolverBackend};
+use dpv_lp::{default_backend, SolverBackend};
 use dpv_monitor::{ActivationEnvelope, RuntimeMonitor};
 use dpv_nn::{
     train, Activation, Dataset, LossKind, Network, NetworkBuilder, OptimizerKind, TensorShape,
@@ -59,12 +59,6 @@ pub struct WorkflowConfig {
     /// [`WorkflowOutcome::sharded`]); with one — the default — the sharded
     /// stage is skipped and the workflow behaves exactly as before.
     pub envelope_shards: usize,
-    /// Worker threads for the MILP solves of the verification stages. With a
-    /// value above one, [`Workflow::new`] picks the parallel branch-and-bound
-    /// backend ([`dpv_lp::ParallelBranchAndBoundBackend`]); with one it keeps
-    /// the serial default. Ignored by [`Workflow::with_backend`], which
-    /// receives an explicit engine.
-    pub solver_workers: usize,
     /// Scenes per *scenario family* for the per-class E1 verification of
     /// the scenario-mix stage: every satisfiable [`PropertyKind`] under the
     /// scene configuration defines a family, whose own activation envelope
@@ -99,7 +93,6 @@ impl WorkflowConfig {
             cut_layer: 6,
             envelope_margin: 0.0,
             envelope_shards: 1,
-            solver_workers: 1,
             scenario_samples: 40,
             violation_samples: 40,
             seed: 42,
@@ -366,16 +359,10 @@ pub struct Workflow {
 }
 
 impl Workflow {
-    /// Creates a workflow from a configuration. With
-    /// `config.solver_workers > 1` verification solves go through the
-    /// parallel branch-and-bound backend; otherwise the serial default.
+    /// Creates a workflow from a configuration; verification solves go
+    /// through the default backend.
     pub fn new(config: WorkflowConfig) -> Self {
-        let backend: Arc<dyn SolverBackend> = if config.solver_workers > 1 {
-            Arc::new(ParallelBranchAndBoundBackend::new(config.solver_workers))
-        } else {
-            Arc::new(default_backend())
-        };
-        Self::with_backend(config, backend)
+        Self::with_backend(config, Arc::new(default_backend()))
     }
 
     /// Creates a workflow whose verification stages solve through `backend`.
@@ -619,17 +606,9 @@ impl Workflow {
                 cfg.envelope_margin,
                 &ShardConfig::fixed(cfg.envelope_shards).with_seed(cfg.seed ^ 0x88),
             )?;
-            // One shard at a time: with `solver_workers > 1` the workflow's
-            // backend already fans each solve out across that many threads,
-            // so stacking shard-level workers on top would oversubscribe
-            // the host quadratically. Callers wanting shard-level dispatch
-            // with a serial backend use `verify_sharded_with` directly.
             let verification = e1_problem.verify_sharded_with(
                 &sharded_envelope,
-                &ShardedVerificationConfig {
-                    use_difference_constraints: true,
-                    workers: 1,
-                },
+                &ShardedVerificationConfig::default(),
                 self.backend.as_ref(),
             )?;
             let monitor_for_shards =
@@ -805,17 +784,6 @@ mod tests {
             },
             ..WorkflowConfig::small()
         }
-    }
-
-    #[test]
-    fn solver_workers_selects_the_parallel_backend() {
-        let serial = Workflow::new(tiny_config());
-        assert_eq!(serial.backend().name(), "branch-and-bound");
-        let parallel = Workflow::new(WorkflowConfig {
-            solver_workers: 4,
-            ..tiny_config()
-        });
-        assert_eq!(parallel.backend().name(), "parallel-bnb(4)");
     }
 
     #[test]

@@ -12,8 +12,8 @@ use dpv_core::{
     WorkflowConfig,
 };
 use dpv_lp::{
-    BranchAndBoundBackend, ExhaustiveBackend, MilpProblem, MilpSolution,
-    ParallelBranchAndBoundBackend, SolveContext, SolverBackend,
+    BranchAndBoundBackend, ExhaustiveBackend, MilpProblem, MilpSolution, SolveContext,
+    SolverBackend,
 };
 use dpv_nn::{Activation, Dense, Layer, Network, NetworkBuilder};
 use dpv_tensor::{Matrix, Vector};
@@ -357,45 +357,6 @@ fn refinement_verdicts_match_for_serial_and_parallel_dispatch() {
     // Both dispatch modes surface aggregated solver statistics.
     assert!(serial_report.solver_stats.nodes_explored >= serial_report.verification_calls);
     assert!(parallel_report.solver_stats.nodes_explored >= parallel_report.verification_calls);
-}
-
-#[test]
-fn parallel_backend_agrees_through_the_seam() {
-    for (risk, expect_safe) in [
-        (RiskCondition::new("reachable").output_ge(0, 1.5), false),
-        (RiskCondition::new("unreachable").output_ge(0, 5.0), true),
-    ] {
-        let problem = two_layer_problem(risk);
-        let serial = problem
-            .verify_with(&strategy(), &BranchAndBoundBackend)
-            .unwrap();
-        let parallel = problem
-            .verify_with(&strategy(), &ParallelBranchAndBoundBackend::new(4))
-            .unwrap();
-        assert_eq!(serial.verdict.is_safe(), expect_safe);
-        assert_eq!(parallel.verdict.is_safe(), expect_safe);
-        assert_eq!(parallel.backend, "parallel-bnb(4)");
-        if let dpv_core::Verdict::Unsafe(ce) = &parallel.verdict {
-            assert!(problem
-                .confirm_counterexample(&strategy(), ce, 1e-4)
-                .unwrap());
-        }
-    }
-}
-
-#[test]
-fn refinement_with_parallel_dispatch_and_parallel_backend_composes() {
-    // Both levels of parallelism at once: the work-list fans sub-boxes
-    // across threads and each solve fans subtrees across workers.
-    let (problem, region, references) = pruning_fixture();
-    let verifier =
-        RefinementVerifier::new(2000, 0.05).with_parallelism(ParallelRefinementConfig::new(2));
-    let backend = ParallelBranchAndBoundBackend::new(2);
-    let (verdict, report) = verifier
-        .verify_with(&problem, &region, &references, &backend)
-        .unwrap();
-    assert_eq!(verdict, RefinedVerdict::Safe);
-    assert!(report.covers(&references, 1e-9));
 }
 
 #[test]

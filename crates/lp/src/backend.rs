@@ -1,7 +1,6 @@
 //! The `SolverBackend` seam: a single solve entry point the verification
-//! layers program against, so alternative MILP engines (parallel
-//! branch-and-bound, external solvers) can be plugged in without touching
-//! `dpv-core`.
+//! layers program against, so alternative MILP engines (external solvers,
+//! for instance) can be plugged in without touching `dpv-core`.
 
 use std::fmt;
 

@@ -39,15 +39,13 @@
 //!   building block of the network encoding in `dpv-core`.
 //! * [`SolverBackend`] — the seam between problem encoding and solving:
 //!   `dpv-core` routes every verification solve through this trait, so
-//!   alternative engines (parallel branch-and-bound, external solvers) can
-//!   be swapped in without touching the verification logic.
+//!   alternative engines (external solvers, for instance) can be swapped
+//!   in without touching the verification logic.
 //!   [`BranchAndBoundBackend`] is the default engine;
 //!   [`ColdBranchAndBoundBackend`] runs the same search with every node
-//!   started from the slack basis; [`ExhaustiveBackend`] is a brute-force
-//!   cross-check oracle for tests; and [`ParallelBranchAndBoundBackend`]
-//!   explores branch-and-bound subtrees on scoped worker threads, each
-//!   diving its own deque and stealing from its peers', with a shared
-//!   incumbent bound.
+//!   started from the slack basis; and [`ExhaustiveBackend`] is a
+//!   brute-force cross-check oracle for tests. Every engine solves on the
+//!   calling thread: callers parallelise across problems, not inside one.
 //! * [`CancelToken`] — a cooperative cancellation handle polled inside the
 //!   simplex pivot loop and the branch-and-bound node loop. A tripped token
 //!   (explicit or deadline-based) makes the solve return promptly with
@@ -86,7 +84,6 @@ mod backend;
 mod cancel;
 mod milp;
 mod model;
-mod parallel;
 mod relu;
 mod simplex;
 
@@ -97,7 +94,6 @@ pub use backend::{
 pub use cancel::CancelToken;
 pub use milp::{MilpProblem, MilpSolution, MilpStatus, SolveContext, SolveStats};
 pub use model::{Constraint, ConstraintOp, LinearProgram, LpSolution, LpStatus, VarId};
-pub use parallel::ParallelBranchAndBoundBackend;
 pub use relu::{encode_relu_big_m, ReluEncoding};
 pub use simplex::BasisSnapshot;
 

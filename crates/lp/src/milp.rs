@@ -151,12 +151,11 @@ pub struct SolveContext<'a> {
     /// Seeding is a pure performance hint: a stale or foreign basis
     /// degrades the solve to cold, never to a wrong verdict.
     pub seed: Option<BasisSnapshot>,
-    /// Polled between simplex pivots and branch-and-bound nodes by every
-    /// branch-and-bound engine in this crate, serial, cold and parallel
-    /// alike; a tripped token ends the solve with
-    /// [`MilpStatus::Cancelled`] and the incumbent found so far. Engines
-    /// that cannot poll (the exhaustive oracle) ignore it and merely
-    /// respond slower.
+    /// Polled between simplex pivots and branch-and-bound nodes by both
+    /// branch-and-bound engines in this crate, warm and cold alike; a
+    /// tripped token ends the solve with [`MilpStatus::Cancelled`] and the
+    /// incumbent found so far. Engines that cannot poll (the exhaustive
+    /// oracle) ignore it and merely respond slower.
     pub cancel: Option<&'a CancelToken>,
     /// Records per-node solver telemetry. Observational only: a disabled
     /// or absent handle gives the identical search.
@@ -165,14 +164,13 @@ pub struct SolveContext<'a> {
 
 /// Solves one node's LP relaxation against `scratch`, warm-starting from the
 /// rolling basis in `warm` when enabled, and falls back to (and refreshes the
-/// basis from) a cold solve otherwise. Shared by the serial and parallel
-/// branch-and-bound engines so their statistics mean the same thing.
+/// basis from) a cold solve otherwise.
 ///
 /// Any dual-feasible basis of the *same* matrix and objective warm-starts any
 /// node — dual feasibility does not depend on the right-hand side — so the
-/// rolling "most recent basis" works across backtracks and even across
-/// work-stealing, not just parent→child edges.
-pub(crate) fn solve_node_lp(
+/// rolling "most recent basis" works across backtracks, not just
+/// parent→child edges.
+fn solve_node_lp(
     scratch: &LinearProgram,
     warm: &mut Option<BasisSnapshot>,
     warm_enabled: bool,
@@ -251,7 +249,7 @@ fn cold_node_lp(
 /// rule. For **optimisation** problems the first fractional binary is kept:
 /// diving along the relaxation's suggestion finds strong incumbents early,
 /// and the incumbent bound — not contradiction depth — prunes the tree.
-pub(crate) fn select_branching_variable(
+fn select_branching_variable(
     binaries: &[VarId],
     fixings: &[(VarId, f64)],
     values: &[f64],
@@ -368,8 +366,8 @@ impl MilpProblem {
         self.node_limit = limit.max(1);
     }
 
-    /// The current node limit. Alternative backends (parallel
-    /// branch-and-bound, external engines) honour the same budget.
+    /// The current node limit. Alternative backends (external engines, for
+    /// instance) honour the same budget.
     pub fn node_limit(&self) -> usize {
         self.node_limit
     }
@@ -510,7 +508,7 @@ impl MilpProblem {
     /// outside its binary's original bounds (possible when a binary was
     /// pre-fixed, e.g. a stable ReLU phase): the node is infeasible without
     /// solving anything.
-    pub(crate) fn fix_node(&self, scratch: &mut LinearProgram, fixings: &[(VarId, f64)]) -> bool {
+    fn fix_node(&self, scratch: &mut LinearProgram, fixings: &[(VarId, f64)]) -> bool {
         for &b in &self.binaries {
             let (lo, hi) = self.lp.bounds(b);
             scratch.set_bounds(b, lo, hi);
@@ -526,7 +524,7 @@ impl MilpProblem {
     }
 
     /// Whether `objective` strictly improves on the incumbent's `best`.
-    pub(crate) fn improves(&self, objective: f64, best: Option<f64>) -> bool {
+    fn improves(&self, objective: f64, best: Option<f64>) -> bool {
         best.is_none_or(|best| {
             if self.lp.is_maximization() {
                 objective > best
@@ -538,7 +536,7 @@ impl MilpProblem {
 
     /// Bound pruning: whether a relaxation objective `bound` cannot beat the
     /// incumbent's `best` by more than [`SOLVER_EPS`].
-    pub(crate) fn prunes(&self, bound: f64, best: f64) -> bool {
+    fn prunes(&self, bound: f64, best: f64) -> bool {
         if self.lp.is_maximization() {
             bound <= best + SOLVER_EPS
         } else {
@@ -550,11 +548,7 @@ impl MilpProblem {
 /// The two children of a node branching on `var`, in push order: the
 /// branch the relaxation `values` suggest comes last, so a depth-first
 /// (LIFO) search explores it first.
-pub(crate) fn children(
-    fixings: Vec<(VarId, f64)>,
-    var: VarId,
-    values: &[f64],
-) -> [Vec<(VarId, f64)>; 2] {
+fn children(fixings: Vec<(VarId, f64)>, var: VarId, values: &[f64]) -> [Vec<(VarId, f64)>; 2] {
     let suggested = values[var].round().clamp(0.0, 1.0);
     let mut other = fixings.clone();
     other.push((var, 1.0 - suggested));
@@ -837,6 +831,28 @@ mod tests {
         milp.lp_mut().set_iteration_limit(Some(0));
         let sol = milp.solve();
         assert_eq!(sol.status, MilpStatus::IterationLimit);
+    }
+
+    #[test]
+    fn a_tripped_token_cancels_the_warm_and_cold_searches() {
+        let mut milp = MilpProblem::new();
+        let x = milp.add_binary();
+        let y = milp.add_binary();
+        milp.lp_mut().set_objective(&[(x, 1.0), (y, 1.0)], true);
+        milp.lp_mut()
+            .add_constraint(&[(x, 2.0), (y, 2.0)], ConstraintOp::Le, 3.0);
+        let token = CancelToken::new();
+        token.cancel();
+        let context = || SolveContext {
+            cancel: Some(&token),
+            ..SolveContext::default()
+        };
+        let warm = milp.solve_with(&mut context());
+        let cold = crate::ColdBranchAndBoundBackend.solve_with(&milp, &mut context());
+        for solution in [warm, cold] {
+            assert_eq!(solution.status, MilpStatus::Cancelled);
+            assert!(!solution.has_solution());
+        }
     }
 
     #[test]

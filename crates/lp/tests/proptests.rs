@@ -2,8 +2,8 @@
 //! compared against brute-force enumeration / sampled feasibility checks.
 
 use dpv_lp::{
-    encode_relu_big_m, ConstraintOp, ExhaustiveBackend, LinearProgram, LpStatus, MilpProblem,
-    MilpStatus, ParallelBranchAndBoundBackend, SolverBackend,
+    encode_relu_big_m, BranchAndBoundBackend, ColdBranchAndBoundBackend, ConstraintOp,
+    ExhaustiveBackend, LinearProgram, LpStatus, MilpProblem, MilpStatus, SolverBackend,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -267,12 +267,13 @@ proptest! {
         prop_assert!((lo.objective - x.max(0.0)).abs() < 1e-6);
     }
 
-    /// The parallel branch-and-bound backend must agree with the exhaustive
-    /// enumeration oracle on random small MILPs: same status, and (when an
-    /// optimum exists) objectives within 1e-6. Mixed ≤/≥ constraints make
-    /// both infeasible and feasible instances likely.
+    /// Both branch-and-bound engines, warm and cold, must agree with the
+    /// exhaustive enumeration oracle on random small MILPs: same status,
+    /// and (when an optimum exists) objectives within 1e-6. Random
+    /// objective directions, mixed ≤/≥ constraints and a continuous
+    /// variable make both infeasible and feasible instances likely.
     #[test]
-    fn parallel_backend_agrees_with_exhaustive_oracle(seed in 0u64..400) {
+    fn branch_and_bound_engines_agree_with_exhaustive_oracle(seed in 0u64..400) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b9);
         let n_bin = 4usize;
         let mut milp = MilpProblem::new();
@@ -295,14 +296,17 @@ proptest! {
             milp.lp_mut().add_constraint(&coeffs, op, rng.gen_range(-2.0..4.0));
         }
 
-        let parallel = ParallelBranchAndBoundBackend::new(4).solve(&milp);
         let oracle = ExhaustiveBackend::default().solve(&milp);
-        prop_assert_eq!(parallel.status, oracle.status,
-            "parallel {:?} vs oracle {:?}", parallel.status, oracle.status);
-        if oracle.status == MilpStatus::Optimal {
-            prop_assert!((parallel.objective - oracle.objective).abs() < 1e-6,
-                "parallel {} vs oracle {}", parallel.objective, oracle.objective);
-            prop_assert!(milp.is_feasible(&parallel.values, 1e-6));
+        let engines: [&dyn SolverBackend; 2] = [&BranchAndBoundBackend, &ColdBranchAndBoundBackend];
+        for engine in engines {
+            let solution = engine.solve(&milp);
+            prop_assert_eq!(solution.status, oracle.status,
+                "{} {:?} vs oracle {:?}", engine.name(), solution.status, oracle.status);
+            if oracle.status == MilpStatus::Optimal {
+                prop_assert!((solution.objective - oracle.objective).abs() < 1e-6,
+                    "{} {} vs oracle {}", engine.name(), solution.objective, oracle.objective);
+                prop_assert!(milp.is_feasible(&solution.values, 1e-6));
+            }
         }
     }
 

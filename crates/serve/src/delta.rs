@@ -142,7 +142,8 @@ impl ObligationServer {
     /// match `prior_request`'s decomposition, when the two requests
     /// decompose into different obligation shapes, or when decomposition
     /// itself fails; [`ServeError::InvalidRequest`] when
-    /// [`VerificationRequest::validate`] rejects `request` (checked first).
+    /// [`VerificationRequest::validate`] rejects `request` or
+    /// `prior_request` (checked first, in that order).
     pub fn serve_delta(
         &self,
         prior_request: &VerificationRequest,
@@ -150,6 +151,7 @@ impl ObligationServer {
         request: &VerificationRequest,
     ) -> Result<ProofDeltaReport, ServeError> {
         request.validate()?;
+        prior_request.validate()?;
         if prior_request.cut_layer != request.cut_layer {
             return Err(inconsistent("delta request changes the cut layer"));
         }

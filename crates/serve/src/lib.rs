@@ -141,10 +141,11 @@
 //! ## Request validation
 //!
 //! [`ObligationServer::serve`] and [`ObligationServer::serve_delta`] first
-//! run [`VerificationRequest::validate`]: non-finite tail or characterizer
-//! parameters, non-finite risk coefficients or thresholds, and unbounded
-//! or inverted regions are rejected with [`ServeError::InvalidRequest`]
-//! before anything is admitted.
+//! run [`VerificationRequest::validate`] (`serve_delta` on both requests):
+//! non-finite tail or characterizer parameters, non-finite risk
+//! coefficients or thresholds, unbounded or inverted regions, and requests
+//! that would decompose into more than 2^16 obligations are rejected with
+//! [`ServeError::InvalidRequest`] before anything is admitted.
 //!
 //! ## Observability
 //!

@@ -13,6 +13,11 @@ use dpv_shard::ShardedEnvelope;
 
 use crate::server::ServeError;
 
+/// The most proof obligations one request may decompose into (2^16).
+/// [`VerificationRequest::validate`] rejects larger requests before
+/// decomposition allocates their sub-boxes.
+const MAX_OBLIGATIONS: u64 = 1 << 16;
+
 /// Where a request's proof obligations live at the cut layer.
 #[derive(Debug, Clone)]
 pub enum RegionSpec {
@@ -54,7 +59,11 @@ pub struct VerificationRequest {
     pub risks: Vec<RiskCondition>,
     /// The start region(s) at the cut layer.
     pub region: RegionSpec,
-    /// Bisection levels applied to each box obligation root.
+    /// Bisection levels applied to each box obligation root. The request
+    /// may decompose into at most 2^16 = 65,536 obligations (risks × the
+    /// sum over roots of 2^`subdivision` per box root and 1 per octagon
+    /// root), so a single box root with one risk takes at most 16 levels;
+    /// [`VerificationRequest::validate`] rejects more.
     pub subdivision: u32,
     /// Optional wall-clock budget for the whole request, measured on the
     /// monotonic clock from the moment [`crate::ObligationServer::serve`]
@@ -117,7 +126,9 @@ impl VerificationRequest {
     ///   characterizer network, finite coefficients and right-hand sides in
     ///   every risk inequality, and finite, non-inverted (`lo <= hi`)
     ///   bounds in the region — every shard of a sharded envelope,
-    ///   difference bounds included when they are encoded.
+    ///   difference bounds included when they are encoded;
+    /// * at most 2^16 obligations after decomposition (see
+    ///   [`VerificationRequest::subdivision`]).
     ///
     /// [`crate::ObligationServer::serve`] and
     /// [`crate::ObligationServer::serve_delta`] call this first.
@@ -151,7 +162,32 @@ impl VerificationRequest {
                 .collect(),
         };
         check_finite(tail, self.characterizer.network(), &self.risks, &regions)
-            .map_err(|e| ServeError::InvalidRequest(e.to_string()))
+            .map_err(|e| ServeError::InvalidRequest(e.to_string()))?;
+        // Risks × (2^subdivision per box root + 1 per octagon root), in
+        // checked arithmetic: `None` means it overflowed `u64`.
+        let obligations = regions
+            .iter()
+            .try_fold(0u64, |sum, region| match region {
+                StartRegion::Box(_) => 1u64
+                    .checked_shl(self.subdivision)
+                    .and_then(|leaves| sum.checked_add(leaves)),
+                StartRegion::Octagon(_) => sum.checked_add(1),
+            })
+            .and_then(|per_risk| {
+                u64::try_from(self.risks.len())
+                    .ok()
+                    .and_then(|risks| per_risk.checked_mul(risks))
+            });
+        if obligations.is_none_or(|count| count > MAX_OBLIGATIONS) {
+            return Err(ServeError::InvalidRequest(format!(
+                "subdivision {} would decompose {} risk condition(s) over {} region root(s) \
+                 into more than {MAX_OBLIGATIONS} proof obligations",
+                self.subdivision,
+                self.risks.len(),
+                regions.len()
+            )));
+        }
+        Ok(())
     }
 
     /// The shard roots of the request, in shard-index order.

@@ -37,10 +37,9 @@ const ESCALATION_SCALE: usize = 4;
 /// Sizing of a resident [`ObligationServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Persistent worker threads (clamped to at least 1). Workers solve
-    /// with the serial warm-started branch-and-bound backend, so the
-    /// server's parallelism is exactly this count — never multiply it by
-    /// a parallel backend underneath.
+    /// Persistent worker threads (clamped to at least 1). Each worker
+    /// solves one obligation at a time on its own thread, so the server's
+    /// parallelism is exactly this count.
     pub workers: usize,
     /// Bound on obligations in flight; [`ObligationServer::serve`] blocks
     /// once this many are admitted and unfinished (clamped to at least 1).
@@ -84,10 +83,10 @@ pub enum ServeError {
     /// Request decomposition or encoding failed.
     Core(CoreError),
     /// The request is malformed (non-finite parameters, an unbounded or
-    /// inverted region, no obligations) and was rejected before
-    /// admission; the message names the offending field. Also returned,
-    /// naming the panic, when admission of a request that passed
-    /// validation panics (finite bounds that overflow to NaN).
+    /// inverted region, no obligations or more than 2^16) and was
+    /// rejected before admission; the message names the offending field.
+    /// Also returned, naming the panic, when admission of a request that
+    /// passed validation panics (finite bounds that overflow to NaN).
     InvalidRequest(String),
 }
 

@@ -3,12 +3,13 @@
 //! on a cold server, across perturbation kinds, seeds and worker counts —
 //! reuse and absorption never change an answer, only skip work.
 
-use dpv_absint::BoxDomain;
+use dpv_absint::{AbstractDomain, BoxDomain, Interval};
 use dpv_core::{Characterizer, InputProperty, RiskCondition, StartRegion, Verdict};
 use dpv_delta::{Disposition, ModelFingerprint};
 use dpv_nn::{network_from_text, network_to_text, Activation, Layer, Network, NetworkBuilder};
 use dpv_serve::{
-    ObligationServer, ProofDeltaReport, RegionSpec, RequestReport, ServeConfig, VerificationRequest,
+    ObligationServer, ProofDeltaReport, RegionSpec, RequestReport, ServeConfig, ServeError,
+    VerificationRequest,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -235,6 +236,24 @@ fn specification_changes_are_rejected() {
     assert!(server
         .serve_delta(&prior_request, &prior, &shape_changed)
         .is_err());
+}
+
+#[test]
+fn a_malformed_prior_request_is_rejected() {
+    let server = ObligationServer::builder().build();
+    let prior_request = request_for(perception(23));
+    let prior = server.serve(&prior_request).expect("prior serve");
+    let mut bounds = vec![Interval { lo: -1.0, hi: 1.0 }; CUT_WIDTH];
+    bounds[0].hi = f64::NAN;
+    let malformed_prior = VerificationRequest {
+        region: RegionSpec::Single(StartRegion::Box(BoxDomain::from_intervals(bounds))),
+        subdivision: 1,
+        ..request_for(perception(23))
+    };
+    assert!(matches!(
+        server.serve_delta(&malformed_prior, &prior, &prior_request),
+        Err(ServeError::InvalidRequest(_))
+    ));
 }
 
 /// Satellite: fingerprints are a function of the network's *content*, so

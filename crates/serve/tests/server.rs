@@ -301,6 +301,27 @@ fn empty_risk_family_is_rejected() {
     ));
 }
 
+#[test]
+fn validate_caps_the_obligation_count() {
+    let one_risk = |subdivision| {
+        let mut request = box_request(7, subdivision);
+        request.risks.truncate(1);
+        request
+    };
+    for subdivision in [17, u32::MAX] {
+        match one_risk(subdivision).validate() {
+            Err(ServeError::InvalidRequest(why)) => assert!(why.contains("subdivision"), "{why}"),
+            other => panic!("subdivision {subdivision} passed validation: {other:?}"),
+        }
+    }
+    assert!(one_risk(16).validate().is_ok());
+    // Two risks over one box at 16 levels: 2 · 2^16 obligations.
+    assert!(matches!(
+        box_request(7, 16).validate(),
+        Err(ServeError::InvalidRequest(_))
+    ));
+}
+
 /// Sets the weight at `entry` of dense `layer` in `network`.
 fn set_weight(network: &mut Network, layer: usize, entry: (usize, usize), value: f64) {
     match &mut network.layers_mut()[layer] {

@@ -31,7 +31,7 @@
 //!   strategies, and the statistical (Table I) reasoning.
 //! * [`serve`] — resident obligation server: a long-lived verification
 //!   service with a persistent FIFO worker pool, cross-request template
-//!   and basis caches, batched admission and verdict deduplication.
+//!   and verdict (deduplication) caches, and batched admission.
 //! * [`delta`] — continuous delta-verification across retrains: per-layer
 //!   checkpoint fingerprinting and diffing, weight-hull bound-absorption
 //!   checks, and re-verification planning (executed by
