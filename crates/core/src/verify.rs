@@ -97,6 +97,13 @@ const WITNESS_TOL: f64 = 1e-6;
 /// A counterexample at the cut layer: an activation inside the start region
 /// whose tail image satisfies the risk condition while the characterizer
 /// fires.
+///
+/// The solver's branch-and-bound search reports the first node LP point, in
+/// depth-first order, that passes the counterexample guard: clamped into the
+/// start region, it re-executes into the risk and fires the characterizer,
+/// both within 1e-6. That point need not be integral in the ReLU
+/// indicators. For a given backend and start basis it is a pure function of
+/// the obligation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterExample {
     /// The offending cut-layer activation `n̂_l`.
@@ -115,7 +122,11 @@ pub enum Verdict {
     /// the assume-guarantee strategy this is *conditional* on the runtime
     /// monitor.
     Safe,
-    /// A counterexample exists within the start region.
+    /// A counterexample exists within the start region. The witness is the
+    /// first node LP point, in depth-first order, that passes the
+    /// counterexample guard (see [`CounterExample`]); from the slack basis,
+    /// as every served obligation starts, it is a pure function of the
+    /// obligation.
     Unsafe(CounterExample),
     /// The solver gave up (node limit) — neither safety nor a counterexample
     /// was established.
@@ -462,15 +473,81 @@ impl VerificationProblem {
         }
     }
 
+    /// The counterexample guard: the cut-layer part of a MILP point
+    /// `values`, clamped into its cut variables' bounds (the obligation's
+    /// box), is a counterexample only when the re-executed tail output
+    /// meets the risk and the characterizer fires, both within
+    /// [`WITNESS_TOL`]. The risk is checked first, so a point that misses
+    /// it costs one forward pass.
+    fn witness(
+        &self,
+        encoded: &EncodedProblem,
+        values: &[f64],
+        tail: &Network,
+    ) -> Option<CounterExample> {
+        let lp = encoded.milp.lp();
+        let activation: Vector = encoded
+            .cut_vars
+            .iter()
+            .map(|&v| {
+                let (lo, hi) = lp.bounds(v);
+                values[v].max(lo).min(hi)
+            })
+            .collect();
+        let output = tail.forward(&activation);
+        if !self.risk.is_satisfied(&output, WITNESS_TOL) {
+            return None;
+        }
+        let logit = self.characterizer.logit(&activation);
+        // `>=` is false for NaN, so a NaN logit fails the guard.
+        (logit >= -WITNESS_TOL).then_some(CounterExample {
+            activation,
+            output,
+            logit: Some(logit),
+        })
+    }
+
+    /// Solves `encoded` through `backend` and translates the result into
+    /// a [`Verdict`]. Every core solve path goes through here: the one-shot
+    /// encoding, the template root and the template instantiation.
+    ///
+    /// The search gets the counterexample guard ([`Self::witness`]) as its
+    /// witness check ([`SolveContext::witness`]), so it stops at the first
+    /// node LP point, in depth-first order, that the guard accepts. `seed`
+    /// primes the backend's warm start and receives the final basis back.
+    fn solve_encoded(
+        &self,
+        encoded: &EncodedProblem,
+        tail: &Network,
+        backend: &dyn SolverBackend,
+        mut seed: Option<&mut Option<BasisSnapshot>>,
+        cancel: Option<&CancelToken>,
+        trace: Option<&TraceHandle>,
+    ) -> (Verdict, MilpSolution) {
+        let guard = |values: &[f64]| self.witness(encoded, values, tail).is_some();
+        let mut ctx = SolveContext {
+            seed: seed.as_mut().and_then(|seed| seed.take()),
+            cancel,
+            trace,
+            witness: Some(&guard),
+        };
+        let solution = backend.solve_with(&encoded.milp, &mut ctx);
+        if let Some(seed) = seed {
+            *seed = ctx.seed;
+        }
+        let verdict = self.interpret_solution(encoded, &solution, tail, backend);
+        (verdict, solution)
+    }
+
     /// Translates a MILP solve into a [`Verdict`], re-running the tail
     /// concretely for counterexamples so they are self-contained and
-    /// numerically honest. Shared by the one-shot and template solve paths.
+    /// numerically honest.
     ///
-    /// A solver witness is first clamped into its cut variables' bounds
-    /// (the obligation's box). It is reported as [`Verdict::Unsafe`] only
-    /// when the re-executed output meets the risk and the characterizer
-    /// fires, both within [`WITNESS_TOL`]; otherwise the verdict is
-    /// `Unknown("invalid-counterexample")`.
+    /// An `Optimal` point is reported as [`Verdict::Unsafe`] only when it
+    /// passes the counterexample guard ([`Self::witness`]); otherwise the
+    /// verdict is `Unknown("invalid-counterexample")`. A search that
+    /// stopped at a point the guard accepted therefore always interprets
+    /// to `Unsafe` with that point.
     fn interpret_solution(
         &self,
         encoded: &EncodedProblem,
@@ -480,30 +557,10 @@ impl VerificationProblem {
     ) -> Verdict {
         match solution.status {
             MilpStatus::Infeasible => Verdict::Safe,
-            MilpStatus::Optimal => {
-                let lp = encoded.milp.lp();
-                let activation: Vector = encoded
-                    .cut_vars
-                    .iter()
-                    .map(|&v| {
-                        let (lo, hi) = lp.bounds(v);
-                        solution.values[v].max(lo).min(hi)
-                    })
-                    .collect();
-                let output = tail.forward(&activation);
-                let logit = self.characterizer.logit(&activation);
-                if !self.risk.is_satisfied(&output, WITNESS_TOL)
-                    || logit.is_nan()
-                    || logit < -WITNESS_TOL
-                {
-                    return Verdict::Unknown("invalid-counterexample".to_string());
-                }
-                Verdict::Unsafe(CounterExample {
-                    activation,
-                    output,
-                    logit: Some(logit),
-                })
-            }
+            MilpStatus::Optimal => match self.witness(encoded, &solution.values, tail) {
+                Some(counterexample) => Verdict::Unsafe(counterexample),
+                None => Verdict::Unknown("invalid-counterexample".to_string()),
+            },
             MilpStatus::NodeLimit => Verdict::Unknown(format!("{} node limit", backend.name())),
             // Also a result that failed its check after a slack-basis
             // start (`SolveStats::failed_checks`); the check is
@@ -568,8 +625,7 @@ impl VerificationProblem {
         backend: &dyn SolverBackend,
     ) -> Result<(Verdict, EncodedProblem, MilpSolution), CoreError> {
         let (encoded, tail) = self.encode(region)?;
-        let solution = backend.solve(&encoded.milp);
-        let verdict = self.interpret_solution(&encoded, &solution, &tail, backend);
+        let (verdict, solution) = self.solve_encoded(&encoded, &tail, backend, None, None, None);
         Ok((verdict, encoded, solution))
     }
 
@@ -628,8 +684,8 @@ impl VerificationProblem {
         backend: &dyn SolverBackend,
     ) -> (Verdict, MilpSolution, usize, usize) {
         let encoded = template.encoding.root_problem();
-        let solution = backend.solve(&encoded.milp);
-        let verdict = self.interpret_solution(encoded, &solution, &template.tail, backend);
+        let (verdict, solution) =
+            self.solve_encoded(encoded, &template.tail, backend, None, None, None);
         (
             verdict,
             solution,
@@ -689,7 +745,7 @@ impl VerificationProblem {
         };
         let mut local_scratch = None;
         let mut one_shot = None;
-        let (encoded, tail, mut seed) = if template.encoding.supports(region) {
+        let (encoded, tail, seed) = if template.encoding.supports(region) {
             let scratch = match options.scratch.as_deref_mut() {
                 Some(scratch) => scratch,
                 None => &mut local_scratch,
@@ -732,20 +788,12 @@ impl VerificationProblem {
         if let Some(scale) = options.escalation {
             raise_budgets(&mut encoded.milp, scale);
         }
-        let mut ctx = SolveContext {
-            seed: seed.as_mut().and_then(|seed| seed.take()),
-            cancel: options.cancel,
-            trace: options.tracer,
-        };
-        let solution = backend.solve_with(&encoded.milp, &mut ctx);
-        if let Some(seed) = seed {
-            *seed = ctx.seed;
-        }
+        let solved =
+            self.solve_encoded(encoded, tail, backend, seed, options.cancel, options.tracer);
         // A no-op unless the budgets were raised above.
         encoded.milp.set_node_limit(stock.0);
         encoded.milp.lp_mut().set_iteration_limit(stock.1);
-        let verdict = self.interpret_solution(encoded, &solution, tail, backend);
-        Ok((verdict, solution))
+        Ok(solved)
     }
 
     /// Runs the verification under the given strategy with the default

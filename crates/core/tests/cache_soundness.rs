@@ -3,14 +3,15 @@
 //! `BasisSnapshot` deposited by a *different* template must be rejected by
 //! the structural-fingerprint guard (pool keying) rather than warm-started —
 //! with the LP layer's validation as the backstop even when a foreign basis
-//! is forced in.
+//! is forced in. A solve that stops at the first guard-checked witness only
+//! shortens the plain search.
 
 use dpv_absint::{AbstractDomain, BoxDomain, Interval};
 use dpv_core::{
     Characterizer, InputProperty, RiskCondition, SnapshotPool, SolveOptions, StartRegion,
     TemplateCache, Verdict, VerificationProblem,
 };
-use dpv_lp::{BranchAndBoundBackend, ColdBranchAndBoundBackend};
+use dpv_lp::{BranchAndBoundBackend, ColdBranchAndBoundBackend, SolverBackend};
 use dpv_nn::{Activation, Network, NetworkBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -145,6 +146,45 @@ proptest! {
             prop_assert!(sub.contains(ce.activation.as_slice(), 1e-6));
         }
         prop_assert!(cache.stats().hits >= 1);
+    }
+
+    /// The counterexample guard only shortens a search. A
+    /// `solve_with_template` hands the guard to the search as its witness
+    /// check; a plain branch-and-bound solve of the same instantiated MILP
+    /// runs without one. The checked search explores no more nodes; unless
+    /// it stopped at a witness (`Unsafe`), it is the plain search, status
+    /// and statistics alike; and its witness lies in the sub-box, meets
+    /// the risk and fires the characterizer.
+    #[test]
+    fn a_guard_checked_solve_only_shortens_the_plain_search(seed in 0u64..400) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5709);
+        let threshold = rng.gen_range(-2.0..2.0);
+        let (problem, cut_width) = random_problem(&mut rng, threshold);
+        let root = StartRegion::Box(BoxDomain::uniform(cut_width, -1.0, 1.0));
+        let sub = StartRegion::Box(random_sub_box(&mut rng, cut_width));
+        let template = problem.encoding_template(&root).unwrap();
+        let backend = BranchAndBoundBackend;
+
+        let (checked, checked_solution) = problem
+            .solve_with_template(&template, &sub, &mut SolveOptions::new().backend(&backend))
+            .unwrap();
+        let plain = backend.solve(&template.encoding().instantiate(&sub).unwrap().milp);
+
+        prop_assert!(
+            checked_solution.stats.nodes_explored <= plain.stats.nodes_explored,
+            "checked {:?}, plain {:?}",
+            checked_solution.stats,
+            plain.stats
+        );
+        if let Verdict::Unsafe(ce) = &checked {
+            prop_assert!(sub.contains(ce.activation.as_slice(), 1e-6));
+            let (_, tail) = problem.perception().split_at(problem.cut_layer()).unwrap();
+            prop_assert!(problem.risk().is_satisfied(&tail.forward(&ce.activation), 1e-6));
+            prop_assert!(problem.characterizer().logit(&ce.activation) >= -1e-6);
+        } else {
+            prop_assert_eq!(checked_solution.status, plain.status);
+            prop_assert_eq!(checked_solution.stats, plain.stats);
+        }
     }
 
     /// A basis deposited under template A must never warm-start template B

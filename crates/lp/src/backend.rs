@@ -19,15 +19,17 @@ use crate::{
 ///
 /// An engine implements one solve entry point, [`SolverBackend::solve_with`],
 /// which receives the caller's [`SolveContext`] (warm-start seed,
-/// cancellation token, trace handle). Honouring the context is an engine
-/// capability, never a correctness requirement: an engine may ignore any
-/// part of it and stay correct.
+/// cancellation token, trace handle, witness check). Honouring the context
+/// is an engine capability, never a correctness requirement: an engine may
+/// ignore any part of it and stay correct.
 pub trait SolverBackend: fmt::Debug + Send + Sync {
     /// Short human-readable engine name, used in reports and benchmark ids.
     fn name(&self) -> &str;
 
     /// Solves `problem` under `ctx`. For feasibility problems (all-zero
-    /// objective) the backend may stop at the first integer-feasible point.
+    /// objective) the backend may stop at the first integer-feasible point,
+    /// or at the first point the context's witness check
+    /// ([`SolveContext::witness`]) accepts.
     fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution;
 
     /// Solves `problem` with an empty context: no seed, no cancellation,
@@ -106,7 +108,9 @@ impl SolverBackend for ExhaustiveBackend {
         "exhaustive-enumeration"
     }
 
-    /// Ignores the context: the oracle neither seeds, cancels nor traces.
+    /// Ignores the context: the oracle neither seeds, cancels, traces nor
+    /// consults the witness check, so a feasibility solve still runs to the
+    /// first integer-feasible assignment.
     fn solve_with(&self, problem: &MilpProblem, _ctx: &mut SolveContext<'_>) -> MilpSolution {
         let binaries = problem.binaries();
         let k = binaries.len();

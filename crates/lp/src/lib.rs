@@ -29,11 +29,16 @@
 //!   node relaxation warm-started from the most recent basis
 //!   ([`SolveStats`] reports the warm/cold split). A feasibility-only mode is
 //!   what safety verification uses: *is there an assignment inside the
-//!   envelope that triggers the risk condition?*
+//!   envelope that triggers the risk condition?* It stops at the first
+//!   integer-feasible node, or earlier, at the first node whose relaxation
+//!   point passes the caller's witness check ([`SolveContext::witness`]):
+//!   one point that the caller has confirmed answers the question, integral
+//!   or not.
 //! * [`SolveContext`] — the one per-call context of every solve entry point
 //!   ([`MilpProblem::solve_with`], [`SolverBackend::solve_with`]): a
 //!   warm-start seed that chains dual-simplex solves across problems, a
-//!   cancellation token and a trace handle, each optional.
+//!   cancellation token, a trace handle and a witness check, each
+//!   optional.
 //! * [`encode_relu_big_m`] — the standard big-M encoding of a ReLU
 //!   constraint `y = max(0, x)` with known pre-activation bounds, the
 //!   building block of the network encoding in `dpv-core`.

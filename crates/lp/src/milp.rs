@@ -10,7 +10,9 @@ use crate::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MilpStatus {
     /// An optimal (or, for feasibility problems, some) integer-feasible
-    /// solution was found.
+    /// solution was found, or a feasibility search stopped at a relaxation
+    /// point that [`SolveContext::witness`] accepted; that point need not
+    /// be integral.
     Optimal,
     /// No integer-feasible solution exists: every node was pruned by a
     /// certified LP infeasibility, a conflicting fixing or the incumbent
@@ -107,7 +109,9 @@ impl std::ops::Add for SolveStats {
 pub struct MilpSolution {
     /// Outcome status.
     pub status: MilpStatus,
-    /// Best integer-feasible assignment found (empty if none).
+    /// Best integer-feasible assignment found (empty if none), or the
+    /// relaxation point [`SolveContext::witness`] accepted, which need not
+    /// be integral.
     pub values: Vec<f64>,
     /// Objective of `values` (meaningful only when a solution exists).
     pub objective: f64,
@@ -116,7 +120,8 @@ pub struct MilpSolution {
 }
 
 impl MilpSolution {
-    /// Returns `true` when an integer-feasible assignment was found.
+    /// Returns `true` when an assignment was found: an integer-feasible
+    /// one, or a point the witness check accepted.
     pub fn has_solution(&self) -> bool {
         !self.values.is_empty()
     }
@@ -140,9 +145,9 @@ impl MilpSolution {
 
 /// The per-call context of [`MilpProblem::solve_with`] and
 /// [`crate::SolverBackend::solve_with`]: an optional warm-start basis,
-/// cancellation token and trace handle. The default turns all three off,
-/// which is what the plain `solve` methods pass.
-#[derive(Debug, Default)]
+/// cancellation token, trace handle and witness check. The default turns
+/// all four off, which is what the plain `solve` methods pass.
+#[derive(Default)]
 pub struct SolveContext<'a> {
     /// A warm-start basis priming the search. Engines with warm-start
     /// state hand their final basis back here, so a caller pooling
@@ -160,6 +165,31 @@ pub struct SolveContext<'a> {
     /// Records per-node solver telemetry. Observational only: a disabled
     /// or absent handle gives the identical search.
     pub trace: Option<&'a TraceHandle>,
+    /// A caller's check of a relaxation point, for feasibility problems
+    /// (all-zero objective) only. Both branch-and-bound engines in this
+    /// crate call it on the LP point of every node whose relaxation is
+    /// optimal, before branching; the first point it accepts ends the
+    /// search [`MilpStatus::Optimal`] with that point as the solution,
+    /// integral or not. A rejected integral point ends the search as it
+    /// would without a check. A nonzero objective never consults it, and
+    /// the exhaustive oracle ignores it. The caller vouches for an
+    /// accepted point: `dpv-core` passes its counterexample guard, which
+    /// re-executes the network concretely.
+    pub witness: Option<WitnessCheck<'a>>,
+}
+
+/// The type of [`SolveContext::witness`].
+type WitnessCheck<'a> = &'a dyn Fn(&[f64]) -> bool;
+
+impl std::fmt::Debug for SolveContext<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SolveContext")
+            .field("seed", &self.seed)
+            .field("cancel", &self.cancel)
+            .field("trace", &self.trace)
+            .field("witness", &self.witness.map(|_| "Fn(&[f64]) -> bool"))
+            .finish()
+    }
 }
 
 /// Solves one node's LP relaxation against `scratch`, warm-starting from the
@@ -384,7 +414,8 @@ impl MilpProblem {
     /// Solves the MILP by best-effort depth-first branch-and-bound.
     ///
     /// For pure feasibility problems (zero objective) the search stops at the
-    /// first integer-feasible node.
+    /// first integer-feasible node, or at the first point the context's
+    /// witness check accepts ([`MilpProblem::solve_with`]).
     ///
     /// Node evaluation is allocation-free with respect to the model: instead
     /// of cloning the whole [`LinearProgram`] per node, a single scratch
@@ -414,7 +445,11 @@ impl MilpProblem {
     ///   [`MilpStatus::Cancelled`] with the incumbent found so far;
     /// * the `trace` handle records per-node telemetry (nodes, warm/cold LP
     ///   split, pivots, refactorisations, sampled progress events). Tracing
-    ///   is observational and never alters the search.
+    ///   is observational and never alters the search;
+    /// * the `witness` check, on a feasibility problem, sees the LP point of
+    ///   every node whose relaxation is optimal, in depth-first order: the
+    ///   search stops at the first integer-feasible node or at the first
+    ///   point the check accepts, whichever comes first.
     pub fn solve_with(&self, ctx: &mut SolveContext<'_>) -> MilpSolution {
         self.search(true, ctx)
     }
@@ -426,8 +461,9 @@ impl MilpProblem {
         let disabled = TraceHandle::disabled();
         let trace = ctx.trace.unwrap_or(&disabled);
         let cancel = ctx.cancel;
-        let warm = &mut ctx.seed;
         let feasibility_only = self.lp.objective().iter().all(|&c| c == 0.0);
+        let witness = ctx.witness.filter(|_| feasibility_only);
+        let warm = &mut ctx.seed;
         let mut stats = SolveStats::default();
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
         // Each stack entry is a list of (binary var, fixed value) decisions.
@@ -470,6 +506,14 @@ impl MilpProblem {
                             stats.nodes_pruned += 1;
                             continue;
                         }
+                    }
+                    if witness.is_some_and(|accepts| accepts(&solution.values)) {
+                        let point = (solution.values, solution.objective);
+                        return MilpSolution::with_incumbent(
+                            MilpStatus::Optimal,
+                            Some(point),
+                            stats,
+                        );
                     }
                 }
             }
@@ -877,6 +921,110 @@ mod tests {
         let _ = milp.solve();
         let after: Vec<_> = (0..2).map(|v| milp.lp().bounds(v)).collect();
         assert_eq!(before, after);
+    }
+
+    /// A feasible MILP with a zero objective whose root relaxation is
+    /// fractional: five binaries and a continuous `z ∈ [0, 0.5]` with
+    /// `Σx + z = 2.5`. Its integral points have `z = 0.5` and two binaries
+    /// at 1.
+    fn fractional_feasibility_milp() -> MilpProblem {
+        let mut milp = MilpProblem::new();
+        let mut row: Vec<_> = (0..5).map(|_| (milp.add_binary(), 1.0)).collect();
+        row.push((milp.add_variable(0.0, 0.5), 1.0));
+        milp.lp_mut().add_constraint(&row, ConstraintOp::Eq, 2.5);
+        milp
+    }
+
+    /// Solves `milp` through both branch-and-bound engines under a
+    /// context that carries `witness`.
+    fn solve_both(milp: &MilpProblem, witness: &dyn Fn(&[f64]) -> bool) -> [MilpSolution; 2] {
+        let context = || SolveContext {
+            witness: Some(witness),
+            ..SolveContext::default()
+        };
+        [
+            milp.solve_with(&mut context()),
+            crate::ColdBranchAndBoundBackend.solve_with(milp, &mut context()),
+        ]
+    }
+
+    #[test]
+    fn an_accepting_witness_check_stops_at_the_root_lp_point() {
+        let milp = fractional_feasibility_milp();
+        let root = milp.lp().solve();
+        assert_eq!(root.status, LpStatus::Optimal);
+        assert!(
+            !milp.is_feasible(&root.values, 1e-6),
+            "the fixture's root must be fractional: {:?}",
+            root.values
+        );
+        for solution in solve_both(&milp, &|_| true) {
+            assert_eq!(solution.status, MilpStatus::Optimal);
+            assert_eq!(solution.values, root.values);
+            assert_eq!(solution.stats.nodes_explored, 1);
+            assert_eq!(solution.stats.simplex_iterations, root.iterations);
+        }
+    }
+
+    #[test]
+    fn a_rejecting_witness_check_leaves_the_search_unchanged() {
+        let milp = fractional_feasibility_milp();
+        let calls = std::cell::Cell::new(0);
+        let reject = |_: &[f64]| {
+            calls.set(calls.get() + 1);
+            false
+        };
+        let plain = [milp.solve(), crate::ColdBranchAndBoundBackend.solve(&milp)];
+        for (checked, plain) in solve_both(&milp, &reject).iter().zip(&plain) {
+            assert_eq!(plain.status, MilpStatus::Optimal);
+            assert!(plain.stats.nodes_explored > 1, "{:?}", plain.stats);
+            assert_eq!(checked, plain);
+        }
+        assert!(calls.get() > 2, "the check saw {} points", calls.get());
+    }
+
+    #[test]
+    fn a_nonzero_objective_never_consults_the_witness_check() {
+        // max x + y  s.t.  2x + 2y <= 3: the root relaxation is fractional.
+        let mut milp = MilpProblem::new();
+        let x = milp.add_binary();
+        let y = milp.add_binary();
+        milp.lp_mut().set_objective(&[(x, 1.0), (y, 1.0)], true);
+        milp.lp_mut()
+            .add_constraint(&[(x, 2.0), (y, 2.0)], ConstraintOp::Le, 3.0);
+        let calls = std::cell::Cell::new(0);
+        let count = |_: &[f64]| {
+            calls.set(calls.get() + 1);
+            true
+        };
+        let plain = [milp.solve(), crate::ColdBranchAndBoundBackend.solve(&milp)];
+        for (checked, plain) in solve_both(&milp, &count).iter().zip(&plain) {
+            assert_eq!(checked, plain);
+            assert!((checked.objective - 1.0).abs() < 1e-6);
+        }
+        assert_eq!(calls.get(), 0);
+    }
+
+    #[test]
+    fn the_exhaustive_oracle_never_consults_the_witness_check() {
+        let milp = fractional_feasibility_milp();
+        let calls = std::cell::Cell::new(0);
+        let count = |_: &[f64]| {
+            calls.set(calls.get() + 1);
+            true
+        };
+        let oracle = crate::ExhaustiveBackend::default();
+        let checked = oracle.solve_with(
+            &milp,
+            &mut SolveContext {
+                witness: Some(&count),
+                ..SolveContext::default()
+            },
+        );
+        assert_eq!(checked, oracle.solve(&milp));
+        assert_eq!(checked.status, MilpStatus::Optimal);
+        assert!(milp.is_feasible(&checked.values, 1e-6));
+        assert_eq!(calls.get(), 0);
     }
 
     #[test]

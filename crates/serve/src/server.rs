@@ -132,6 +132,9 @@ pub struct ObligationOutcome {
     /// Sub-box index within the shard.
     pub sub_box: usize,
     /// The verdict (canonical: independent of cache state and scheduling).
+    /// An `Unsafe` witness is the first node LP point, in depth-first
+    /// order, that passes the counterexample guard; it is a pure function
+    /// of the obligation.
     pub verdict: Verdict,
     /// Whether the verdict came from the dedup cache without solving.
     pub deduped: bool,

@@ -14,6 +14,7 @@ use dpv_serve::{
 };
 use dpv_shard::{ShardConfig, ShardedEnvelope};
 use dpv_tensor::Vector;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -330,6 +331,14 @@ fn set_weight(network: &mut Network, layer: usize, entry: (usize, usize), value:
     }
 }
 
+/// Sets bias `entry` of dense `layer` in `network`.
+fn set_bias(network: &mut Network, layer: usize, entry: usize, value: f64) {
+    match &mut network.layers_mut()[layer] {
+        Layer::Dense(d) => d.bias_mut()[entry] = value,
+        other => panic!("layer {layer} is {} by construction", other.describe()),
+    }
+}
+
 #[test]
 fn malformed_requests_are_rejected_and_the_server_keeps_serving() {
     let valid = box_request(7, 1);
@@ -495,4 +504,93 @@ fn wide_regions_never_report_safe() {
     // on a failed result check. The check is deterministic, so none of
     // them is retried.
     assert_eq!(server.stats().retries, 0);
+}
+
+/// The values an adversarial edit writes: subnormal, large and huge finite
+/// magnitudes. NaN and ±∞ never reach a solver: admission rejects them
+/// (`malformed_requests_are_rejected_and_the_server_keeps_serving`).
+const EXTREMES: [f64; 10] = [
+    1e-310, -1e-310, 1e8, -1e8, 1e12, 1e15, -1e15, 1e100, 1e300, -1e300,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `box_request` at subdivision 2 with 1–3 edits, each writing an
+    /// `EXTREMES` value into a tail weight, a tail bias or one bound of the
+    /// region. `serve` returns an error or a report. Every `Unsafe` witness
+    /// lies in its sub-box and re-executes into its risk and the
+    /// characterizer. A family with a witness is never `Safe` over the
+    /// whole region (subdivision 0), which contains the witness.
+    #[test]
+    fn extreme_magnitudes_give_errors_or_guard_checked_witnesses(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut request = box_request(rng.gen_range(1..9), 2);
+        let mut bounds = vec![Interval::new(-1.0, 1.0); CUT_WIDTH];
+        for _ in 0..rng.gen_range(1..4) {
+            let value = EXTREMES[rng.gen_range(0..EXTREMES.len())];
+            let output = rng.gen_range(0..2);
+            match rng.gen_range(0..3) {
+                0 => {
+                    let entry = (output, rng.gen_range(0..CUT_WIDTH));
+                    set_weight(&mut request.perception, CUT + 2, entry, value);
+                }
+                1 => set_bias(&mut request.perception, CUT + 2, output, value),
+                _ => {
+                    let bound = &mut bounds[rng.gen_range(0..CUT_WIDTH)];
+                    if rng.gen_range(0..2) == 0 {
+                        bound.lo = value;
+                    } else {
+                        bound.hi = value;
+                    }
+                }
+            }
+        }
+        let root = BoxDomain::from_intervals(bounds);
+        request.region = RegionSpec::Single(StartRegion::Box(root.clone()));
+
+        let server = ObligationServer::builder().build();
+        let served = server.serve(&request);
+        prop_assume!(served.is_ok(), "rejected at admission");
+        let report = served.unwrap();
+        let (_, tail) = request.perception.split_at(CUT).unwrap();
+        let boxes = sub_boxes(&root, 2);
+        let mut witnessed = [false; 2];
+        for o in &report.obligations {
+            if let Verdict::Unsafe(cex) = &o.verdict {
+                let activation = cex.activation.as_slice();
+                prop_assert!(
+                    boxes[o.sub_box].box_contains(activation, 1e-6),
+                    "seed {seed}, obligation {}: witness {activation:?} leaves its box",
+                    o.index
+                );
+                let output = tail.forward(&cex.activation);
+                prop_assert!(
+                    request.risks[o.family].is_satisfied(&output, 1e-6),
+                    "seed {seed}, obligation {}: witness output {:?} misses the risk",
+                    o.index,
+                    output.as_slice()
+                );
+                prop_assert!(
+                    request.characterizer.logit(&cex.activation) >= -1e-6,
+                    "seed {seed}, obligation {}: the characterizer does not fire",
+                    o.index
+                );
+                witnessed[o.family] = true;
+            }
+        }
+
+        let whole = VerificationRequest {
+            subdivision: 0,
+            ..request.clone()
+        };
+        let whole = server.serve(&whole).expect("admitted at subdivision 2");
+        for (family, served) in whole.verdicts.iter().enumerate() {
+            prop_assert!(
+                !(witnessed[family] && served.verdict.is_safe()),
+                "seed {seed}: `{}` has a witness at subdivision 2 but is Safe at 0",
+                served.risk
+            );
+        }
+    }
 }

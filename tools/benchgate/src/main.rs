@@ -44,8 +44,10 @@
 //!   ≥5× cheaper" server contract is gated directly, independent of how
 //!   far above 5× the committed baseline happens to sit.
 //! * `*parallel-speedup*` — higher is better, 50% relative slack: the
-//!   committed single-core baselines are 1000‰ floors; multi-core runners
-//!   gate real scaling against them.
+//!   one record, e7's `serve-parallel-speedup-2-permille`, is a measured
+//!   multi-core baseline (1737‰, the median of 7 runs on a 2-core host,
+//!   committed in `BENCH_e7_multicore.json`), and CI gates it only on
+//!   runners with more than one core.
 //! * `*speedup*` (anything else) — higher is better, 35% relative slack:
 //!   these are timing *ratios*, so runner-speed effects largely cancel,
 //!   but shared CI hardware still jitters them.
@@ -174,10 +176,10 @@ fn rule_for(id: &str) -> Gate {
             abs: 5000,
         }
     } else if id.contains("parallel-speedup") {
-        // Multi-core scaling records: committed as 1000-permille floors
-        // from a single-core runner (where parallel == serial), gated only
-        // on hosts with more cores; 50% relative slack absorbs scheduler
-        // noise on shared CI runners.
+        // Multi-core scaling records: baselines measured on a 2-core host
+        // (e7's 1737 permille), gated only on runners with more than one
+        // core; 50% relative slack absorbs scheduler noise on shared CI
+        // runners.
         Gate::HigherIsBetter {
             rel_permille: 500,
             abs: 0,
