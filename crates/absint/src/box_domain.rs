@@ -130,8 +130,8 @@ impl BoxDomain {
 
     /// [`AbstractDomain::apply_layer`] into a caller-provided output box,
     /// reusing its interval buffer instead of allocating a fresh `BoxDomain`
-    /// per layer. Hot encoders (the MILP layer-skeleton template in
-    /// `dpv-core`) ping-pong two boxes through a whole network with this.
+    /// per layer. Hot encoders (the MILP encoder in `dpv-core`) ping-pong
+    /// two boxes through a whole network with this.
     ///
     /// Dense, batch-norm, activation and flatten layers — the shapes the MILP
     /// encoder accepts — are written in place; the remaining layer kinds fall

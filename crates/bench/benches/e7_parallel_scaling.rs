@@ -22,7 +22,8 @@
 //! serially and with 4 workers, and on a multi-core host a serve section
 //! records the gated metric
 //!
-//! * `e7/serve-parallel-speedup-2-permille` — the e6-cut4-refute tail
+//! * `e7/serve-parallel-speedup-2-permille` — the e6-cut4-refute tail,
+//!   with its threshold at [`SERVE_GAP_FRACTION`] of the integrality gap,
 //!   served as [`SERVE_SUBDIVISION`]-fold bisected sub-box obligations (32)
 //!   by a 1-worker and a 2-worker `ObligationServer`, both with the verdict
 //!   cache off and a warm template cache. Each of [`SPEEDUP_ROUNDS`] rounds
@@ -58,6 +59,13 @@ use dpv_tensor::Vector;
 
 /// Bisection levels of the served cut-4 request: 2^5 = 32 obligations.
 const SERVE_SUBDIVISION: u32 = 5;
+/// Where the served request's threshold sits in the integrality gap, from
+/// the relaxation bound (0) to the exact minimum (1). The mid-gap threshold
+/// of the serial refutation leaves each sub-box's tree a node or two, so
+/// the served request sits closer to the exact minimum: about a thousand
+/// nodes over its 32 obligations, enough work for the worker-scaling
+/// record to measure solving rather than overhead.
+const SERVE_GAP_FRACTION: f64 = 0.9;
 /// Alternating rounds behind the serve speed-up record (the median is
 /// taken over rounds).
 const SPEEDUP_ROUNDS: usize = 7;
@@ -162,17 +170,21 @@ fn bench_e7(c: &mut Criterion) {
         // Mid-gap threshold: the root relaxation stays feasible, the MILP is
         // not — proving safety costs a full refutation tree. (Degenerates to
         // a root-infeasible query if the gap ever closes.)
-        let threshold = if gap > 1e-6 {
-            relaxation.objective + 0.5 * gap
-        } else {
-            exact.objective - 0.05
+        let threshold = |fraction: f64| {
+            if gap > 1e-6 {
+                relaxation.objective + fraction * gap
+            } else {
+                exact.objective - 0.05
+            }
         };
-        let risk = RiskCondition::new("steer far left").output_le(0, threshold);
+        let risk = RiskCondition::new("steer far left").output_le(0, threshold(0.5));
         serve_request = VerificationRequest {
             perception: outcome.perception.clone(),
             cut_layer: cut,
             characterizer: characterizer.clone(),
-            risks: vec![risk.clone()],
+            risks: vec![
+                RiskCondition::new("steer far left").output_le(0, threshold(SERVE_GAP_FRACTION))
+            ],
             region: RegionSpec::Single(StartRegion::Box(envelope.box_only())),
             subdivision: SERVE_SUBDIVISION,
             deadline: None,

@@ -15,21 +15,21 @@
 //!   counterexamples force region splits, so one sweep re-solves the same
 //!   (tail, risk, characterizer) triple over dozens of sub-boxes. The cold
 //!   variant re-encodes every sub-box and solves cold; the template variant
-//!   instantiates the one `EncodingTemplate` skeleton per sub-box and solves
-//!   warm. Both produce identical verdicts (asserted).
+//!   builds every sub-box's problem through the one `EncodingTemplate`, from
+//!   a batched bound sweep per generation, and solves warm. Both build the
+//!   same MILP for a sub-box and produce identical verdicts (asserted).
 //!
 //! Run with `CRITERION_JSON=BENCH_e8.json` for machine-readable results;
 //! besides the timing records the file carries `e8/refine-sweep/speedup-permille`
 //! (cold mean ÷ warm mean × 1000), `e8/…/warm-hit-permille` and
 //! `e8/refine-sweep/node-lps-per-sec-permille` (node LPs × 1000 per second
 //! of the warm-template sweep) metric records, so CI artifacts carry them
-//! without parsing stdout. The speedup record reports the ratio and does
-//! not show a win: with one dual simplex on both sides the cold sweep is
-//! the faster one (about 0.7× on a 2-core x86 host), because template LPs
-//! keep the root skeleton's rows and warm tableaux are dense. The node-LP
-//! record is the absolute LP-throughput floor. Every solve runs on the
-//! calling thread, so the comparison isolates the incremental-solving
-//! effect.
+//! without parsing stdout. The speedup record reports the ratio: both
+//! sides solve the same compact MILP per sub-box, so it measures the warm
+//! engine and the cached template against the cold engine and one-shot
+//! encoding. The node-LP record is the absolute LP-throughput floor. Every
+//! solve runs on the calling thread, so the comparison isolates the
+//! incremental-solving effect.
 
 use std::time::Instant;
 

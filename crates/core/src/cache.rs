@@ -6,9 +6,9 @@
 //! Two cache kinds live here:
 //!
 //! * [`TemplateCache`] — `Arc`-held [`ProblemTemplate`]s keyed by their
-//!   content fingerprint, with LRU eviction. A hit skips the whole MILP
-//!   skeleton encoding; concurrent verification jobs share one immutable
-//!   template.
+//!   content fingerprint, with LRU eviction. A hit skips the template build
+//!   (the network split, the layer copies and the root problem);
+//!   concurrent verification jobs share one immutable template.
 //! * [`SnapshotPool`] — rolling [`BasisSnapshot`]s pooled *per template
 //!   fingerprint*, so warm dual-simplex bases can flow between solves of
 //!   one template. The obligation server no longer uses it: every

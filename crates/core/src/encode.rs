@@ -1,40 +1,53 @@
-//! Reduction of the tail-network verification problem to MILP, and the
-//! incremental [`EncodingTemplate`] that amortises it across a refinement
-//! sweep.
+//! Reduction of the tail-network verification problem to MILP: one compact
+//! builder fed each region's own interval bounds, and the
+//! [`EncodingTemplate`] that caches what the sub-regions of one root share.
 //!
-//! # One-shot encoding vs. template instantiation
+//! # One encoder
 //!
-//! [`encode_verification`] builds the whole MILP from scratch for one start
-//! region. The refinement loop, however, solves the *same* (tail network,
-//! risk condition, characterizer) triple over `2^k` sub-boxes of one root
-//! region — re-running the full encoding per sub-box rebuilds hundreds of
-//! identical equality and big-M rows every time.
+//! The builder encodes the tail and the characterizer over a start region
+//! from per-stage interval bounds of that region (the layout of
+//! [`RegionBounds`]):
 //!
-//! An [`EncodingTemplate`] is built **once** from the root region: it owns
-//! the MILP *skeleton* (variables, dense/batch-norm equality rows, ReLU
-//! big-M rows with root-region constants, risk and characterizer rows) plus
-//! a per-layer plan of which variables belong to which stage.
-//! [`EncodingTemplate::instantiate`] then produces the MILP for any
-//! sub-region with **bound-shaped edits only**: it re-tightens the cut-layer
-//! variable bounds, re-propagates the sub-box through the cached layers to
-//! re-tighten every intermediate bound, pins ReLU phase indicators that the
-//! tighter bounds stabilise (`δ ∈ [1,1]` / `[0,0]`), and rewrites the
-//! octagon difference-row right-hand sides. Because none of these edits
-//! touch constraint coefficients or the objective, consecutive
-//! instantiations are also *warm-start compatible* at the LP layer
-//! (`dpv_lp::BasisSnapshot` remains valid across them).
+//! * the cut-layer variables are boxed by the region, and an octagon adds
+//!   its adjacent-difference rows;
+//! * dense and batch-norm layers add no variable and no row: each neuron is
+//!   a sparse affine expression over the LP variables of the stage before;
+//! * a ReLU with pre-activation bounds `[l, u]` passes its input expression
+//!   through when `l ≥ 0` and is the constant 0 when `u ≤ 0`, with no binary
+//!   and no row; otherwise it gets an output `y ∈ [0, u]`, a binary phase
+//!   indicator `δ` and the three big-M rows of
+//!   [`dpv_lp::encode_relu_big_m`] over its input expression, with `l` and
+//!   `u` from this region's bounds;
+//! * each tail output and the characterizer logit get one variable, pinned
+//!   to its expression by an equality row and boxed by the last stage's
+//!   bounds; then come the row `logit ≥ 0` and the risk rows over the
+//!   output variables.
 //!
-//! The instantiated MILP is **verdict-equivalent** to a fresh encoding: the
-//! big-M constants frozen at their root-region values are still valid for
-//! every sub-region (interval propagation is monotone), so the feasible set
-//! projected onto the cut-layer variables is identical — only the LP
-//! relaxation may be weaker, which pinning the stabilised indicators mostly
-//! recovers. The `backend_seam` tests assert verdict equality against the
-//! re-encoding path.
+//! Tight bounds therefore shrink both the number of binaries and the big-M
+//! constants: the mechanism behind the paper's E4 finding, and the reason
+//! Tjeng, Xiao & Tedrake (ICLR 2019) tighten every ReLU's bounds for the
+//! input region before solving.
+//!
+//! # One build per region
+//!
+//! [`encode_verification`] propagates the region through the layers and
+//! builds. An [`EncodingTemplate`] is built once per (tail, characterizer,
+//! risk, root region) triple and keeps the layers, the root problem and a
+//! content fingerprint. [`EncodingTemplate::instantiate`] builds the problem
+//! of a sub-region of the root from that sub-region's bounds, propagated
+//! alone ([`EncodingTemplate::region_bounds`]) or for a whole generation of
+//! sibling boxes in one batched sweep
+//! ([`EncodingTemplate::region_bounds_batch`]). Batched lanes equal scalar
+//! propagation bit for bit, so every path gives the identical MILP for the
+//! same region. Two sub-regions of one template do not share rows, so an LP
+//! basis of one is no start for the other.
+
+use std::cell::Cell;
+use std::ops::Range;
 
 use dpv_absint::{AbstractDomain, BoxBatch, BoxDomain, Interval, OctagonLite};
-use dpv_lp::{encode_relu_big_m, ConstraintOp, MilpProblem, VarId};
-use dpv_nn::{Activation, Layer, Network};
+use dpv_lp::{ConstraintOp, MilpProblem, VarId};
+use dpv_nn::{Activation, BatchNorm1d, Dense, Layer, Network};
 
 use crate::fingerprint::Fingerprint;
 use crate::{CoreError, OutputOp, RiskCondition};
@@ -74,6 +87,14 @@ impl StartRegion {
             StartRegion::Octagon(o) => o.contains(activation, tol),
         }
     }
+
+    /// The per-neuron bounds of the region's box enclosure.
+    fn box_bounds(&self) -> &[Interval] {
+        match self {
+            StartRegion::Box(b) => b.bounds(),
+            StartRegion::Octagon(o) => o.bounds(),
+        }
+    }
 }
 
 /// `Ok` when every interval is finite and not inverted.
@@ -90,13 +111,11 @@ fn check_intervals(what: &str, intervals: &[Interval]) -> Result<(), CoreError> 
     }
 }
 
-/// `Ok` when interval propagation gave layer `index` of a chain finite
-/// output bounds. Finite inputs can still overflow (a 1e300 weight over a
-/// wide region gives `[−∞, ∞]`), and the LP layer only takes boxed
-/// variables.
-fn check_propagated(index: usize, bounds: &BoxDomain) -> Result<(), CoreError> {
+/// `Ok` when interval propagation gave stage `index` of a chain finite
+/// bounds. Finite inputs can still overflow (a 1e300 weight over a wide
+/// region gives `[−∞, ∞]`), and the LP layer only takes boxed variables.
+fn check_propagated(index: usize, bounds: &[Interval]) -> Result<(), CoreError> {
     if bounds
-        .bounds()
         .iter()
         .all(|iv| iv.lo.is_finite() && iv.hi.is_finite())
     {
@@ -162,184 +181,29 @@ fn check_region(region: &StartRegion) -> Result<(), CoreError> {
     }
 }
 
-/// A fully encoded verification instance.
-#[derive(Debug, Clone)]
-pub struct EncodedProblem {
-    /// The MILP: feasible iff an activation in the start region triggers the
-    /// risk condition while the characterizer fires.
-    pub milp: MilpProblem,
-    /// Variables of the cut-layer activation.
-    pub cut_vars: Vec<VarId>,
-    /// Variables of the network output.
-    pub output_vars: Vec<VarId>,
-    /// Variable of the characterizer logit (when a characterizer was encoded).
-    pub logit_var: Option<VarId>,
-    /// Number of binary (ReLU-phase) variables in the encoding that are
-    /// actually free (neither structurally absent nor pinned by the bounds).
-    pub num_binaries: usize,
-    /// Number of ReLU neurons whose phase was fixed by the bounds (no binary
-    /// variable needed, or the template pinned the indicator) — the tighter
-    /// the start region, the larger this is.
-    pub stable_relus: usize,
-    /// Identity of the [`EncodingTemplate`] this problem was instantiated
-    /// from (`None` for one-shot encodings). [`EncodingTemplate::instantiate_into`]
-    /// refuses a scratch carrying a different template's fingerprint: two
-    /// templates can share variable/constraint *counts* while differing in
-    /// frozen coefficients (e.g. only a risk-row threshold apart), and
-    /// re-tightening the wrong skeleton would silently answer the wrong
-    /// question. The fingerprint is content-addressed
-    /// ([`crate::fingerprint::Fingerprint`]), so scratches *are* portable
-    /// between two templates built from identical inputs.
-    pub(crate) template_id: Option<Fingerprint>,
-}
-
-/// One encoded layer of a template chain: the variables holding the layer's
-/// outputs and, for ReLU stages, the phase indicator of each neuron (`None`
-/// when the root bounds already fixed the phase, so no binary exists).
-#[derive(Debug, Clone)]
-struct Stage {
-    vars: Vec<VarId>,
-    indicators: Option<Vec<Option<VarId>>>,
-}
-
-/// Per-chain template plan: the cached layers plus their encoded stages.
-#[derive(Debug, Clone)]
-struct ChainPlan {
-    layers: Vec<Layer>,
-    stages: Vec<Stage>,
-}
-
-/// Estimated variable/constraint counts of a chain's encoding, used to
-/// pre-size the [`MilpProblem`] storage before any row is built.
-fn chain_size_estimate(input_dim: usize, layers: &[Layer]) -> (usize, usize) {
+/// The output width of `layers` over `input_dim` activations, or the error
+/// for a layer the builder cannot encode or a width that does not fit.
+fn check_chain(layers: &[Layer], input_dim: usize) -> Result<usize, CoreError> {
     let mut dim = input_dim;
-    let mut vars = 0usize;
-    let mut rows = 0usize;
     for layer in layers {
         match layer {
             Layer::Dense(d) => {
-                dim = d.output_dim();
-                vars += dim;
-                rows += dim;
-            }
-            Layer::BatchNorm(bn) => {
-                dim = bn.dim();
-                vars += dim;
-                rows += dim;
-            }
-            Layer::Activation(Activation::ReLU) => {
-                // Worst case: every neuron unstable (1 output + 1 indicator
-                // variable, 3 big-M rows).
-                vars += 2 * dim;
-                rows += 3 * dim;
-            }
-            _ => {}
-        }
-    }
-    (vars, rows)
-}
-
-/// Encodes one ReLU-MLP (a slice of layers) into `milp`, starting from the
-/// variables `inputs` whose concrete values range over `input_box`.
-/// Returns the output variables and the output box. When `stages` is given,
-/// records the per-layer variable plan for an [`EncodingTemplate`].
-///
-/// Interval propagation ping-pongs between two reused bound buffers instead
-/// of allocating a fresh `BoxDomain` per layer. Every propagated bound is
-/// checked before it becomes a variable bound: an overflow to an infinite
-/// bound is a [`CoreError::Inconsistent`]. A ReLU stage takes its bounds from
-/// the checked stage before it, or from `input_box`.
-fn encode_layers(
-    milp: &mut MilpProblem,
-    inputs: &[VarId],
-    input_box: &BoxDomain,
-    layers: &[Layer],
-    binaries: &mut usize,
-    stable: &mut usize,
-    mut stages: Option<&mut Vec<Stage>>,
-) -> Result<(Vec<VarId>, BoxDomain), CoreError> {
-    let mut vars = inputs.to_vec();
-    let mut bounds = input_box.clone();
-    let mut scratch = BoxDomain::from_intervals(Vec::new());
-    for (index, layer) in layers.iter().enumerate() {
-        let mut stage_indicators: Option<Vec<Option<VarId>>> = None;
-        match layer {
-            Layer::Dense(d) => {
-                if d.input_dim() != vars.len() {
+                if d.input_dim() != dim {
                     return Err(CoreError::Inconsistent(format!(
-                        "dense layer expects {} inputs, encoding has {}",
-                        d.input_dim(),
-                        vars.len()
+                        "dense layer expects {} inputs, encoding has {dim}",
+                        d.input_dim()
                     )));
                 }
-                bounds.apply_layer_into(layer, &mut scratch);
-                check_propagated(index, &scratch)?;
-                let mut out_vars = Vec::with_capacity(d.output_dim());
-                for j in 0..d.output_dim() {
-                    let interval = scratch.bounds()[j];
-                    let v = milp.add_variable(interval.lo, interval.hi);
-                    // y_j - Σ w_ji x_i = b_j
-                    let mut coeffs = vec![(v, 1.0)];
-                    for (i, &x) in vars.iter().enumerate() {
-                        let w = d.weights()[(j, i)];
-                        if w != 0.0 {
-                            coeffs.push((x, -w));
-                        }
-                    }
-                    milp.lp_mut()
-                        .add_constraint(&coeffs, ConstraintOp::Eq, d.bias()[j]);
-                    out_vars.push(v);
-                }
-                vars = out_vars;
-                std::mem::swap(&mut bounds, &mut scratch);
+                dim = d.output_dim();
             }
             Layer::BatchNorm(bn) => {
-                if bn.dim() != vars.len() {
+                if bn.dim() != dim {
                     return Err(CoreError::Inconsistent(
                         "batch-norm dimension mismatch in encoding".into(),
                     ));
                 }
-                let (a, b) = bn.affine_form();
-                bounds.apply_layer_into(layer, &mut scratch);
-                check_propagated(index, &scratch)?;
-                let mut out_vars = Vec::with_capacity(bn.dim());
-                for j in 0..bn.dim() {
-                    let interval = scratch.bounds()[j];
-                    let v = milp.add_variable(interval.lo, interval.hi);
-                    // y_j - a_j x_j = b_j
-                    milp.lp_mut().add_constraint(
-                        &[(v, 1.0), (vars[j], -a[j])],
-                        ConstraintOp::Eq,
-                        b[j],
-                    );
-                    out_vars.push(v);
-                }
-                vars = out_vars;
-                std::mem::swap(&mut bounds, &mut scratch);
             }
-            Layer::Activation(Activation::Identity) | Layer::Flatten(_) => {
-                // Numerically the identity; keep the same variables.
-            }
-            Layer::Activation(Activation::ReLU) => {
-                let mut out_vars = Vec::with_capacity(vars.len());
-                let mut indicators = Vec::with_capacity(vars.len());
-                for (j, &x) in vars.iter().enumerate() {
-                    let pre = bounds.bounds()[j];
-                    let y = milp.add_variable(0.0, pre.hi.max(0.0));
-                    let encoding = encode_relu_big_m(milp, x, y, pre.lo, pre.hi);
-                    if encoding.indicator.is_some() {
-                        *binaries += 1;
-                    } else {
-                        *stable += 1;
-                    }
-                    indicators.push(encoding.indicator);
-                    out_vars.push(y);
-                }
-                bounds.apply_layer_into(layer, &mut scratch);
-                vars = out_vars;
-                stage_indicators = Some(indicators);
-                std::mem::swap(&mut bounds, &mut scratch);
-            }
+            Layer::Activation(Activation::ReLU | Activation::Identity) | Layer::Flatten(_) => {}
             Layer::Activation(other) => {
                 return Err(CoreError::NotPiecewiseLinear(format!(
                     "activation {other:?} cannot be encoded exactly; only ReLU/identity tails are supported"
@@ -352,162 +216,403 @@ fn encode_layers(
                 ));
             }
         }
-        if let Some(stages) = stages.as_deref_mut() {
-            stages.push(Stage {
-                vars: vars.clone(),
-                indicators: stage_indicators,
-            });
-        }
     }
-    Ok((vars, bounds))
+    Ok(dim)
 }
 
-/// Everything the template records while the skeleton is being encoded.
-#[derive(Debug, Clone, Default)]
-struct TemplatePlan {
-    tail_stages: Vec<Stage>,
-    ch_stages: Vec<Stage>,
-    /// Per adjacent-neuron difference, the `(>= row, <= row)` constraint
-    /// indices of the octagon refinement (empty for box templates).
-    diff_rows: Vec<(usize, usize)>,
+/// A fully encoded verification instance.
+#[derive(Debug, Clone)]
+pub struct EncodedProblem {
+    /// The MILP: feasible iff an activation in the start region triggers the
+    /// risk condition while the characterizer fires.
+    pub milp: MilpProblem,
+    /// Variables of the cut-layer activation.
+    pub cut_vars: Vec<VarId>,
+    /// Variables of the network output.
+    pub output_vars: Vec<VarId>,
+    /// Variable of the characterizer logit (when a characterizer was encoded).
+    pub logit_var: Option<VarId>,
+    /// Number of binary (ReLU-phase) variables: one per ReLU neuron whose
+    /// phase the region's bounds leave open.
+    pub num_binaries: usize,
+    /// Number of ReLU neurons whose phase the region's bounds fix, so they
+    /// get no binary and no row — the tighter the start region, the larger
+    /// this is.
+    pub stable_relus: usize,
 }
 
-/// Shared construction of the verification MILP, optionally recording a
-/// [`TemplatePlan`] for incremental re-instantiation.
-fn encode_core(
-    tail: &[Layer],
-    characterizer: Option<&Network>,
-    risk: &RiskCondition,
-    region: &StartRegion,
-    mut plan: Option<&mut TemplatePlan>,
-) -> Result<EncodedProblem, CoreError> {
-    check_region(region)?;
-    let mut milp = MilpProblem::new();
-    let box_domain = region.box_domain();
-    let dim = region.dim();
+/// What the builder encodes besides the region: the tail, the
+/// characterizer's layers and the risk condition.
+struct Encoder<'a> {
+    tail: &'a [Layer],
+    characterizer: Option<&'a [Layer]>,
+    risk: &'a RiskCondition,
+}
 
-    // Pre-size the model from the known layer shapes: one pass of arithmetic
-    // instead of repeated mid-encoding re-allocation.
-    {
-        let (tail_vars, tail_rows) = chain_size_estimate(dim, tail);
-        let (ch_vars, ch_rows) = characterizer
-            .map(|ch| chain_size_estimate(dim, ch.layers()))
-            .unwrap_or((0, 0));
-        let diff_rows = match region {
-            StartRegion::Octagon(o) => 2 * o.diffs().len(),
-            StartRegion::Box(_) => 0,
+impl Encoder<'_> {
+    /// The per-stage bounds of `region_box` through the tail and the
+    /// characterizer, by scalar propagation.
+    fn propagate(&self, region_box: &BoxDomain) -> (Vec<Vec<Interval>>, Vec<Vec<Interval>>) {
+        (
+            propagate_chain_scalar(self.tail, region_box),
+            self.characterizer
+                .map(|layers| propagate_chain_scalar(layers, region_box))
+                .unwrap_or_default(),
+        )
+    }
+
+    /// Builds the MILP of `region` from its per-stage bounds (see the
+    /// module docs). The region must be finite and the bounds its own, laid
+    /// out like [`RegionBounds`]; a stage whose bounds overflowed, and any
+    /// coefficient or constant that overflows on the way (weights multiplied
+    /// through stable-active ReLUs, say), is a [`CoreError::Inconsistent`].
+    fn build(
+        &self,
+        region: &StartRegion,
+        tail_bounds: &[Vec<Interval>],
+        ch_bounds: &[Vec<Interval>],
+    ) -> Result<EncodedProblem, CoreError> {
+        let region_box = region.box_bounds();
+        let diffs = match region {
+            StartRegion::Octagon(o) => o.diffs(),
+            StartRegion::Box(_) => &[],
         };
-        let extra_rows = risk.inequalities().len() + usize::from(characterizer.is_some());
-        milp.lp_mut().reserve(
-            dim + tail_vars + ch_vars,
-            tail_rows + ch_rows + diff_rows + extra_rows,
-        );
-    }
+        let unstable = count_unstable(self.tail, tail_bounds)
+            + self
+                .characterizer
+                .map_or(0, |layers| count_unstable(layers, ch_bounds));
+        let outputs =
+            last_stage(self.tail, tail_bounds).map_or(region_box.len(), |(_, bounds)| bounds.len());
+        let has_ch = usize::from(self.characterizer.is_some());
+        let vars = region_box.len() + 2 * unstable + outputs + has_ch;
+        let rows =
+            2 * diffs.len() + 3 * unstable + outputs + 2 * has_ch + self.risk.inequalities().len();
+        let mut b = Builder::new(vars, rows);
 
-    // Cut-layer activation variables.
-    let cut_vars: Vec<VarId> = box_domain
-        .bounds()
-        .iter()
-        .map(|Interval { lo, hi }| milp.add_variable(*lo, *hi))
-        .collect();
-
-    // Octagon refinement: lo_i <= x[i+1] - x[i] <= hi_i.
-    if let StartRegion::Octagon(oct) = region {
-        for (i, diff) in oct.diffs().iter().enumerate() {
-            let ge_row = milp.lp().num_constraints();
-            milp.lp_mut().add_constraint(
-                &[(cut_vars[i + 1], 1.0), (cut_vars[i], -1.0)],
-                ConstraintOp::Ge,
-                diff.lo,
-            );
-            milp.lp_mut().add_constraint(
-                &[(cut_vars[i + 1], 1.0), (cut_vars[i], -1.0)],
-                ConstraintOp::Le,
-                diff.hi,
-            );
-            if let Some(plan) = plan.as_deref_mut() {
-                plan.diff_rows.push((ge_row, ge_row + 1));
-            }
-        }
-    }
-
-    let mut num_binaries = 0usize;
-    let mut stable_relus = 0usize;
-
-    // Encode the verified tail of the perception network.
-    let (output_vars, _) = encode_layers(
-        &mut milp,
-        &cut_vars,
-        &box_domain,
-        tail,
-        &mut num_binaries,
-        &mut stable_relus,
-        plan.as_deref_mut().map(|p| &mut p.tail_stages),
-    )?;
-
-    // Encode the characterizer and require h_φ = 1 (logit >= 0).
-    let logit_var = match characterizer {
-        Some(ch) => {
-            if ch.input_dim() != dim {
-                return Err(CoreError::Inconsistent(format!(
-                    "characterizer expects {} features, cut layer has {dim}",
-                    ch.input_dim()
-                )));
-            }
-            if ch.output_dim() != 1 {
-                return Err(CoreError::Inconsistent(
-                    "characterizer must produce a single logit".into(),
-                ));
-            }
-            let (logit_vars, _) = encode_layers(
-                &mut milp,
-                &cut_vars,
-                &box_domain,
-                ch.layers(),
-                &mut num_binaries,
-                &mut stable_relus,
-                plan.map(|p| &mut p.ch_stages),
-            )?;
-            let logit = logit_vars[0];
-            milp.lp_mut()
-                .add_constraint(&[(logit, 1.0)], ConstraintOp::Ge, 0.0);
-            Some(logit)
-        }
-        None => None,
-    };
-
-    // Risk condition ψ over the output variables.
-    for inequality in risk.inequalities() {
-        if inequality.coeffs.len() > output_vars.len() {
-            return Err(CoreError::Inconsistent(format!(
-                "risk condition references output {} but the network has only {} outputs",
-                inequality.coeffs.len() - 1,
-                output_vars.len()
-            )));
-        }
-        let coeffs: Vec<(VarId, f64)> = inequality
-            .coeffs
+        let cut_vars: Vec<VarId> = region_box
             .iter()
-            .enumerate()
-            .filter(|(_, c)| **c != 0.0)
-            .map(|(i, c)| (output_vars[i], *c))
+            .map(|iv| b.milp.add_variable(iv.lo, iv.hi))
             .collect();
-        let op = match inequality.op {
-            OutputOp::Le => ConstraintOp::Le,
-            OutputOp::Ge => ConstraintOp::Ge,
+        // Octagon refinement: lo_i <= x[i+1] - x[i] <= hi_i.
+        for (i, diff) in diffs.iter().enumerate() {
+            b.buf.row.clear();
+            b.buf
+                .row
+                .extend([(cut_vars[i + 1], 1.0), (cut_vars[i], -1.0)]);
+            b.add_row(ConstraintOp::Ge, diff.lo)?;
+            b.add_row(ConstraintOp::Le, diff.hi)?;
+        }
+
+        let output_vars: Vec<VarId> = b
+            .chain(&cut_vars, self.tail, tail_bounds, region_box)?
+            .collect();
+        // The characterizer must fire: h_φ = 1, i.e. logit >= 0.
+        let logit_var = match self.characterizer {
+            Some(layers) => {
+                let logit = b.chain(&cut_vars, layers, ch_bounds, region_box)?.start;
+                b.buf.row.clear();
+                b.buf.row.push((logit, 1.0));
+                b.add_row(ConstraintOp::Ge, 0.0)?;
+                Some(logit)
+            }
+            None => None,
         };
-        milp.lp_mut().add_constraint(&coeffs, op, inequality.rhs);
+        // Risk condition ψ over the output variables.
+        for inequality in self.risk.inequalities() {
+            b.buf.row.clear();
+            b.buf.row.extend(
+                inequality
+                    .coeffs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| **c != 0.0)
+                    .map(|(i, c)| (output_vars[i], *c)),
+            );
+            let op = match inequality.op {
+                OutputOp::Le => ConstraintOp::Le,
+                OutputOp::Ge => ConstraintOp::Ge,
+            };
+            b.add_row(op, inequality.rhs)?;
+        }
+
+        let (milp, num_binaries, stable_relus) = b.finish();
+        Ok(EncodedProblem {
+            milp,
+            cut_vars,
+            output_vars,
+            logit_var,
+            num_binaries,
+            stable_relus,
+        })
+    }
+}
+
+/// The number of ReLU neurons whose pre-activation bounds straddle zero.
+fn count_unstable(layers: &[Layer], stages: &[Vec<Interval>]) -> usize {
+    layers
+        .iter()
+        .zip(stages)
+        .filter(|(layer, _)| matches!(layer, Layer::Activation(Activation::ReLU)))
+        .map(|(_, pre)| pre.iter().filter(|iv| iv.lo < 0.0 && iv.hi > 0.0).count())
+        .sum()
+}
+
+/// The last stage of a chain that changes the activations, with its
+/// bounds: its outputs' bounds are those of a dense or batch-norm stage, or
+/// the clamped pre-activation bounds of a ReLU stage. `None` when the chain
+/// leaves the cut-layer activations as they are.
+fn last_stage<'b>(
+    layers: &'b [Layer],
+    stages: &'b [Vec<Interval>],
+) -> Option<(&'b Layer, &'b [Interval])> {
+    layers
+        .iter()
+        .zip(stages)
+        .rev()
+        .find(|(_, bounds)| !bounds.is_empty())
+        .map(|(layer, bounds)| (layer, bounds.as_slice()))
+}
+
+/// The neuron expressions `Σ c·x + k` of one stage over LP variables,
+/// stored flat: neuron `j` has the terms `terms[starts[j]..starts[j + 1]]`
+/// and the constant `consts[j]`.
+#[derive(Default)]
+struct Exprs {
+    terms: Vec<(VarId, f64)>,
+    starts: Vec<usize>,
+    consts: Vec<f64>,
+}
+
+impl Exprs {
+    /// Empties the stage.
+    fn clear(&mut self) {
+        self.terms.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        self.consts.clear();
     }
 
-    Ok(EncodedProblem {
-        milp,
-        cut_vars,
-        output_vars,
-        logit_var,
-        num_binaries,
-        stable_relus,
-        template_id: None,
-    })
+    /// Closes the neuron whose terms were pushed since the last one, with
+    /// the constant `constant`.
+    fn push(&mut self, constant: f64) {
+        self.consts.push(constant);
+        self.starts.push(self.terms.len());
+    }
+
+    /// The terms of neuron `j`.
+    fn terms(&self, j: usize) -> &[(VarId, f64)] {
+        &self.terms[self.starts[j]..self.starts[j + 1]]
+    }
+}
+
+/// The work buffers of a build.
+#[derive(Default)]
+struct Buffers {
+    /// The expressions of the current and the next stage.
+    cur: Exprs,
+    next: Exprs,
+    /// Per LP variable, the coefficient accumulated so far; zero between
+    /// neurons.
+    acc: Vec<f64>,
+    /// The variables `acc` holds a coefficient of, in first-touch order.
+    touched: Vec<VarId>,
+    row: Vec<(VarId, f64)>,
+}
+
+thread_local! {
+    /// The buffers of the last build on this thread that finished, so a
+    /// stream of builds allocates little more than the problems themselves.
+    static BUFFERS: Cell<Buffers> = Cell::default();
+}
+
+/// The state of one build: the MILP so far and the work buffers.
+struct Builder {
+    milp: MilpProblem,
+    buf: Buffers,
+    binaries: usize,
+    stable: usize,
+}
+
+impl Builder {
+    /// An empty build of `vars` variables and `rows` rows, on the thread's
+    /// buffers.
+    fn new(vars: usize, rows: usize) -> Self {
+        let mut milp = MilpProblem::new();
+        milp.lp_mut().reserve(vars, rows);
+        let mut buf = BUFFERS.take();
+        buf.acc.clear();
+        buf.acc.resize(vars, 0.0);
+        Self {
+            milp,
+            buf,
+            binaries: 0,
+            stable: 0,
+        }
+    }
+
+    /// The problem and its binary and stable ReLU counts; the buffers go
+    /// back to the thread.
+    fn finish(self) -> (MilpProblem, usize, usize) {
+        BUFFERS.set(self.buf);
+        (self.milp, self.binaries, self.stable)
+    }
+
+    /// Adds the row in the row buffer, unless a coefficient or `rhs` is not
+    /// finite.
+    fn add_row(&mut self, op: ConstraintOp, rhs: f64) -> Result<(), CoreError> {
+        if !(rhs.is_finite() && self.buf.row.iter().all(|(_, c)| c.is_finite())) {
+            return Err(CoreError::Inconsistent(
+                "a coefficient or constant of the encoding overflows; the network's weights \
+                 are too large for f64 over this region"
+                    .into(),
+            ));
+        }
+        self.milp.lp_mut().add_constraint(&self.buf.row, op, rhs);
+        Ok(())
+    }
+
+    /// Sets the row buffer to `v − p`, with `p` the terms of current
+    /// neuron `j`.
+    fn row_minus(&mut self, v: VarId, j: usize) {
+        let Buffers { cur, row, .. } = &mut self.buf;
+        row.clear();
+        row.push((v, 1.0));
+        row.extend(cur.terms(j).iter().map(|&(x, c)| (x, -c)));
+    }
+
+    /// Encodes `layers` over the cut variables and returns one variable per
+    /// output, boxed by the last stage's bounds (`region_box` when no stage
+    /// changes the activations) and pinned to its expression.
+    fn chain(
+        &mut self,
+        cut_vars: &[VarId],
+        layers: &[Layer],
+        stages: &[Vec<Interval>],
+        region_box: &[Interval],
+    ) -> Result<Range<VarId>, CoreError> {
+        self.buf.cur.clear();
+        for &v in cut_vars {
+            self.buf.cur.terms.push((v, 1.0));
+            self.buf.cur.push(0.0);
+        }
+        for (index, (layer, bounds)) in layers.iter().zip(stages).enumerate() {
+            check_propagated(index, bounds)?;
+            match layer {
+                Layer::Dense(d) => self.dense(d),
+                Layer::BatchNorm(bn) => self.batch_norm(bn),
+                Layer::Activation(Activation::ReLU) => self.relu(bounds)?,
+                // Identity and flatten; the structure check rejected the rest.
+                _ => continue,
+            }
+            std::mem::swap(&mut self.buf.cur, &mut self.buf.next);
+        }
+        let last = last_stage(layers, stages);
+        let first = self.milp.lp().num_variables();
+        for j in 0..self.buf.cur.consts.len() {
+            let iv = match last {
+                None => region_box[j],
+                Some((Layer::Activation(Activation::ReLU), pre)) => Interval {
+                    lo: pre[j].lo.max(0.0),
+                    hi: pre[j].hi.max(0.0),
+                },
+                Some((_, post)) => post[j],
+            };
+            let v = self.milp.add_variable(iv.lo, iv.hi);
+            // v - p = c
+            self.row_minus(v, j);
+            self.add_row(ConstraintOp::Eq, self.buf.cur.consts[j])?;
+        }
+        Ok(first..self.milp.lp().num_variables())
+    }
+
+    /// `next = W·cur + b`, each neuron's terms merged per variable.
+    fn dense(&mut self, d: &Dense) {
+        let Buffers {
+            cur,
+            next,
+            acc,
+            touched,
+            ..
+        } = &mut self.buf;
+        next.clear();
+        for (j, &bias) in d.bias().iter().enumerate() {
+            let mut constant = 0.0;
+            for (i, &w) in d.weights().row(j).iter().enumerate() {
+                if w == 0.0 {
+                    continue;
+                }
+                for &(v, c) in cur.terms(i) {
+                    if acc[v] == 0.0 {
+                        touched.push(v);
+                    }
+                    acc[v] += w * c;
+                }
+                constant += w * cur.consts[i];
+            }
+            // A variable touched twice reads zero the second time.
+            for &v in touched.iter() {
+                let c = std::mem::take(&mut acc[v]);
+                if c != 0.0 {
+                    next.terms.push((v, c));
+                }
+            }
+            touched.clear();
+            next.push(constant + bias);
+        }
+    }
+
+    /// `next = a ⊙ cur + b`, the batch norm's affine form.
+    fn batch_norm(&mut self, bn: &BatchNorm1d) {
+        let (a, b) = bn.affine_form();
+        self.buf.next.clear();
+        for j in 0..a.len() {
+            for &(v, c) in self.buf.cur.terms(j) {
+                let scaled = a[j] * c;
+                if scaled != 0.0 {
+                    self.buf.next.terms.push((v, scaled));
+                }
+            }
+            self.buf.next.push(a[j] * self.buf.cur.consts[j] + b[j]);
+        }
+    }
+
+    /// `next = max(0, cur)` with pre-activation bounds `pre`.
+    fn relu(&mut self, pre: &[Interval]) -> Result<(), CoreError> {
+        self.buf.next.clear();
+        for (j, &Interval { lo: l, hi: u }) in pre.iter().enumerate() {
+            if l >= 0.0 {
+                // Stably active: y = x.
+                self.buf.next.terms.extend_from_slice(self.buf.cur.terms(j));
+                self.buf.next.push(self.buf.cur.consts[j]);
+                self.stable += 1;
+            } else if u <= 0.0 {
+                // Stably inactive: y = 0.
+                self.buf.next.push(0.0);
+                self.stable += 1;
+            } else {
+                // x = p + c. The big-M rows of `dpv_lp::encode_relu_big_m`:
+                // y >= x, y <= x - l·(1 - δ) and y <= u·δ; y >= 0 is the
+                // lower bound of y.
+                let y = self.milp.add_variable(0.0, u);
+                let delta = self.milp.add_binary();
+                let c = self.buf.cur.consts[j];
+                // y - p >= c
+                self.row_minus(y, j);
+                self.add_row(ConstraintOp::Ge, c)?;
+                // y - p - l·δ <= c - l
+                self.buf.row.push((delta, -l));
+                self.add_row(ConstraintOp::Le, c - l)?;
+                // y - u·δ <= 0
+                self.buf.row.clear();
+                self.buf.row.extend([(y, 1.0), (delta, -u)]);
+                self.add_row(ConstraintOp::Le, 0.0)?;
+                self.buf.next.terms.push((y, 1.0));
+                self.buf.next.push(0.0);
+                self.binaries += 1;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Builds the MILP whose feasibility answers the safety question:
@@ -518,47 +623,79 @@ fn encode_core(
 ///
 /// `Infeasible` therefore proves safety relative to `region` (Lemma 1/2 or
 /// the assume-guarantee argument, depending on how `region` was obtained).
+/// The region is propagated through the layers by interval arithmetic, and
+/// the builder of the module docs encodes it from those bounds.
 ///
 /// # Errors
 /// Returns [`CoreError::NotPiecewiseLinear`] when the tail or characterizer
 /// contains layers the encoder cannot represent, and
 /// [`CoreError::Inconsistent`] on dimension mismatches, on a region bound
-/// that is not finite, and when interval propagation overflows to an
-/// infinite bound.
+/// that is not finite, when interval propagation overflows to an infinite
+/// bound, and when a coefficient or constant of the encoding overflows.
 pub fn encode_verification(
     tail: &[Layer],
     characterizer: Option<&Network>,
     risk: &RiskCondition,
     region: &StartRegion,
 ) -> Result<EncodedProblem, CoreError> {
-    encode_core(tail, characterizer, risk, region, None)
+    check_region(region)?;
+    let dim = region.dim();
+    let outputs = check_chain(tail, dim)?;
+    if let Some(ch) = characterizer {
+        if ch.input_dim() != dim {
+            return Err(CoreError::Inconsistent(format!(
+                "characterizer expects {} features, cut layer has {dim}",
+                ch.input_dim()
+            )));
+        }
+        if ch.output_dim() != 1 {
+            return Err(CoreError::Inconsistent(
+                "characterizer must produce a single logit".into(),
+            ));
+        }
+        check_chain(ch.layers(), dim)?;
+    }
+    for inequality in risk.inequalities() {
+        if inequality.coeffs.len() > outputs {
+            return Err(CoreError::Inconsistent(format!(
+                "risk condition references output {} but the network has only {outputs} outputs",
+                inequality.coeffs.len() - 1
+            )));
+        }
+    }
+    let encoder = Encoder {
+        tail,
+        characterizer: characterizer.map(Network::layers),
+        risk,
+    };
+    let (tail_bounds, ch_bounds) = encoder.propagate(&region.box_domain());
+    encoder.build(region, &tail_bounds, &ch_bounds)
 }
 
-/// A reusable MILP skeleton for one (tail network, risk condition,
-/// characterizer) triple, built once from a **root** start region and
-/// instantiated for any sub-region with bound-shaped edits only (see the
-/// module docs for the full contract).
+/// The reusable encoding state of one (tail network, risk condition,
+/// characterizer) triple over a **root** start region: the layers, the
+/// problem at the root and a content fingerprint. Each sub-region of the
+/// root gets a build of its own from its own bounds (see the module docs).
 #[derive(Debug, Clone)]
 pub struct EncodingTemplate {
-    skeleton: EncodedProblem,
-    tail: ChainPlan,
-    characterizer: Option<ChainPlan>,
-    diff_rows: Vec<(usize, usize)>,
+    tail: Vec<Layer>,
+    characterizer: Option<Vec<Layer>>,
+    risk: RiskCondition,
+    /// The problem at the root region.
+    root: EncodedProblem,
     root_box: BoxDomain,
-    /// `true` when the root region carried octagon difference rows.
-    octagonal: bool,
-    /// Content-addressed identity stamped onto every instantiation, so
-    /// [`EncodingTemplate::instantiate_into`] can reject scratches built by
-    /// a structurally *different* template. Also the key under which
-    /// templates are shared in [`crate::cache::TemplateCache`].
+    /// The number of difference rows of an octagon root; `None` for a box.
+    root_diffs: Option<usize>,
+    /// Content-addressed identity stamped onto every [`RegionBounds`] this
+    /// template computes, so bounds of another template's stage layout are
+    /// refused. Also the key under which templates are shared in
+    /// [`crate::cache::TemplateCache`].
     fingerprint: Fingerprint,
 }
 
 impl EncodingTemplate {
-    /// Encodes the skeleton once from `root`. Every later
-    /// [`EncodingTemplate::instantiate`] call must use a region contained in
-    /// `root` (checked), because the frozen big-M constants are only sound
-    /// for subsets of the root box.
+    /// Checks the triple and `root` as [`encode_verification`] does and
+    /// encodes the root problem.
     ///
     /// # Errors
     /// Same conditions as [`encode_verification`].
@@ -568,21 +705,16 @@ impl EncodingTemplate {
         risk: &RiskCondition,
         root: &StartRegion,
     ) -> Result<Self, CoreError> {
-        let mut plan = TemplatePlan::default();
-        let skeleton = encode_core(tail, characterizer, risk, root, Some(&mut plan))?;
         Ok(Self {
-            skeleton,
-            tail: ChainPlan {
-                layers: tail.to_vec(),
-                stages: plan.tail_stages,
-            },
-            characterizer: characterizer.map(|ch| ChainPlan {
-                layers: ch.layers().to_vec(),
-                stages: plan.ch_stages,
-            }),
-            diff_rows: plan.diff_rows,
+            root: encode_verification(tail, characterizer, risk, root)?,
+            tail: tail.to_vec(),
+            characterizer: characterizer.map(|ch| ch.layers().to_vec()),
+            risk: risk.clone(),
             root_box: root.box_domain(),
-            octagonal: matches!(root, StartRegion::Octagon(_)),
+            root_diffs: match root {
+                StartRegion::Octagon(o) => Some(o.diffs().len()),
+                StartRegion::Box(_) => None,
+            },
             fingerprint: Fingerprint::of_template(tail, characterizer, risk, root),
         })
     }
@@ -594,34 +726,39 @@ impl EncodingTemplate {
         self.fingerprint
     }
 
-    /// The box enclosure of the root region the skeleton was built from.
+    /// The box enclosure of the root region the template was built from.
     pub fn root_box(&self) -> &BoxDomain {
         &self.root_box
     }
 
-    /// The skeleton itself — the problem encoded at the root region.
-    /// Instantiating the template at its own root only re-derives these
-    /// exact bounds, so callers solving the *root* obligation (e.g. one
-    /// whole envelope shard) can use this directly and skip the clone.
+    /// The problem encoded at the root region, equal to an instantiation
+    /// at the root, so callers solving the *root* obligation (e.g. one
+    /// whole envelope shard) can use it directly.
     pub(crate) fn root_problem(&self) -> &EncodedProblem {
-        &self.skeleton
+        &self.root
+    }
+
+    fn encoder(&self) -> Encoder<'_> {
+        Encoder {
+            tail: &self.tail,
+            characterizer: self.characterizer.as_deref(),
+            risk: &self.risk,
+        }
     }
 
     /// Whether `region` can be instantiated from this template: the region
-    /// kind must match the root's (a box template has no difference rows to
-    /// re-tighten; an octagon template would silently impose its root
-    /// differences on a plain box), the dimensions must agree, and the
-    /// region's box must be contained in the root box (the frozen big-M
-    /// constants are only valid for subsets). Callers fall back to
-    /// [`encode_verification`] when this returns `false`.
+    /// kind must match the root's (a box template has no difference rows;
+    /// an octagon template takes octagons with as many differences), the
+    /// dimensions must agree, and the region's box must lie in the root
+    /// box, since a template serves the sub-regions of its root. Callers
+    /// fall back to [`encode_verification`] when this returns `false`.
     pub fn supports(&self, region: &StartRegion) -> bool {
         match region {
             StartRegion::Box(b) => self.supports_box(b),
             StartRegion::Octagon(o) => {
-                self.octagonal
-                    && o.diffs().len() == self.diff_rows.len()
+                self.root_diffs == Some(o.diffs().len())
                     && o.dim() == self.root_box.dim()
-                    && self.box_within_root(&o.to_box_domain())
+                    && self.box_within_root(o.bounds())
             }
         }
     }
@@ -630,78 +767,52 @@ impl EncodingTemplate {
     /// wrapping it in a [`StartRegion`] (the refinement work-list checks
     /// whole generations of sub-boxes).
     pub fn supports_box(&self, sub: &BoxDomain) -> bool {
-        !self.octagonal && sub.dim() == self.root_box.dim() && self.box_within_root(sub)
+        self.root_diffs.is_none()
+            && sub.dim() == self.root_box.dim()
+            && self.box_within_root(sub.bounds())
     }
 
     /// Containment of `sub` in the root box up to the support tolerance.
-    fn box_within_root(&self, sub: &BoxDomain) -> bool {
+    fn box_within_root(&self, sub: &[Interval]) -> bool {
         let tol = 1e-9;
-        sub.bounds()
-            .iter()
+        sub.iter()
             .zip(self.root_box.bounds())
             .all(|(sub, root)| sub.lo >= root.lo - tol && sub.hi <= root.hi + tol)
     }
 
-    /// Instantiates the skeleton for `region`: a clone of the cached MILP
-    /// with every variable bound re-tightened to the sub-region (cut layer,
-    /// intermediate layers, ReLU outputs), stabilised phase indicators
-    /// pinned, and difference rows re-aimed. No constraint row is rebuilt.
+    /// Builds the problem of `region`: propagates it through the layers and
+    /// encodes it from those bounds, exactly as [`encode_verification`]
+    /// does.
     ///
     /// # Errors
     /// Returns [`CoreError::Inconsistent`] when
-    /// [`EncodingTemplate::supports`] rejects the region.
+    /// [`EncodingTemplate::supports`] rejects the region, and the build's
+    /// errors ([`encode_verification`]).
     pub fn instantiate(&self, region: &StartRegion) -> Result<EncodedProblem, CoreError> {
-        let mut scratch = self.skeleton.clone();
-        scratch.template_id = Some(self.fingerprint);
-        self.retighten(region, &mut scratch)?;
-        Ok(scratch)
+        let bounds = self.region_bounds(region)?;
+        self.encoder()
+            .build(region, &bounds.tail, &bounds.characterizer)
     }
 
-    /// Re-tightens an [`EncodedProblem`] previously produced by
-    /// [`EncodingTemplate::instantiate`] of this template for a new region,
-    /// in place — the zero-allocation path the refinement work-list drives
-    /// once per sub-box.
+    /// [`EncodingTemplate::instantiate`] into `scratch`, which is
+    /// overwritten whatever it held (an instantiation of any template, say).
     ///
     /// # Errors
-    /// Returns [`CoreError::Inconsistent`] when the region is unsupported or
-    /// `scratch` does not structurally match this template's skeleton.
+    /// Same conditions as [`EncodingTemplate::instantiate`]; `scratch` is
+    /// left as it was.
     pub fn instantiate_into(
         &self,
         region: &StartRegion,
         scratch: &mut EncodedProblem,
     ) -> Result<(), CoreError> {
-        // Identity check, not just a shape check: two templates can share
-        // variable/constraint counts while differing in frozen coefficients
-        // (e.g. only a risk-row threshold apart), and re-tightening the
-        // wrong skeleton would silently answer the wrong question.
-        if scratch.template_id != Some(self.fingerprint) {
-            return Err(CoreError::Inconsistent(
-                "scratch problem does not derive from this template".into(),
-            ));
-        }
-        self.retighten(region, scratch)
-    }
-
-    fn retighten(
-        &self,
-        region: &StartRegion,
-        scratch: &mut EncodedProblem,
-    ) -> Result<(), CoreError> {
-        if !self.supports(region) {
-            return Err(CoreError::Inconsistent(
-                "region is not covered by the template's root region".into(),
-            ));
-        }
-        let bounds = self.propagate_region(region);
-        self.apply_bounds(region, &bounds, scratch);
+        *scratch = self.instantiate(region)?;
         Ok(())
     }
 
-    /// The **propagate** half of an instantiation: interval-propagates the
-    /// region through every cached chain and returns the per-stage bounds
-    /// the **apply** half ([`EncodingTemplate::instantiate_into_with`])
-    /// needs. Splitting the two lets a refinement generation batch the
-    /// propagation of all sibling sub-boxes in one SoA pass
+    /// Interval-propagates the region through the tail and the
+    /// characterizer and returns the per-stage bounds a build needs.
+    /// [`EncodingTemplate::instantiate_with`] takes them, so a refinement
+    /// generation can propagate all its sibling sub-boxes in one SoA pass
     /// ([`EncodingTemplate::region_bounds_batch`]).
     ///
     /// # Errors
@@ -713,13 +824,21 @@ impl EncodingTemplate {
                 "region is not covered by the template's root region".into(),
             ));
         }
-        Ok(self.propagate_region(region))
+        let (tail, characterizer) = match region {
+            StartRegion::Box(b) => self.encoder().propagate(b),
+            StartRegion::Octagon(o) => self.encoder().propagate(&o.to_box_domain()),
+        };
+        Ok(RegionBounds {
+            template_id: self.fingerprint,
+            tail,
+            characterizer,
+        })
     }
 
     /// Batched [`EncodingTemplate::region_bounds`] for sibling sub-boxes of
     /// one refinement generation: all boxes are propagated through the
-    /// cached tail and characterizer chains in a single structure-of-arrays
-    /// sweep ([`BoxBatch`]), whose lanes are bit-identical to the scalar
+    /// tail and characterizer in a single structure-of-arrays sweep
+    /// ([`BoxBatch`]), whose lanes are bit-identical to the scalar
     /// propagation — entry `i` of the result equals
     /// `region_bounds(&StartRegion::Box(boxes[i]))` exactly.
     ///
@@ -757,27 +876,21 @@ impl EncodingTemplate {
             .collect())
     }
 
-    /// [`EncodingTemplate::instantiate_into`] with the propagate half
-    /// already done: re-tightens `scratch` using precomputed `bounds`
-    /// (typically one lane of [`EncodingTemplate::region_bounds_batch`])
-    /// instead of re-propagating the region. The resulting problem is
-    /// identical to `instantiate_into(region, scratch)`.
+    /// [`EncodingTemplate::instantiate`] from precomputed `bounds`, which
+    /// must be `region`'s own (typically one lane of
+    /// [`EncodingTemplate::region_bounds_batch`]), instead of propagating
+    /// the region. The resulting problem is identical to
+    /// `instantiate(region)`.
     ///
     /// # Errors
-    /// Returns [`CoreError::Inconsistent`] when the region is unsupported,
-    /// `scratch` derives from a different template, or `bounds` was
-    /// computed by a different template.
-    pub fn instantiate_into_with(
+    /// Returns [`CoreError::Inconsistent`] when the region is unsupported or
+    /// `bounds` was computed by a different template, and the build's
+    /// errors.
+    pub fn instantiate_with(
         &self,
         region: &StartRegion,
         bounds: &RegionBounds,
-        scratch: &mut EncodedProblem,
-    ) -> Result<(), CoreError> {
-        if scratch.template_id != Some(self.fingerprint) {
-            return Err(CoreError::Inconsistent(
-                "scratch problem does not derive from this template".into(),
-            ));
-        }
+    ) -> Result<EncodedProblem, CoreError> {
         if bounds.template_id != self.fingerprint {
             return Err(CoreError::Inconsistent(
                 "region bounds derive from a different template".into(),
@@ -788,115 +901,38 @@ impl EncodingTemplate {
                 "region is not covered by the template's root region".into(),
             ));
         }
-        self.apply_bounds(region, bounds, scratch);
-        Ok(())
+        self.encoder()
+            .build(region, &bounds.tail, &bounds.characterizer)
     }
 
-    /// [`EncodingTemplate::instantiate`] with precomputed bounds: clones
-    /// the skeleton and applies `bounds`.
+    /// [`EncodingTemplate::instantiate_with`] into `scratch`, which is
+    /// overwritten whatever it held.
     ///
     /// # Errors
-    /// Same conditions as [`EncodingTemplate::instantiate_into_with`].
-    pub fn instantiate_with(
-        &self,
-        region: &StartRegion,
-        bounds: &RegionBounds,
-    ) -> Result<EncodedProblem, CoreError> {
-        let mut scratch = self.skeleton.clone();
-        scratch.template_id = Some(self.fingerprint);
-        self.instantiate_into_with(region, bounds, &mut scratch)?;
-        Ok(scratch)
-    }
-
-    /// Scalar propagate half (callers have already validated `region`).
-    fn propagate_region(&self, region: &StartRegion) -> RegionBounds {
-        let owned_box;
-        let region_box: &BoxDomain = match region {
-            StartRegion::Box(b) => b,
-            StartRegion::Octagon(o) => {
-                owned_box = o.to_box_domain();
-                &owned_box
-            }
-        };
-        RegionBounds {
-            template_id: self.fingerprint,
-            tail: propagate_chain_scalar(&self.tail, region_box),
-            characterizer: self
-                .characterizer
-                .as_ref()
-                .map(|ch| propagate_chain_scalar(ch, region_box))
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Apply half: bound-shaped MILP edits only, consuming per-stage bounds
-    /// in the exact order the fused `retighten_chain` used to produce them,
-    /// so the resulting problem is identical.
-    fn apply_bounds(
+    /// Same conditions as [`EncodingTemplate::instantiate_with`]; `scratch`
+    /// is left as it was.
+    pub fn instantiate_into_with(
         &self,
         region: &StartRegion,
         bounds: &RegionBounds,
         scratch: &mut EncodedProblem,
-    ) {
-        let owned_box;
-        let region_box: &BoxDomain = match region {
-            StartRegion::Box(b) => b,
-            StartRegion::Octagon(o) => {
-                owned_box = o.to_box_domain();
-                &owned_box
-            }
-        };
-
-        // Cut-layer bounds.
-        for (&v, interval) in scratch.cut_vars.iter().zip(region_box.bounds()) {
-            scratch
-                .milp
-                .lp_mut()
-                .set_bounds(v, interval.lo, interval.hi);
-        }
-
-        // Octagon difference rows.
-        if let StartRegion::Octagon(o) = region {
-            for (&(ge_row, le_row), diff) in self.diff_rows.iter().zip(o.diffs()) {
-                scratch.milp.lp_mut().set_constraint_rhs(ge_row, diff.lo);
-                scratch.milp.lp_mut().set_constraint_rhs(le_row, diff.hi);
-            }
-        }
-
-        let mut binaries = 0usize;
-        let mut stable = 0usize;
-        apply_chain(
-            &mut scratch.milp,
-            &self.tail,
-            &bounds.tail,
-            &mut binaries,
-            &mut stable,
-        );
-        if let Some(ch) = &self.characterizer {
-            apply_chain(
-                &mut scratch.milp,
-                ch,
-                &bounds.characterizer,
-                &mut binaries,
-                &mut stable,
-            );
-        }
-        scratch.num_binaries = binaries;
-        scratch.stable_relus = stable;
+    ) -> Result<(), CoreError> {
+        *scratch = self.instantiate_with(region, bounds)?;
+        Ok(())
     }
 }
 
 /// Precomputed per-stage interval bounds of one region under one template —
-/// the output of the propagate half ([`EncodingTemplate::region_bounds`] /
-/// [`EncodingTemplate::region_bounds_batch`]) and the input of the apply
-/// half ([`EncodingTemplate::instantiate_into_with`]).
+/// the output of [`EncodingTemplate::region_bounds`] /
+/// [`EncodingTemplate::region_bounds_batch`] and the input of
+/// [`EncodingTemplate::instantiate_with`].
 ///
-/// Per stage the stored bounds are what the apply half edits into the MILP:
-/// post-affine bounds for dense/batch-norm stages, **pre-activation** bounds
-/// for ReLU stages (they determine both the output-variable bounds and the
-/// indicator pinning), and nothing for identity/flatten stages. The struct
-/// is opaque and stamped with the template's identity so bounds cannot be
-/// applied through the wrong skeleton.
+/// Per stage the stored bounds are what the build reads: post-affine bounds
+/// for dense/batch-norm stages, **pre-activation** bounds for ReLU stages
+/// (they decide the phase and give the big-M constants), and nothing for
+/// identity/flatten stages. The struct is opaque and stamped with the
+/// template's identity, so bounds laid out for another template's stages
+/// are refused.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionBounds {
     template_id: Fingerprint,
@@ -904,14 +940,14 @@ pub struct RegionBounds {
     characterizer: Vec<Vec<Interval>>,
 }
 
-/// Propagate half over one cached chain: walks the layers with the scalar
-/// box transformer and records, per stage, the bounds the apply half needs
-/// (see [`RegionBounds`]).
-fn propagate_chain_scalar(chain: &ChainPlan, region_box: &BoxDomain) -> Vec<Vec<Interval>> {
-    let mut stages = Vec::with_capacity(chain.layers.len());
+/// Scalar propagation through one chain: walks the layers with the box
+/// transformer and records, per stage, the bounds a build reads (see
+/// [`RegionBounds`]).
+fn propagate_chain_scalar(layers: &[Layer], region_box: &BoxDomain) -> Vec<Vec<Interval>> {
+    let mut stages = Vec::with_capacity(layers.len());
     let mut cur = region_box.clone();
     let mut next = BoxDomain::from_intervals(Vec::new());
-    for layer in &chain.layers {
+    for layer in layers {
         match layer {
             Layer::Dense(_) | Layer::BatchNorm(_) => {
                 cur.apply_layer_into(layer, &mut next);
@@ -930,14 +966,14 @@ fn propagate_chain_scalar(chain: &ChainPlan, region_box: &BoxDomain) -> Vec<Vec<
     stages
 }
 
-/// Batched propagate half: one [`BoxBatch`] sweep through the chain,
-/// returning the per-stage bounds for every lane (`result[lane][stage]`).
-/// Lane `s` is bit-identical to `propagate_chain_scalar` of box `s` — the
-/// parity the `BoxBatch` kernels guarantee.
-fn propagate_chain_batch(chain: &ChainPlan, start: &BoxBatch) -> Vec<Vec<Vec<Interval>>> {
+/// Batched propagation: one [`BoxBatch`] sweep through the chain, returning
+/// the per-stage bounds for every lane (`result[lane][stage]`). Lane `s` is
+/// bit-identical to `propagate_chain_scalar` of box `s` — the parity the
+/// `BoxBatch` kernels guarantee.
+fn propagate_chain_batch(layers: &[Layer], start: &BoxBatch) -> Vec<Vec<Vec<Interval>>> {
     let lanes = start.lanes();
     let mut per_lane: Vec<Vec<Vec<Interval>>> = (0..lanes)
-        .map(|_| Vec::with_capacity(chain.layers.len()))
+        .map(|_| Vec::with_capacity(layers.len()))
         .collect();
     let record = |batch: &BoxBatch, per_lane: &mut Vec<Vec<Vec<Interval>>>| {
         for (s, lane) in per_lane.iter_mut().enumerate() {
@@ -946,7 +982,7 @@ fn propagate_chain_batch(chain: &ChainPlan, start: &BoxBatch) -> Vec<Vec<Vec<Int
     };
     let mut cur = start.clone();
     let mut next = BoxBatch::empty();
-    for layer in &chain.layers {
+    for layer in layers {
         match layer {
             Layer::Dense(_) | Layer::BatchNorm(_) => {
                 cur.apply_layer_into(layer, &mut next);
@@ -968,59 +1004,6 @@ fn propagate_chain_batch(chain: &ChainPlan, start: &BoxBatch) -> Vec<Vec<Vec<Int
     per_lane
 }
 
-/// Apply half over one cached chain: consumes the recorded per-stage bounds
-/// in stage order, re-tightening every stage's variable bounds and pinning
-/// ReLU indicators the tighter pre-activation bounds stabilise. Edit order
-/// and values match the former fused walk exactly.
-fn apply_chain(
-    milp: &mut MilpProblem,
-    chain: &ChainPlan,
-    stage_bounds: &[Vec<Interval>],
-    binaries: &mut usize,
-    stable: &mut usize,
-) {
-    for ((layer, stage), bounds) in chain.layers.iter().zip(&chain.stages).zip(stage_bounds) {
-        match layer {
-            Layer::Dense(_) | Layer::BatchNorm(_) => {
-                for (&v, interval) in stage.vars.iter().zip(bounds) {
-                    milp.lp_mut().set_bounds(v, interval.lo, interval.hi);
-                }
-            }
-            Layer::Activation(Activation::ReLU) => {
-                let indicators = stage
-                    .indicators
-                    .as_ref()
-                    .expect("ReLU stages record their indicators");
-                for (j, (&y, indicator)) in stage.vars.iter().zip(indicators).enumerate() {
-                    let pre = bounds[j];
-                    milp.lp_mut()
-                        .set_bounds(y, pre.lo.max(0.0), pre.hi.max(0.0));
-                    match indicator {
-                        Some(delta) => {
-                            if pre.lo >= 0.0 {
-                                // Stably active in this sub-region: δ = 1
-                                // turns the big-M rows into y = x.
-                                milp.lp_mut().set_bounds(*delta, 1.0, 1.0);
-                                *stable += 1;
-                            } else if pre.hi <= 0.0 {
-                                milp.lp_mut().set_bounds(*delta, 0.0, 0.0);
-                                *stable += 1;
-                            } else {
-                                milp.lp_mut().set_bounds(*delta, 0.0, 1.0);
-                                *binaries += 1;
-                            }
-                        }
-                        None => *stable += 1,
-                    }
-                }
-            }
-            Layer::Activation(Activation::Identity) | Layer::Flatten(_) => {}
-            // `EncodingTemplate::build` already rejected anything else.
-            _ => unreachable!("non-encodable layer survived template construction"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1029,6 +1012,16 @@ mod tests {
     use dpv_tensor::{Matrix, Vector};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Asserts that two encodings are the same problem, field by field.
+    fn assert_same_problem(a: &EncodedProblem, b: &EncodedProblem) {
+        assert_eq!(a.milp, b.milp);
+        assert_eq!(a.cut_vars, b.cut_vars);
+        assert_eq!(a.output_vars, b.output_vars);
+        assert_eq!(a.logit_var, b.logit_var);
+        assert_eq!(a.num_binaries, b.num_binaries);
+        assert_eq!(a.stable_relus, b.stable_relus);
+    }
 
     /// Tail: identity dense 2→2 with ReLU, so output = relu(x).
     fn identity_relu_tail() -> Vec<Layer> {
@@ -1189,6 +1182,31 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_substituted_coefficients_are_errors() {
+        // Weights 1e200 and 1e200 through a stable-active ReLU over a box
+        // 1e-300 wide: the interval bounds stay finite ([1, 1] before the
+        // ReLU, [1e200, 1e200] after the second layer), but substituting
+        // the first layer into the second gives x the coefficient 1e400.
+        let layer = |bias: f64| {
+            Layer::Dense(Dense::from_parts(
+                Matrix::from_rows(&[vec![1e200]]).unwrap(),
+                Vector::from_vec(vec![bias]),
+            ))
+        };
+        let tail = vec![layer(1.0), Layer::Activation(Activation::ReLU), layer(0.0)];
+        let region = StartRegion::Box(BoxDomain::from_intervals(vec![Interval::new(0.0, 1e-300)]));
+        let risk = RiskCondition::new("r").output_ge(0, 0.0);
+        assert!(matches!(
+            encode_verification(&tail, None, &risk, &region),
+            Err(CoreError::Inconsistent(_))
+        ));
+        assert!(matches!(
+            EncodingTemplate::build(&tail, None, &risk, &region),
+            Err(CoreError::Inconsistent(_))
+        ));
+    }
+
+    #[test]
     fn rejects_dimension_mismatches() {
         let tail = identity_relu_tail();
         let region = StartRegion::Box(BoxDomain::uniform(3, 0.0, 1.0));
@@ -1263,11 +1281,11 @@ mod tests {
     }
 
     #[test]
-    fn instantiate_into_rejects_scratches_from_other_templates() {
+    fn instantiate_into_overwrites_scratches_from_other_templates() {
         // Two templates over the same tail and root, differing only in the
         // risk threshold: identical variable/constraint *counts*, different
-        // frozen row data. Cross-feeding a scratch must error, not silently
-        // answer the other template's question.
+        // row data. Instantiating into the other template's scratch must
+        // answer this template's question, exactly as a fresh instantiation.
         let tail = identity_relu_tail();
         let root = StartRegion::Box(BoxDomain::uniform(2, -1.0, 1.0));
         let risk_a = RiskCondition::new("a").output_ge(0, 0.25);
@@ -1275,13 +1293,16 @@ mod tests {
         let template_a = EncodingTemplate::build(&tail, None, &risk_a, &root).unwrap();
         let template_b = EncodingTemplate::build(&tail, None, &risk_b, &root).unwrap();
         let sub = StartRegion::Box(BoxDomain::uniform(2, -0.5, 0.5));
-        let mut scratch_a = template_a.instantiate(&sub).unwrap();
-        assert!(matches!(
-            template_b.instantiate_into(&sub, &mut scratch_a),
-            Err(CoreError::Inconsistent(_))
-        ));
-        // Same-template reuse still works.
-        template_a.instantiate_into(&root, &mut scratch_a).unwrap();
+        let mut scratch = template_a.instantiate(&sub).unwrap();
+        template_b.instantiate_into(&sub, &mut scratch).unwrap();
+        assert_same_problem(&scratch, &template_b.instantiate(&sub).unwrap());
+        assert_eq!(scratch.milp.solve().status, MilpStatus::Infeasible);
+        let bounds = template_a.region_bounds(&sub).unwrap();
+        template_a
+            .instantiate_into_with(&sub, &bounds, &mut scratch)
+            .unwrap();
+        assert_same_problem(&scratch, &template_a.instantiate(&sub).unwrap());
+        assert_eq!(scratch.milp.solve().status, MilpStatus::Optimal);
     }
 
     #[test]

@@ -169,10 +169,12 @@ impl RefinementVerifier {
         }
     }
 
-    /// Disables the incremental [`crate::EncodingTemplate`]: every sub-box is
-    /// re-encoded from scratch. Verdicts are identical either way. A second
-    /// path kept because the `backend_seam` template-vs-reencode tests and
-    /// e8's gated `speedup-permille` record compare against it.
+    /// Disables the [`crate::EncodingTemplate`]: every sub-box is encoded
+    /// one-shot, re-splitting the network and propagating the sub-box alone.
+    /// The problems, and so the verdicts, are identical either way; only the
+    /// caching and the batched bound sweep differ. A second path kept
+    /// because the `backend_seam` template-vs-reencode tests and e8's gated
+    /// `speedup-permille` record compare against it.
     pub fn without_template(mut self) -> Self {
         self.use_template = false;
         self
@@ -283,9 +285,9 @@ impl RefinementVerifier {
                 );
             }
         }
-        // The layer skeleton is encoded once for the whole sweep (or adopted
-        // from the caller's cache); every sub-box below re-tightens the same
-        // scratch problem in place.
+        // The template is built once for the whole sweep (or adopted from
+        // the caller's cache); every sub-box below is built from its own
+        // bounds into the same scratch slot.
         let built = match external {
             Some(_) => None,
             None => self
@@ -393,9 +395,9 @@ impl RefinementVerifier {
         workers: usize,
         external: Option<&ProblemTemplate>,
     ) -> Result<(RefinedVerdict, RefinementReport), CoreError> {
-        // One skeleton for the whole sweep (or the caller's cached one),
-        // shared read-only across the worker threads; each worker
-        // re-tightens its own scratch problem.
+        // One template for the whole sweep (or the caller's cached one),
+        // shared read-only across the worker threads; each worker builds
+        // into its own scratch slot.
         let built = match external {
             Some(_) => None,
             None => self
@@ -473,7 +475,7 @@ enum BoxOutcome {
     Solved { verdict: Verdict, stats: SolveStats },
 }
 
-/// Solves one sub-box, through the skeleton template when one is available
+/// Solves one sub-box, through the encoding template when one is available
 /// (falling back to one-shot encoding inside
 /// [`VerificationProblem::solve_with_template`] for uncovered regions).
 fn solve_box(
@@ -508,7 +510,7 @@ fn solve_box(
 /// Before the workers spawn, the bound propagation for every surviving
 /// (non-pruned, template-covered) sibling is done in **one batched SoA
 /// sweep** ([`crate::EncodingTemplate::region_bounds_batch`]) — the workers
-/// then only apply the precomputed bounds and solve. The batched lanes are
+/// then only build from the precomputed bounds and solve. The batched lanes are
 /// bit-identical to scalar propagation, so verdicts are unchanged.
 fn solve_generation(
     problem: &VerificationProblem,

@@ -13,9 +13,9 @@
 //! * the obligations are embarrassingly parallel and fan out across scoped
 //!   worker threads through the same ordered dispatcher as the refinement
 //!   work-list;
-//! * each obligation is encoded through its own PR-3
+//! * each obligation is encoded through its own
 //!   [`crate::EncodingTemplate`], so a later refinement of a shard can
-//!   re-tighten the same skeleton instead of re-encoding.
+//!   reuse its cached layers and batched bound sweep.
 //!
 //! **Soundness.** Every shard is a subset of the monolithic envelope and
 //! the shard union contains every training activation (the
@@ -239,10 +239,10 @@ impl VerificationProblem {
             let shard_start = Instant::now();
             let shard = envelope.shard(index);
             let region = &regions[index];
-            // One encoding template per shard, solved at its own root (no
-            // clone-and-retighten: the skeleton *is* the root encoding).
-            // The template is what a later per-shard refinement would keep
-            // re-instantiating for sub-boxes of the shard.
+            // One encoding template per shard, solved at its own root: the
+            // template's root problem is the shard's encoding. The template
+            // is what a later per-shard refinement would instantiate for
+            // sub-boxes of the shard.
             let template = self.encoding_template(region)?;
             let (verdict, solution, num_binaries, stable_relus) =
                 self.run_solver_on_template_root(&template, backend);

@@ -211,12 +211,11 @@ impl VerificationOutcome {
     }
 }
 
-/// A [`VerificationProblem`]'s reusable encoding state: the MILP skeleton
-/// template plus the concretely-executable tail network (for counterexample
-/// validation), both derived once per (problem, root region) pair so a
-/// refinement sweep neither re-encodes the skeleton nor re-splits the
-/// network per sub-box. Build with
-/// [`VerificationProblem::encoding_template`].
+/// A [`VerificationProblem`]'s reusable encoding state: the
+/// [`EncodingTemplate`] plus the concretely-executable tail network (for
+/// counterexample validation), both derived once per (problem, root region)
+/// pair so a refinement sweep does not re-split the network per sub-box.
+/// Build with [`VerificationProblem::encoding_template`].
 #[derive(Debug, Clone)]
 pub struct ProblemTemplate {
     encoding: EncodingTemplate,
@@ -224,7 +223,7 @@ pub struct ProblemTemplate {
 }
 
 impl ProblemTemplate {
-    /// The underlying MILP skeleton template.
+    /// The underlying encoding template.
     pub fn encoding(&self) -> &EncodingTemplate {
         &self.encoding
     }
@@ -247,25 +246,25 @@ impl ProblemTemplate {
 ///
 /// * [`bounds`](Self::bounds) — precomputed region bounds (one lane of a
 ///   batched [`crate::EncodingTemplate::region_bounds_batch`] sweep) that
-///   skip the propagate half of instantiation.
-/// * [`scratch`](Self::scratch) — a caller-owned instantiation slot the
-///   skeleton is re-tightened into instead of re-encoded; omit it to pay a
-///   fresh instantiation per call.
+///   skip the propagation of the region.
+/// * [`scratch`](Self::scratch) — a caller-owned slot the obligation's
+///   problem is built into, whatever it held before, so the caller can read
+///   it after the solve; omit it and the problem is dropped.
 /// * [`seed`](Self::seed) — a caller-owned warm-start basis, primed before
-///   the solve and refreshed with the final basis afterwards, so a caller
-///   can chain warm starts across obligations of one template (a
-///   [`crate::SnapshotPool`] does). The obligation server passes none: a
-///   seeded witness depends on the seed. Ignored by escalated solves,
-///   which run unseeded by design.
+///   the solve and refreshed with the final basis afterwards. Obligations
+///   of one template are built from their own bounds and do not share
+///   rows, so a basis of one does not fit the next and is declined; the
+///   lever stays for callers that pool bases (a [`crate::SnapshotPool`]).
+///   The obligation server passes none: a seeded witness depends on the
+///   seed. Ignored by escalated solves, which run unseeded by design.
 /// * [`cancel`](Self::cancel) — a cooperative [`CancelToken`] polled inside
 ///   the solver loops; a tripped token can only withhold a verdict
 ///   ([`Verdict::Unknown`]), never fabricate one.
 /// * [`tracer`](Self::tracer) — a [`TraceHandle`] recording the
 ///   instantiation span and per-node telemetry; strictly observational.
 /// * [`escalation`](Self::escalation) — a budget scale for the escalated
-///   retry path: both search budgets are raised by the scale for this solve
-///   only, the solve runs **unseeded**, and the template's stock limits are
-///   restored afterwards.
+///   retry path: both search budgets of this solve's problem are raised by
+///   the scale, and the solve runs **unseeded**.
 /// * [`backend`](Self::backend) — the solver backend; defaults to
 ///   [`default_backend`].
 #[derive(Default)]
@@ -294,8 +293,8 @@ impl<'a> SolveOptions<'a> {
         self
     }
 
-    /// Re-tightens the skeleton into `scratch` (allocated on first use,
-    /// reused afterwards) instead of instantiating a fresh problem.
+    /// Builds the obligation's problem into `scratch`, overwriting what it
+    /// held.
     pub fn scratch(mut self, scratch: &'a mut Option<EncodedProblem>) -> Self {
         self.scratch = Some(scratch);
         self
@@ -629,11 +628,11 @@ impl VerificationProblem {
         Ok((verdict, encoded, solution))
     }
 
-    /// Builds a reusable [`ProblemTemplate`] whose MILP skeleton is encoded
-    /// once from `root`; [`VerificationProblem::solve_with_template`] and
-    /// [`VerificationProblem::verify_with_template`] then instantiate it
-    /// per sub-region with bound-only edits. Regions not covered by `root`
-    /// transparently fall back to one-shot encoding.
+    /// Builds a reusable [`ProblemTemplate`] over `root`;
+    /// [`VerificationProblem::solve_with_template`] and
+    /// [`VerificationProblem::verify_with_template`] then build each
+    /// sub-region's MILP from that sub-region's own bounds. Regions not
+    /// covered by `root` transparently fall back to one-shot encoding.
     ///
     /// # Errors
     /// Same conditions as [`encode_verification`], plus
@@ -670,10 +669,10 @@ impl VerificationProblem {
         ))
     }
 
-    /// Solves the template's **root** obligation directly on the cached
-    /// skeleton — instantiating a template at its own root is a semantic
-    /// no-op, so this skips the clone-and-retighten entirely. Returns the
-    /// verdict, the solution and the skeleton's binary/stable counts.
+    /// Solves the template's **root** obligation directly on the problem the
+    /// template encoded at its root, which an instantiation at the root
+    /// would build again. Returns the verdict, the solution and the root
+    /// problem's binary/stable counts.
     ///
     /// A second path next to [`VerificationProblem::solve_with_template`],
     /// kept because e9's gated `k1-parity-permille` record measures the
@@ -695,11 +694,11 @@ impl VerificationProblem {
     }
 
     /// Solves one obligation (`region` under `template`) with every reuse
-    /// and control lever selected through [`SolveOptions`]: the skeleton is
-    /// re-tightened into the options' scratch slot instead of re-encoded,
-    /// precomputed bounds (one lane of a batched
+    /// and control lever selected through [`SolveOptions`]: the obligation's
+    /// MILP is built from the region's own bounds into the options' scratch
+    /// slot, precomputed bounds (one lane of a batched
     /// [`crate::EncodingTemplate::region_bounds_batch`] sweep) skip the
-    /// propagate half, a seed primes the backend's warm-start state
+    /// propagation, a seed primes the backend's warm-start state
     /// ([`dpv_lp::SolveContext::seed`]) and receives the final basis back,
     /// a [`CancelToken`] is polled inside the solver loops, a
     /// [`TraceHandle`] records the instantiation span and per-node
@@ -720,15 +719,15 @@ impl VerificationProblem {
     /// cause) with both search budgets raised by the scale (node limit,
     /// and the simplex pivot budget via
     /// [`dpv_lp::LinearProgram::estimated_iteration_budget`]). The raised
-    /// limits apply to this solve only and are restored afterwards, so
-    /// sibling obligations reusing the scratch see the stock budgets and
+    /// limits apply to this solve's problem only: every solve builds its
+    /// problem afresh, so sibling obligations see the stock budgets and
     /// report determinism holds. Because the retry solves the same
     /// instantiation as the canonical unseeded path, a successful retry
     /// returns the bit-identical verdict a fault-free solve would have.
     ///
     /// # Errors
-    /// Propagates encoding errors; template-scoped inputs (bounds or scratch
-    /// from a different template) yield [`CoreError::Inconsistent`].
+    /// Propagates encoding errors; bounds from a different template yield
+    /// [`CoreError::Inconsistent`].
     pub fn solve_with_template(
         &self,
         template: &ProblemTemplate,
@@ -753,16 +752,10 @@ impl VerificationProblem {
             let disabled = TraceHandle::disabled();
             let trace = options.tracer.unwrap_or(&disabled);
             let instantiate_started = trace.now_ns();
-            match (scratch.as_mut(), options.bounds) {
-                (Some(existing), Some(bounds)) => template
-                    .encoding
-                    .instantiate_into_with(region, bounds, existing)?,
-                (Some(existing), None) => template.encoding.instantiate_into(region, existing)?,
-                (None, Some(bounds)) => {
-                    *scratch = Some(template.encoding.instantiate_with(region, bounds)?)
-                }
-                (None, None) => *scratch = Some(template.encoding.instantiate(region)?),
-            }
+            *scratch = Some(match options.bounds {
+                Some(bounds) => template.encoding.instantiate_with(region, bounds)?,
+                None => template.encoding.instantiate(region)?,
+            });
             if trace.is_enabled() {
                 trace.event(TraceEvent::span(
                     dpv_trace::EventKind::Instantiate,
@@ -781,19 +774,10 @@ impl VerificationProblem {
             let (encoded, tail) = one_shot.insert(self.encode(region)?);
             (encoded, &*tail, None)
         };
-        let stock = (
-            encoded.milp.node_limit(),
-            encoded.milp.lp().iteration_limit(),
-        );
         if let Some(scale) = options.escalation {
             raise_budgets(&mut encoded.milp, scale);
         }
-        let solved =
-            self.solve_encoded(encoded, tail, backend, seed, options.cancel, options.tracer);
-        // A no-op unless the budgets were raised above.
-        encoded.milp.set_node_limit(stock.0);
-        encoded.milp.lp_mut().set_iteration_limit(stock.1);
-        Ok(solved)
+        Ok(self.solve_encoded(encoded, tail, backend, seed, options.cancel, options.tracer))
     }
 
     /// Runs the verification under the given strategy with the default
@@ -839,8 +823,8 @@ impl VerificationProblem {
     }
 
     /// Runs the verification under the given strategy through a
-    /// [`ProblemTemplate`]: the cached skeleton is instantiated for the
-    /// strategy's start region instead of re-encoding the MILP from scratch.
+    /// [`ProblemTemplate`]: the template builds the MILP of the strategy's
+    /// start region, reusing its split network and cached layers.
     /// Strategies whose region escapes the template's root (or differs in
     /// kind, e.g. octagon vs. box) transparently fall back to
     /// [`VerificationProblem::verify_with`] — template use never changes

@@ -513,8 +513,8 @@ impl Workflow {
             }),
         ];
         // E1 solves the same (tail, characterizer, risk) triple under four
-        // start regions: encode the layer skeleton once from the widest
-        // region (the Lemma-1 box) and instantiate it per strategy. Regions
+        // start regions: build the template once from the widest region
+        // (the Lemma-1 box) and instantiate it per strategy. Regions
         // the template cannot cover (the octagon variant, or an AI box that
         // escapes the root) transparently fall back to one-shot encoding.
         let e1_template =

@@ -18,7 +18,8 @@
 //!   ([`LinearProgram::set_bounds`], [`LinearProgram::set_constraint_rhs`])
 //!   the same dual simplex restarts from it
 //!   ([`LinearProgram::solve_from_basis`]), which is the hot-path primitive
-//!   behind incremental branch-and-bound and the refinement sweep. Cold and
+//!   behind incremental branch-and-bound. A snapshot refuses a program with
+//!   other rows. Cold and
 //!   warm solves differ only in their start basis, and every result is
 //!   checked against the live program: an optimum must be primal feasible,
 //!   and an infeasibility must carry a Farkas certificate whose tolerance
@@ -36,12 +37,13 @@
 //!   or not.
 //! * [`SolveContext`] — the one per-call context of every solve entry point
 //!   ([`MilpProblem::solve_with`], [`SolverBackend::solve_with`]): a
-//!   warm-start seed that chains dual-simplex solves across problems, a
-//!   cancellation token, a trace handle and a witness check, each
-//!   optional.
+//!   warm-start seed that chains dual-simplex solves across problems with
+//!   the same rows, a cancellation token, a trace handle and a witness
+//!   check, each optional.
 //! * [`encode_relu_big_m`] — the standard big-M encoding of a ReLU
-//!   constraint `y = max(0, x)` with known pre-activation bounds, the
-//!   building block of the network encoding in `dpv-core`.
+//!   constraint `y = max(0, x)` with known pre-activation bounds. The
+//!   network encoder in `dpv-core` writes the same three rows over affine
+//!   expressions of the variables before the ReLU.
 //! * [`SolverBackend`] — the seam between problem encoding and solving:
 //!   `dpv-core` routes every verification solve through this trait, so
 //!   alternative engines (external solvers, for instance) can be swapped

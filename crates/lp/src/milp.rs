@@ -41,7 +41,8 @@ pub enum MilpStatus {
 /// Search statistics of a branch-and-bound run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveStats {
-    /// Number of LP relaxations solved.
+    /// Number of LP relaxations solved. A search its root LP decides
+    /// explores one node, solved on the problem's own LP without a copy.
     pub nodes_explored: usize,
     /// Number of nodes pruned (by incumbent bound, or — for enumeration
     /// backends — by infeasibility of the assignment's LP).
@@ -151,10 +152,12 @@ impl MilpSolution {
 pub struct SolveContext<'a> {
     /// A warm-start basis priming the search. Engines with warm-start
     /// state hand their final basis back here, so a caller pooling
-    /// [`BasisSnapshot`]s can chain warm starts across problems; engines
-    /// without it (cold, exhaustive, external) leave it untouched.
-    /// Seeding is a pure performance hint: a stale or foreign basis
-    /// degrades the solve to cold, never to a wrong verdict.
+    /// [`BasisSnapshot`]s can chain warm starts across problems with the
+    /// same rows and objective; engines without it (cold, exhaustive,
+    /// external) leave it untouched. A basis of other rows, such as that of
+    /// another region's encoding of the same network in `dpv-core`, does not
+    /// fit and is declined. Seeding is a pure performance hint: a stale or
+    /// foreign basis degrades the solve to cold, never to a wrong verdict.
     pub seed: Option<BasisSnapshot>,
     /// Polled between simplex pivots and branch-and-bound nodes by both
     /// branch-and-bound engines in this crate, warm and cold alike; a
@@ -420,7 +423,10 @@ impl MilpProblem {
     /// Node evaluation is allocation-free with respect to the model: instead
     /// of cloning the whole [`LinearProgram`] per node, a single scratch
     /// program is reused — binary bounds are tightened to the node's fixings
-    /// on descent and restored from a saved snapshot on backtrack. Each
+    /// on descent and restored from a saved snapshot on backtrack. The root
+    /// node is solved on the problem's own LP, and the scratch is cloned
+    /// only when the search first branches, so a problem its root LP
+    /// decides is never copied. Each
     /// node's relaxation is additionally **warm-started** from the most
     /// recent solved basis ([`LinearProgram::solve_from_basis`]): consecutive
     /// nodes differ only in binary bounds, so the dual simplex starts a few
@@ -433,13 +439,14 @@ impl MilpProblem {
     /// [`MilpProblem::solve`] under a [`SolveContext`]:
     ///
     /// * the context's `seed` primes the first node's warm start and on
-    ///   return holds the last solved basis, so consecutive MILPs that share
-    ///   a structure — instantiations of one `EncodingTemplate` across
-    ///   obligations or requests — chain their warm starts across *problem*
-    ///   boundaries. A stale or foreign basis fails
-    ///   [`LinearProgram::solve_from_basis`]'s structure check or its
-    ///   primal/Farkas check and the node restarts from the slack basis
-    ///   (counted in [`SolveStats::warm_declined`]);
+    ///   return holds the last solved basis, so consecutive MILPs with the
+    ///   same rows and objective (only bounds and right-hand sides apart)
+    ///   chain their warm starts across *problem* boundaries. Obligations
+    ///   of one `EncodingTemplate` in `dpv-core` are built from their own
+    ///   bounds and do not share rows, so their bases do not chain. A stale
+    ///   or foreign basis fails [`LinearProgram::solve_from_basis`]'s
+    ///   structure check or its primal/Farkas check and the node restarts
+    ///   from the slack basis (counted in [`SolveStats::warm_declined`]);
     /// * the `cancel` token is polled in the node loop and inside every LP
     ///   relaxation; once tripped the search returns
     ///   [`MilpStatus::Cancelled`] with the incumbent found so far;
@@ -469,9 +476,10 @@ impl MilpProblem {
         // Each stack entry is a list of (binary var, fixed value) decisions.
         let mut stack: Vec<Vec<(VarId, f64)>> = vec![Vec::new()];
         let mut hit_limit = false;
-        // The single scratch LP all nodes are evaluated against; the rolling
+        // The single scratch LP every node below the root is evaluated
+        // against, cloned when the search first branches; the rolling
         // warm-start basis is refreshed after every solved relaxation.
-        let mut scratch = self.lp.clone();
+        let mut scratch: Option<LinearProgram> = None;
 
         while let Some(fixings) = stack.pop() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
@@ -482,10 +490,17 @@ impl MilpProblem {
                 break;
             }
             stats.nodes_explored += 1;
-            if !self.fix_node(&mut scratch, &fixings) {
-                continue;
-            }
-            let solution = solve_node_lp(&scratch, warm, warm_enabled, &mut stats, cancel, trace);
+            // Only the root has no fixings, and its LP is the problem's own.
+            let lp = if fixings.is_empty() {
+                &self.lp
+            } else {
+                let scratch = scratch.get_or_insert_with(|| self.lp.clone());
+                if !self.fix_node(scratch, &fixings) {
+                    continue;
+                }
+                scratch
+            };
+            let solution = solve_node_lp(lp, warm, warm_enabled, &mut stats, cancel, trace);
             match solution.status {
                 LpStatus::Infeasible => continue,
                 LpStatus::IterationLimit | LpStatus::Cancelled => {

@@ -115,6 +115,13 @@ fn check_rhs(rhs: f64) {
     assert!(rhs.is_finite(), "constraint rhs must be finite, got {rhs}");
 }
 
+/// The hash of one term of a row. A row hashes to the sum of its terms'
+/// hashes, so the terms mix independently and their order does not count.
+fn term_hash(var: VarId, coeff: f64) -> u64 {
+    (coeff.to_bits() ^ (var as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .wrapping_mul(0xff51_afd7_ed55_8ccd)
+}
+
 /// A linear program with per-variable bounds.
 ///
 /// Variables are created with [`LinearProgram::add_variable`], which returns
@@ -127,6 +134,11 @@ pub struct LinearProgram {
     pub(crate) objective: Vec<f64>,
     pub(crate) maximize: bool,
     pub(crate) constraints: Vec<Constraint>,
+    /// Hash of every row's operator and coefficients, in row order (not of
+    /// the right-hand sides), chained by [`LinearProgram::add_constraint`].
+    /// A [`crate::BasisSnapshot`] compares it to refuse another program's
+    /// rows.
+    pub(crate) row_hash: u64,
     /// Optional simplex pivot budget; `None` selects a size-derived default.
     pub(crate) max_iterations: Option<usize>,
 }
@@ -146,14 +158,15 @@ impl LinearProgram {
             objective: Vec::new(),
             maximize: false,
             constraints: Vec::new(),
+            row_hash: 0xcbf2_9ce4_8422_2325,
             max_iterations: None,
         }
     }
 
     /// Pre-allocates storage for `vars` additional variables and `rows`
     /// additional constraints. Encoders that know their output size up front
-    /// (e.g. the layer-skeleton template in `dpv-core`) use this to avoid
-    /// repeated re-allocation while the model grows.
+    /// (e.g. the network encoder in `dpv-core`) use this to avoid repeated
+    /// re-allocation while the model grows.
     pub fn reserve(&mut self, vars: usize, rows: usize) {
         self.lower.reserve(vars);
         self.upper.reserve(vars);
@@ -247,6 +260,7 @@ impl LinearProgram {
     /// or the right-hand side is NaN or infinite.
     pub fn add_constraint(&mut self, coeffs: &[(VarId, f64)], op: ConstraintOp, rhs: f64) {
         check_rhs(rhs);
+        let mut row = op as u64;
         for &(var, coeff) in coeffs {
             assert!(
                 var < self.num_variables(),
@@ -256,7 +270,10 @@ impl LinearProgram {
                 coeff.is_finite(),
                 "constraint coefficients must be finite, got {coeff} for variable {var}"
             );
+            row = row.wrapping_add(term_hash(var, coeff));
         }
+        // FNV-1a over whole words chains the rows in order.
+        self.row_hash = (self.row_hash ^ row).wrapping_mul(0x0000_0100_0000_01b3);
         self.constraints.push(Constraint {
             coeffs: coeffs.to_vec(),
             op,
@@ -268,8 +285,7 @@ impl LinearProgram {
     /// coefficients and operator untouched. This is a *bound-shaped* edit:
     /// like [`LinearProgram::set_bounds`] it leaves reduced costs unchanged,
     /// so warm restarts from a [`crate::BasisSnapshot`] remain valid across
-    /// it (the refinement template uses this for the octagon difference
-    /// rows).
+    /// it.
     ///
     /// # Panics
     /// Panics when `index` is out of range or `rhs` is NaN or infinite.
@@ -371,8 +387,9 @@ impl LinearProgram {
     /// [`LinearProgram::tighten_bounds`] (bounds stay finite) and
     /// [`LinearProgram::set_constraint_rhs`]. Those edits leave reduced
     /// costs unchanged, so the stored basis stays dual feasible. The
-    /// variable count, row shape and objective are re-checked on every
-    /// call. The call returns `None` (declines) when they changed, when the
+    /// variable count, the rows (operators and coefficients, through a
+    /// content hash) and the objective are re-checked on every call. The
+    /// call returns `None` (declines) when they changed, when the
     /// run stops on its pivot budget or cancellation, or when its result
     /// fails the same check a slack-basis solve must pass; the snapshot must
     /// then be discarded and replaced via

@@ -30,6 +30,8 @@ pub struct ReluEncoding {
 /// Tight pre-activation bounds (from abstract interpretation or from the
 /// assume-guarantee envelope) therefore directly shrink both the number of
 /// binaries and the big-M constants — the mechanism behind experiment E4.
+/// `dpv-core`'s network encoder writes these rows with `x` an affine
+/// expression, from each region's own bounds.
 ///
 /// The `output` variable must already exist in `problem`; its bounds are
 /// tightened to `[max(0, lower), max(0, upper)]`.

@@ -153,16 +153,17 @@ impl Basis {
 /// are unit vectors and are not stored. Any such basis is dual feasible for
 /// every program with the same rows and objective, whatever its bounds and
 /// right-hand sides, so a re-solve starts the dual simplex from it instead of
-/// from the slack basis. A snapshot records the variable count, the rows'
-/// shape and the objective it was built for; a program that differs in any
-/// of them is refused.
+/// from the slack basis. A snapshot records the variable count, the row
+/// count, a hash of the rows' operators and coefficients, and the objective
+/// it was built for; a program that differs in any of them is refused, even
+/// one of the same shape (two encodings of one network over different boxes,
+/// say).
 #[derive(Debug, Clone)]
 pub struct BasisSnapshot {
     basis: Basis,
-    /// Number of nonzero constraint coefficients, a cheap proxy for "the
-    /// coefficient matrix is unchanged" (full equality is the caller's
-    /// documented precondition).
-    nnz: usize,
+    /// The row hash of the program the basis was built for
+    /// (`LinearProgram::row_hash`).
+    rows: u64,
     /// The objective the reduced costs belong to.
     objective: Vec<f64>,
     maximize: bool,
@@ -174,7 +175,7 @@ impl BasisSnapshot {
     fn new(lp: &LinearProgram, basis: Basis) -> Self {
         Self {
             basis,
-            nnz: nnz(lp),
+            rows: lp.row_hash,
             objective: lp.objective.clone(),
             maximize: lp.maximize,
             warm_uses: 0,
@@ -190,14 +191,10 @@ impl BasisSnapshot {
     fn fits(&self, lp: &LinearProgram) -> bool {
         self.basis.head.len() == lp.constraints.len()
             && self.basis.nonbasic.len() == lp.num_variables()
-            && self.nnz == nnz(lp)
+            && self.rows == lp.row_hash
             && self.maximize == lp.maximize
             && self.objective == lp.objective
     }
-}
-
-fn nnz(lp: &LinearProgram) -> usize {
-    lp.constraints.iter().map(|c| c.coeffs.len()).sum()
 }
 
 /// How the pivot loop stopped.
@@ -950,6 +947,36 @@ mod tests {
         // Objective change breaks dual feasibility → decline.
         lp.set_objective(&[(x, -1.0)], true);
         assert!(lp.solve_from_basis(&mut snapshot).is_none());
+    }
+
+    #[test]
+    fn warm_restart_declines_a_basis_of_other_rows() {
+        // Two maximisations of one shape, nonzero count and objective whose
+        // rows differ in their coefficients: the first one's basis is not a
+        // basis of the second, so it must not be started from.
+        let build = |rows: [[f64; 3]; 3]| {
+            let mut lp = LinearProgram::new();
+            let vars: Vec<_> = (0..3).map(|_| lp.add_variable(0.0, 10.0)).collect();
+            lp.set_objective(&[(vars[0], 1.0), (vars[1], 1.0), (vars[2], 1.0)], true);
+            for row in rows {
+                let coeffs: Vec<_> = vars.iter().copied().zip(row).collect();
+                lp.add_constraint(&coeffs, ConstraintOp::Le, 6.0);
+            }
+            lp
+        };
+        let mut donor = build([[4.0, 4.0, 4.0], [1.0, 2.0, 2.0], [4.0, 3.0, 3.0]]);
+        let other = build([[2.0, 2.0, 2.0], [2.0, 4.0, 2.0], [2.0, 1.0, 3.0]]);
+        let (_, snapshot) = donor.solve_with_snapshot();
+        let mut snapshot = snapshot.expect("optimal solves yield a snapshot");
+        // Started from the donor's basis, the dual simplex would report a
+        // checked but wrong optimum, 1.5 instead of 3.
+        assert_close(other.solve().objective, 3.0);
+        let warm = other.solve_from_basis(&mut snapshot);
+        assert!(warm.is_none(), "{warm:?}");
+        // The donor's own rows still fit after a right-hand-side edit.
+        donor.set_constraint_rhs(0, 5.0);
+        let warm = donor.solve_from_basis(&mut snapshot).expect("same rows");
+        assert_close(warm.objective, donor.solve().objective);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! * a [`dpv_core::TemplateCache`] of [`dpv_core::ProblemTemplate`]s keyed
 //!   by canonical structural [`dpv_core::Fingerprint`]s, so a repeat
-//!   request re-tightens a cached MILP skeleton instead of re-encoding it;
+//!   request reuses the split network and the cached layers, and builds each
+//!   obligation's MILP from its own bounds;
 //! * a verdict cache for **deduplication**: an obligation whose
 //!   `(template, sub-region)` fingerprint pair was already solved returns
 //!   the recorded verdict without touching the solver.

@@ -877,15 +877,9 @@ fn worker_loop(inner: &Arc<Inner>) {
     let backend = BranchAndBoundBackend;
     // Each worker thread owns one trace ring buffer for its lifetime.
     let handle = inner.tracer.register();
-    // The instantiation scratch is reusable only within one template
-    // (content-addressed, so "one template" means one fingerprint).
+    // The slot each obligation's problem is built into.
     let mut scratch: Option<EncodedProblem> = None;
-    let mut scratch_fp: Option<Fingerprint> = None;
     while let Some(job) = next_job(inner) {
-        if scratch_fp != Some(job.template.fingerprint()) {
-            scratch = None;
-            scratch_fp = Some(job.template.fingerprint());
-        }
         let outcome = run_job_isolated(inner, &job, &mut scratch, &backend, &handle);
         complete_job(inner, job, outcome, &handle);
     }

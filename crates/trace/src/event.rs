@@ -34,7 +34,7 @@ pub enum EventKind {
     Dequeue = 3,
     /// The obligation was answered from the verdict cache, no solve.
     DedupHit = 4,
-    /// A template instantiation (bound re-tightening) span.
+    /// A template instantiation (the build of one obligation's MILP) span.
     Instantiate = 5,
     /// The primary solve attempt span.
     SolveAttempt = 6,

@@ -45,7 +45,7 @@
 //!   far above 5× the committed baseline happens to sit.
 //! * `*parallel-speedup*` — higher is better, 50% relative slack: the
 //!   one record, e7's `serve-parallel-speedup-2-permille`, is a measured
-//!   multi-core baseline (1737‰, the median of 7 runs on a 2-core host,
+//!   multi-core baseline (1740‰, the median of 7 runs on a 2-core host,
 //!   committed in `BENCH_e7_multicore.json`), and CI gates it only on
 //!   runners with more than one core.
 //! * `*speedup*` (anything else) — higher is better, 35% relative slack:
@@ -177,7 +177,7 @@ fn rule_for(id: &str) -> Gate {
         }
     } else if id.contains("parallel-speedup") {
         // Multi-core scaling records: baselines measured on a 2-core host
-        // (e7's 1737 permille), gated only on runners with more than one
+        // (e7's 1740 permille), gated only on runners with more than one
         // core; 50% relative slack absorbs scheduler noise on shared CI
         // runners.
         Gate::HigherIsBetter {
