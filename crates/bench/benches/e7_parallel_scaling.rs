@@ -48,8 +48,8 @@ use dpv_absint::{AbstractDomain, BoxDomain};
 use dpv_bench::{bench_config, permille, quick_outcome};
 use dpv_core::{
     encode_verification, AssumeGuarantee, Characterizer, CharacterizerConfig, InputProperty,
-    ParallelRefinementConfig, RefinementVerifier, RiskCondition, StartRegion, Verdict,
-    VerificationProblem, VerificationStrategy,
+    RefinementVerifier, RiskCondition, StartRegion, Verdict, VerificationProblem,
+    VerificationStrategy,
 };
 use dpv_lp::{BranchAndBoundBackend, MilpProblem, SolverBackend};
 use dpv_monitor::ActivationEnvelope;
@@ -369,12 +369,7 @@ fn bench_e7(c: &mut Criterion) {
     )
     .expect("problem assembly");
     for workers in [1usize, 4] {
-        let verifier = if workers == 1 {
-            RefinementVerifier::new(64, 0.05)
-        } else {
-            RefinementVerifier::new(64, 0.05)
-                .with_parallelism(ParallelRefinementConfig::new(workers))
-        };
+        let verifier = RefinementVerifier::new(64, 0.05).with_workers(workers);
         let start = Instant::now();
         let (verdict, report) = verifier
             .verify(&refine_problem, &region, &references)

@@ -34,9 +34,10 @@
 //! **Reading the parity metric**: the contract is a ±5% *band* around
 //! exact parity (1000‰), not exact parity — the degenerate k = 1 sharding
 //! runs the same MILP through a thin dispatch layer, so small deviations
-//! in either direction are noise. A value *above* 1000 means k = 1 is
-//! *slower* than the monolithic path (the committed baseline of 1007 ⇒
-//! 0.7% slower), below 1000 means faster. `tools/benchgate` enforces the
+//! in either direction are noise. The record is monolithic ÷ k = 1, so a
+//! value *above* 1000 means k = 1 is *faster* than the monolithic path
+//! (the committed baseline of 1007 ⇒ 0.7% faster), below 1000 means
+//! slower. `tools/benchgate` enforces the
 //! [950, 1050] band in CI. The metric is the median over
 //! [`PARITY_PAIRS`] back-to-back monolithic/k = 1 pairs (alternating which
 //! runs first), not a ratio of the two timing rows' means: each row is a

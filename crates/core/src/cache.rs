@@ -7,7 +7,7 @@
 //!
 //! * [`TemplateCache`] — `Arc`-held [`ProblemTemplate`]s keyed by their
 //!   content fingerprint, with LRU eviction. A hit skips the template build
-//!   (the network split, the layer copies and the root problem);
+//!   (the network split, the layer copies and the root's checking encode);
 //!   concurrent verification jobs share one immutable template.
 //! * [`SnapshotPool`] — rolling [`BasisSnapshot`]s pooled *per template
 //!   fingerprint*, so warm dual-simplex bases can flow between solves of
@@ -211,8 +211,8 @@ impl SnapshotPoolStats {
 /// The obligation server no longer uses the pool: a seeded solve's witness
 /// depends on which basis it drew, so the server solves every obligation
 /// from the slack basis instead. The pool stays until perfbench's
-/// single-thread replay, which still mirrors the old server path, moves
-/// off it.
+/// single-thread replay, which still mirrors the old server path and names
+/// the pool, moves off it with the benchmark change of ROADMAP item 8.
 ///
 /// **Guard.** Check-out is keyed strictly by template fingerprint: a basis
 /// deposited under template A is unreachable from template B even when the

@@ -32,7 +32,7 @@
 //!
 //! [`encode_verification`] propagates the region through the layers and
 //! builds. An [`EncodingTemplate`] is built once per (tail, characterizer,
-//! risk, root region) triple and keeps the layers, the root problem and a
+//! risk, root region) triple and keeps the layers, the root's box and a
 //! content fingerprint. [`EncodingTemplate::instantiate`] builds the problem
 //! of a sub-region of the root from that sub-region's bounds, propagated
 //! alone ([`EncodingTemplate::region_bounds`]) or for a whole generation of
@@ -674,15 +674,14 @@ pub fn encode_verification(
 
 /// The reusable encoding state of one (tail network, risk condition,
 /// characterizer) triple over a **root** start region: the layers, the
-/// problem at the root and a content fingerprint. Each sub-region of the
-/// root gets a build of its own from its own bounds (see the module docs).
+/// root's box and a content fingerprint. Each sub-region of the root, the
+/// root itself included, gets a build of its own from its own bounds (see
+/// the module docs).
 #[derive(Debug, Clone)]
 pub struct EncodingTemplate {
     tail: Vec<Layer>,
     characterizer: Option<Vec<Layer>>,
     risk: RiskCondition,
-    /// The problem at the root region.
-    root: EncodedProblem,
     root_box: BoxDomain,
     /// The number of difference rows of an octagon root; `None` for a box.
     root_diffs: Option<usize>,
@@ -694,8 +693,10 @@ pub struct EncodingTemplate {
 }
 
 impl EncodingTemplate {
-    /// Checks the triple and `root` as [`encode_verification`] does and
-    /// encodes the root problem.
+    /// Checks the triple and `root` by encoding the root problem with
+    /// [`encode_verification`], then drops that problem: a template is
+    /// rejected exactly when the root's one-shot encoding is, and keeps no
+    /// MILP of its own (the root obligation is built like any other).
     ///
     /// # Errors
     /// Same conditions as [`encode_verification`].
@@ -705,8 +706,8 @@ impl EncodingTemplate {
         risk: &RiskCondition,
         root: &StartRegion,
     ) -> Result<Self, CoreError> {
+        encode_verification(tail, characterizer, risk, root)?;
         Ok(Self {
-            root: encode_verification(tail, characterizer, risk, root)?,
             tail: tail.to_vec(),
             characterizer: characterizer.map(|ch| ch.layers().to_vec()),
             risk: risk.clone(),
@@ -729,13 +730,6 @@ impl EncodingTemplate {
     /// The box enclosure of the root region the template was built from.
     pub fn root_box(&self) -> &BoxDomain {
         &self.root_box
-    }
-
-    /// The problem encoded at the root region, equal to an instantiation
-    /// at the root, so callers solving the *root* obligation (e.g. one
-    /// whole envelope shard) can use it directly.
-    pub(crate) fn root_problem(&self) -> &EncodedProblem {
-        &self.root
     }
 
     fn encoder(&self) -> Encoder<'_> {
@@ -796,6 +790,8 @@ impl EncodingTemplate {
 
     /// [`EncodingTemplate::instantiate`] into `scratch`, which is
     /// overwritten whatever it held (an instantiation of any template, say).
+    /// No core or serve path calls it; it stays because perfbench's replay
+    /// names it, and goes with the benchmark change of ROADMAP item 8.
     ///
     /// # Errors
     /// Same conditions as [`EncodingTemplate::instantiate`]; `scratch` is
@@ -906,7 +902,8 @@ impl EncodingTemplate {
     }
 
     /// [`EncodingTemplate::instantiate_with`] into `scratch`, which is
-    /// overwritten whatever it held.
+    /// overwritten whatever it held. Kept, like
+    /// [`EncodingTemplate::instantiate_into`], for perfbench's replay.
     ///
     /// # Errors
     /// Same conditions as [`EncodingTemplate::instantiate_with`]; `scratch`
@@ -1345,7 +1342,8 @@ mod tests {
         // Root differences are vacuous → feasible.
         let at_root = template.instantiate(&StartRegion::Octagon(loose)).unwrap();
         assert_eq!(at_root.milp.solve().status, MilpStatus::Optimal);
-        // Tightened differences make the risk unreachable; same skeleton.
+        // Tightened differences make the risk unreachable; the difference
+        // row is built from the sub-region's own interval.
         let tight = OctagonLite::from_parts(
             vec![Interval::new(-1.0, 1.0), Interval::new(-1.0, 1.0)],
             vec![Interval::new(-0.1, 0.1)],
@@ -1406,7 +1404,8 @@ mod tests {
         assert_eq!(via_bounds.milp, direct.milp);
         assert_eq!(via_bounds.num_binaries, direct.num_binaries);
         assert_eq!(via_bounds.stable_relus, direct.stable_relus);
-        // The in-place apply path is identical too.
+        // Building into a scratch that held another region's problem
+        // gives the same problem too.
         let other = StartRegion::Box(BoxDomain::uniform(2, 0.0, 2.0));
         let mut scratch = template.instantiate(&other).unwrap();
         template
@@ -1445,8 +1444,8 @@ mod tests {
         let template = EncodingTemplate::build(&tail, None, &risk, &root).unwrap();
         let root_encoded = template.instantiate(&root).unwrap();
         assert_eq!(root_encoded.num_binaries, 2);
-        // A positive sub-box stabilises both ReLUs: no free binary remains
-        // even though the skeleton still carries the indicator columns.
+        // A positive sub-box stabilises both ReLUs: its own build has no
+        // indicator column left, so no free binary remains.
         let positive = StartRegion::Box(BoxDomain::uniform(2, 0.25, 0.75));
         let pinned = template.instantiate(&positive).unwrap();
         assert_eq!(pinned.num_binaries, 0);

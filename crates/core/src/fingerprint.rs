@@ -42,8 +42,8 @@ impl Fingerprint {
     /// characterizer network, risk condition, and root start region.
     ///
     /// This is the key under which `EncodingTemplate`s are cached and the
-    /// guard that scopes `RegionBounds`, scratch problems, and warm
-    /// `BasisSnapshot`s to the template they were derived from.
+    /// guard that scopes `RegionBounds` and pooled warm `BasisSnapshot`s
+    /// (`SnapshotPool`) to the template they were derived from.
     pub fn of_template(
         tail: &[Layer],
         characterizer: Option<&Network>,

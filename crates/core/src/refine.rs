@@ -22,6 +22,10 @@
 //! 3. otherwise **splits** it along its widest dimension and recurses, until
 //!    the split budget is exhausted.
 //!
+//! The work list goes one generation (split depth) at a time; see
+//! [`RefinementVerifier`] for why its result does not depend on the worker
+//! count.
+//!
 //! The result, when every kept sub-box verifies, is a proof that holds for
 //! every activation inside the refined union — which still contains every
 //! training activation, so the assume-guarantee contract (monitor the
@@ -30,12 +34,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpv_absint::{AbstractDomain, BoxDomain, Interval};
-use dpv_lp::{default_backend, MilpSolution, SolveStats, SolverBackend};
+use dpv_lp::{default_backend, SolveStats, SolverBackend};
 use dpv_tensor::Vector;
 
 use crate::{
-    CoreError, CounterExample, EncodedProblem, ProblemTemplate, RegionBounds, SolveOptions,
-    StartRegion, Verdict, VerificationProblem,
+    CoreError, CounterExample, ProblemTemplate, RegionBounds, SolveOptions, StartRegion, Verdict,
+    VerificationProblem,
 };
 
 /// Outcome of a refinement run.
@@ -82,9 +86,9 @@ pub struct RefinementReport {
     pub pruned_subregions: usize,
     /// Counterexamples dismissed because they were far from every reference.
     pub spurious_counterexamples: usize,
-    /// Aggregated solver statistics over every MILP call of the run (for
-    /// parallel dispatch: summed across workers), so benchmarks can report
-    /// search throughput as nodes per second.
+    /// Aggregated solver statistics over every MILP call folded into the
+    /// run (summed across workers), so benchmarks can report search
+    /// throughput as nodes per second.
     pub solver_stats: SolveStats,
     /// The kept (safe) sub-boxes — the refined envelope.
     pub refined_envelope: Vec<BoxDomain>,
@@ -104,67 +108,39 @@ impl RefinementReport {
     }
 }
 
-/// Configuration of the concurrent refinement work-list.
-///
-/// The sub-boxes of one refinement generation are independent MILP solves
-/// (the backends behind the seam are `Send + Sync`), so they can be
-/// dispatched across scoped worker threads. Verdict selection stays
-/// deterministic regardless of scheduling: sub-boxes carry their position in
-/// the breadth-first work-list, results are folded back **in index order**,
-/// and the lowest-index data-supported counterexample wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelRefinementConfig {
-    /// Number of worker threads solving sub-boxes concurrently. A value of
-    /// one (or zero) falls back to the serial loop.
-    pub workers: usize,
-}
-
-impl ParallelRefinementConfig {
-    /// A configuration with the given worker count.
-    pub fn new(workers: usize) -> Self {
-        Self { workers }
-    }
-}
-
-impl Default for ParallelRefinementConfig {
-    fn default() -> Self {
-        Self {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-}
-
 /// Envelope-refining verifier on top of a [`VerificationProblem`].
+///
+/// One work-list serves every worker count: the sub-boxes of one split
+/// depth (a *generation*) are independent MILP solves, so they are solved
+/// across [`RefinementVerifier::workers`] scoped threads (the backends
+/// behind the seam are `Send + Sync`) and then folded back sequentially in
+/// work-list order, left child before right. The verdict, and in
+/// particular which data-supported counterexample is reported, therefore
+/// depends neither on thread scheduling nor on the worker count.
 #[derive(Debug, Clone)]
 pub struct RefinementVerifier {
     max_splits: usize,
     realizability_tolerance: f64,
-    parallel: Option<ParallelRefinementConfig>,
+    workers: usize,
     use_template: bool,
 }
 
 impl Default for RefinementVerifier {
     fn default() -> Self {
-        Self {
-            max_splits: 256,
-            realizability_tolerance: 0.05,
-            parallel: None,
-            use_template: true,
-        }
+        Self::new(256, 0.05)
     }
 }
 
 impl RefinementVerifier {
     /// Creates a verifier with a budget of at most `max_splits` region splits
     /// and the given L∞ tolerance for accepting a counterexample as
-    /// data-supported.
+    /// data-supported. It solves on the calling thread until
+    /// [`RefinementVerifier::with_workers`] says otherwise.
     pub fn new(max_splits: usize, realizability_tolerance: f64) -> Self {
         Self {
             max_splits,
             realizability_tolerance: realizability_tolerance.max(0.0),
-            parallel: None,
+            workers: 1,
             use_template: true,
         }
     }
@@ -185,20 +161,20 @@ impl RefinementVerifier {
         self.use_template
     }
 
-    /// Dispatches the sub-box work-list across `config.workers` scoped
-    /// worker threads. Verdicts are reproducible regardless of scheduling (see
-    /// [`ParallelRefinementConfig`]); reported statistics count only the
-    /// sub-boxes folded into the verdict, so they are deterministic too,
-    /// even though workers may speculatively solve a few boxes beyond a
-    /// terminating counterexample.
-    pub fn with_parallelism(mut self, config: ParallelRefinementConfig) -> Self {
-        self.parallel = Some(config);
+    /// Solves each generation's sub-boxes across `workers` scoped worker
+    /// threads; one (or zero) keeps every solve on the calling thread.
+    /// Verdicts and reports are the same for every worker count: reported
+    /// statistics count only the sub-boxes folded into the verdict, even
+    /// though a run that ends mid-generation has solved the rest of that
+    /// generation too.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
         self
     }
 
-    /// The parallel-dispatch configuration, when one was set.
-    pub fn parallelism(&self) -> Option<&ParallelRefinementConfig> {
-        self.parallel.as_ref()
+    /// The number of worker threads a generation is solved across.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// The split budget.
@@ -240,234 +216,79 @@ impl RefinementVerifier {
         references: &[Vector],
         backend: &dyn SolverBackend,
     ) -> Result<(RefinedVerdict, RefinementReport), CoreError> {
-        self.verify_dispatch(problem, region, references, backend, None)
-    }
-
-    /// [`RefinementVerifier::verify_with`] through an externally owned
-    /// [`ProblemTemplate`] — the cache seam for long-lived processes: a
-    /// template fetched from a [`crate::cache::TemplateCache`] is reused
-    /// across the whole sweep (and across *runs*) instead of being encoded
-    /// per call. Sub-boxes the template's root does not cover fall back to
-    /// one-shot encoding per box, so a mismatched template changes cost,
-    /// never verdicts.
-    ///
-    /// # Errors
-    /// Propagates encoding errors and solver-limit conditions from the
-    /// underlying verification.
-    pub fn verify_with_shared_template(
-        &self,
-        problem: &VerificationProblem,
-        region: &BoxDomain,
-        references: &[Vector],
-        template: &ProblemTemplate,
-        backend: &dyn SolverBackend,
-    ) -> Result<(RefinedVerdict, RefinementReport), CoreError> {
-        self.verify_dispatch(problem, region, references, backend, Some(template))
-    }
-
-    fn verify_dispatch(
-        &self,
-        problem: &VerificationProblem,
-        region: &BoxDomain,
-        references: &[Vector],
-        backend: &dyn SolverBackend,
-        external: Option<&ProblemTemplate>,
-    ) -> Result<(RefinedVerdict, RefinementReport), CoreError> {
-        if let Some(config) = self.parallel {
-            if config.workers > 1 {
-                return self.verify_parallel(
-                    problem,
-                    region,
-                    references,
-                    backend,
-                    config.workers,
-                    external,
-                );
-            }
-        }
-        // The template is built once for the whole sweep (or adopted from
-        // the caller's cache); every sub-box below is built from its own
-        // bounds into the same scratch slot.
-        let built = match external {
-            Some(_) => None,
-            None => self
-                .use_template
-                .then(|| problem.encoding_template(&StartRegion::Box(region.clone())))
-                .transpose()?,
-        };
-        let template = external.or(built.as_ref());
-        let mut scratch: Option<EncodedProblem> = None;
-        let mut report = RefinementReport::default();
-        let mut queue: Vec<BoxDomain> = vec![region.clone()];
-
-        while let Some(current) = queue.pop() {
-            // Prune boxes that cover no recorded activation: the refined
-            // envelope does not need them.
-            if !references
-                .iter()
-                .any(|r| current.box_contains(r.as_slice(), 1e-9))
-            {
-                report.pruned_subregions += 1;
-                continue;
-            }
-            report.verification_calls += 1;
-            let (verdict, solution) =
-                solve_box(problem, template, &mut scratch, &current, None, backend)?;
-            report.solver_stats += solution.stats;
-            match verdict {
-                Verdict::Safe => {
-                    report.safe_subregions += 1;
-                    report.refined_envelope.push(current);
-                }
-                Verdict::Unknown(reason) => {
-                    return Err(CoreError::SolverLimit(reason));
-                }
-                Verdict::Unsafe(counterexample) => {
-                    match self.process_counterexample(
-                        counterexample,
-                        &current,
-                        references,
-                        &mut report,
-                    ) {
-                        CounterexampleAction::Terminal(verdict) => return Ok((verdict, report)),
-                        CounterexampleAction::Split(left, right) => {
-                            queue.push(left);
-                            queue.push(right);
-                        }
-                    }
-                }
-            }
-        }
-
-        // The queue drained: every sub-box was pruned (empty of data) or
-        // proved safe, so the refined envelope — which still covers every
-        // reference activation — satisfies the property.
-        Ok((RefinedVerdict::Safe, report))
-    }
-
-    /// Shared counterexample handling of both dispatch modes: a
-    /// data-supported counterexample terminates the run as `Unsafe`; a
-    /// spurious one splits the box — unless the split budget is exhausted,
-    /// which terminates as `Inconclusive`. Keeping this in one place keeps
-    /// the *per-counterexample* semantics of the two dispatch modes in
-    /// lockstep. Note the modes still traverse the work-list in different
-    /// orders (serial is depth-first, parallel is generational
-    /// breadth-first), so on budget-limited problems they may exhaust
-    /// `max_splits` on different boxes and report different — though each
-    /// individually reproducible — outcomes.
-    fn process_counterexample(
-        &self,
-        counterexample: CounterExample,
-        current: &BoxDomain,
-        references: &[Vector],
-        report: &mut RefinementReport,
-    ) -> CounterexampleAction {
-        let realizable = references
-            .iter()
-            .any(|r| (r - &counterexample.activation).norm_linf() <= self.realizability_tolerance);
-        if realizable {
-            return CounterexampleAction::Terminal(RefinedVerdict::Unsafe(counterexample));
-        }
-        report.spurious_counterexamples += 1;
-        if report.splits >= self.max_splits {
-            return CounterexampleAction::Terminal(RefinedVerdict::Inconclusive {
-                last_counterexample: counterexample,
-                safe_subregions: report.safe_subregions,
-            });
-        }
-        let (left, right) = split_box(current);
-        report.splits += 1;
-        CounterexampleAction::Split(left, right)
-    }
-
-    /// The concurrent work-list: one breadth-first generation of sub-boxes
-    /// at a time is solved across `workers` scoped worker threads (one
-    /// [`fan_out`] per generation); results are then
-    /// folded back sequentially in work-list order, so the verdict — and in
-    /// particular which data-supported counterexample is reported — does not
-    /// depend on thread scheduling.
-    fn verify_parallel(
-        &self,
-        problem: &VerificationProblem,
-        region: &BoxDomain,
-        references: &[Vector],
-        backend: &dyn SolverBackend,
-        workers: usize,
-        external: Option<&ProblemTemplate>,
-    ) -> Result<(RefinedVerdict, RefinementReport), CoreError> {
-        // One template for the whole sweep (or the caller's cached one),
-        // shared read-only across the worker threads; each worker builds
-        // into its own scratch slot.
-        let built = match external {
-            Some(_) => None,
-            None => self
-                .use_template
-                .then(|| problem.encoding_template(&StartRegion::Box(region.clone())))
-                .transpose()?,
-        };
-        let template = external.or(built.as_ref());
+        // One template for the whole sweep, shared read-only across the
+        // worker threads.
+        let template = self
+            .use_template
+            .then(|| problem.encoding_template(&StartRegion::Box(region.clone())))
+            .transpose()?;
         let mut report = RefinementReport::default();
         let mut generation: Vec<BoxDomain> = vec![region.clone()];
 
         while !generation.is_empty() {
-            let outcomes =
-                solve_generation(problem, template, &generation, references, backend, workers);
+            let outcomes = solve_generation(
+                problem,
+                template.as_ref(),
+                &generation,
+                references,
+                backend,
+                self.workers,
+            );
             let mut next = Vec::new();
-            for (index, outcome) in outcomes.into_iter().enumerate() {
-                match outcome? {
-                    BoxOutcome::Pruned => report.pruned_subregions += 1,
-                    BoxOutcome::Solved { verdict, stats } => {
-                        report.verification_calls += 1;
-                        report.solver_stats += stats;
-                        match verdict {
-                            Verdict::Safe => {
-                                report.safe_subregions += 1;
-                                report.refined_envelope.push(generation[index].clone());
-                            }
-                            Verdict::Unknown(reason) => {
-                                return Err(CoreError::SolverLimit(reason));
-                            }
-                            Verdict::Unsafe(counterexample) => {
-                                // Fold order makes the lowest-index
-                                // data-supported counterexample win: boxes
-                                // before this one were all pruned, safe, or
-                                // spurious.
-                                match self.process_counterexample(
-                                    counterexample,
-                                    &generation[index],
-                                    references,
-                                    &mut report,
-                                ) {
-                                    CounterexampleAction::Terminal(verdict) => {
-                                        return Ok((verdict, report))
-                                    }
-                                    CounterexampleAction::Split(left, right) => {
-                                        next.push(left);
-                                        next.push(right);
-                                    }
-                                }
-                            }
-                        }
+            for (current, outcome) in generation.into_iter().zip(outcomes) {
+                let (verdict, stats) = match outcome? {
+                    BoxOutcome::Pruned => {
+                        report.pruned_subregions += 1;
+                        continue;
                     }
+                    BoxOutcome::Solved { verdict, stats } => (verdict, stats),
+                };
+                report.verification_calls += 1;
+                report.solver_stats += stats;
+                let counterexample = match verdict {
+                    Verdict::Safe => {
+                        report.safe_subregions += 1;
+                        report.refined_envelope.push(current);
+                        continue;
+                    }
+                    Verdict::Unknown(reason) => return Err(CoreError::SolverLimit(reason)),
+                    Verdict::Unsafe(counterexample) => counterexample,
+                };
+                // Fold order makes the lowest-index data-supported
+                // counterexample win: boxes before this one were all
+                // pruned, safe, or spurious.
+                let realizable = references.iter().any(|r| {
+                    (r - &counterexample.activation).norm_linf() <= self.realizability_tolerance
+                });
+                if realizable {
+                    return Ok((RefinedVerdict::Unsafe(counterexample), report));
                 }
+                report.spurious_counterexamples += 1;
+                if report.splits >= self.max_splits {
+                    return Ok((
+                        RefinedVerdict::Inconclusive {
+                            last_counterexample: counterexample,
+                            safe_subregions: report.safe_subregions,
+                        },
+                        report,
+                    ));
+                }
+                let (left, right) = split_box(&current);
+                report.splits += 1;
+                next.push(left);
+                next.push(right);
             }
             generation = next;
         }
 
+        // The work-list drained: every sub-box was pruned (empty of data) or
+        // proved safe, so the refined envelope — which still covers every
+        // reference activation — satisfies the property.
         Ok((RefinedVerdict::Safe, report))
     }
 }
 
-/// What a counterexample means for the work-list (see
-/// [`RefinementVerifier::process_counterexample`]).
-enum CounterexampleAction {
-    /// The run ends with this verdict.
-    Terminal(RefinedVerdict),
-    /// The box was split; both halves join the work-list.
-    Split(BoxDomain, BoxDomain),
-}
-
-/// Per-sub-box outcome of one parallel generation.
+/// Per-sub-box outcome of one generation.
 enum BoxOutcome {
     /// The box contains no reference activation and was dropped unsolved.
     Pruned,
@@ -475,37 +296,13 @@ enum BoxOutcome {
     Solved { verdict: Verdict, stats: SolveStats },
 }
 
-/// Solves one sub-box, through the encoding template when one is available
-/// (falling back to one-shot encoding inside
-/// [`VerificationProblem::solve_with_template`] for uncovered regions).
-fn solve_box(
-    problem: &VerificationProblem,
-    template: Option<&ProblemTemplate>,
-    scratch: &mut Option<EncodedProblem>,
-    current: &BoxDomain,
-    bounds: Option<&RegionBounds>,
-    backend: &dyn SolverBackend,
-) -> Result<(Verdict, MilpSolution), CoreError> {
-    let region = StartRegion::Box(current.clone());
-    match template {
-        Some(template) => problem.solve_with_template(
-            template,
-            &region,
-            &mut SolveOptions::new()
-                .bounds(bounds)
-                .scratch(scratch)
-                .backend(backend),
-        ),
-        None => problem
-            .run_solver(&region, backend)
-            .map(|(verdict, _, solution)| (verdict, solution)),
-    }
-}
-
-/// Solves every box of `generation` across `workers` worker threads (one
-/// scratch encoding each) and returns the outcomes indexed like the input
-/// (position `i` holds box `i`'s result), so the caller's fold is
-/// scheduling-independent.
+/// Solves every box of `generation` across `workers` worker threads and
+/// returns the outcomes indexed like the input (position `i` holds box
+/// `i`'s result), so the caller's fold is scheduling-independent. Boxes go
+/// through the encoding template when there is one (falling back to
+/// one-shot encoding inside [`VerificationProblem::solve_with_template`]
+/// for uncovered regions), otherwise through
+/// [`VerificationProblem::run_solver`].
 ///
 /// Before the workers spawn, the bound propagation for every surviving
 /// (non-pruned, template-covered) sibling is done in **one batched SoA
@@ -529,54 +326,45 @@ fn solve_generation(
         })
         .collect();
     let bounds = batch_region_bounds(template, generation, &pruned);
-    fan_out(
-        generation.len(),
-        workers,
-        || None::<EncodedProblem>,
-        |scratch, index| {
-            if pruned[index] {
-                return Ok(BoxOutcome::Pruned);
-            }
-            solve_box(
-                problem,
+    fan_out(generation.len(), workers, |index| {
+        if pruned[index] {
+            return Ok(BoxOutcome::Pruned);
+        }
+        let region = StartRegion::Box(generation[index].clone());
+        let solved = match template {
+            Some(template) => problem.solve_with_template(
                 template,
-                scratch,
-                &generation[index],
-                bounds[index].as_ref(),
-                backend,
-            )
-            .map(|(verdict, solution)| BoxOutcome::Solved {
-                verdict,
-                stats: solution.stats,
-            })
-        },
-    )
+                &region,
+                &mut SolveOptions::new()
+                    .bounds(bounds[index].as_ref())
+                    .backend(backend),
+            ),
+            None => problem
+                .run_solver(&region, backend)
+                .map(|(verdict, _, solution)| (verdict, solution)),
+        };
+        solved.map(|(verdict, solution)| BoxOutcome::Solved {
+            verdict,
+            stats: solution.stats,
+        })
+    })
 }
 
-/// Runs `work(&mut state, index)` for every `index` in `0..count` and
-/// returns the results indexed like the input, so a caller folding them in
-/// order is scheduling-independent. Up to `workers` scoped threads pull
-/// indices from a shared cursor, each with one `init()` state of its own
-/// (a scratch encoding, say); with `workers <= 1` everything runs inline
-/// on the caller. A panic in `work` is re-raised on the caller.
+/// Runs `work(index)` for every `index` in `0..count` and returns the
+/// results indexed like the input, so a caller folding them in order is
+/// scheduling-independent. Up to `workers` scoped threads pull indices from
+/// a shared cursor; with `workers <= 1` everything runs inline on the
+/// caller. A panic in `work` is re-raised on the caller.
 ///
 /// This is the one work-index dispenser of the crate: the refinement
 /// generations and the sharded obligations both fan out through it.
-pub(crate) fn fan_out<S, T>(
-    count: usize,
-    workers: usize,
-    init: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, usize) -> T + Sync,
-) -> Vec<T>
+pub(crate) fn fan_out<T>(count: usize, workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T>
 where
     T: Send,
 {
     let workers = workers.min(count);
     if workers <= 1 {
-        let mut state = None;
-        return (0..count)
-            .map(|index| work(state.get_or_insert_with(&init), index))
-            .collect();
+        return (0..count).map(work).collect();
     }
     // The cursor only hands out distinct indices; results travel back
     // through `join`, which orders them after the worker's writes.
@@ -586,14 +374,13 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut state = init();
                     let mut done = Vec::new();
                     loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
                         if index >= count {
                             return done;
                         }
-                        done.push((index, work(&mut state, index)));
+                        done.push((index, work(index)));
                     }
                 })
             })
@@ -620,7 +407,7 @@ where
 /// root) gets its per-stage bounds from one
 /// [`crate::EncodingTemplate::region_bounds_batch`] sweep; the rest stay
 /// `None` (pruned boxes are never solved, uncovered boxes fall back to
-/// one-shot encoding inside `solve_box`).
+/// one-shot encoding inside [`VerificationProblem::solve_with_template`]).
 fn batch_region_bounds(
     template: Option<&ProblemTemplate>,
     generation: &[BoxDomain],
@@ -844,25 +631,21 @@ mod tests {
     fn parallel_dispatch_agrees_with_the_serial_loop() {
         let (problem, region, references) = hand_crafted_problem();
         let serial = RefinementVerifier::new(2000, 0.05);
-        let parallel =
-            RefinementVerifier::new(2000, 0.05).with_parallelism(ParallelRefinementConfig::new(4));
-        assert_eq!(
-            parallel.parallelism(),
-            Some(&ParallelRefinementConfig::new(4))
-        );
+        let parallel = RefinementVerifier::new(2000, 0.05).with_workers(4);
+        assert_eq!(serial.workers(), 1);
+        assert_eq!(parallel.workers(), 4);
         let (serial_verdict, serial_report) =
             serial.verify(&problem, &region, &references).unwrap();
         let (parallel_verdict, parallel_report) =
             parallel.verify(&problem, &region, &references).unwrap();
         assert!(serial_verdict.is_safe());
-        assert!(parallel_verdict.is_safe());
-        // Both refined envelopes must cover the data; the exact box partition
-        // may differ (DFS vs generational order reach the budget differently).
+        // One work-list for every worker count: the same verdict and the
+        // same report, box partition and solver statistics included.
+        assert_eq!(serial_verdict, parallel_verdict);
+        assert_eq!(serial_report, parallel_report);
         assert!(serial_report.covers(&references, 1e-9));
-        assert!(parallel_report.covers(&references, 1e-9));
         assert!(parallel_report.verification_calls >= 1);
         assert!(parallel_report.solver_stats.nodes_explored > 0);
-        assert!(serial_report.solver_stats.nodes_explored > 0);
     }
 
     #[test]
@@ -872,16 +655,13 @@ mod tests {
             .map(|i| Vector::from_slice(&[0.9 + 0.01 * i as f64, 0.7]))
             .collect();
         let serial = RefinementVerifier::new(2000, 0.35);
-        let parallel =
-            RefinementVerifier::new(2000, 0.35).with_parallelism(ParallelRefinementConfig::new(4));
+        let parallel = RefinementVerifier::new(2000, 0.35).with_workers(4);
         let (serial_verdict, _) = serial.verify(&problem, &region, &references).unwrap();
         let (parallel_verdict, _) = parallel.verify(&problem, &region, &references).unwrap();
-        // The data-supported counterexample lives in the root box, which is
-        // the sole member of the first work-list in both dispatch modes, so
-        // with a deterministic backend the reported counterexamples are
-        // identical here — not merely both unsafe. (Deeper in a refinement,
-        // DFS and generational BFS may reach sibling violations in different
-        // orders; each mode is individually reproducible.)
+        // The data-supported counterexample lives in the root box, the sole
+        // member of the first generation, so with a deterministic backend
+        // the reported counterexamples are identical — not merely both
+        // unsafe.
         assert_eq!(serial_verdict, parallel_verdict);
         match parallel_verdict {
             RefinedVerdict::Unsafe(ce) => assert!(ce.output[0] >= 1.5 - 1e-6),
@@ -892,8 +672,7 @@ mod tests {
     #[test]
     fn parallel_runs_are_reproducible() {
         let (problem, region, references) = hand_crafted_problem();
-        let verifier =
-            RefinementVerifier::new(2000, 0.05).with_parallelism(ParallelRefinementConfig::new(3));
+        let verifier = RefinementVerifier::new(2000, 0.05).with_workers(3);
         let (first_verdict, first_report) =
             verifier.verify(&problem, &region, &references).unwrap();
         let (second_verdict, second_report) =
@@ -906,8 +685,7 @@ mod tests {
     fn single_worker_parallel_config_uses_the_serial_loop() {
         let (problem, region, references) = hand_crafted_problem();
         let serial = RefinementVerifier::new(2000, 0.05);
-        let degenerate =
-            RefinementVerifier::new(2000, 0.05).with_parallelism(ParallelRefinementConfig::new(1));
+        let degenerate = RefinementVerifier::new(2000, 0.05).with_workers(1);
         let (a, ra) = serial.verify(&problem, &region, &references).unwrap();
         let (b, rb) = degenerate.verify(&problem, &region, &references).unwrap();
         assert_eq!(a, b);
@@ -926,20 +704,9 @@ mod tests {
     fn fan_out_returns_results_in_input_order() {
         for workers in [1, 2, 8] {
             for count in [0, 1, 5, 64] {
-                let inits = AtomicUsize::new(0);
-                let results = fan_out(
-                    count,
-                    workers,
-                    || inits.fetch_add(1, Ordering::Relaxed),
-                    |_, index| index * 10,
-                );
+                let results = fan_out(count, workers, |index| index * 10);
                 let expected: Vec<usize> = (0..count).map(|index| index * 10).collect();
                 assert_eq!(results, expected, "{workers} workers, {count} items");
-                let inits = inits.into_inner();
-                assert!(
-                    inits <= workers.min(count) && (count == 0 || inits >= 1),
-                    "{workers} workers, {count} items: init ran {inits} times"
-                );
             }
         }
     }
@@ -948,15 +715,10 @@ mod tests {
     fn fan_out_reraises_a_worker_panic_on_the_caller() {
         for workers in [1, 4] {
             let caught = std::panic::catch_unwind(|| {
-                fan_out(
-                    8,
-                    workers,
-                    || (),
-                    |(), index| {
-                        assert_ne!(index, 5, "work item 5 failed");
-                        index
-                    },
-                )
+                fan_out(8, workers, |index| {
+                    assert_ne!(index, 5, "work item 5 failed");
+                    index
+                })
             });
             let payload = caught.expect_err("the panic must reach the caller");
             let message = payload

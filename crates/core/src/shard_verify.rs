@@ -13,9 +13,9 @@
 //! * the obligations are embarrassingly parallel and fan out across scoped
 //!   worker threads through the same ordered dispatcher as the refinement
 //!   work-list;
-//! * each obligation is encoded through its own
-//!   [`crate::EncodingTemplate`], so a later refinement of a shard can
-//!   reuse its cached layers and batched bound sweep.
+//! * each obligation is encoded and solved one-shot, exactly as the
+//!   monolithic path solves its one region
+//!   ([`VerificationProblem::run_solver`]).
 //!
 //! **Soundness.** Every shard is a subset of the monolithic envelope and
 //! the shard union contains every training activation (the
@@ -237,32 +237,19 @@ impl VerificationProblem {
     ) -> Vec<Result<ShardObligation, CoreError>> {
         let solve_one = |index: usize| -> Result<ShardObligation, CoreError> {
             let shard_start = Instant::now();
-            let shard = envelope.shard(index);
-            let region = &regions[index];
-            // One encoding template per shard, solved at its own root: the
-            // template's root problem is the shard's encoding. The template
-            // is what a later per-shard refinement would instantiate for
-            // sub-boxes of the shard.
-            let template = self.encoding_template(region)?;
-            let (verdict, solution, num_binaries, stable_relus) =
-                self.run_solver_on_template_root(&template, backend);
+            let (verdict, encoded, solution) = self.run_solver(&regions[index], backend)?;
             Ok(ShardObligation {
                 shard: index,
-                samples: shard.sample_count(),
+                samples: envelope.shard(index).sample_count(),
                 verdict,
-                num_binaries,
-                stable_relus,
+                num_binaries: encoded.num_binaries,
+                stable_relus: encoded.stable_relus,
                 stats: solution.stats,
                 seconds: shard_start.elapsed().as_secs_f64(),
             })
         };
 
-        fan_out(
-            envelope.shard_count(),
-            config.workers,
-            || (),
-            |(), index| solve_one(index),
-        )
+        fan_out(envelope.shard_count(), config.workers, solve_one)
     }
 }
 

@@ -249,12 +249,15 @@ impl ProblemTemplate {
 ///   skip the propagation of the region.
 /// * [`scratch`](Self::scratch) — a caller-owned slot the obligation's
 ///   problem is built into, whatever it held before, so the caller can read
-///   it after the solve; omit it and the problem is dropped.
+///   it after the solve; omit it and the problem is dropped. No core or
+///   serve path passes one; the lever stays because perfbench's replay
+///   names it, and goes with the benchmark change of ROADMAP item 8.
 /// * [`seed`](Self::seed) — a caller-owned warm-start basis, primed before
 ///   the solve and refreshed with the final basis afterwards. Obligations
 ///   of one template are built from their own bounds and do not share
 ///   rows, so a basis of one does not fit the next and is declined; the
-///   lever stays for callers that pool bases (a [`crate::SnapshotPool`]).
+///   lever stays because perfbench's replay pools bases through it (a
+///   [`crate::SnapshotPool`]) until the benchmark change of ROADMAP item 8.
 ///   The obligation server passes none: a seeded witness depends on the
 ///   seed. Ignored by escalated solves, which run unseeded by design.
 /// * [`cancel`](Self::cancel) — a cooperative [`CancelToken`] polled inside
@@ -294,7 +297,9 @@ impl<'a> SolveOptions<'a> {
     }
 
     /// Builds the obligation's problem into `scratch`, overwriting what it
-    /// held.
+    /// held. Only perfbench's replay passes one, mirroring a worker slot
+    /// the server no longer keeps; every other caller lets the problem
+    /// drop.
     pub fn scratch(mut self, scratch: &'a mut Option<EncodedProblem>) -> Self {
         self.scratch = Some(scratch);
         self
@@ -507,8 +512,9 @@ impl VerificationProblem {
     }
 
     /// Solves `encoded` through `backend` and translates the result into
-    /// a [`Verdict`]. Every core solve path goes through here: the one-shot
-    /// encoding, the template root and the template instantiation.
+    /// a [`Verdict`]. Both core solve paths end here: the one-shot encoding
+    /// ([`Self::run_solver`]) and the template instantiation
+    /// ([`Self::solve_with_template`]).
     ///
     /// The search gets the counterexample guard ([`Self::witness`]) as its
     /// witness check ([`SolveContext::witness`]), so it stops at the first
@@ -616,8 +622,9 @@ impl VerificationProblem {
 
     /// Encodes the problem over `region` and hands the MILP to `backend`,
     /// translating the solver status into a [`Verdict`]. This is the
-    /// template-free solve every strategy (Lemma 1, Lemma 2,
-    /// assume-guarantee) and the template-free refinement loop go through.
+    /// one-shot solve every strategy (Lemma 1, Lemma 2, assume-guarantee),
+    /// every shard of a sharded run and the template-free refinement loop
+    /// go through.
     pub(crate) fn run_solver(
         &self,
         region: &StartRegion,
@@ -629,8 +636,7 @@ impl VerificationProblem {
     }
 
     /// Builds a reusable [`ProblemTemplate`] over `root`;
-    /// [`VerificationProblem::solve_with_template`] and
-    /// [`VerificationProblem::verify_with_template`] then build each
+    /// [`VerificationProblem::solve_with_template`] then builds each
     /// sub-region's MILP from that sub-region's own bounds. Regions not
     /// covered by `root` transparently fall back to one-shot encoding.
     ///
@@ -669,34 +675,10 @@ impl VerificationProblem {
         ))
     }
 
-    /// Solves the template's **root** obligation directly on the problem the
-    /// template encoded at its root, which an instantiation at the root
-    /// would build again. Returns the verdict, the solution and the root
-    /// problem's binary/stable counts.
-    ///
-    /// A second path next to [`VerificationProblem::solve_with_template`],
-    /// kept because e9's gated `k1-parity-permille` record measures the
-    /// sharded root fast path it provides.
-    pub(crate) fn run_solver_on_template_root(
-        &self,
-        template: &ProblemTemplate,
-        backend: &dyn SolverBackend,
-    ) -> (Verdict, MilpSolution, usize, usize) {
-        let encoded = template.encoding.root_problem();
-        let (verdict, solution) =
-            self.solve_encoded(encoded, &template.tail, backend, None, None, None);
-        (
-            verdict,
-            solution,
-            encoded.num_binaries,
-            encoded.stable_relus,
-        )
-    }
-
     /// Solves one obligation (`region` under `template`) with every reuse
     /// and control lever selected through [`SolveOptions`]: the obligation's
-    /// MILP is built from the region's own bounds into the options' scratch
-    /// slot, precomputed bounds (one lane of a batched
+    /// MILP is built from the region's own bounds (into the options' scratch
+    /// slot, when one is given), precomputed bounds (one lane of a batched
     /// [`crate::EncodingTemplate::region_bounds_batch`] sweep) skip the
     /// propagation, a seed primes the backend's warm-start state
     /// ([`dpv_lp::SolveContext::seed`]) and receives the final basis back,
@@ -810,48 +792,6 @@ impl VerificationProblem {
         let (verdict, encoded, solution) = self.run_solver(&region, backend)?;
         let solve_seconds = start_time.elapsed().as_secs_f64();
 
-        Ok(VerificationOutcome {
-            verdict,
-            strategy: strategy.label(),
-            backend: backend.name().to_string(),
-            conditional: !strategy.is_unconditional(),
-            num_binaries: encoded.num_binaries,
-            stable_relus: encoded.stable_relus,
-            nodes_explored: solution.stats.nodes_explored,
-            solve_seconds,
-        })
-    }
-
-    /// Runs the verification under the given strategy through a
-    /// [`ProblemTemplate`]: the template builds the MILP of the strategy's
-    /// start region, reusing its split network and cached layers.
-    /// Strategies whose region escapes the template's root (or differs in
-    /// kind, e.g. octagon vs. box) transparently fall back to
-    /// [`VerificationProblem::verify_with`] — template use never changes
-    /// verdicts, only encoding cost.
-    ///
-    /// # Errors
-    /// Propagates encoding errors ([`CoreError::NotPiecewiseLinear`],
-    /// [`CoreError::Inconsistent`]).
-    pub fn verify_with_template(
-        &self,
-        strategy: &VerificationStrategy,
-        template: &ProblemTemplate,
-        backend: &dyn SolverBackend,
-    ) -> Result<VerificationOutcome, CoreError> {
-        let start_time = Instant::now();
-        let region = self.start_region(strategy)?;
-        if !template.encoding.supports(&region) {
-            return self.verify_with(strategy, backend);
-        }
-        let mut scratch = None;
-        let (verdict, solution) = self.solve_with_template(
-            template,
-            &region,
-            &mut SolveOptions::new().scratch(&mut scratch).backend(backend),
-        )?;
-        let encoded = scratch.expect("supported regions populate the scratch");
-        let solve_seconds = start_time.elapsed().as_secs_f64();
         Ok(VerificationOutcome {
             verdict,
             strategy: strategy.label(),

@@ -498,7 +498,7 @@ impl Workflow {
             bend_characterizer.clone(),
             e1_risk.clone(),
         )?;
-        let e1_strategies = vec![
+        let e1_strategies = [
             VerificationStrategy::LayerAbstraction { bound: 1000.0 },
             VerificationStrategy::AbstractInterpretation {
                 domain: DomainKind::Box,
@@ -512,21 +512,10 @@ impl Workflow {
                 use_difference_constraints: true,
             }),
         ];
-        // E1 solves the same (tail, characterizer, risk) triple under four
-        // start regions: build the template once from the widest region
-        // (the Lemma-1 box) and instantiate it per strategy. Regions
-        // the template cannot cover (the octagon variant, or an AI box that
-        // escapes the root) transparently fall back to one-shot encoding.
-        let e1_template =
-            e1_problem.encoding_template(&e1_problem.start_region(&e1_strategies[0])?)?;
-        let mut e1_outcomes = Vec::new();
-        for strategy in &e1_strategies {
-            e1_outcomes.push(e1_problem.verify_with_template(
-                strategy,
-                &e1_template,
-                self.backend.as_ref(),
-            )?);
-        }
+        let e1_outcomes = e1_strategies
+            .iter()
+            .map(|strategy| e1_problem.verify_with(strategy, self.backend.as_ref()))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let e2_risk = RiskCondition::new("suggest steering straight")
             .output_le(0, 0.1)

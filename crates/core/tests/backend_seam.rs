@@ -7,9 +7,8 @@ use std::sync::Arc;
 
 use dpv_absint::{AbstractDomain, BoxDomain, Interval};
 use dpv_core::{
-    Characterizer, CharacterizerConfig, InputProperty, ParallelRefinementConfig, RefinedVerdict,
-    RefinementVerifier, RiskCondition, VerificationProblem, VerificationStrategy, Workflow,
-    WorkflowConfig,
+    Characterizer, CharacterizerConfig, InputProperty, RefinedVerdict, RefinementVerifier,
+    RiskCondition, VerificationProblem, VerificationStrategy, Workflow, WorkflowConfig,
 };
 use dpv_lp::{
     BranchAndBoundBackend, ExhaustiveBackend, MilpProblem, MilpSolution, SolveContext,
@@ -256,10 +255,8 @@ fn template_refinement_matches_the_reencoding_path_exactly() {
             (base.clone(), base.without_template())
         } else {
             (
-                base.clone()
-                    .with_parallelism(ParallelRefinementConfig::new(workers)),
-                base.without_template()
-                    .with_parallelism(ParallelRefinementConfig::new(workers)),
+                base.clone().with_workers(workers),
+                base.without_template().with_workers(workers),
             )
         };
         assert!(with_template.uses_template());
@@ -339,8 +336,7 @@ fn refinement_reports_surface_warm_start_counters() {
 fn refinement_verdicts_match_for_serial_and_parallel_dispatch() {
     let (problem, region, references) = pruning_fixture();
     let serial = RefinementVerifier::new(2000, 0.05);
-    let parallel =
-        RefinementVerifier::new(2000, 0.05).with_parallelism(ParallelRefinementConfig::new(4));
+    let parallel = RefinementVerifier::new(2000, 0.05).with_workers(4);
     let backend = BranchAndBoundBackend;
     let (serial_verdict, serial_report) = serial
         .verify_with(&problem, &region, &references, &backend)
@@ -349,14 +345,38 @@ fn refinement_verdicts_match_for_serial_and_parallel_dispatch() {
         .verify_with(&problem, &region, &references, &backend)
         .unwrap();
     assert_eq!(serial_verdict, RefinedVerdict::Safe);
-    assert_eq!(parallel_verdict, RefinedVerdict::Safe);
+    assert_eq!(parallel_verdict, serial_verdict);
+    // One work-list: the same report, refined envelope and aggregated
+    // solver statistics included.
+    assert_eq!(parallel_report, serial_report);
     assert!(serial_report.pruned_subregions > 0);
-    assert!(parallel_report.pruned_subregions > 0);
     assert!(serial_report.covers(&references, 1e-9));
-    assert!(parallel_report.covers(&references, 1e-9));
-    // Both dispatch modes surface aggregated solver statistics.
     assert!(serial_report.solver_stats.nodes_explored >= serial_report.verification_calls);
-    assert!(parallel_report.solver_stats.nodes_explored >= parallel_report.verification_calls);
+}
+
+#[test]
+fn refinement_results_do_not_depend_on_the_worker_count() {
+    // Budget-limited runs (1 and 2 splits end `Inconclusive` mid-sweep) and
+    // a run to completion must fold the same boxes in the same order,
+    // whether one thread solves each generation or several do.
+    let (problem, region, references) = pruning_fixture();
+    for max_splits in [1, 2, 2000] {
+        let runs: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                RefinementVerifier::new(max_splits, 0.05)
+                    .with_workers(workers)
+                    .verify(&problem, &region, &references)
+                    .unwrap()
+            })
+            .collect();
+        for (workers, run) in [2, 4].into_iter().zip(&runs[1..]) {
+            assert_eq!(
+                run, &runs[0],
+                "max_splits {max_splits}: {workers} workers diverge from one"
+            );
+        }
+    }
 }
 
 #[test]

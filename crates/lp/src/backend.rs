@@ -59,9 +59,9 @@ impl SolverBackend for BranchAndBoundBackend {
 /// left untouched.
 /// The two engines must return identical statuses; their trees can differ
 /// where a relaxation has several optimal vertices. Kept because the
-/// cold/warm equivalence test
-/// (`crates/core/tests/cache_soundness.rs`) and e8's gated
-/// `speedup-permille` record need a cold search.
+/// cold/warm equivalence tests (`crates/core/tests/cache_soundness.rs`,
+/// the lp proptests), `PIVOT_PIN` (`crates/lp/tests/pivot_pin.rs`) and
+/// e8's gated `speedup-permille` reference need a cold search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColdBranchAndBoundBackend;
 

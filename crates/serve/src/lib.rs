@@ -87,7 +87,7 @@
 //!   check ([`dpv_lp::SolveStats::failed_checks`]) is not retried: the
 //!   check is deterministic, so the retry would fail it again.
 //! * A worker panic while solving is caught; the obligation is retried
-//!   **once** in place with fresh scratch, and a second panic
+//!   **once** in place, and a second panic
 //!   quarantines it: verdict `Unknown("worker-panic")`, never cached,
 //!   never retried again. The worker thread and every sibling obligation
 //!   survive ([`ServeStats::worker_panics`], [`ServeStats::quarantined`]).

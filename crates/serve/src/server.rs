@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use dpv_absint::BoxDomain;
 use dpv_core::{
-    CoreError, EncodedProblem, Fingerprint, ProblemTemplate, RegionBounds, SolveOptions,
-    StartRegion, TemplateCache, Verdict, VerificationProblem,
+    CoreError, Fingerprint, ProblemTemplate, RegionBounds, SolveOptions, StartRegion,
+    TemplateCache, Verdict, VerificationProblem,
 };
 use dpv_lp::{
     BranchAndBoundBackend, CancelToken, ConstraintOp, LinearProgram, MilpSolution, MilpStatus,
@@ -877,37 +877,30 @@ fn worker_loop(inner: &Arc<Inner>) {
     let backend = BranchAndBoundBackend;
     // Each worker thread owns one trace ring buffer for its lifetime.
     let handle = inner.tracer.register();
-    // The slot each obligation's problem is built into.
-    let mut scratch: Option<EncodedProblem> = None;
     while let Some(job) = next_job(inner) {
-        let outcome = run_job_isolated(inner, &job, &mut scratch, &backend, &handle);
+        let outcome = run_job_isolated(inner, &job, &backend, &handle);
         complete_job(inner, job, outcome, &handle);
     }
 }
 
 /// Runs one obligation with panic isolation: a panic anywhere in the
-/// solve is caught, the obligation is retried once in place with fresh
-/// scratch, and a second panic quarantines it — the obligation reports
-/// `Unknown("worker-panic")`, is never written to the verdict cache, and
-/// the worker (and every sibling obligation) carries on.
+/// solve is caught, the obligation is retried once in place (every solve
+/// builds its problem afresh), and a second panic quarantines it — the
+/// obligation reports `Unknown("worker-panic")`, is never written to the
+/// verdict cache, and the worker (and every sibling obligation) carries
+/// on.
 fn run_job_isolated(
     inner: &Arc<Inner>,
     job: &Job,
-    scratch: &mut Option<EncodedProblem>,
     backend: &BranchAndBoundBackend,
     handle: &TraceHandle,
 ) -> WorkerOutcome {
     let trace = handle.tagged(job.request_seq, job.index as u64);
     for attempt in 0..2 {
-        match catch_unwind(AssertUnwindSafe(|| {
-            run_job(inner, job, scratch, backend, &trace)
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| run_job(inner, job, backend, &trace))) {
             Ok(outcome) => return outcome,
             Err(_) => {
                 inner.counters.add(CounterId::WorkerPanics, 1);
-                // The panic may have unwound mid-instantiation; the
-                // scratch is suspect, so the retry starts cold.
-                *scratch = None;
                 if attempt == 1 {
                     inner.counters.add(CounterId::Quarantined, 1);
                     inner.counters.add(CounterId::DegradedWorkerPanic, 1);
@@ -982,7 +975,6 @@ fn foreign_snapshot() -> Option<dpv_lp::BasisSnapshot> {
 fn run_job(
     inner: &Arc<Inner>,
     job: &Job,
-    scratch: &mut Option<EncodedProblem>,
     backend: &BranchAndBoundBackend,
     trace: &TraceHandle,
 ) -> WorkerOutcome {
@@ -1033,7 +1025,6 @@ fn run_job(
             &job.region,
             &mut SolveOptions::new()
                 .bounds(job.bounds.as_ref())
-                .scratch(scratch)
                 .seed(&mut seed)
                 .cancel(cancel)
                 .backend(backend)
@@ -1077,7 +1068,6 @@ fn run_job(
                 &job.region,
                 &mut SolveOptions::new()
                     .bounds(job.bounds.as_ref())
-                    .scratch(scratch)
                     .escalation(ESCALATION_SCALE)
                     .cancel(cancel)
                     .backend(backend)

@@ -93,11 +93,6 @@ impl EventKind {
             EventKind::Verdict => "verdict",
         }
     }
-
-    /// Parses a stable name back into a kind (the JSON importer).
-    pub fn from_name(name: &str) -> Option<EventKind> {
-        EventKind::ALL.into_iter().find(|k| k.name() == name)
-    }
 }
 
 /// Classification carried in the `detail` word of a
@@ -202,10 +197,11 @@ mod tests {
     fn kinds_round_trip_through_discriminants_and_names() {
         for kind in EventKind::ALL {
             assert_eq!(EventKind::from_u8(kind as u8), Some(kind));
-            assert_eq!(EventKind::from_name(kind.name()), Some(kind));
+            // Names are unique, so an exported name identifies its kind.
+            let by_name = EventKind::ALL.into_iter().find(|k| k.name() == kind.name());
+            assert_eq!(by_name, Some(kind));
         }
         assert_eq!(EventKind::from_u8(200), None);
-        assert_eq!(EventKind::from_name("no-such-kind"), None);
     }
 
     #[test]

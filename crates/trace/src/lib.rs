@@ -53,8 +53,7 @@
 //! # Exporters
 //!
 //! [`Tracer::snapshot`] produces a [`TraceSnapshot`]: a machine-readable
-//! value that serialises to JSON ([`TraceSnapshot::to_json`] /
-//! [`TraceSnapshot::from_json`], round-trip exact) and to
+//! value that serialises to JSON ([`TraceSnapshot::to_json`]) and to
 //! Prometheus-style exposition text ([`TraceSnapshot::to_prometheus`]).
 //!
 //! [`MetricsStore`-shaped]: CounterId
@@ -493,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_json() {
+    fn snapshot_exports_recorded_metrics_to_prometheus() {
         let tracer = Tracer::enabled();
         let handle = tracer.register();
         handle.add(CounterId::Requests, 1);
@@ -501,8 +500,6 @@ mod tests {
         handle.gauge(GaugeId::QueueDepth, 4);
         handle.event(TraceEvent::span(EventKind::SolveAttempt, 10, 20, 1));
         let snapshot = tracer.snapshot();
-        let parsed = TraceSnapshot::from_json(&snapshot.to_json()).expect("round trip");
-        assert_eq!(parsed, snapshot);
         assert!(snapshot.to_prometheus().contains("dpv_trace_requests 1"));
     }
 

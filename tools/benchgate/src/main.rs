@@ -25,9 +25,9 @@
 //!   deviation is a correctness bug, not a perf regression.
 //! * `k1-parity-permille` — a **band around 1000** with halfwidth 50
 //!   (±5%): k = 1 sharding must stay cost-comparable to the monolithic
-//!   path in *either* direction. The committed e9 baseline of 1007 means
-//!   k = 1 is 0.7% slower — well inside the band; exact parity is not the
-//!   contract, the band is.
+//!   path in *either* direction. The record is monolithic ÷ k = 1, so the
+//!   committed e9 baseline of 1007 means k = 1 is 0.7% faster — well
+//!   inside the band; exact parity is not the contract, the band is.
 //! * `*-per-sec-*` — higher is better with 50% relative slack: these are
 //!   absolute throughput records (e11's frames·1000/s, e8's node
 //!   LPs·1000/s, e12's served obligations·1000/s), so runner speed does
