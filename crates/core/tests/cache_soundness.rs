@@ -4,7 +4,8 @@
 //! the structural-fingerprint guard (pool keying) rather than warm-started —
 //! with the LP layer's validation as the backstop even when a foreign basis
 //! is forced in. A solve that stops at the first guard-checked witness only
-//! shortens the plain search.
+//! shortens the plain search, and an obligation interval reasoning decides
+//! is closed without an LP.
 
 use dpv_absint::{AbstractDomain, BoxDomain, Interval};
 use dpv_core::{
@@ -184,6 +185,43 @@ proptest! {
         } else {
             prop_assert_eq!(checked_solution.status, plain.status);
             prop_assert_eq!(checked_solution.stats, plain.stats);
+        }
+    }
+
+    /// A far obligation, whose risk threshold lies above the interval
+    /// upper bound of the output over the sub-box, is `Safe` through
+    /// `solve_with_template` with no LP solved: the risk row's activity
+    /// over the output's bounds misses the threshold, so propagation
+    /// closes the root (Lemma 2 inside the search), on both engines.
+    #[test]
+    fn a_far_obligation_is_safe_without_an_lp(seed in 0u64..400) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xfa5);
+        let (drawn, cut_width) = random_problem(&mut rng, 0.0);
+        let sub = random_sub_box(&mut rng, cut_width);
+        let (_, tail) = drawn.perception().split_at(drawn.cut_layer()).unwrap();
+        let reach = sub.propagate(tail.layers()).to_box()[0].hi;
+        let problem = VerificationProblem::new(
+            drawn.perception().clone(),
+            drawn.cut_layer(),
+            drawn.characterizer().clone(),
+            RiskCondition::new("far").output_ge(0, reach + 1.0),
+        )
+        .unwrap();
+        let root = StartRegion::Box(BoxDomain::uniform(cut_width, -1.0, 1.0));
+        let template = problem.encoding_template(&root).unwrap();
+        let engines: [&dyn SolverBackend; 2] = [&BranchAndBoundBackend, &ColdBranchAndBoundBackend];
+        for backend in engines {
+            let (verdict, solution) = problem
+                .solve_with_template(
+                    &template,
+                    &StartRegion::Box(sub.clone()),
+                    &mut SolveOptions::new().backend(backend),
+                )
+                .unwrap();
+            prop_assert_eq!(verdict, Verdict::Safe);
+            let stats = solution.stats;
+            prop_assert_eq!(stats.nodes_explored, 1, "{:?}", stats);
+            prop_assert_eq!(stats.warm_solves + stats.cold_solves, 0, "{:?}", stats);
         }
     }
 

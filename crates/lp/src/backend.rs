@@ -60,7 +60,7 @@ impl SolverBackend for BranchAndBoundBackend {
 /// The two engines must return identical statuses; their trees can differ
 /// where a relaxation has several optimal vertices. Kept because the
 /// cold/warm equivalence tests (`crates/core/tests/cache_soundness.rs`,
-/// the lp proptests), `PIVOT_PIN` (`crates/lp/tests/pivot_pin.rs`) and
+/// the lp proptests), `MILP_PIN` (`crates/lp/tests/pivot_pin.rs`) and
 /// e8's gated `speedup-permille` reference need a cold search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColdBranchAndBoundBackend;

@@ -26,8 +26,13 @@
 //!   scales with the magnitudes it sums. A result that fails its check is
 //!   never reported as `Infeasible`.
 //! * [`MilpProblem`] — an LP plus a set of binary variables, solved by
-//!   branch-and-bound over the binaries ([`MilpProblem::solve`]), with every
-//!   node relaxation warm-started from the most recent basis
+//!   branch-and-bound over the binaries ([`MilpProblem::solve`]). Each node
+//!   carries its own variable bounds and propagates them over the rows
+//!   before its LP: a row whose activity over the bounds cannot reach its
+//!   right-hand side closes the node with no LP, under the Farkas check's
+//!   relative tolerance, and a binary the bounds pin to one value is fixed
+//!   without branching. Only binary fixings reach the node LP, and every
+//!   node relaxation is warm-started from the most recent basis
 //!   ([`SolveStats`] reports the warm/cold split). A feasibility-only mode is
 //!   what safety verification uses: *is there an assignment inside the
 //!   envelope that triggers the risk condition?* It stops at the first
@@ -91,6 +96,7 @@ mod backend;
 mod cancel;
 mod milp;
 mod model;
+mod propagate;
 mod relu;
 mod simplex;
 

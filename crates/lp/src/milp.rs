@@ -2,6 +2,7 @@
 
 use dpv_trace::{CounterId, TraceHandle};
 
+use crate::propagate::{Bounds, Propagator};
 use crate::{
     simplex, BasisSnapshot, CancelToken, LinearProgram, LpSolution, LpStatus, VarId, SOLVER_EPS,
 };
@@ -14,9 +15,10 @@ pub enum MilpStatus {
     /// point that [`SolveContext::witness`] accepted; that point need not
     /// be integral.
     Optimal,
-    /// No integer-feasible solution exists: every node was pruned by a
-    /// certified LP infeasibility, a conflicting fixing or the incumbent
-    /// bound.
+    /// No integer-feasible solution exists: every node was closed by a
+    /// certified LP infeasibility, by one row whose activity over the
+    /// node's propagated bounds cannot reach its right-hand side, by a
+    /// binary whose bounds hold neither 0 nor 1, or by the incumbent bound.
     Infeasible,
     /// The node limit was exhausted before the search completed. The
     /// incumbent (if any) is returned, but optimality/infeasibility is not
@@ -41,8 +43,10 @@ pub enum MilpStatus {
 /// Search statistics of a branch-and-bound run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveStats {
-    /// Number of LP relaxations solved. A search its root LP decides
-    /// explores one node, solved on the problem's own LP without a copy.
+    /// Number of branch-and-bound nodes explored. A node that bound
+    /// propagation closes counts here and solves no LP, so the LP
+    /// relaxations solved are `warm_solves + cold_solves`. A search its root
+    /// decides explores one node.
     pub nodes_explored: usize,
     /// Number of nodes pruned (by incumbent bound, or — for enumeration
     /// backends — by infeasibility of the assignment's LP).
@@ -271,8 +275,9 @@ fn cold_node_lp(
 }
 
 /// Picks the binary variable to branch on at a node whose relaxation is
-/// optimal, or `None` when the relaxation is integral over the unfixed
-/// binaries.
+/// optimal, or `None` when the relaxation is integral over the binaries the
+/// node's `bounds` leave unfixed; a binary that a branching or propagation
+/// fixed is never picked.
 ///
 /// For **feasibility-only** problems (all-zero objective — the query safety
 /// verification issues) the *most* fractional unfixed binary is chosen: its
@@ -284,14 +289,14 @@ fn cold_node_lp(
 /// and the incumbent bound — not contradiction depth — prunes the tree.
 fn select_branching_variable(
     binaries: &[VarId],
-    fixings: &[(VarId, f64)],
+    bounds: &[(f64, f64)],
     values: &[f64],
     feasibility_only: bool,
 ) -> Option<VarId> {
     let mut unfixed = binaries
         .iter()
         .copied()
-        .filter(|&b| fixings.iter().all(|(v, _)| *v != b));
+        .filter(|&b| bounds[b].0 < bounds[b].1);
     if feasibility_only {
         unfixed
             .map(|b| {
@@ -394,7 +399,9 @@ impl MilpProblem {
         &mut self.lp
     }
 
-    /// Limits the number of LP relaxations the branch-and-bound may solve.
+    /// Limits the number of nodes the branch-and-bound may explore
+    /// ([`SolveStats::nodes_explored`]); a node closed by bound propagation
+    /// counts against the limit although it solves no LP.
     pub fn set_node_limit(&mut self, limit: usize) {
         self.node_limit = limit.max(1);
     }
@@ -420,18 +427,29 @@ impl MilpProblem {
     /// first integer-feasible node, or at the first point the context's
     /// witness check accepts ([`MilpProblem::solve_with`]).
     ///
-    /// Node evaluation is allocation-free with respect to the model: instead
-    /// of cloning the whole [`LinearProgram`] per node, a single scratch
-    /// program is reused — binary bounds are tightened to the node's fixings
-    /// on descent and restored from a saved snapshot on backtrack. The root
-    /// node is solved on the problem's own LP, and the scratch is cloned
-    /// only when the search first branches, so a problem its root LP
-    /// decides is never copied. Each
-    /// node's relaxation is additionally **warm-started** from the most
-    /// recent solved basis ([`LinearProgram::solve_from_basis`]): consecutive
-    /// nodes differ only in binary bounds, so the dual simplex starts a few
-    /// pivots from the answer instead of at the slack basis; [`SolveStats`]
-    /// records the warm/cold split.
+    /// Each node carries its own variable bounds. The root starts from the
+    /// problem's bounds, each binary's rounded inward to the integers it
+    /// holds; a child inherits its parent's bounds plus the one binary the
+    /// branching fixed. Before a node's LP, its bounds are **propagated**
+    /// over the rows, from the rows of the binary just fixed (at the root,
+    /// from every row): a row whose activity over the bounds cannot reach its
+    /// right-hand side closes the node without an LP, and a binary whose
+    /// bounds collapse to one value is fixed and never branched on. Every
+    /// conclusion carries the tolerance of the LP's Farkas check, relative
+    /// to the magnitudes of the row. Only binary bounds reach the node's LP;
+    /// tightened continuous bounds stay in the node's propagation state, so
+    /// the LP is the relaxation of the problem's rows under the node's
+    /// fixings.
+    ///
+    /// A node whose binary bounds are the problem's own (the root, unless
+    /// propagation fixed a binary there) is solved on the problem's LP;
+    /// every other node on one scratch copy, made on first use, whose binary
+    /// bounds are overwritten per node. Each node's relaxation is
+    /// additionally **warm-started** from the most recent solved basis
+    /// ([`LinearProgram::solve_from_basis`]): consecutive nodes differ only
+    /// in binary bounds, so the dual simplex starts a few pivots from the
+    /// answer instead of at the slack basis; [`SolveStats`] records the
+    /// warm/cold split.
     pub fn solve(&self) -> MilpSolution {
         self.solve_with(&mut SolveContext::default())
     }
@@ -456,7 +474,8 @@ impl MilpProblem {
     /// * the `witness` check, on a feasibility problem, sees the LP point of
     ///   every node whose relaxation is optimal, in depth-first order: the
     ///   search stops at the first integer-feasible node or at the first
-    ///   point the check accepts, whichever comes first.
+    ///   point the check accepts, whichever comes first. A node closed by
+    ///   bound propagation has no LP point and is not shown.
     pub fn solve_with(&self, ctx: &mut SolveContext<'_>) -> MilpSolution {
         self.search(true, ctx)
     }
@@ -473,15 +492,25 @@ impl MilpProblem {
         let warm = &mut ctx.seed;
         let mut stats = SolveStats::default();
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
-        // Each stack entry is a list of (binary var, fixed value) decisions.
-        let mut stack: Vec<Vec<(VarId, f64)>> = vec![Vec::new()];
+        let mut propagator = Propagator::new(&self.lp, &self.binaries);
+        let Some(root) = propagator.root_bounds(&self.lp) else {
+            // A binary whose bounds hold neither 0 nor 1: a conflicting
+            // fixing closes the root.
+            stats.nodes_explored = 1;
+            trace.add(CounterId::BnbNodes, 1);
+            return MilpSolution::with_incumbent(MilpStatus::Infeasible, None, stats);
+        };
+        // Each node carries its variable bounds and the binary its parent
+        // fixed; the root has none and propagates from every row.
+        let mut stack: Vec<(Bounds, Option<VarId>)> = vec![(root, None)];
         let mut hit_limit = false;
-        // The single scratch LP every node below the root is evaluated
-        // against, cloned when the search first branches; the rolling
-        // warm-start basis is refreshed after every solved relaxation.
+        // The single scratch LP a node whose binary bounds differ from the
+        // problem's own is evaluated against, cloned on first use; the
+        // rolling warm-start basis is refreshed after every solved
+        // relaxation.
         let mut scratch: Option<LinearProgram> = None;
 
-        while let Some(fixings) = stack.pop() {
+        while let Some((mut bounds, fixed)) = stack.pop() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return MilpSolution::with_incumbent(MilpStatus::Cancelled, incumbent, stats);
             }
@@ -490,13 +519,22 @@ impl MilpProblem {
                 break;
             }
             stats.nodes_explored += 1;
-            // Only the root has no fixings, and its LP is the problem's own.
-            let lp = if fixings.is_empty() {
+            if !propagator.propagate(&self.lp, &mut bounds, fixed) {
+                trace.add(CounterId::BnbNodes, 1);
+                continue;
+            }
+            // Only binary bounds reach the LP; tightened continuous bounds
+            // stay in the node's propagation state.
+            let lp = if self
+                .binaries
+                .iter()
+                .all(|&b| bounds[b] == self.lp.bounds(b))
+            {
                 &self.lp
             } else {
                 let scratch = scratch.get_or_insert_with(|| self.lp.clone());
-                if !self.fix_node(scratch, &fixings) {
-                    continue;
+                for &b in &self.binaries {
+                    scratch.set_bounds(b, bounds[b].0, bounds[b].1);
                 }
                 scratch
             };
@@ -535,7 +573,7 @@ impl MilpProblem {
 
             match select_branching_variable(
                 &self.binaries,
-                &fixings,
+                &bounds,
                 &solution.values,
                 feasibility_only,
             ) {
@@ -549,7 +587,16 @@ impl MilpProblem {
                         break;
                     }
                 }
-                Some(branch_var) => stack.extend(children(fixings, branch_var, &solution.values)),
+                Some(var) => {
+                    // The branch the relaxation suggests is pushed last, so
+                    // the depth-first (LIFO) search explores it first.
+                    let suggested = solution.values[var].round().clamp(0.0, 1.0);
+                    let mut other = bounds.clone();
+                    other[var] = (1.0 - suggested, 1.0 - suggested);
+                    bounds[var] = (suggested, suggested);
+                    stack.push((other, Some(var)));
+                    stack.push((bounds, Some(var)));
+                }
             }
         }
 
@@ -559,27 +606,6 @@ impl MilpProblem {
             (None, false) => MilpStatus::Infeasible,
         };
         MilpSolution::with_incumbent(status, incumbent, stats)
-    }
-
-    /// Points `scratch` (a clone of this problem's LP) at the node
-    /// `fixings`: every binary is reset to its original bounds, then the
-    /// node's binaries are fixed. Returns `false` when a fixing falls
-    /// outside its binary's original bounds (possible when a binary was
-    /// pre-fixed, e.g. a stable ReLU phase): the node is infeasible without
-    /// solving anything.
-    fn fix_node(&self, scratch: &mut LinearProgram, fixings: &[(VarId, f64)]) -> bool {
-        for &b in &self.binaries {
-            let (lo, hi) = self.lp.bounds(b);
-            scratch.set_bounds(b, lo, hi);
-        }
-        fixings.iter().all(|&(var, value)| {
-            let (lo, hi) = self.lp.bounds(var);
-            let inside = value >= lo - SOLVER_EPS && value <= hi + SOLVER_EPS;
-            if inside {
-                scratch.set_bounds(var, value, value);
-            }
-            inside
-        })
     }
 
     /// Whether `objective` strictly improves on the incumbent's `best`.
@@ -602,18 +628,6 @@ impl MilpProblem {
             bound >= best - SOLVER_EPS
         }
     }
-}
-
-/// The two children of a node branching on `var`, in push order: the
-/// branch the relaxation `values` suggest comes last, so a depth-first
-/// (LIFO) search explores it first.
-fn children(fixings: Vec<(VarId, f64)>, var: VarId, values: &[f64]) -> [Vec<(VarId, f64)>; 2] {
-    let suggested = values[var].round().clamp(0.0, 1.0);
-    let mut other = fixings.clone();
-    other.push((var, 1.0 - suggested));
-    let mut preferred = fixings;
-    preferred.push((var, suggested));
-    [other, preferred]
 }
 
 #[cfg(test)]
@@ -835,12 +849,11 @@ mod tests {
         let _ = donor.solve_with(&mut ctx);
         assert!(ctx.seed.is_some());
 
+        // Σx = 2.5 over five binaries: infeasible, but the root's rows
+        // reach their right-hand side, so its LP runs and is offered the seed.
         let mut other = MilpProblem::new();
-        let x = other.add_binary();
-        let y = other.add_binary();
-        other
-            .lp_mut()
-            .add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0);
+        let row: Vec<_> = (0..5).map(|_| (other.add_binary(), 1.0)).collect();
+        other.lp_mut().add_constraint(&row, ConstraintOp::Eq, 2.5);
         let seeded = other.solve_with(&mut ctx);
         let reference = other.solve();
         assert_eq!(seeded.status, reference.status);
@@ -1040,6 +1053,129 @@ mod tests {
         assert_eq!(checked.status, MilpStatus::Optimal);
         assert!(milp.is_feasible(&checked.values, 1e-6));
         assert_eq!(calls.get(), 0);
+    }
+
+    /// Solves `milp` through both branch-and-bound engines.
+    fn both_engines(milp: &MilpProblem) -> [MilpSolution; 2] {
+        [milp.solve(), crate::ColdBranchAndBoundBackend.solve(milp)]
+    }
+
+    #[test]
+    fn a_row_the_bounds_cannot_meet_closes_the_root_without_an_lp() {
+        // x + y + w ≥ 3.5 with x, y binary and w ∈ [0, 1]: the activity
+        // reaches at most 3.
+        let mut milp = MilpProblem::new();
+        let x = milp.add_binary();
+        let y = milp.add_binary();
+        let w = milp.add_variable(0.0, 1.0);
+        milp.lp_mut()
+            .add_constraint(&[(x, 1.0), (y, 1.0), (w, 1.0)], ConstraintOp::Ge, 3.5);
+        for solution in both_engines(&milp) {
+            assert_eq!(solution.status, MilpStatus::Infeasible);
+            let stats = solution.stats;
+            assert_eq!(stats.nodes_explored, 1, "{stats:?}");
+            assert_eq!(stats.warm_solves + stats.cold_solves, 0, "{stats:?}");
+            assert_eq!(stats.simplex_iterations, 0);
+        }
+    }
+
+    #[test]
+    fn a_miss_within_the_certificate_tolerance_leaves_the_node_to_its_lp() {
+        // x binary, w fixed at `scale`, x + w ≥ scale + 2: the activity
+        // misses by 1. Next to w = 10 that clears the tolerance and closes
+        // the root; next to w = 1e12 it is within the rounding of the data,
+        // so the root's LP runs, and its certificate fails the same check.
+        for (scale, closed) in [(10.0, true), (1e12, false)] {
+            let mut milp = MilpProblem::new();
+            let x = milp.add_binary();
+            let w = milp.add_variable(scale, scale);
+            milp.lp_mut()
+                .add_constraint(&[(x, 1.0), (w, 1.0)], ConstraintOp::Ge, scale + 2.0);
+            for solution in both_engines(&milp) {
+                let stats = solution.stats;
+                assert_eq!(stats.nodes_explored, 1, "{stats:?}");
+                if closed {
+                    assert_eq!(solution.status, MilpStatus::Infeasible);
+                    assert_eq!(stats.warm_solves + stats.cold_solves, 0, "{stats:?}");
+                } else {
+                    assert_eq!(solution.status, MilpStatus::IterationLimit);
+                    assert_eq!(stats.cold_solves, 1, "{stats:?}");
+                    assert_eq!(stats.failed_checks, 1, "{stats:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_binary_fixed_by_propagation_is_never_branched_on() {
+        // `fixed − v ≥ 0.2` with v ∈ [0, 0.5] puts `fixed` at 1 before any
+        // LP; the rest is the fractional feasibility MILP. The search is
+        // the one of the same model with `fixed` at 1 in its bounds, and
+        // every node LP sees `fixed` at 1.
+        let build = |prefixed: bool| {
+            let mut milp = fractional_feasibility_milp();
+            let fixed = milp.add_binary();
+            let v = milp.add_variable(0.0, 0.5);
+            milp.lp_mut()
+                .add_constraint(&[(fixed, 1.0), (v, -1.0)], ConstraintOp::Ge, 0.2);
+            if prefixed {
+                milp.lp_mut().set_bounds(fixed, 1.0, 1.0);
+            }
+            (milp, fixed)
+        };
+        let (propagated, fixed) = build(false);
+        let (prefixed, _) = build(true);
+        let relaxation = propagated.lp().solve();
+        assert!(
+            (relaxation.values[fixed] - relaxation.values[fixed].round()).abs() > 1e-6,
+            "the fixture's relaxation must leave `fixed` fractional: {:?}",
+            relaxation.values
+        );
+        let at_one = std::cell::Cell::new(0);
+        let record = |values: &[f64]| {
+            assert_eq!(values[fixed], 1.0, "{values:?}");
+            at_one.set(at_one.get() + 1);
+            false
+        };
+        let searched = solve_both(&propagated, &record);
+        assert!(at_one.get() > 2, "the check saw {} points", at_one.get());
+        for (propagated, prefixed) in searched.iter().zip(solve_both(&prefixed, &record)) {
+            assert_eq!(propagated.status, MilpStatus::Optimal);
+            assert!(
+                propagated.stats.nodes_explored > 1,
+                "{:?}",
+                propagated.stats
+            );
+            assert_eq!(*propagated, prefixed);
+        }
+        // Branching skips a binary whose node bounds are one value, however
+        // fractional its LP value reads.
+        let bounds = [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0)];
+        let values = [0.5, 0.25, 0.5];
+        for feasibility_only in [true, false] {
+            let pick = select_branching_variable(&[0, 1, 2], &bounds, &values, feasibility_only);
+            assert_eq!(pick, Some(1));
+        }
+        assert_eq!(
+            select_branching_variable(&[0, 2], &bounds, &values, true),
+            None
+        );
+    }
+
+    #[test]
+    fn a_binary_whose_bounds_hold_no_integer_closes_the_root() {
+        let mut milp = MilpProblem::new();
+        let x = milp.add_binary();
+        milp.lp_mut().set_bounds(x, 0.25, 0.75);
+        for solution in both_engines(&milp) {
+            assert_eq!(solution.status, MilpStatus::Infeasible);
+            assert_eq!(solution.stats.nodes_explored, 1);
+            assert_eq!(solution.stats.cold_solves, 0);
+        }
+        assert_eq!(
+            crate::ExhaustiveBackend::default().solve(&milp).status,
+            MilpStatus::Infeasible
+        );
     }
 
     #[test]

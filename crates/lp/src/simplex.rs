@@ -73,8 +73,9 @@ const DUAL_TOL: f64 = 1e-9;
 /// Largest wrong-signed reduced cost a snapshot start tolerates on a column
 /// that cannot move to its other (infinite) bound.
 const DUAL_FEAS_TOL: f64 = SOLVER_EPS;
-/// Certificate tolerance, relative to the magnitudes the check sums.
-const CERT_TOL: f64 = 1e-9;
+/// Certificate tolerance, relative to the magnitudes the check sums. Bound
+/// propagation closes a node under the same rule.
+pub(crate) const CERT_TOL: f64 = 1e-9;
 /// Bound and row slack an optimum may show when re-checked.
 const OPTIMUM_TOL: f64 = 1e-6;
 /// Poll the cancel token when `iterations & CANCEL_POLL_MASK == 0` — every

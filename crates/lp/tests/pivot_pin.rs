@@ -1,15 +1,18 @@
-//! Pins the simplex engine's pivot sequence.
+//! Pins the simplex engine's pivot sequence and the branch-and-bound
+//! search built on it.
 //!
 //! Every status, pivot count, `SolveStats` field and solution value over a
-//! seeded corpus is folded into one `u64`, and the test asserts the
-//! committed value. Any change of pricing, tie-breaking or arithmetic order
-//! moves at least one pivot, count or last bit of a value, so it fails this
-//! test. A change that means to alter the pivot sequence updates
-//! [`PIVOT_PIN`] on purpose: run
+//! seeded corpus is folded into two `u64`s, and the test asserts the
+//! committed values: [`LP_PIN`] folds the LP programs, [`MILP_PIN`] the
+//! MILPs. Any change of pricing, tie-breaking or arithmetic order moves at
+//! least one pivot, count or last bit of a value, so it fails the LP pin;
+//! a change to the search alone (branching, node bounds, propagation)
+//! leaves the LP pin and moves only the MILP pin. A change that means to
+//! alter either updates its constant on purpose: run
 //! `cargo test -p dpv-lp --test pivot_pin` and commit the computed value
 //! from the failure message together with the change.
 //!
-//! The corpus:
+//! The corpus, in the order it is drawn from one seeded stream:
 //! * random LPs with `≤`, `≥` and `=` rows, half with an objective, each
 //!   solved from the slack basis and, when optimal, re-solved from its
 //!   snapshot after four bound or right-hand-side edits, twice in a row;
@@ -26,9 +29,13 @@ use dpv_lp::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The fold of the whole corpus, computed against the engine whose pivot
-/// sequence it pins.
-const PIVOT_PIN: u64 = 0x1923_1a02_15b3_966c;
+/// The fold of the 472 LP programs, computed against the simplex whose
+/// pivot sequence it pins.
+const LP_PIN: u64 = 0x55fd_32f2_d32e_d721;
+
+/// The fold of the 48 MILPs through both branch-and-bound engines,
+/// computed against the search it pins.
+const MILP_PIN: u64 = 0xa9cd_47f1_ded8_7583;
 
 /// FNV-1a over the little-endian bytes of the words folded in.
 struct Fold(u64);
@@ -303,37 +310,40 @@ fn fold_milp(fold: &mut Fold, milp: &MilpProblem) {
 
 #[test]
 fn the_pivot_sequence_matches_the_pinned_engine() {
-    let mut fold = Fold::new();
+    let mut lps = Fold::new();
     let mut rng = StdRng::seed_from_u64(0x5eed_0001);
     for _ in 0..400 {
         let (n, m) = (rng.gen_range(1..=10usize), rng.gen_range(1..=12usize));
         let lp = random_lp(&mut rng, n, m);
-        fold_lp(&mut fold, &mut rng, lp);
+        fold_lp(&mut lps, &mut rng, lp);
     }
     for _ in 0..24 {
         let (n, m) = (rng.gen_range(20..=60usize), rng.gen_range(20..=60usize));
         let lp = random_lp(&mut rng, n, m);
-        fold_lp(&mut fold, &mut rng, lp);
+        fold_lp(&mut lps, &mut rng, lp);
     }
     for _ in 0..24 {
         let lp = ill_scaled_lp(&mut rng);
-        fold_lp(&mut fold, &mut rng, lp);
+        fold_lp(&mut lps, &mut rng, lp);
     }
     for _ in 0..24 {
         let lp = zero_width_lp(&mut rng);
-        fold_lp(&mut fold, &mut rng, lp);
+        fold_lp(&mut lps, &mut rng, lp);
     }
+    let mut milps = Fold::new();
     for _ in 0..24 {
         let milp = random_milp(&mut rng);
-        fold_milp(&mut fold, &milp);
+        fold_milp(&mut milps, &milp);
     }
     for _ in 0..24 {
         let milp = relu_milp(&mut rng);
-        fold_milp(&mut fold, &milp);
+        fold_milp(&mut milps, &milp);
     }
-    assert_eq!(
-        fold.0, PIVOT_PIN,
-        "the pivot sequence changed: the corpus folds to {:#018x}",
-        fold.0
+    assert!(
+        (lps.0, milps.0) == (LP_PIN, MILP_PIN),
+        "the corpus folds to LP_PIN {:#018x} (pinned {LP_PIN:#018x}) and MILP_PIN {:#018x} \
+         (pinned {MILP_PIN:#018x}); a moved LP_PIN means the simplex pivot sequence changed",
+        lps.0,
+        milps.0
     );
 }

@@ -160,6 +160,46 @@ fn matches_oracle(lp: &LinearProgram, solution: &dpv_lp::LpSolution) -> Result<(
     }
 }
 
+/// A verification query's shape: 2–4 inputs in [−1, 1], one layer of 3–7
+/// big-M ReLUs over them with interval pre-activation bounds, a zero
+/// objective, and a random threshold row on a weighted sum of the ReLU
+/// outputs (`≥` or `≤`, from below the output's smallest to above its
+/// largest interval value), so infeasible and feasible instances both
+/// occur.
+fn relu_milp(rng: &mut StdRng) -> MilpProblem {
+    let mut milp = MilpProblem::new();
+    let inputs: Vec<_> = (0..rng.gen_range(2..=4usize))
+        .map(|_| milp.add_variable(-1.0, 1.0))
+        .collect();
+    let mut output = Vec::new();
+    let (mut low, mut high) = (0.0, 0.0);
+    for _ in 0..rng.gen_range(3..=7usize) {
+        let weights: Vec<f64> = inputs.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let bias: f64 = rng.gen_range(-0.5..0.5);
+        let radius: f64 = weights.iter().map(|w| w.abs()).sum();
+        let (lower, upper) = (bias - radius, bias + radius);
+        let pre = milp.add_variable(lower, upper);
+        let mut row: Vec<_> = inputs.iter().copied().zip(weights).collect();
+        row.push((pre, -1.0));
+        milp.lp_mut().add_constraint(&row, ConstraintOp::Eq, -bias);
+        let post = milp.add_variable(0.0, upper.max(0.0));
+        encode_relu_big_m(&mut milp, pre, post, lower, upper);
+        let weight: f64 = rng.gen_range(-1.0..1.0);
+        let reach = weight * upper.max(0.0);
+        low += reach.min(0.0);
+        high += reach.max(0.0);
+        output.push((post, weight));
+    }
+    let threshold = low + (high - low) * rng.gen_range(-0.1..1.1);
+    let op = if rng.gen_bool(0.5) {
+        ConstraintOp::Ge
+    } else {
+        ConstraintOp::Le
+    };
+    milp.lp_mut().add_constraint(&output, op, threshold);
+    milp
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -271,9 +311,23 @@ proptest! {
     /// exhaustive enumeration oracle on random small MILPs: same status,
     /// and (when an optimum exists) objectives within 1e-6. Random
     /// objective directions, mixed ≤/≥ constraints and a continuous
-    /// variable make both infeasible and feasible instances likely.
+    /// variable make both infeasible and feasible instances likely. A
+    /// zero-objective big-M ReLU MILP of the same seed, the structure node
+    /// propagation acts on, must agree with the oracle too.
     #[test]
     fn branch_and_bound_engines_agree_with_exhaustive_oracle(seed in 0u64..400) {
+        let relu = relu_milp(&mut StdRng::seed_from_u64(seed ^ 0x0005_e1a0));
+        let oracle = ExhaustiveBackend::default().solve(&relu);
+        let engines: [&dyn SolverBackend; 2] = [&BranchAndBoundBackend, &ColdBranchAndBoundBackend];
+        for engine in engines {
+            let solution = engine.solve(&relu);
+            prop_assert_eq!(solution.status, oracle.status,
+                "ReLU MILP: {} {:?} vs oracle {:?}", engine.name(), solution.status, oracle.status);
+            if oracle.status == MilpStatus::Optimal {
+                prop_assert!(relu.is_feasible(&solution.values, 1e-6));
+            }
+        }
+
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b9);
         let n_bin = 4usize;
         let mut milp = MilpProblem::new();
