@@ -1,37 +1,37 @@
-//! E8: incremental solving — warm-started dual simplex + the MILP encoding
-//! template, versus re-encoding and cold solves.
+//! E8: incremental solving — the warm-started dual simplex inside the one
+//! branch-and-bound search, and the MILP encoding template.
 //!
 //! Two workloads on the E6 cut-4 harness (the widened envelope at the
 //! earlier cut, whose MILPs have 20+ unstable ReLUs and genuinely deep
 //! branch-and-bound trees):
 //!
-//! * **e6-cut4-refute** — the gap-calibrated refutation MILP from E7, solved
-//!   by the cold engine (`branch-and-bound(cold)`, every node starts the
-//!   dual simplex from the slack basis) and by the warm engine (every node
-//!   after the root starts it from the rolling basis). Reports the time,
-//!   warm-hit rate and pivot count of each.
+//! * **e6-cut4-refute** — the gap-calibrated refutation MILP from E7. The
+//!   search solves its root LP from the slack basis and every later node LP
+//!   from the rolling basis of the last node solved. Reports the time, node
+//!   count, warm/cold split and pivots of the search, and the pivots its
+//!   root LP takes from the slack basis.
 //! * **refine-sweep** — a full refinement sweep over the widened cut-4
 //!   envelope with a reachable risk threshold: spurious corner
 //!   counterexamples force region splits, so one sweep re-solves the same
-//!   (tail, risk, characterizer) triple over dozens of sub-boxes. The cold
-//!   variant re-encodes every sub-box and solves cold; the template variant
-//!   builds every sub-box's problem through the one `EncodingTemplate`, from
-//!   a batched bound sweep per generation, and solves warm. Both build the
-//!   same MILP for a sub-box and produce identical verdicts (asserted).
+//!   (tail, risk, characterizer) triple over dozens of sub-boxes. Every
+//!   sub-box's problem is built through the one `EncodingTemplate`, from a
+//!   batched bound sweep per generation, and solved warm.
 //!
 //! Run with `CRITERION_JSON=BENCH_e8.json` for machine-readable results;
-//! besides the timing records the file carries `e8/refine-sweep/speedup-permille`
-//! (cold mean ÷ warm mean × 1000), `e8/…/warm-hit-permille` (the share of
-//! non-root node LPs that started warm: each MILP's root LP has no earlier
-//! basis to start from, so it is left out of both sides) and
-//! `e8/refine-sweep/node-lps-per-sec-permille` (node LPs × 1000 per second
-//! of the warm-template sweep) metric records, so CI artifacts carry them
-//! without parsing stdout. The speedup record reports the ratio: both
-//! sides solve the same compact MILP per sub-box, so it measures the warm
-//! engine and the cached template against the cold engine and one-shot
-//! encoding. The node-LP record is the absolute LP-throughput floor. Every
-//! solve runs on the calling thread, so the comparison isolates the
-//! incremental-solving effect.
+//! besides the timing records the file carries these metric records, so CI
+//! artifacts carry them without parsing stdout:
+//!
+//! * `e8/e6-cut4-refute/warm-pivot-gain-permille` — root pivots × node
+//!   LPs ÷ the search's pivots, × 1000: how many times fewer pivots the
+//!   search takes than if every node LP took the root LP's slack-basis
+//!   pivot count. Deterministic: it needs no second engine and no timing.
+//! * `e8/…/warm-hit-permille` — the share of non-root node LPs that
+//!   started warm. Each MILP's root LP has no earlier basis to start from,
+//!   so it is left out of both sides.
+//! * `e8/refine-sweep/node-lps-per-sec-permille` — node LPs × 1000 per
+//!   second of the sweep, the absolute LP-throughput floor.
+//!
+//! Every solve runs on the calling thread.
 
 use std::time::Instant;
 
@@ -44,9 +44,7 @@ use dpv_core::{
     encode_verification, Characterizer, CharacterizerConfig, InputProperty, RefinementVerifier,
     RiskCondition, StartRegion, VerificationProblem,
 };
-use dpv_lp::{
-    BranchAndBoundBackend, ColdBranchAndBoundBackend, MilpStatus, SolveStats, SolverBackend,
-};
+use dpv_lp::{BranchAndBoundBackend, MilpStatus, SolveStats, SolverBackend};
 use dpv_monitor::ActivationEnvelope;
 use dpv_scenegen::{DatasetBundle, GeneratorConfig, PropertyKind};
 use dpv_tensor::Vector;
@@ -100,7 +98,7 @@ fn bench_e8(c: &mut Criterion) {
         encoded.num_binaries, relaxation.objective, exact.objective, gap
     );
 
-    // --- Workload 1: the refutation MILP, cold vs warm -------------------
+    // --- Workload 1: the refutation MILP ---------------------------------
     // Mid-gap threshold: the root relaxation stays feasible, the MILP is
     // not — proving safety refutes the whole tree.
     let refute_threshold = if gap > 1e-6 {
@@ -119,48 +117,45 @@ fn bench_e8(c: &mut Criterion) {
         .expect("encoding");
         refute_encoded.milp
     };
-    let engines: [(&str, Box<dyn SolverBackend>); 2] = [
-        ("pr2-cold", Box::new(ColdBranchAndBoundBackend)),
-        ("warm", Box::new(BranchAndBoundBackend)),
-    ];
+    let root_pivots = refute_milp.lp().solve().iterations;
+    let start = Instant::now();
+    let solution = BranchAndBoundBackend.solve(&refute_milp);
+    let seconds = start.elapsed().as_secs_f64();
+    assert_eq!(solution.status, MilpStatus::Infeasible);
+    let stats = solution.stats;
+    let node_lps = stats.warm_solves + stats.cold_solves;
     println!(
-        "{:<28} {:>10} {:>8} {:>8} {:>8} {:>10} {:>9}",
-        "e6-cut4-refute", "seconds", "nodes", "warm", "cold", "pivots", "hit-rate"
+        "{:<28} {:>10} {:>8} {:>8} {:>8} {:>10} {:>9} {:>11}",
+        "e6-cut4-refute", "seconds", "nodes", "warm", "cold", "pivots", "hit-rate", "root-pivots"
     );
-    for (label, engine) in &engines {
-        let start = Instant::now();
-        let solution = engine.solve(&refute_milp);
-        let seconds = start.elapsed().as_secs_f64();
-        assert_eq!(solution.status, MilpStatus::Infeasible, "{label}");
-        let stats = solution.stats;
-        println!(
-            "{:<28} {:>10.3} {:>8} {:>8} {:>8} {:>10} {:>8.1}%",
-            label,
-            seconds,
-            stats.nodes_explored,
-            stats.warm_solves,
-            stats.cold_solves,
-            stats.simplex_iterations,
-            100.0 * stats.warm_hit_rate()
-        );
-        if *label == "warm" {
-            criterion::report_metric(
-                "e8/e6-cut4-refute/warm-hit-permille",
-                non_root_warm_permille(&stats, 1),
-            );
-        }
-    }
+    println!(
+        "{:<28} {:>10.3} {:>8} {:>8} {:>8} {:>10} {:>8.1}% {:>11}",
+        "warm",
+        seconds,
+        stats.nodes_explored,
+        stats.warm_solves,
+        stats.cold_solves,
+        stats.simplex_iterations,
+        100.0 * stats.warm_hit_rate(),
+        root_pivots
+    );
+    criterion::report_metric(
+        "e8/e6-cut4-refute/warm-hit-permille",
+        non_root_warm_permille(&stats, 1),
+    );
+    criterion::report_metric(
+        "e8/e6-cut4-refute/warm-pivot-gain-permille",
+        permille(
+            (root_pivots * node_lps) as f64,
+            stats.simplex_iterations as f64,
+        ),
+    );
 
-    // --- Workload 2: the refinement sweep, PR-2 path vs template+warm ----
+    // --- Workload 2: the refinement sweep, template + warm search --------
     // Risk threshold just above the exact reachable minimum of the widened
     // box: counterexamples exist, and a **zero** realizability tolerance
     // classifies every one of them as spurious — so each forces a split and
     // the sweep fans out over sub-boxes until the split budget is exhausted.
-    // With the classification independent of the particular witness, both
-    // variants provably traverse the *same* work-list (box verdicts are
-    // encoding-equivalent; splits depend only on the boxes), which keeps the
-    // comparison apples-to-apples even though the engines may surface
-    // different feasible points.
     let references: Vec<Vector> = bundle
         .images
         .iter()
@@ -175,117 +170,69 @@ fn bench_e8(c: &mut Criterion) {
         sweep_risk,
     )
     .expect("problem assembly");
-    let max_splits = 16usize;
-
-    let run_sweep = |verifier: &RefinementVerifier, backend: &dyn SolverBackend| {
+    let verifier = RefinementVerifier::new(16, 0.0);
+    let run_sweep = || {
         let start = Instant::now();
-        let (verdict, report) = verifier
-            .verify_with(&sweep_problem, &region, &references, backend)
+        let (_, report) = verifier
+            .verify_with(&sweep_problem, &region, &references, &BranchAndBoundBackend)
             .expect("refinement sweep");
-        (start.elapsed().as_secs_f64(), verdict, report)
+        (start.elapsed().as_secs_f64(), report)
     };
-    let pr2 = RefinementVerifier::new(max_splits, 0.0).without_template();
-    let pr3 = RefinementVerifier::new(max_splits, 0.0);
 
-    let (cold_seconds, cold_verdict, cold_report) = run_sweep(&pr2, &ColdBranchAndBoundBackend);
-    let (warm_seconds, warm_verdict, warm_report) = run_sweep(&pr3, &BranchAndBoundBackend);
-    // The template + warm start must be invisible in the verdict structure
-    // and the traversed work-list (the counterexample *witness* inside an
-    // inconclusive verdict may legitimately differ between engines).
-    assert_eq!(
-        std::mem::discriminant(&cold_verdict),
-        std::mem::discriminant(&warm_verdict),
-        "sweep verdict kinds diverged: {cold_verdict:?} vs {warm_verdict:?}"
-    );
-    assert_eq!(
-        cold_report.verification_calls, warm_report.verification_calls,
-        "sweep work-lists diverged"
-    );
-    assert_eq!(cold_report.splits, warm_report.splits);
-    assert_eq!(cold_report.pruned_subregions, warm_report.pruned_subregions);
-    let warm_stats: SolveStats = warm_report.solver_stats;
+    let (sweep_seconds, sweep_report) = run_sweep();
+    let sweep_stats: SolveStats = sweep_report.solver_stats;
     println!(
-        "refine-sweep: {} calls, {} splits | pr2-cold {:.3}s, warm+template {:.3}s ({:.2}x) | \
-         warm {}/{} node solves ({:.1}%), {} pivots vs {} cold pivots",
-        warm_report.verification_calls,
-        warm_report.splits,
-        cold_seconds,
-        warm_seconds,
-        cold_seconds / warm_seconds.max(1e-9),
-        warm_stats.warm_solves,
-        warm_stats.warm_solves + warm_stats.cold_solves,
-        100.0 * warm_stats.warm_hit_rate(),
-        warm_stats.simplex_iterations,
-        cold_report.solver_stats.simplex_iterations
+        "refine-sweep: {} calls, {} splits | {:.3}s | warm {}/{} node solves ({:.1}%), {} pivots",
+        sweep_report.verification_calls,
+        sweep_report.splits,
+        sweep_seconds,
+        sweep_stats.warm_solves,
+        sweep_stats.warm_solves + sweep_stats.cold_solves,
+        100.0 * sweep_stats.warm_hit_rate(),
+        sweep_stats.simplex_iterations
     );
     criterion::report_metric(
         "e8/refine-sweep/warm-hit-permille",
-        non_root_warm_permille(&warm_stats, warm_report.verification_calls),
+        non_root_warm_permille(&sweep_stats, sweep_report.verification_calls),
     );
 
     // --- Timed benchmark entries ----------------------------------------
     let mut group = c.benchmark_group("e8");
     group.sample_size(3);
-    for (label, engine) in &engines {
-        group.bench_function(BenchmarkId::new("e6-cut4-refute", *label), |b| {
-            b.iter(|| {
-                let solution = engine.solve(&refute_milp);
-                assert_eq!(solution.status, MilpStatus::Infeasible);
-                solution.stats.nodes_explored
-            })
-        });
-    }
-    let mut sweep_means: Vec<(String, f64)> = Vec::new();
-    for (label, verifier, backend) in [
-        (
-            "pr2-cold",
-            &pr2,
-            &ColdBranchAndBoundBackend as &dyn SolverBackend,
-        ),
-        ("warm-template", &pr3, &BranchAndBoundBackend),
-    ] {
-        let mut samples = Vec::new();
-        group.bench_function(BenchmarkId::new("refine-sweep", label), |b| {
-            b.iter(|| {
-                let (seconds, _, report) = run_sweep(verifier, backend);
-                samples.push(seconds);
-                report.verification_calls
-            })
-        });
-        let mean = samples.iter().sum::<f64>() / samples.len().max(1) as f64;
-        sweep_means.push((label.to_string(), mean));
-    }
+    group.bench_function(BenchmarkId::new("e6-cut4-refute", "warm"), |b| {
+        b.iter(|| {
+            let solution = BranchAndBoundBackend.solve(&refute_milp);
+            assert_eq!(solution.status, MilpStatus::Infeasible);
+            solution.stats.nodes_explored
+        })
+    });
+    let mut samples = Vec::new();
+    group.bench_function(BenchmarkId::new("refine-sweep", "warm-template"), |b| {
+        b.iter(|| {
+            let (seconds, report) = run_sweep();
+            samples.push(seconds);
+            report.verification_calls
+        })
+    });
     group.finish();
+    let sweep_mean = if samples.is_empty() {
+        sweep_seconds
+    } else {
+        samples.iter().sum::<f64>() / samples.len() as f64
+    };
 
-    let cold_mean = sweep_means
-        .iter()
-        .find(|(l, _)| l == "pr2-cold")
-        .map(|(_, m)| *m)
-        .unwrap_or(cold_seconds);
-    let warm_mean = sweep_means
-        .iter()
-        .find(|(l, _)| l == "warm-template")
-        .map(|(_, m)| *m)
-        .unwrap_or(warm_seconds);
-    let speedup = cold_mean / warm_mean.max(1e-9);
-    println!("refine-sweep speedup (cold mean / warm+template mean): {speedup:.2}x");
-    criterion::report_metric(
-        "e8/refine-sweep/speedup-permille",
-        permille(cold_mean, warm_mean),
-    );
-    // Absolute LP throughput of the warm-template sweep: node LPs per second
-    // (x1000). The LP count is deterministic, but the sweep's time also
-    // holds each node's bound propagation and the nodes it closes without
-    // an LP, so this moves with the per-LP cost and with the per-node
-    // work around it.
-    let node_lps = (warm_stats.warm_solves + warm_stats.cold_solves) as f64;
+    // Absolute LP throughput of the sweep: node LPs per second (x1000). The
+    // LP count is deterministic, but the sweep's time also holds each
+    // node's bound propagation and the nodes it closes without an LP, so
+    // this moves with the per-LP cost and with the per-node work around it.
+    let sweep_lps = (sweep_stats.warm_solves + sweep_stats.cold_solves) as f64;
     println!(
         "refine-sweep LP throughput: {:.0} node LPs/s",
-        node_lps / warm_mean.max(1e-9)
+        sweep_lps / sweep_mean.max(1e-9)
     );
     criterion::report_metric(
         "e8/refine-sweep/node-lps-per-sec-permille",
-        permille(node_lps, warm_mean),
+        permille(sweep_lps, sweep_mean),
     );
 }
 

@@ -727,11 +727,6 @@ impl EncodingTemplate {
         self.fingerprint
     }
 
-    /// The box enclosure of the root region the template was built from.
-    pub fn root_box(&self) -> &BoxDomain {
-        &self.root_box
-    }
-
     fn encoder(&self) -> Encoder<'_> {
         Encoder {
             tail: &self.tail,
@@ -744,8 +739,9 @@ impl EncodingTemplate {
     /// kind must match the root's (a box template has no difference rows;
     /// an octagon template takes octagons with as many differences), the
     /// dimensions must agree, and the region's box must lie in the root
-    /// box, since a template serves the sub-regions of its root. Callers
-    /// fall back to [`encode_verification`] when this returns `false`.
+    /// box, since a template serves the sub-regions of its root. A region
+    /// this refuses is encoded one-shot by [`encode_verification`], never
+    /// through the template.
     pub fn supports(&self, region: &StartRegion) -> bool {
         match region {
             StartRegion::Box(b) => self.supports_box(b),

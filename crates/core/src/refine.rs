@@ -122,7 +122,6 @@ pub struct RefinementVerifier {
     max_splits: usize,
     realizability_tolerance: f64,
     workers: usize,
-    use_template: bool,
 }
 
 impl Default for RefinementVerifier {
@@ -141,24 +140,7 @@ impl RefinementVerifier {
             max_splits,
             realizability_tolerance: realizability_tolerance.max(0.0),
             workers: 1,
-            use_template: true,
         }
-    }
-
-    /// Disables the [`crate::EncodingTemplate`]: every sub-box is encoded
-    /// one-shot, re-splitting the network and propagating the sub-box alone.
-    /// The problems, and so the verdicts, are identical either way; only the
-    /// caching and the batched bound sweep differ. A second path kept
-    /// because the `backend_seam` template-vs-reencode tests and e8's gated
-    /// `speedup-permille` record compare against it.
-    pub fn without_template(mut self) -> Self {
-        self.use_template = false;
-        self
-    }
-
-    /// Whether sub-boxes are encoded through the incremental template.
-    pub fn uses_template(&self) -> bool {
-        self.use_template
     }
 
     /// Solves each generation's sub-boxes across `workers` scoped worker
@@ -218,17 +200,14 @@ impl RefinementVerifier {
     ) -> Result<(RefinedVerdict, RefinementReport), CoreError> {
         // One template for the whole sweep, shared read-only across the
         // worker threads.
-        let template = self
-            .use_template
-            .then(|| problem.encoding_template(&StartRegion::Box(region.clone())))
-            .transpose()?;
+        let template = problem.encoding_template(&StartRegion::Box(region.clone()))?;
         let mut report = RefinementReport::default();
         let mut generation: Vec<BoxDomain> = vec![region.clone()];
 
         while !generation.is_empty() {
             let outcomes = solve_generation(
                 problem,
-                template.as_ref(),
+                &template,
                 &generation,
                 references,
                 backend,
@@ -298,20 +277,18 @@ enum BoxOutcome {
 
 /// Solves every box of `generation` across `workers` worker threads and
 /// returns the outcomes indexed like the input (position `i` holds box
-/// `i`'s result), so the caller's fold is scheduling-independent. Boxes go
-/// through the encoding template when there is one (falling back to
-/// one-shot encoding inside [`VerificationProblem::solve_with_template`]
-/// for uncovered regions), otherwise through
-/// [`VerificationProblem::run_solver`].
+/// `i`'s result), so the caller's fold is scheduling-independent. Every box
+/// is a sub-box of the template's root and goes through
+/// [`VerificationProblem::solve_with_template`].
 ///
 /// Before the workers spawn, the bound propagation for every surviving
-/// (non-pruned, template-covered) sibling is done in **one batched SoA
-/// sweep** ([`crate::EncodingTemplate::region_bounds_batch`]) — the workers
-/// then only build from the precomputed bounds and solve. The batched lanes are
+/// (non-pruned) sibling is done in **one batched SoA sweep**
+/// ([`crate::EncodingTemplate::region_bounds_batch`]) — the workers then
+/// only build from the precomputed bounds and solve. The batched lanes are
 /// bit-identical to scalar propagation, so verdicts are unchanged.
 fn solve_generation(
     problem: &VerificationProblem,
-    template: Option<&ProblemTemplate>,
+    template: &ProblemTemplate,
     generation: &[BoxDomain],
     references: &[Vector],
     backend: &dyn SolverBackend,
@@ -331,22 +308,18 @@ fn solve_generation(
             return Ok(BoxOutcome::Pruned);
         }
         let region = StartRegion::Box(generation[index].clone());
-        let solved = match template {
-            Some(template) => problem.solve_with_template(
+        problem
+            .solve_with_template(
                 template,
                 &region,
                 &mut SolveOptions::new()
                     .bounds(bounds[index].as_ref())
                     .backend(backend),
-            ),
-            None => problem
-                .run_solver(&region, backend)
-                .map(|(verdict, _, solution)| (verdict, solution)),
-        };
-        solved.map(|(verdict, solution)| BoxOutcome::Solved {
-            verdict,
-            stats: solution.stats,
-        })
+            )
+            .map(|(verdict, solution)| BoxOutcome::Solved {
+                verdict,
+                stats: solution.stats,
+            })
     })
 }
 
@@ -403,24 +376,19 @@ where
 }
 
 /// The batched propagate half of one generation: every box that will
-/// actually be solved through the template (not pruned, covered by the
-/// root) gets its per-stage bounds from one
-/// [`crate::EncodingTemplate::region_bounds_batch`] sweep; the rest stay
-/// `None` (pruned boxes are never solved, uncovered boxes fall back to
-/// one-shot encoding inside [`VerificationProblem::solve_with_template`]).
+/// actually be solved (not pruned) gets its per-stage bounds from one
+/// [`crate::EncodingTemplate::region_bounds_batch`] sweep; pruned boxes are
+/// never solved and stay `None`.
 fn batch_region_bounds(
-    template: Option<&ProblemTemplate>,
+    template: &ProblemTemplate,
     generation: &[BoxDomain],
     pruned: &[bool],
 ) -> Vec<Option<RegionBounds>> {
     let mut slots: Vec<Option<RegionBounds>> = (0..generation.len()).map(|_| None).collect();
-    let Some(template) = template else {
-        return slots;
-    };
     let mut indices = Vec::new();
     let mut boxes = Vec::new();
     for (index, current) in generation.iter().enumerate() {
-        if !pruned[index] && template.encoding().supports_box(current) {
+        if !pruned[index] {
             indices.push(index);
             boxes.push(current);
         }

@@ -513,8 +513,8 @@ impl VerificationProblem {
 
     /// Solves `encoded` through `backend` and translates the result into
     /// a [`Verdict`]. Both core solve paths end here: the one-shot encoding
-    /// ([`Self::run_solver`]) and the template instantiation
-    /// ([`Self::solve_with_template`]).
+    /// of a whole region ([`Self::run_solver`]) and the instantiation of a
+    /// sub-region of a template ([`Self::solve_with_template`]).
     ///
     /// The search gets the counterexample guard ([`Self::witness`]) as its
     /// witness check ([`SolveContext::witness`]), so it stops at the first
@@ -606,9 +606,15 @@ impl VerificationProblem {
         )
     }
 
-    /// Encodes the problem over `region` from scratch, returning the MILP
-    /// together with the tail network that interprets its solutions.
-    fn encode(&self, region: &StartRegion) -> Result<(EncodedProblem, Network), CoreError> {
+    /// Encodes the problem over `region` and hands the MILP to `backend`,
+    /// translating the solver status into a [`Verdict`]. This is the
+    /// one-shot solve of a whole region: every strategy (Lemma 1, Lemma 2,
+    /// assume-guarantee) and every shard of a sharded run go through it.
+    pub(crate) fn run_solver(
+        &self,
+        region: &StartRegion,
+        backend: &dyn SolverBackend,
+    ) -> Result<(Verdict, EncodedProblem, MilpSolution), CoreError> {
         let tail = self.tail()?;
         self.check_finite(&tail, region)?;
         let encoded = encode_verification(
@@ -617,28 +623,14 @@ impl VerificationProblem {
             &self.risk,
             region,
         )?;
-        Ok((encoded, tail))
-    }
-
-    /// Encodes the problem over `region` and hands the MILP to `backend`,
-    /// translating the solver status into a [`Verdict`]. This is the
-    /// one-shot solve every strategy (Lemma 1, Lemma 2, assume-guarantee),
-    /// every shard of a sharded run and the template-free refinement loop
-    /// go through.
-    pub(crate) fn run_solver(
-        &self,
-        region: &StartRegion,
-        backend: &dyn SolverBackend,
-    ) -> Result<(Verdict, EncodedProblem, MilpSolution), CoreError> {
-        let (encoded, tail) = self.encode(region)?;
         let (verdict, solution) = self.solve_encoded(&encoded, &tail, backend, None, None, None);
         Ok((verdict, encoded, solution))
     }
 
     /// Builds a reusable [`ProblemTemplate`] over `root`;
     /// [`VerificationProblem::solve_with_template`] then builds each
-    /// sub-region's MILP from that sub-region's own bounds. Regions not
-    /// covered by `root` transparently fall back to one-shot encoding.
+    /// sub-region's MILP from that sub-region's own bounds, and refuses a
+    /// region that `root` does not cover.
     ///
     /// # Errors
     /// Same conditions as [`encode_verification`], plus
@@ -685,8 +677,8 @@ impl VerificationProblem {
     /// a [`CancelToken`] is polled inside the solver loops, a
     /// [`TraceHandle`] records the instantiation span and per-node
     /// telemetry, and an escalation scale turns the call into the
-    /// budget-raised retry. Falls back to one-shot encoding (seed untouched)
-    /// when the template does not support `region`.
+    /// budget-raised retry. `region` must lie in the template's root
+    /// ([`crate::EncodingTemplate::supports`]).
     ///
     /// Reuse never changes verdicts, only cost: a stale or foreign seed is
     /// rejected inside the LP layer and the node solves cold. Cancellation
@@ -708,8 +700,9 @@ impl VerificationProblem {
     /// returns the bit-identical verdict a fault-free solve would have.
     ///
     /// # Errors
-    /// Propagates encoding errors; bounds from a different template yield
-    /// [`CoreError::Inconsistent`].
+    /// Propagates encoding errors. A region the template does not cover,
+    /// and bounds from a different template, yield
+    /// [`CoreError::Inconsistent`] before anything is solved.
     pub fn solve_with_template(
         &self,
         template: &ProblemTemplate,
@@ -725,41 +718,40 @@ impl VerificationProblem {
             }
         };
         let mut local_scratch = None;
-        let mut one_shot = None;
-        let (encoded, tail, seed) = if template.encoding.supports(region) {
-            let scratch = match options.scratch.as_deref_mut() {
-                Some(scratch) => scratch,
-                None => &mut local_scratch,
-            };
-            let disabled = TraceHandle::disabled();
-            let trace = options.tracer.unwrap_or(&disabled);
-            let instantiate_started = trace.now_ns();
-            *scratch = Some(match options.bounds {
-                Some(bounds) => template.encoding.instantiate_with(region, bounds)?,
-                None => template.encoding.instantiate(region)?,
-            });
-            if trace.is_enabled() {
-                trace.event(TraceEvent::span(
-                    dpv_trace::EventKind::Instantiate,
-                    instantiate_started,
-                    trace.now_ns().saturating_sub(instantiate_started),
-                    u64::from(options.bounds.is_some()),
-                ));
-            }
-            let encoded = scratch.as_mut().expect("scratch populated above");
-            let seed = match options.escalation {
-                None => options.seed.as_deref_mut(),
-                Some(_) => None,
-            };
-            (encoded, &template.tail, seed)
-        } else {
-            let (encoded, tail) = one_shot.insert(self.encode(region)?);
-            (encoded, &*tail, None)
+        let scratch = match options.scratch.as_deref_mut() {
+            Some(scratch) => scratch,
+            None => &mut local_scratch,
         };
-        if let Some(scale) = options.escalation {
-            raise_budgets(&mut encoded.milp, scale);
+        let disabled = TraceHandle::disabled();
+        let trace = options.tracer.unwrap_or(&disabled);
+        let instantiate_started = trace.now_ns();
+        let encoded = scratch.insert(match options.bounds {
+            Some(bounds) => template.encoding.instantiate_with(region, bounds)?,
+            None => template.encoding.instantiate(region)?,
+        });
+        if trace.is_enabled() {
+            trace.event(TraceEvent::span(
+                dpv_trace::EventKind::Instantiate,
+                instantiate_started,
+                trace.now_ns().saturating_sub(instantiate_started),
+                u64::from(options.bounds.is_some()),
+            ));
         }
-        Ok(self.solve_encoded(encoded, tail, backend, seed, options.cancel, options.tracer))
+        let seed = match options.escalation {
+            None => options.seed.as_deref_mut(),
+            Some(scale) => {
+                raise_budgets(&mut encoded.milp, scale);
+                None
+            }
+        };
+        Ok(self.solve_encoded(
+            encoded,
+            &template.tail,
+            backend,
+            seed,
+            options.cancel,
+            options.tracer,
+        ))
     }
 
     /// Runs the verification under the given strategy with the default

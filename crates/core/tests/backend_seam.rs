@@ -7,8 +7,9 @@ use std::sync::Arc;
 
 use dpv_absint::{AbstractDomain, BoxDomain, Interval};
 use dpv_core::{
-    Characterizer, CharacterizerConfig, InputProperty, RefinedVerdict, RefinementVerifier,
-    RiskCondition, VerificationProblem, VerificationStrategy, Workflow, WorkflowConfig,
+    Characterizer, CharacterizerConfig, CoreError, InputProperty, RefinedVerdict,
+    RefinementVerifier, RiskCondition, SolveOptions, StartRegion, VerificationProblem,
+    VerificationStrategy, Workflow, WorkflowConfig,
 };
 use dpv_lp::{
     BranchAndBoundBackend, ExhaustiveBackend, MilpProblem, MilpSolution, SolveContext,
@@ -155,6 +156,39 @@ fn refinement_routes_every_solve_through_the_backend() {
     assert_eq!(mock.calls(), report.verification_calls);
 }
 
+#[test]
+fn a_region_outside_the_template_root_is_refused_before_any_solve() {
+    // A template serves the sub-regions of its root; a region that leaves
+    // the root, or has another dimension, is an error and never reaches
+    // the backend.
+    let problem = two_layer_problem(RiskCondition::new("reachable").output_ge(0, 1.5));
+    let root = StartRegion::Box(BoxDomain::uniform(2, -1.0, 1.0));
+    let template = problem.encoding_template(&root).unwrap();
+    let mock = CountingMockBackend::default();
+    for outside in [
+        BoxDomain::uniform(2, -2.0, 2.0),
+        BoxDomain::uniform(2, 0.5, 1.5),
+        BoxDomain::uniform(3, -0.5, 0.5),
+    ] {
+        let result = problem.solve_with_template(
+            &template,
+            &StartRegion::Box(outside),
+            &mut SolveOptions::new().backend(&mock),
+        );
+        assert!(
+            matches!(result, Err(CoreError::Inconsistent(_))),
+            "{result:?}"
+        );
+    }
+    assert_eq!(mock.calls(), 0);
+    // The root itself is a sub-region of the root.
+    let (verdict, _) = problem
+        .solve_with_template(&template, &root, &mut SolveOptions::new().backend(&mock))
+        .unwrap();
+    assert!(verdict.is_unsafe());
+    assert_eq!(mock.calls(), 1);
+}
+
 /// The hand-crafted pruning fixture from the refinement module: the
 /// single-box envelope admits spurious counterexamples in a data-free corner
 /// (tail output x0 + x1 can reach 1.7 inside `[0,1] × [0,0.7]`, while the
@@ -239,81 +273,6 @@ fn simplex_iteration_limits_degrade_to_unknown_not_abort() {
     let verifier = RefinementVerifier::new(4, 0.05);
     let result = verifier.verify_with(&problem, &region, &references, &IterationLimitedBackend);
     assert!(matches!(result, Err(dpv_core::CoreError::SolverLimit(_))));
-}
-
-#[test]
-fn template_refinement_matches_the_reencoding_path_exactly() {
-    // The PR-3 incremental template must be invisible in the results: on the
-    // pruning fixture, the template-driven sweep and the PR-2 re-encoding
-    // sweep produce byte-identical verdicts and identical reports up to
-    // solver statistics (node/iteration counts legitimately differ because
-    // the instantiated MILP's relaxation is not the re-encoded one).
-    let (problem, region, references) = pruning_fixture();
-    for workers in [1usize, 4] {
-        let base = RefinementVerifier::new(2000, 0.05);
-        let (with_template, without_template) = if workers == 1 {
-            (base.clone(), base.without_template())
-        } else {
-            (
-                base.clone().with_workers(workers),
-                base.without_template().with_workers(workers),
-            )
-        };
-        assert!(with_template.uses_template());
-        assert!(!without_template.uses_template());
-        let backend = BranchAndBoundBackend;
-        let (template_verdict, template_report) = with_template
-            .verify_with(&problem, &region, &references, &backend)
-            .unwrap();
-        let (reencode_verdict, reencode_report) = without_template
-            .verify_with(&problem, &region, &references, &backend)
-            .unwrap();
-        assert_eq!(
-            template_verdict, reencode_verdict,
-            "workers={workers}: template and re-encoding verdicts diverge"
-        );
-        assert_eq!(
-            template_report.refined_envelope,
-            reencode_report.refined_envelope
-        );
-        assert_eq!(
-            template_report.verification_calls,
-            reencode_report.verification_calls
-        );
-        assert_eq!(template_report.splits, reencode_report.splits);
-        assert_eq!(
-            template_report.pruned_subregions,
-            reencode_report.pruned_subregions
-        );
-        assert_eq!(
-            template_report.spurious_counterexamples,
-            reencode_report.spurious_counterexamples
-        );
-        assert!(template_report.covers(&references, 1e-9));
-    }
-}
-
-#[test]
-fn template_refinement_reports_identical_unsafe_verdicts() {
-    // Data-supported violation: both sweeps must surface the same
-    // counterexample (the root box is the sole first-generation member, and
-    // the serial branch-and-bound engine is deterministic for a fixed MILP
-    // feasible set).
-    let (problem, region, _) = pruning_fixture();
-    let references: Vec<Vector> = (0..=10)
-        .map(|i| Vector::from_slice(&[0.9 + 0.01 * i as f64, 0.7]))
-        .collect();
-    let with_template = RefinementVerifier::new(2000, 0.35);
-    let without_template = RefinementVerifier::new(2000, 0.35).without_template();
-    let backend = BranchAndBoundBackend;
-    let (a, _) = with_template
-        .verify_with(&problem, &region, &references, &backend)
-        .unwrap();
-    let (b, _) = without_template
-        .verify_with(&problem, &region, &references, &backend)
-        .unwrap();
-    assert!(matches!(a, RefinedVerdict::Unsafe(_)));
-    assert_eq!(a, b);
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Property-based soundness of the cross-run cache layer: a cache-hit
-//! verdict must equal a cold solve of the same obligation, and a stale
+//! solve must reach the MILP status of the exhaustive oracle's cold solve
+//! of the same obligation, and a stale
 //! `BasisSnapshot` deposited by a *different* template must be rejected by
 //! the structural-fingerprint guard (pool keying) rather than warm-started —
 //! with the LP layer's validation as the backstop even when a foreign basis
@@ -12,7 +13,7 @@ use dpv_core::{
     Characterizer, InputProperty, RiskCondition, SnapshotPool, SolveOptions, StartRegion,
     TemplateCache, Verdict, VerificationProblem,
 };
-use dpv_lp::{BranchAndBoundBackend, ColdBranchAndBoundBackend, SolverBackend};
+use dpv_lp::{BranchAndBoundBackend, ExhaustiveBackend, SolverBackend};
 use dpv_nn::{Activation, Network, NetworkBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -70,9 +71,9 @@ proptest! {
     /// A verdict produced through every cache lever at once — shared
     /// template from a `TemplateCache`, warm basis from a `SnapshotPool`,
     /// repeated solve of the identical obligation (the dedup scenario) —
-    /// must agree with a cold solve of the same obligation: equal statuses
-    /// always, and any counterexample must satisfy the problem's own
-    /// confirmation check.
+    /// must agree with a cold solve of the same obligation by the
+    /// exhaustive oracle: equal MILP statuses always, and any
+    /// counterexample must lie in the obligation's sub-box.
     #[test]
     fn cache_hit_verdict_equals_cold_solve(seed in 0u64..400) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xcafe);
@@ -84,7 +85,6 @@ proptest! {
         let cache = TemplateCache::new(4);
         let pool = SnapshotPool::new(2);
         let warm_backend = BranchAndBoundBackend;
-        let cold_backend = ColdBranchAndBoundBackend;
 
         let fp = problem.template_fingerprint(&root).unwrap();
         let template = cache.get_or_build(&problem, &root).unwrap();
@@ -93,7 +93,7 @@ proptest! {
         // First (cache-warming) solve: no pooled basis yet.
         let mut scratch = None;
         let mut seed_basis = pool.check_out(fp);
-        let (first, _) = problem
+        let (first, first_solution) = problem
             .solve_with_template(
                 &template,
                 &sub,
@@ -111,7 +111,7 @@ proptest! {
         // the verdict a dedup layer would have served from its map.
         let template2 = cache.get_or_build(&problem, &root).unwrap();
         let mut seed_basis = pool.check_out(fp);
-        let (cached, _) = problem
+        let (cached, cached_solution) = problem
             .solve_with_template(
                 &template2,
                 &sub,
@@ -122,13 +122,14 @@ proptest! {
             )
             .unwrap();
 
-        // Cold reference: fresh template, no scratch, no seed, cold engine.
+        // Cold reference: fresh template, no scratch, no seed, and the
+        // exhaustive oracle, which solves every LP from the slack basis.
         let reference_template = problem.encoding_template(&root).unwrap();
-        let (cold, _) = problem
+        let (_, cold) = problem
             .solve_with_template(
                 &reference_template,
                 &sub,
-                &mut SolveOptions::new().backend(&cold_backend),
+                &mut SolveOptions::new().backend(&ExhaustiveBackend::default()),
             )
             .unwrap();
 
@@ -136,14 +137,12 @@ proptest! {
             std::mem::discriminant(&first),
             std::mem::discriminant(&cached)
         );
-        prop_assert_eq!(
-            std::mem::discriminant(&cached),
-            std::mem::discriminant(&cold)
-        );
+        prop_assert_eq!(first_solution.status, cold.status);
+        prop_assert_eq!(cached_solution.status, cold.status);
         if let Verdict::Unsafe(ce) = &cached {
-            // Counterexample *points* may differ between warm and cold
-            // solves of a feasibility MILP; what must hold is that the
-            // cached one is genuine for the obligation itself.
+            // Counterexample *points* may differ between the search and the
+            // oracle's enumeration; what must hold is that the cached one is
+            // genuine for the obligation itself.
             prop_assert!(sub.contains(ce.activation.as_slice(), 1e-6));
         }
         prop_assert!(cache.stats().hits >= 1);
@@ -192,7 +191,7 @@ proptest! {
     /// upper bound of the output over the sub-box, is `Safe` through
     /// `solve_with_template` with no LP solved: the risk row's activity
     /// over the output's bounds misses the threshold, so propagation
-    /// closes the root (Lemma 2 inside the search), on both engines.
+    /// closes the root (Lemma 2 inside the search).
     #[test]
     fn a_far_obligation_is_safe_without_an_lp(seed in 0u64..400) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xfa5);
@@ -209,20 +208,17 @@ proptest! {
         .unwrap();
         let root = StartRegion::Box(BoxDomain::uniform(cut_width, -1.0, 1.0));
         let template = problem.encoding_template(&root).unwrap();
-        let engines: [&dyn SolverBackend; 2] = [&BranchAndBoundBackend, &ColdBranchAndBoundBackend];
-        for backend in engines {
-            let (verdict, solution) = problem
-                .solve_with_template(
-                    &template,
-                    &StartRegion::Box(sub.clone()),
-                    &mut SolveOptions::new().backend(backend),
-                )
-                .unwrap();
-            prop_assert_eq!(verdict, Verdict::Safe);
-            let stats = solution.stats;
-            prop_assert_eq!(stats.nodes_explored, 1, "{:?}", stats);
-            prop_assert_eq!(stats.warm_solves + stats.cold_solves, 0, "{:?}", stats);
-        }
+        let (verdict, solution) = problem
+            .solve_with_template(
+                &template,
+                &StartRegion::Box(sub),
+                &mut SolveOptions::new().backend(&BranchAndBoundBackend),
+            )
+            .unwrap();
+        prop_assert_eq!(verdict, Verdict::Safe);
+        let stats = solution.stats;
+        prop_assert_eq!(stats.nodes_explored, 1, "{:?}", stats);
+        prop_assert_eq!(stats.warm_solves + stats.cold_solves, 0, "{:?}", stats);
     }
 
     /// A basis deposited under template A must never warm-start template B

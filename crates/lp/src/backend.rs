@@ -39,8 +39,9 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
     }
 }
 
-/// The crate's default engine: the depth-first branch-and-bound solver of
-/// [`MilpProblem::solve_with`], with warm-started node relaxations.
+/// The crate's branch-and-bound engine and its default: the depth-first
+/// search of [`MilpProblem::solve_with`], with warm-started node
+/// relaxations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchAndBoundBackend;
 
@@ -51,27 +52,6 @@ impl SolverBackend for BranchAndBoundBackend {
 
     fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution {
         problem.solve_with(ctx)
-    }
-}
-
-/// The warm-start-free variant of [`BranchAndBoundBackend`]: every node
-/// starts the dual simplex from the slack basis and the context's seed is
-/// left untouched.
-/// The two engines must return identical statuses; their trees can differ
-/// where a relaxation has several optimal vertices. Kept because the
-/// cold/warm equivalence tests (`crates/core/tests/cache_soundness.rs`,
-/// the lp proptests), `MILP_PIN` (`crates/lp/tests/pivot_pin.rs`) and
-/// e8's gated `speedup-permille` reference need a cold search.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ColdBranchAndBoundBackend;
-
-impl SolverBackend for ColdBranchAndBoundBackend {
-    fn name(&self) -> &str {
-        "branch-and-bound(cold)"
-    }
-
-    fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution {
-        problem.search(false, ctx)
     }
 }
 
@@ -291,24 +271,6 @@ mod tests {
             ExhaustiveBackend::default().name()
         );
         assert_eq!(default_backend().name(), "branch-and-bound");
-    }
-
-    #[test]
-    fn cold_engine_hands_a_worn_seed_back() {
-        let milp = knapsack();
-        let (_, seed) = milp.lp().solve_with_snapshot();
-        let mut seed = seed.expect("the knapsack relaxation yields a basis");
-        // Wear the basis down to the warm engine's refactorisation interval.
-        for _ in 0..256 {
-            assert!(milp.lp().solve_from_basis(&mut seed).is_some());
-        }
-        let mut ctx = SolveContext {
-            seed: Some(seed),
-            ..SolveContext::default()
-        };
-        let solution = ColdBranchAndBoundBackend.solve_with(&milp, &mut ctx);
-        assert_eq!(solution.status, MilpStatus::Optimal);
-        assert!(ctx.seed.is_some(), "the cold engine dropped the seed");
     }
 
     #[test]

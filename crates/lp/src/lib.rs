@@ -53,11 +53,11 @@
 //!   `dpv-core` routes every verification solve through this trait, so
 //!   alternative engines (external solvers, for instance) can be swapped
 //!   in without touching the verification logic.
-//!   [`BranchAndBoundBackend`] is the default engine;
-//!   [`ColdBranchAndBoundBackend`] runs the same search with every node
-//!   started from the slack basis; and [`ExhaustiveBackend`] is a
-//!   brute-force cross-check oracle for tests. Every engine solves on the
-//!   calling thread: callers parallelise across problems, not inside one.
+//!   [`BranchAndBoundBackend`], the one branch-and-bound search, is the
+//!   default engine, and [`ExhaustiveBackend`] is a brute-force
+//!   cross-check oracle for tests that solves every LP from the slack
+//!   basis. Every engine solves on the calling thread: callers parallelise
+//!   across problems, not inside one.
 //! * [`CancelToken`] — a cooperative cancellation handle polled inside the
 //!   simplex pivot loop and the branch-and-bound node loop. A tripped token
 //!   (explicit or deadline-based) makes the solve return promptly with
@@ -100,10 +100,7 @@ mod propagate;
 mod relu;
 mod simplex;
 
-pub use backend::{
-    default_backend, BranchAndBoundBackend, ColdBranchAndBoundBackend, ExhaustiveBackend,
-    SolverBackend,
-};
+pub use backend::{default_backend, BranchAndBoundBackend, ExhaustiveBackend, SolverBackend};
 pub use cancel::CancelToken;
 pub use milp::{MilpProblem, MilpSolution, MilpStatus, SolveContext, SolveStats};
 pub use model::{Constraint, ConstraintOp, LinearProgram, LpSolution, LpStatus, VarId};

@@ -2,8 +2,8 @@
 //! compared against brute-force enumeration / sampled feasibility checks.
 
 use dpv_lp::{
-    encode_relu_big_m, BranchAndBoundBackend, ColdBranchAndBoundBackend, ConstraintOp,
-    ExhaustiveBackend, LinearProgram, LpStatus, MilpProblem, MilpStatus, SolverBackend,
+    encode_relu_big_m, BranchAndBoundBackend, ConstraintOp, ExhaustiveBackend, LinearProgram,
+    LpStatus, MilpProblem, MilpStatus, SolverBackend,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -307,8 +307,9 @@ proptest! {
         prop_assert!((lo.objective - x.max(0.0)).abs() < 1e-6);
     }
 
-    /// Both branch-and-bound engines, warm and cold, must agree with the
-    /// exhaustive enumeration oracle on random small MILPs: same status,
+    /// The branch-and-bound engine, warm-started at every node after the
+    /// root, must agree with the exhaustive enumeration oracle, which
+    /// solves every LP cold, on random small MILPs: same status,
     /// and (when an optimum exists) objectives within 1e-6. Random
     /// objective directions, mixed ≤/≥ constraints and a continuous
     /// variable make both infeasible and feasible instances likely. A
@@ -318,14 +319,11 @@ proptest! {
     fn branch_and_bound_engines_agree_with_exhaustive_oracle(seed in 0u64..400) {
         let relu = relu_milp(&mut StdRng::seed_from_u64(seed ^ 0x0005_e1a0));
         let oracle = ExhaustiveBackend::default().solve(&relu);
-        let engines: [&dyn SolverBackend; 2] = [&BranchAndBoundBackend, &ColdBranchAndBoundBackend];
-        for engine in engines {
-            let solution = engine.solve(&relu);
-            prop_assert_eq!(solution.status, oracle.status,
-                "ReLU MILP: {} {:?} vs oracle {:?}", engine.name(), solution.status, oracle.status);
-            if oracle.status == MilpStatus::Optimal {
-                prop_assert!(relu.is_feasible(&solution.values, 1e-6));
-            }
+        let solution = BranchAndBoundBackend.solve(&relu);
+        prop_assert_eq!(solution.status, oracle.status,
+            "ReLU MILP: {:?} vs oracle {:?}", solution.status, oracle.status);
+        if oracle.status == MilpStatus::Optimal {
+            prop_assert!(relu.is_feasible(&solution.values, 1e-6));
         }
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b9);
@@ -351,16 +349,13 @@ proptest! {
         }
 
         let oracle = ExhaustiveBackend::default().solve(&milp);
-        let engines: [&dyn SolverBackend; 2] = [&BranchAndBoundBackend, &ColdBranchAndBoundBackend];
-        for engine in engines {
-            let solution = engine.solve(&milp);
-            prop_assert_eq!(solution.status, oracle.status,
-                "{} {:?} vs oracle {:?}", engine.name(), solution.status, oracle.status);
-            if oracle.status == MilpStatus::Optimal {
-                prop_assert!((solution.objective - oracle.objective).abs() < 1e-6,
-                    "{} {} vs oracle {}", engine.name(), solution.objective, oracle.objective);
-                prop_assert!(milp.is_feasible(&solution.values, 1e-6));
-            }
+        let solution = BranchAndBoundBackend.solve(&milp);
+        prop_assert_eq!(solution.status, oracle.status,
+            "{:?} vs oracle {:?}", solution.status, oracle.status);
+        if oracle.status == MilpStatus::Optimal {
+            prop_assert!((solution.objective - oracle.objective).abs() < 1e-6,
+                "{} vs oracle {}", solution.objective, oracle.objective);
+            prop_assert!(milp.is_feasible(&solution.values, 1e-6));
         }
     }
 

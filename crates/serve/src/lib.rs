@@ -79,11 +79,12 @@
 //! ## Retry and quarantine policy
 //!
 //! * A solve that exhausts its node or iteration budget is retried
-//!   **once**, unseeded with budgets raised 4× (and restored afterwards),
-//!   before degrading — so a transient exhaustion cannot produce a
-//!   spurious give-up, and a successful retry is bit-identical to the
-//!   canonical fault-free verdict ([`ServeStats::retries`],
-//!   [`ServeStats::retry_successes`]). A solve whose LP result failed its
+//!   **once**, unseeded with budgets raised 4×, before degrading — so a
+//!   transient exhaustion cannot produce a spurious give-up, and a
+//!   successful retry is bit-identical to the canonical fault-free verdict
+//!   ([`ServeStats::retries`], [`ServeStats::retry_successes`]). The retry
+//!   builds its own problem, so the raised budgets apply to that one solve
+//!   and to no other obligation. A solve whose LP result failed its
 //!   check ([`dpv_lp::SolveStats::failed_checks`]) is not retried: the
 //!   check is deterministic, so the retry would fail it again.
 //! * A worker panic while solving is caught; the obligation is retried

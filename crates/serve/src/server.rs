@@ -30,8 +30,8 @@ use crate::stats::ServeStats;
 use crate::timeline::RequestTimeline;
 
 /// Budget multiplier applied to the single escalated retry of a
-/// node-limit / iteration-limit solve (unseeded, limits restored
-/// afterwards — see [`dpv_core::SolveOptions::escalation`]).
+/// node-limit / iteration-limit solve (unseeded, on a problem built for
+/// that solve alone — see [`dpv_core::SolveOptions::escalation`]).
 const ESCALATION_SCALE: usize = 4;
 
 /// Sizing of a resident [`ObligationServer`].
@@ -1050,9 +1050,9 @@ fn run_job(
         }
     };
 
-    // One escalated retry for budget-exhausted solves: unseeded, raised
-    // budgets (restored afterwards), so a successful retry is
-    // bit-identical to the fault-free verdict. A persistent injected
+    // One escalated retry for budget-exhausted solves: unseeded, with
+    // raised budgets on a problem built for the retry alone, so a
+    // successful retry is bit-identical to the fault-free verdict. A persistent injected
     // exhaustion (`ExhaustIterations`) exhausts the retry too. A result
     // that failed its check is not retried: the check is deterministic.
     if matches!(

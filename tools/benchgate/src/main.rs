@@ -770,6 +770,40 @@ mod tests {
     }
 
     #[test]
+    fn every_committed_baseline_parses_and_passes_against_itself() {
+        // A hand-edited baseline that no longer parses, or a parity record
+        // committed outside its band, fails here rather than in bench-smoke.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut baselines: Vec<_> = std::fs::read_dir(&root)
+            .expect("the workspace root is readable")
+            .map(|entry| entry.expect("a readable directory entry").path())
+            .filter(|path| {
+                path.file_name()
+                    .and_then(|name| name.to_str())
+                    .is_some_and(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+            })
+            .collect();
+        baselines.sort();
+        assert!(
+            !baselines.is_empty(),
+            "no BENCH_*.json in {}",
+            root.display()
+        );
+        for path in &baselines {
+            let json = std::fs::read_to_string(path).expect("a readable baseline");
+            let records =
+                parse_records(&json).unwrap_or_else(|error| panic!("{}: {error}", path.display()));
+            assert!(!records.is_empty(), "{} holds no records", path.display());
+            let failed: Vec<Finding> = gate(&json, &json)
+                .expect("parsed above")
+                .into_iter()
+                .filter(|finding| !finding.passed)
+                .collect();
+            assert!(failed.is_empty(), "{}: {failed:?}", path.display());
+        }
+    }
+
+    #[test]
     fn committed_e9_baseline_passes_against_itself() {
         let baseline = report(&[
             ("e9/volume-ratio-permille", 56),
