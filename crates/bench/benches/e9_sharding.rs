@@ -13,7 +13,9 @@
 //!   `k = 1` sharding (must be verdict-identical and time-comparable — the
 //!   sharded driver degenerates to the monolithic MILP) and with `k = 4`
 //!   sharding (four tighter MILPs, each stabilising more ReLU phases; the
-//!   headline speedup).
+//!   headline speedup). One table prints the binaries, nodes and node LPs
+//!   of the monolithic tree, the `k = 1` shard and each `k = 4` shard, so a
+//!   speedup can be told apart from a change in the monolithic tree.
 //! * **volume** — the shard union's box volume relative to the monolithic
 //!   envelope (`< 1` on this workload: the shards cut away the empty space
 //!   between the activation modes).
@@ -57,7 +59,7 @@ use dpv_core::{
     RiskCondition, ShardedVerificationConfig, StartRegion, VerificationProblem,
     VerificationStrategy, Workflow, WorkflowConfig,
 };
-use dpv_lp::{BranchAndBoundBackend, SolverBackend};
+use dpv_lp::{BranchAndBoundBackend, SolveStats, SolverBackend};
 use dpv_monitor::{ActivationEnvelope, RuntimeMonitor};
 use dpv_scenegen::{render_scene, DatasetBundle, GeneratorConfig, OddSampler, PropertyKind};
 use dpv_shard::{ShardConfig, ShardedEnvelope, ShardedMonitor};
@@ -174,9 +176,13 @@ fn bench_e9(c: &mut Criterion) {
         encoded.num_binaries, relaxation.objective, exact.objective, threshold
     );
     let risk = RiskCondition::new("steer far left").output_le(0, threshold);
-    let problem =
-        VerificationProblem::new(outcome.perception.clone(), cut, characterizer.clone(), risk)
-            .expect("problem assembly");
+    let problem = VerificationProblem::new(
+        outcome.perception.clone(),
+        cut,
+        characterizer.clone(),
+        risk.clone(),
+    )
+    .expect("problem assembly");
     let monolithic_strategy = VerificationStrategy::AssumeGuarantee(AssumeGuarantee {
         envelope: monolithic.clone(),
         use_difference_constraints: true,
@@ -204,18 +210,53 @@ fn bench_e9(c: &mut Criterion) {
         .verify_sharded_with(&sharded_k4, &shard_config, &BranchAndBoundBackend)
         .expect("k = 4 sharded verification");
     assert!(k4_report.verdict.is_safe(), "{}", k4_report.summary());
+    // The monolithic tree once more, straight through the search, for its
+    // LP count: no witness passes on a `Safe` proof, so it is the tree
+    // `verify_with` explored.
+    let mono_encoded = encode_verification(
+        tail.layers(),
+        Some(characterizer.network()),
+        &risk,
+        &problem
+            .start_region(&monolithic_strategy)
+            .expect("monolithic region"),
+    )
+    .expect("monolithic encoding");
+    let mono_stats = BranchAndBoundBackend.solve(&mono_encoded.milp).stats;
+    assert_eq!(mono_stats.nodes_explored, mono_outcome.nodes_explored);
+    let row = |name: String, samples: usize, binaries: usize, stable: usize, stats: SolveStats| {
+        println!(
+            "{name:<12} {samples:>8} {binaries:>8} {stable:>8} {:>10} {:>10}",
+            stats.nodes_explored,
+            stats.warm_solves + stats.cold_solves
+        );
+    };
     println!(
-        "{:<12} {:>8} {:>8} {:>8} {:>10}",
-        "shard", "samples", "binaries", "stable", "nodes"
+        "{:<12} {:>8} {:>8} {:>8} {:>10} {:>10}",
+        "shard", "samples", "binaries", "stable", "nodes", "LPs"
+    );
+    let k1 = &k1_report.shards[0];
+    row(
+        "monolithic".into(),
+        k1.samples,
+        mono_outcome.num_binaries,
+        mono_outcome.stable_relus,
+        mono_stats,
+    );
+    row(
+        "k1/0".into(),
+        k1.samples,
+        k1.num_binaries,
+        k1.stable_relus,
+        k1.stats,
     );
     for shard in &k4_report.shards {
-        println!(
-            "{:<12} {:>8} {:>8} {:>8} {:>10}",
+        row(
             format!("k4/{}", shard.shard),
             shard.samples,
             shard.num_binaries,
             shard.stable_relus,
-            shard.stats.nodes_explored
+            shard.stats,
         );
         assert!(shard.num_binaries <= mono_outcome.num_binaries);
     }

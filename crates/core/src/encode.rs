@@ -17,7 +17,9 @@
 //!   and no row; otherwise it gets an output `y ∈ [0, u]`, a binary phase
 //!   indicator `δ` and the three big-M rows of
 //!   [`dpv_lp::encode_relu_big_m`] over its input expression, with `l` and
-//!   `u` from this region's bounds;
+//!   `u` from this region's bounds, and, like that function, records `δ`,
+//!   `y` and the row `y ≥ x` as a [`dpv_lp::ReluLink`] for the search's
+//!   branching;
 //! * each tail output and the characterizer logit get one variable, pinned
 //!   to its expression by an equality row and boxed by the last stage's
 //!   bounds; then come the row `logit ≥ 0` and the risk rows over the
@@ -596,9 +598,11 @@ impl Builder {
                 let y = self.milp.add_variable(0.0, u);
                 let delta = self.milp.add_binary();
                 let c = self.buf.cur.consts[j];
-                // y - p >= c
+                // y - p >= c, the row the search reads x back from.
                 self.row_minus(y, j);
                 self.add_row(ConstraintOp::Ge, c)?;
+                let row = self.milp.lp().num_constraints() - 1;
+                self.milp.link_relu(delta, y, row);
                 // y - p - l·δ <= c - l
                 self.buf.row.push((delta, -l));
                 self.add_row(ConstraintOp::Le, c - l)?;
@@ -1430,6 +1434,64 @@ mod tests {
         assert!(template_a.region_bounds(&outside).is_err());
         let outside_box = BoxDomain::uniform(2, -3.0, 3.0);
         assert!(template_a.region_bounds_batch(&[&outside_box]).is_err());
+    }
+
+    #[test]
+    fn the_encoder_links_every_binary_to_its_relus_output_and_row() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let tail = NetworkBuilder::new(3)
+            .dense(6, &mut rng)
+            .activation(Activation::ReLU)
+            .dense(4, &mut rng)
+            .activation(Activation::ReLU)
+            .dense(2, &mut rng)
+            .build();
+        let characterizer = NetworkBuilder::new(3)
+            .dense(4, &mut rng)
+            .activation(Activation::ReLU)
+            .dense(1, &mut rng)
+            .build();
+        let region = StartRegion::Box(BoxDomain::uniform(3, -1.0, 1.0));
+        let risk = RiskCondition::new("r").output_ge(0, -100.0);
+        let encoded =
+            encode_verification(tail.layers(), Some(&characterizer), &risk, &region).unwrap();
+        let milp = &encoded.milp;
+        let rows = milp.lp().constraints();
+        let links = milp.relu_links();
+        assert!(encoded.num_binaries >= 4, "{}", encoded.num_binaries);
+        // Exactly one link per binary, in the order the binaries were added.
+        let linked: Vec<VarId> = links.iter().map(|link| link.binary).collect();
+        assert_eq!(linked, milp.binaries());
+        for link in links {
+            // The row `y − p ≥ c`: the output at coefficient 1, no binary.
+            let row = &rows[link.row];
+            assert_eq!(row.op, ConstraintOp::Ge);
+            assert!(row.coeffs.contains(&(link.output, 1.0)), "{row:?}");
+            assert!(row.coeffs.iter().all(|&(v, _)| v != link.binary), "{row:?}");
+            // The output is the binary's own: `y − u·δ ≤ 0` names both.
+            assert!(
+                rows.iter().any(|r| r.op == ConstraintOp::Le
+                    && r.rhs == 0.0
+                    && r.coeffs.len() == 2
+                    && r.coeffs[0] == (link.output, 1.0)
+                    && r.coeffs[1].0 == link.binary),
+                "no row y ≤ u·δ for {link:?}"
+            );
+        }
+        // At an integral point the big-M rows are exact, so the output is
+        // the ReLU of the pre-activation read back from the linked row.
+        let solution = milp.solve();
+        assert_eq!(solution.status, MilpStatus::Optimal);
+        let values = &solution.values;
+        for link in links {
+            let row = &rows[link.row];
+            let activity: f64 = row.coeffs.iter().map(|&(v, a)| a * values[v]).sum();
+            let pre = values[link.output] - activity + row.rhs;
+            assert!(
+                (values[link.output] - pre.max(0.0)).abs() < 1e-6,
+                "{link:?}"
+            );
+        }
     }
 
     #[test]

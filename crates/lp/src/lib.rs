@@ -39,7 +39,10 @@
 //!   integer-feasible node, or earlier, at the first node whose relaxation
 //!   point passes the caller's witness check ([`SolveContext::witness`]):
 //!   one point that the caller has confirmed answers the question, integral
-//!   or not.
+//!   or not. When every binary is the phase of a big-M ReLU recorded as a
+//!   [`ReluLink`], a feasibility search branches only on ReLUs the node's
+//!   LP point violates (output above `max(0, input)`), the most fractional
+//!   first, and on the most fractional binary when none is violated.
 //! * [`SolveContext`] — the one per-call context of every solve entry point
 //!   ([`MilpProblem::solve_with`], [`SolverBackend::solve_with`]): a
 //!   warm-start seed that chains dual-simplex solves across problems with
@@ -48,7 +51,9 @@
 //! * [`encode_relu_big_m`] — the standard big-M encoding of a ReLU
 //!   constraint `y = max(0, x)` with known pre-activation bounds. The
 //!   network encoder in `dpv-core` writes the same three rows over affine
-//!   expressions of the variables before the ReLU.
+//!   expressions of the variables before the ReLU. Both record each
+//!   binary's [`ReluLink`] through [`MilpProblem::link_relu`], from which
+//!   the search reads the pre-activation back at an LP point.
 //! * [`SolverBackend`] — the seam between problem encoding and solving:
 //!   `dpv-core` routes every verification solve through this trait, so
 //!   alternative engines (external solvers, for instance) can be swapped
@@ -102,7 +107,7 @@ mod simplex;
 
 pub use backend::{default_backend, BranchAndBoundBackend, ExhaustiveBackend, SolverBackend};
 pub use cancel::CancelToken;
-pub use milp::{MilpProblem, MilpSolution, MilpStatus, SolveContext, SolveStats};
+pub use milp::{MilpProblem, MilpSolution, MilpStatus, ReluLink, SolveContext, SolveStats};
 pub use model::{Constraint, ConstraintOp, LinearProgram, LpSolution, LpStatus, VarId};
 pub use relu::{encode_relu_big_m, ReluEncoding};
 pub use simplex::BasisSnapshot;

@@ -262,44 +262,91 @@ fn solve_node_lp(
     solution
 }
 
+/// One big-M ReLU `y = max(0, x)` of a [`MilpProblem`], as the search reads
+/// it back: its phase binary `δ`, its output `y` and its row `y − x ≥ c`,
+/// in which `y` has coefficient 1 and `δ` does not appear. The row holds
+/// the pre-activation's expression `x = p + c` as `y − p ≥ c`, so at a point
+/// the pre-activation is `y − activity + rhs` and `y − x` is the row's
+/// `activity − rhs`. Recorded by [`MilpProblem::link_relu`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReluLink {
+    /// The phase binary `δ`.
+    pub binary: VarId,
+    /// The output variable `y`.
+    pub output: VarId,
+    /// The index of the row `y − x ≥ c`.
+    pub row: usize,
+}
+
+impl ReluLink {
+    /// Whether `values` puts `y` above `max(0, x)` by more than
+    /// [`SOLVER_EPS`]: the rows `y ≥ x` and `y ≥ 0` hold, but the point is
+    /// no execution of this ReLU. `y − max(0, x)` is the smaller of `y` and
+    /// `y − x`.
+    fn violated(&self, lp: &LinearProgram, values: &[f64]) -> bool {
+        let row = &lp.constraints()[self.row];
+        let activity: f64 = row.coeffs.iter().map(|&(v, a)| a * values[v]).sum();
+        values[self.output].min(activity - row.rhs) > SOLVER_EPS
+    }
+}
+
 /// Picks the binary variable to branch on at a node whose relaxation is
 /// optimal, or `None` when the relaxation is integral over the binaries the
 /// node's `bounds` leave unfixed; a binary that a branching or propagation
 /// fixed is never picked.
 ///
 /// For **feasibility-only** problems (all-zero objective — the query safety
-/// verification issues) the *most* fractional unfixed binary is chosen: its
-/// relaxation value is closest to 1/2, so fixing it perturbs the relaxation
-/// the most and drives infeasible subtrees to contradiction soonest, which
-/// measurably shrinks refutation trees compared to a first-fractional
-/// rule. For **optimisation** problems the first fractional binary is kept:
-/// diving along the relaxation's suggestion finds strong incumbents early,
-/// and the incumbent bound — not contradiction depth — prunes the tree.
+/// verification issues) the branching looks at the ReLUs first. When every
+/// binary is the phase of a [`ReluLink`], it picks the most fractional of
+/// the unfixed fractional binaries whose ReLU the LP point violates (its
+/// output lies above `max(0, x)`): either phase of such a ReLU cuts the
+/// point off, while a ReLU the point already executes has a phase that
+/// keeps it, so one child would re-solve to the same point. When no such
+/// binary is fractional, or some binary carries no link, the *most*
+/// fractional unfixed binary is chosen: its relaxation value is closest to
+/// 1/2, so fixing it perturbs the relaxation the most and drives infeasible
+/// subtrees to contradiction soonest. For
+/// **optimisation** problems the first fractional binary is kept: diving
+/// along the relaxation's suggestion finds strong incumbents early, and the
+/// incumbent bound — not contradiction depth — prunes the tree.
 fn select_branching_variable(
-    binaries: &[VarId],
+    milp: &MilpProblem,
     bounds: &[(f64, f64)],
     values: &[f64],
     feasibility_only: bool,
 ) -> Option<VarId> {
-    let mut unfixed = binaries
-        .iter()
-        .copied()
-        .filter(|&b| bounds[b].0 < bounds[b].1);
-    if feasibility_only {
-        unfixed
-            .map(|b| {
-                let v = values[b];
-                (b, (v - v.round()).abs())
-            })
-            .filter(|&(_, frac)| frac > 1e-6)
-            // Fractionalities are differences of finite relaxation values, so
-            // a NaN here would indicate solver trouble; an arbitrary-but-total
-            // tie-break keeps branching deterministic instead of panicking.
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(b, _)| b)
-    } else {
-        unfixed.find(|&b| (values[b] - values[b].round()).abs() > 1e-6)
+    let branchable = |b: VarId| bounds[b].0 < bounds[b].1 && fractionality(values[b]) > 1e-6;
+    let mut binaries = milp.binaries.iter().copied().filter(|&b| branchable(b));
+    if !feasibility_only {
+        return binaries.next();
     }
+    if milp.relu_links.len() == milp.binaries.len() {
+        let violated = milp
+            .relu_links
+            .iter()
+            .filter(|link| branchable(link.binary) && link.violated(&milp.lp, values))
+            .map(|link| link.binary);
+        if let Some(b) = most_fractional(violated, values) {
+            return Some(b);
+        }
+    }
+    most_fractional(binaries, values)
+}
+
+/// The distance of a relaxation value to the nearest integer.
+fn fractionality(value: f64) -> f64 {
+    (value - value.round()).abs()
+}
+
+/// The most fractional of `candidates`, the last on a tie.
+fn most_fractional(candidates: impl Iterator<Item = VarId>, values: &[f64]) -> Option<VarId> {
+    candidates
+        .map(|b| (b, fractionality(values[b])))
+        // Fractionalities are differences of finite relaxation values, so a
+        // NaN here would indicate solver trouble; an arbitrary-but-total
+        // tie-break keeps branching deterministic instead of panicking.
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(b, _)| b)
 }
 
 /// A mixed-integer linear program: a [`LinearProgram`] in which a subset of
@@ -322,6 +369,7 @@ fn select_branching_variable(
 pub struct MilpProblem {
     lp: LinearProgram,
     binaries: Vec<VarId>,
+    relu_links: Vec<ReluLink>,
     node_limit: usize,
 }
 
@@ -337,6 +385,7 @@ impl MilpProblem {
         Self {
             lp: LinearProgram::new(),
             binaries: Vec::new(),
+            relu_links: Vec::new(),
             node_limit: 200_000,
         }
     }
@@ -347,6 +396,7 @@ impl MilpProblem {
         Self {
             lp,
             binaries: Vec::new(),
+            relu_links: Vec::new(),
             node_limit: 200_000,
         }
     }
@@ -375,6 +425,44 @@ impl MilpProblem {
     /// The binary variables.
     pub fn binaries(&self) -> &[VarId] {
         &self.binaries
+    }
+
+    /// Records that `binary` is the phase of a big-M ReLU `y = max(0, x)`
+    /// with output `output`, whose row `y − x ≥ c` is row `row`: `output`
+    /// at coefficient 1, `binary` absent (see [`ReluLink`]). A feasibility
+    /// search whose binaries all carry a link branches among the ReLUs its
+    /// node's LP point violates ([`MilpProblem::solve`]). A link only steers
+    /// the branching; it adds no constraint. [`crate::encode_relu_big_m`]
+    /// and `dpv-core`'s network encoder record one link per binary.
+    ///
+    /// # Panics
+    /// Panics when `binary` is not a binary of the problem or already has a
+    /// link, or when `output` or `row` does not exist.
+    pub fn link_relu(&mut self, binary: VarId, output: VarId, row: usize) {
+        // Encoders link the binary they just added: search from the back.
+        assert!(
+            self.binaries.iter().rev().any(|&b| b == binary),
+            "variable {binary} is not a binary of the problem"
+        );
+        assert!(
+            self.relu_links.iter().all(|link| link.binary != binary),
+            "binary {binary} already has a ReLU link"
+        );
+        assert!(
+            output < self.lp.num_variables() && row < self.lp.num_constraints(),
+            "the ReLU link names output {output} and row {row}, which do not exist"
+        );
+        self.relu_links.push(ReluLink {
+            binary,
+            output,
+            row,
+        });
+    }
+
+    /// The big-M ReLUs recorded by [`MilpProblem::link_relu`], in the order
+    /// they were linked.
+    pub fn relu_links(&self) -> &[ReluLink] {
+        &self.relu_links
     }
 
     /// Read access to the underlying LP.
@@ -414,6 +502,15 @@ impl MilpProblem {
     /// For pure feasibility problems (zero objective) the search stops at the
     /// first integer-feasible node, or at the first point the context's
     /// witness check accepts ([`MilpProblem::solve_with`]).
+    ///
+    /// A node whose LP point is fractional branches on one binary. On a
+    /// feasibility problem whose binaries all carry a [`ReluLink`], that is
+    /// the most fractional unfixed binary whose ReLU the point violates: its
+    /// output lies above `max(0, x)` by more than [`SOLVER_EPS`], with the
+    /// pre-activation `x` read back from the link's row. With no violated
+    /// ReLU, or with a binary that carries no link, it is the most fractional
+    /// unfixed binary; an optimisation problem takes the first fractional
+    /// one. The child the point's rounded value suggests is searched first.
     ///
     /// Each node carries its own variable bounds. The root starts from the
     /// problem's bounds, each binary's rounded inward to the integers it
@@ -463,7 +560,9 @@ impl MilpProblem {
     ///   every node whose relaxation is optimal, in depth-first order: the
     ///   search stops at the first integer-feasible node or at the first
     ///   point the check accepts, whichever comes first. A node closed by
-    ///   bound propagation has no LP point and is not shown.
+    ///   bound propagation has no LP point and is not shown. A rejected
+    ///   point is branched on as in [`MilpProblem::solve`], among the ReLUs
+    ///   it violates first.
     pub fn solve_with(&self, ctx: &mut SolveContext<'_>) -> MilpSolution {
         let disabled = TraceHandle::disabled();
         let trace = ctx.trace.unwrap_or(&disabled);
@@ -552,12 +651,7 @@ impl MilpProblem {
                 }
             }
 
-            match select_branching_variable(
-                &self.binaries,
-                &bounds,
-                &solution.values,
-                feasibility_only,
-            ) {
+            match select_branching_variable(self, &bounds, &solution.values, feasibility_only) {
                 None => {
                     // Integer feasible.
                     let best = incumbent.as_ref().map(|(_, best)| *best);
@@ -1145,14 +1239,74 @@ mod tests {
         // fractional its LP value reads.
         let bounds = [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0)];
         let values = [0.5, 0.25, 0.5];
+        let with_binaries = |binaries: &[VarId]| {
+            let mut milp = MilpProblem::new();
+            for _ in 0..3 {
+                milp.add_variable(0.0, 1.0);
+            }
+            binaries.iter().for_each(|&b| milp.mark_binary(b));
+            milp
+        };
         for feasibility_only in [true, false] {
-            let pick = select_branching_variable(&[0, 1, 2], &bounds, &values, feasibility_only);
+            let milp = with_binaries(&[0, 1, 2]);
+            let pick = select_branching_variable(&milp, &bounds, &values, feasibility_only);
             assert_eq!(pick, Some(1));
         }
+        let milp = with_binaries(&[0, 2]);
         assert_eq!(
-            select_branching_variable(&[0, 2], &bounds, &values, true),
+            select_branching_variable(&milp, &bounds, &values, true),
             None
         );
+    }
+
+    /// Encodes `y = max(0, w·(x₀ + x₁) + bias)` over `x` ∈ [−1, 1]², with
+    /// the pre-activation a variable pinned by an equality row; returns the
+    /// pre-activation, the output and the phase binary.
+    fn relu_of_sum(milp: &mut MilpProblem, x: [VarId; 2], w: f64, bias: f64) -> [VarId; 3] {
+        let (lower, upper) = (bias - 2.0 * w.abs(), bias + 2.0 * w.abs());
+        let pre = milp.add_variable(lower, upper);
+        milp.lp_mut().add_constraint(
+            &[(x[0], w), (x[1], w), (pre, -1.0)],
+            ConstraintOp::Eq,
+            -bias,
+        );
+        let post = milp.add_variable(0.0, upper);
+        let encoding = crate::encode_relu_big_m(milp, pre, post, lower, upper);
+        [pre, post, encoding.indicator.expect("the ReLU is unstable")]
+    }
+
+    #[test]
+    fn the_search_branches_on_a_violated_relu_before_a_more_fractional_exact_one() {
+        // a = relu(x₀ + x₁ + 0.25) and b = relu(0.5 − 0.5·(x₀ + x₁)) with
+        // a − b ≥ −0.5: the root's LP point executes b exactly and leaves a
+        // above max(0, pre_a), with b's phase the more fractional one.
+        let mut milp = MilpProblem::new();
+        let x = [milp.add_variable(-1.0, 1.0), milp.add_variable(-1.0, 1.0)];
+        let [pre_a, a, phase_a] = relu_of_sum(&mut milp, x, 1.0, 0.25);
+        let [pre_b, b, phase_b] = relu_of_sum(&mut milp, x, -0.5, 0.5);
+        milp.lp_mut()
+            .add_constraint(&[(a, 1.0), (b, -1.0)], ConstraintOp::Ge, -0.5);
+        let points = std::cell::RefCell::new(Vec::new());
+        let record = |values: &[f64]| {
+            points.borrow_mut().push(values.to_vec());
+            false
+        };
+        let solution = solve_checked(&milp, &record);
+        assert_eq!(solution.status, MilpStatus::Optimal);
+        let points = points.into_inner();
+        assert!(points.len() >= 2, "{points:?}");
+        let (root, child) = (&points[0], &points[1]);
+        let fractional = |v: f64| (v - v.round()).abs();
+        assert!(
+            fractional(root[phase_b]) > fractional(root[phase_a]) + 0.05
+                && fractional(root[phase_a]) > 0.05,
+            "both phases fractional, b's the more: {root:?}"
+        );
+        assert!((root[b] - root[pre_b].max(0.0)).abs() <= 1e-9, "{root:?}");
+        assert!(root[a] - root[pre_a].max(0.0) > 0.1, "{root:?}");
+        // The first child fixes a's phase and leaves b's fractional.
+        assert_eq!(fractional(child[phase_a]), 0.0, "{child:?}");
+        assert!(fractional(child[phase_b]) > 0.05, "{child:?}");
     }
 
     #[test]

@@ -25,7 +25,9 @@ pub struct ReluEncoding {
 /// * `upper <= 0`: the ReLU is always inactive → `output = 0` (no binary).
 /// * otherwise, introduce a binary `δ` and the big-M constraints
 ///   `output ≥ input`, `output ≥ 0`, `output ≤ input − lower·(1 − δ)`,
-///   `output ≤ upper·δ`.
+///   `output ≤ upper·δ`, and record `δ`, `output` and the row
+///   `output − input ≥ 0` as the problem's [`crate::ReluLink`] of `δ`
+///   ([`MilpProblem::link_relu`]).
 ///
 /// Tight pre-activation bounds (from abstract interpretation or from the
 /// assume-guarantee envelope) therefore directly shrink both the number of
@@ -82,10 +84,12 @@ pub fn encode_relu_big_m(
     }
 
     let delta = problem.add_binary();
-    // y >= x
+    // y >= x, the row the search reads the pre-activation back from.
     problem
         .lp_mut()
         .add_constraint(&[(output, 1.0), (input, -1.0)], ConstraintOp::Ge, 0.0);
+    let row = problem.lp().num_constraints() - 1;
+    problem.link_relu(delta, output, row);
     // y >= 0 is implied by the tightened lower bound on `output`.
     // y <= x - lower * (1 - delta)  ⇔  y - x - lower*delta <= -lower
     problem.lp_mut().add_constraint(

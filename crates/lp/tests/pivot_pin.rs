@@ -2,13 +2,15 @@
 //! search built on it.
 //!
 //! Every status, pivot count, `SolveStats` field and solution value over a
-//! seeded corpus is folded into two `u64`s, and the test asserts the
-//! committed values: [`LP_PIN`] folds the LP programs, [`MILP_PIN`] the
-//! MILPs. Any change of pricing, tie-breaking or arithmetic order moves at
-//! least one pivot, count or last bit of a value, so it fails the LP pin;
-//! a change to the search alone (branching, node bounds, propagation)
-//! leaves the LP pin and moves only the MILP pin. A change that means to
-//! alter either updates its constant on purpose: run
+//! seeded corpus is folded into three `u64`s, and the test asserts the
+//! committed values: [`LP_PIN`] folds the LP programs, [`RANDOM_MILP_PIN`]
+//! the random MILPs and [`RELU_MILP_PIN`] the big-M ReLU MILPs. Any change
+//! of pricing, tie-breaking or arithmetic order moves at least one pivot,
+//! count or last bit of a value, so it fails the LP pin; a change to the
+//! search alone (branching, node bounds, propagation) leaves the LP pin and
+//! moves a MILP pin. The random MILPs record no ReLU links, so a change to
+//! the branching among violated ReLUs moves only the ReLU pin. A change
+//! that means to alter a pin updates its constant on purpose: run
 //! `cargo test -p dpv-lp --test pivot_pin` and commit the computed value
 //! from the failure message together with the change.
 //!
@@ -32,9 +34,15 @@ use rand::{Rng, SeedableRng};
 /// pivot sequence it pins.
 const LP_PIN: u64 = 0x55fd_32f2_d32e_d721;
 
-/// The fold of the 48 MILPs through `MilpProblem::solve`, computed against
-/// the search it pins.
-const MILP_PIN: u64 = 0x1994_770c_0e3a_c69a;
+/// The fold of the 24 random MILPs through `MilpProblem::solve`, computed
+/// against the search it pins. They record no ReLU links, so the search
+/// branches on the most fractional binary of each node.
+const RANDOM_MILP_PIN: u64 = 0x7862_4ff7_1967_2f93;
+
+/// The fold of the 24 big-M ReLU MILPs through `MilpProblem::solve`,
+/// computed against the search it pins, which branches among the binaries
+/// whose ReLU the node's LP point violates.
+const RELU_MILP_PIN: u64 = 0xd8a2_e5b6_2830_fefb;
 
 /// FNV-1a over the little-endian bytes of the words folded in.
 struct Fold(u64);
@@ -324,18 +332,21 @@ fn the_pivot_sequence_matches_the_pinned_engine() {
         let lp = zero_width_lp(&mut rng);
         fold_lp(&mut lps, &mut rng, lp);
     }
-    let mut milps = Fold::new();
+    let mut random = Fold::new();
     for _ in 0..24 {
-        milps.milp(&random_milp(&mut rng).solve());
+        random.milp(&random_milp(&mut rng).solve());
     }
+    let mut relu = Fold::new();
     for _ in 0..24 {
-        milps.milp(&relu_milp(&mut rng).solve());
+        relu.milp(&relu_milp(&mut rng).solve());
     }
     assert!(
-        (lps.0, milps.0) == (LP_PIN, MILP_PIN),
-        "the corpus folds to LP_PIN {:#018x} (pinned {LP_PIN:#018x}) and MILP_PIN {:#018x} \
-         (pinned {MILP_PIN:#018x}); a moved LP_PIN means the simplex pivot sequence changed",
+        (lps.0, random.0, relu.0) == (LP_PIN, RANDOM_MILP_PIN, RELU_MILP_PIN),
+        "the corpus folds to LP_PIN {:#018x} (pinned {LP_PIN:#018x}), RANDOM_MILP_PIN {:#018x} \
+         (pinned {RANDOM_MILP_PIN:#018x}) and RELU_MILP_PIN {:#018x} (pinned \
+         {RELU_MILP_PIN:#018x}); a moved LP_PIN means the simplex pivot sequence changed",
         lps.0,
-        milps.0
+        random.0,
+        relu.0
     );
 }

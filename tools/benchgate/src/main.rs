@@ -14,7 +14,9 @@
 //!
 //! Exit status 0 when every gated metric is within tolerance, 1 otherwise
 //! (including a metric present in the baseline but missing from the fresh
-//! run — a silently dropped metric must not pass CI).
+//! run — a silently dropped metric must not pass CI). Either file is
+//! refused, also with status 1, when it is not valid JSON, repeats a record
+//! id or carries a `mean_ns` that is not a non-negative integer.
 //!
 //! ## Tolerance model
 //!
@@ -255,10 +257,14 @@ fn evaluate(id: &str, baseline: u128, fresh: u128) -> (bool, String) {
 
 /// Minimal parser for the criterion shim's JSON report: extracts every
 /// `{"id": "...", "mean_ns": N, ...}` object from the `results` array. The
-/// format is produced by our own shim, so a targeted scanner is enough —
-/// but it tolerates arbitrary whitespace and field order.
+/// whole document must be valid JSON ([`check_json`]); after that check a
+/// targeted scanner is enough, since the format is produced by our own shim,
+/// and it tolerates arbitrary whitespace and field order. A record id that
+/// appears twice, or a `mean_ns` that is not a non-negative integer, is an
+/// error.
 fn parse_records(json: &str) -> Result<Vec<Record>, String> {
-    let mut records = Vec::new();
+    check_json(json)?;
+    let mut records: Vec<Record> = Vec::new();
     let mut rest = json;
     while let Some(open) = rest.find('{') {
         // Skip the top-level document object: only objects that contain an
@@ -270,8 +276,12 @@ fn parse_records(json: &str) -> Result<Vec<Record>, String> {
         if body.contains("\"id\"") {
             let id = extract_string(body, "id")
                 .ok_or_else(|| format!("record without a readable id: {body}"))?;
-            let value = extract_number(body, "mean_ns")
-                .ok_or_else(|| format!("record {id} without a mean_ns value"))?;
+            let value = extract_integer(body, "mean_ns").ok_or_else(|| {
+                format!("record {id} without a non-negative integer mean_ns value")
+            })?;
+            if records.iter().any(|record| record.id == id) {
+                return Err(format!("record id {id} appears twice"));
+            }
             records.push(Record { id, value });
             rest = &rest[open + 1 + close_rel..];
         } else {
@@ -291,15 +301,178 @@ fn extract_string(body: &str, key: &str) -> Option<String> {
     Some(after_colon[start..end].to_string())
 }
 
-fn extract_number(body: &str, key: &str) -> Option<u128> {
+/// The value of `key` when it is a JSON number made of digits only: no
+/// sign, fraction or exponent.
+fn extract_integer(body: &str, key: &str) -> Option<u128> {
     let marker = format!("\"{key}\"");
     let after_key = &body[body.find(&marker)? + marker.len()..];
     let after_colon = after_key[after_key.find(':')? + 1..].trim_start();
-    let digits: String = after_colon
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    let end = after_colon
+        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+        .unwrap_or(after_colon.len());
+    let number = &after_colon[..end];
+    if number.bytes().all(|b| b.is_ascii_digit()) {
+        number.parse().ok()
+    } else {
+        None
+    }
+}
+
+/// Checks that `json` is one JSON value (RFC 8259) with nothing but
+/// whitespace around it, by recursive descent, so a baseline with a missing
+/// comma or an unclosed bracket is refused before it is scanned.
+fn check_json(json: &str) -> Result<(), String> {
+    let mut check = JsonCheck {
+        bytes: json.as_bytes(),
+        at: 0,
+    };
+    check.value()?;
+    check.skip_whitespace();
+    if check.at < check.bytes.len() {
+        return Err(check.error("text after the document"));
+    }
+    Ok(())
+}
+
+/// The cursor of [`check_json`].
+struct JsonCheck<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl JsonCheck<'_> {
+    fn error(&self, what: &str) -> String {
+        format!("invalid JSON at byte {}: {what}", self.at)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.at).copied()
+    }
+
+    fn skip_whitespace(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.at += 1;
+        }
+    }
+
+    /// Consumes `byte` if it is next; returns whether it was.
+    fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        self.at += usize::from(next);
+        next
+    }
+
+    /// Consumes `byte` or fails with `what`.
+    fn expect(&mut self, byte: u8, what: &str) -> Result<(), String> {
+        if self.eat(byte) {
+            Ok(())
+        } else {
+            Err(self.error(what))
+        }
+    }
+
+    /// Consumes a run of digits; fails with `what` on none.
+    fn digits(&mut self, what: &str) -> Result<(), String> {
+        let start = self.at;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.at += 1;
+        }
+        if self.at == start {
+            return Err(self.error(what));
+        }
+        Ok(())
+    }
+
+    fn value(&mut self) -> Result<(), String> {
+        self.skip_whitespace();
+        match self.peek() {
+            Some(b'{') => self.sequence(b'}', true),
+            Some(b'[') => self.sequence(b']', false),
+            Some(b'"') => self.string(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => ["true", "false", "null"]
+                .into_iter()
+                .find(|word| self.bytes[self.at..].starts_with(word.as_bytes()))
+                .map(|word| self.at += word.len())
+                .ok_or_else(|| self.error("expected a value")),
+        }
+    }
+
+    /// An object (`members`: `"key": value` pairs) or an array, from its
+    /// opening bracket at the cursor to `close`.
+    fn sequence(&mut self, close: u8, members: bool) -> Result<(), String> {
+        self.at += 1;
+        self.skip_whitespace();
+        if self.eat(close) {
+            return Ok(());
+        }
+        loop {
+            if members {
+                self.skip_whitespace();
+                self.string()?;
+                self.skip_whitespace();
+                self.expect(b':', "expected ':' after a key")?;
+            }
+            self.value()?;
+            self.skip_whitespace();
+            if !self.eat(b',') {
+                let what = if members {
+                    "expected ',' or '}'"
+                } else {
+                    "expected ',' or ']'"
+                };
+                return self.expect(close, what);
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<(), String> {
+        self.expect(b'"', "expected a string")?;
+        loop {
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.at += 1;
+                    return Ok(());
+                }
+                Some(b'\\') => {
+                    self.at += 1;
+                    match self.peek() {
+                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
+                            self.at += 1;
+                        }
+                        Some(b'u')
+                            if self.bytes.len() >= self.at + 5
+                                && self.bytes[self.at + 1..self.at + 5]
+                                    .iter()
+                                    .all(u8::is_ascii_hexdigit) =>
+                        {
+                            self.at += 5;
+                        }
+                        _ => return Err(self.error("invalid escape")),
+                    }
+                }
+                Some(0..=0x1f) => return Err(self.error("control character in a string")),
+                Some(_) => self.at += 1,
+            }
+        }
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
+    fn number(&mut self) -> Result<(), String> {
+        self.eat(b'-');
+        if !self.eat(b'0') {
+            self.digits("expected a digit")?;
+        }
+        if self.eat(b'.') {
+            self.digits("expected a digit after '.'")?;
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            let _sign = self.eat(b'+') || self.eat(b'-');
+            self.digits("expected an exponent")?;
+        }
+        Ok(())
+    }
 }
 
 /// Gates every `-permille` metric of `baseline_json` against `fresh_json`.
@@ -413,6 +586,67 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].id, "e9/verify/monolithic");
         assert_eq!(records[1].value, 1007);
+    }
+
+    /// `parse_records` of `json` fails with an error that names `what`.
+    fn assert_refused(json: &str, what: &str) {
+        let error = parse_records(json).expect_err("a malformed report must not parse");
+        assert!(error.contains(what), "{error}");
+        // The gate refuses it on either side.
+        let good = report(&[("e9/k1-parity-permille", 1007)]);
+        assert!(gate(json, &good).is_err());
+        assert!(gate(&good, json).is_err());
+    }
+
+    #[test]
+    fn a_missing_comma_between_records_is_refused() {
+        let json = report(&[
+            ("e9/k1-parity-permille", 1007),
+            ("e9/volume-ratio-permille", 56),
+        ])
+        .replacen("},\n", "}\n", 1);
+        assert_refused(&json, "expected ',' or ']'");
+    }
+
+    #[test]
+    fn a_missing_comma_between_fields_is_refused() {
+        let json = report(&[("e9/k1-parity-permille", 1007)]).replacen(
+            "\"mean_ns\": 1007,",
+            "\"mean_ns\": 1007",
+            1,
+        );
+        assert_refused(&json, "expected ',' or '}'");
+    }
+
+    #[test]
+    fn an_unclosed_document_is_refused() {
+        let json = report(&[("e9/k1-parity-permille", 1007)]);
+        let json = json
+            .trim_end()
+            .trim_end_matches('}')
+            .trim_end()
+            .trim_end_matches(']');
+        assert_refused(json, "expected ',' or ']'");
+    }
+
+    #[test]
+    fn a_duplicate_record_id_is_refused() {
+        let json = report(&[
+            ("e9/k1-parity-permille", 1007),
+            ("e9/volume-ratio-permille", 56),
+            ("e9/k1-parity-permille", 1007),
+        ]);
+        assert_refused(&json, "e9/k1-parity-permille appears twice");
+    }
+
+    #[test]
+    fn a_mean_ns_that_is_not_a_non_negative_integer_is_refused() {
+        let json = report(&[("e9/k1-parity-permille", 1007)]);
+        for value in ["12.5", "-5", "1e3", "\"12\""] {
+            let bad = json.replacen("\"mean_ns\": 1007", &format!("\"mean_ns\": {value}"), 1);
+            assert!(check_json(&bad).is_ok(), "{bad}");
+            assert_refused(&bad, "without a non-negative integer mean_ns");
+        }
     }
 
     #[test]
