@@ -6,8 +6,8 @@
 //!
 //! 1. **fault-free** — the canonical reference report,
 //! 2. **faulted, twice** — under a fixed deterministic `FaultPlan`
-//!    (panic, persistent and transient exhaustion, snapshot poisoning,
-//!    delay), to measure isolation and run-to-run determinism,
+//!    (panic, persistent and transient exhaustion, delay), to measure
+//!    isolation and run-to-run determinism,
 //! 3. **already expired** — with a zero deadline, to measure what an
 //!    expired request still costs relative to a full solve.
 //!
@@ -96,7 +96,6 @@ fn fault_plan() -> FaultPlan {
     plan.inject(1, FaultKind::ExhaustIterations);
     plan.inject(3, FaultKind::Panic);
     plan.inject(6, FaultKind::TransientExhaust);
-    plan.inject(9, FaultKind::PoisonSnapshot);
     plan.inject(13, FaultKind::Delay { millis: 1 });
     plan
 }

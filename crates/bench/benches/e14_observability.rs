@@ -30,7 +30,7 @@ use dpv_absint::BoxDomain;
 use dpv_core::{Characterizer, InputProperty, RiskCondition, StartRegion, Verdict};
 use dpv_nn::{Activation, Network, NetworkBuilder};
 use dpv_serve::{ObligationServer, RegionSpec, RequestReport, ServeConfig, VerificationRequest};
-use dpv_trace::{CounterId, TraceConfig, TraceHandle, Tracer};
+use dpv_trace::{EventKind, GaugeId, HistogramId, TraceConfig, TraceEvent, TraceHandle, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -106,20 +106,20 @@ fn view(report: &RequestReport) -> Vec<(usize, usize, usize, usize, Verdict, boo
 }
 
 /// Nanoseconds per recording call through a *disabled* handle, measured
-/// over a mix of the call kinds the serving stack actually issues
-/// (counter add, histogram observe, the per-node LP hook).
+/// over a mix of the call kinds the serving stack makes (gauge set,
+/// event, histogram observe).
 fn disabled_ns_per_op() -> f64 {
     let handle = TraceHandle::disabled();
     const ITERS: u64 = 3_000_000;
     // Warm the branch predictor.
     for i in 0..1000u64 {
-        handle.add(CounterId::BnbNodes, black_box(i) & 1);
+        handle.gauge(GaugeId::QueueDepth, black_box(i));
     }
     let t0 = Instant::now();
     for i in 0..ITERS {
-        handle.add(CounterId::BnbNodes, black_box(i) & 1);
-        handle.lp_node(i & 1 == 0, black_box(i) & 3);
-        handle.observe(dpv_trace::HistogramId::SolveNs, black_box(i));
+        handle.gauge(GaugeId::QueueDepth, black_box(i));
+        handle.event(TraceEvent::instant(EventKind::Dequeue, black_box(i), 0));
+        handle.observe(HistogramId::SolveNs, black_box(i));
     }
     t0.elapsed().as_nanos() as f64 / (ITERS as f64 * 3.0)
 }
@@ -161,7 +161,7 @@ fn bench_observability(c: &mut Criterion) {
 
     // --- Disabled overhead: per-call cost × calls per request, as a
     // permille of the untraced request's wall time. The cold request
-    // performs more recording calls (instantiation, cold LP solves); the
+    // performs more recording calls (instantiation and solve spans); the
     // warm one is faster, so its denominator is smaller — gate on the
     // worse of the two. ---
     let per_op_ns = disabled_ns_per_op();

@@ -264,7 +264,8 @@ impl ProblemTemplate {
 ///   the solver loops; a tripped token can only withhold a verdict
 ///   ([`Verdict::Unknown`]), never fabricate one.
 /// * [`tracer`](Self::tracer) — a [`TraceHandle`] recording the
-///   instantiation span and per-node telemetry; strictly observational.
+///   instantiation span; strictly observational. The solve reports its
+///   work in the returned [`MilpSolution::stats`], not through the tracer.
 /// * [`escalation`](Self::escalation) — a budget scale for the escalated
 ///   retry path: both search budgets of this solve's problem are raised by
 ///   the scale, and the solve runs **unseeded**.
@@ -318,7 +319,7 @@ impl<'a> SolveOptions<'a> {
         self
     }
 
-    /// Records the instantiation span and per-node telemetry on `tracer`.
+    /// Records the instantiation span on `tracer`.
     pub fn tracer(mut self, tracer: &'a TraceHandle) -> Self {
         self.tracer = Some(tracer);
         self
@@ -527,13 +528,11 @@ impl VerificationProblem {
         backend: &dyn SolverBackend,
         mut seed: Option<&mut Option<BasisSnapshot>>,
         cancel: Option<&CancelToken>,
-        trace: Option<&TraceHandle>,
     ) -> (Verdict, MilpSolution) {
         let guard = |values: &[f64]| self.witness(encoded, values, tail).is_some();
         let mut ctx = SolveContext {
             seed: seed.as_mut().and_then(|seed| seed.take()),
             cancel,
-            trace,
             witness: Some(&guard),
         };
         let solution = backend.solve_with(&encoded.milp, &mut ctx);
@@ -623,7 +622,7 @@ impl VerificationProblem {
             &self.risk,
             region,
         )?;
-        let (verdict, solution) = self.solve_encoded(&encoded, &tail, backend, None, None, None);
+        let (verdict, solution) = self.solve_encoded(&encoded, &tail, backend, None, None);
         Ok((verdict, encoded, solution))
     }
 
@@ -675,10 +674,9 @@ impl VerificationProblem {
     /// propagation, a seed primes the backend's warm-start state
     /// ([`dpv_lp::SolveContext::seed`]) and receives the final basis back,
     /// a [`CancelToken`] is polled inside the solver loops, a
-    /// [`TraceHandle`] records the instantiation span and per-node
-    /// telemetry, and an escalation scale turns the call into the
-    /// budget-raised retry. `region` must lie in the template's root
-    /// ([`crate::EncodingTemplate::supports`]).
+    /// [`TraceHandle`] records the instantiation span, and an escalation
+    /// scale turns the call into the budget-raised retry. `region` must lie
+    /// in the template's root ([`crate::EncodingTemplate::supports`]).
     ///
     /// Reuse never changes verdicts, only cost: a stale or foreign seed is
     /// rejected inside the LP layer and the node solves cold. Cancellation
@@ -744,14 +742,7 @@ impl VerificationProblem {
                 None
             }
         };
-        Ok(self.solve_encoded(
-            encoded,
-            &template.tail,
-            backend,
-            seed,
-            options.cancel,
-            options.tracer,
-        ))
+        Ok(self.solve_encoded(encoded, &template.tail, backend, seed, options.cancel))
     }
 
     /// Runs the verification under the given strategy with the default

@@ -121,40 +121,25 @@ impl fmt::Display for DeltaError {
 
 impl Error for DeltaError {}
 
+/// The absorption slack: the strict margin by which the weight-hull
+/// interval refutation must clear a risk threshold. It dominates the MILP
+/// solver's numerical tolerance.
+const ABSORPTION_SLACK: f64 = 1e-9;
+
 /// Decides, per obligation, whether a prior verdict survives a checkpoint
 /// change.
 ///
 /// The planner is pure: it reads a [`CheckpointDiff`] plus the prior run's
 /// obligations and emits a [`DeltaPlan`]; executing the plan (prefilled
 /// verdicts, warm-started re-solves) is `dpv-serve`'s job.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeltaPlanner {
-    slack: f64,
-}
-
-impl Default for DeltaPlanner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DeltaPlanner;
 
 impl DeltaPlanner {
-    /// Planner with the default absorption slack (`1e-9`), a strict margin
-    /// on the interval refutation that dominates the MILP solver's
-    /// numerical tolerance.
+    /// A planner. Absorption requires the interval refutation to clear
+    /// each risk threshold by a strict `1e-9`.
     pub fn new() -> Self {
-        Self { slack: 1e-9 }
-    }
-
-    /// Planner with an explicit absorption slack. Larger slack makes
-    /// absorption *harder* (more conservative), never less sound.
-    pub fn with_slack(slack: f64) -> Self {
-        Self { slack }
-    }
-
-    /// The absorption slack.
-    pub fn slack(&self) -> f64 {
-        self.slack
+        Self
     }
 
     /// Plans the re-verification of one request across a checkpoint change.
@@ -204,7 +189,7 @@ impl DeltaPlanner {
             } else if tail_identical && !matches!(p.verdict, Verdict::Unknown(_)) {
                 PlannedAction::Reuse
             } else if p.verdict.is_safe()
-                && diff.tail_absorbs(cut_layer, &region.box_domain(), risk, self.slack)
+                && diff.tail_absorbs(cut_layer, &region.box_domain(), risk, ABSORPTION_SLACK)
             {
                 PlannedAction::ReuseAbsorbed
             } else {

@@ -19,9 +19,9 @@ use crate::{
 ///
 /// An engine implements one solve entry point, [`SolverBackend::solve_with`],
 /// which receives the caller's [`SolveContext`] (warm-start seed,
-/// cancellation token, trace handle, witness check). Honouring the context
-/// is an engine capability, never a correctness requirement: an engine may
-/// ignore any part of it and stay correct.
+/// cancellation token, witness check). Honouring the context is an engine
+/// capability, never a correctness requirement: an engine may ignore any
+/// part of it and stay correct.
 pub trait SolverBackend: fmt::Debug + Send + Sync {
     /// Short human-readable engine name, used in reports and benchmark ids.
     fn name(&self) -> &str;
@@ -33,7 +33,7 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
     fn solve_with(&self, problem: &MilpProblem, ctx: &mut SolveContext<'_>) -> MilpSolution;
 
     /// Solves `problem` with an empty context: no seed, no cancellation,
-    /// no tracing.
+    /// no witness check.
     fn solve(&self, problem: &MilpProblem) -> MilpSolution {
         self.solve_with(problem, &mut SolveContext::default())
     }
@@ -88,9 +88,9 @@ impl SolverBackend for ExhaustiveBackend {
         "exhaustive-enumeration"
     }
 
-    /// Ignores the context: the oracle neither seeds, cancels, traces nor
-    /// consults the witness check, so a feasibility solve still runs to the
-    /// first integer-feasible assignment.
+    /// Ignores the context: the oracle neither seeds, cancels nor consults
+    /// the witness check, so a feasibility solve still runs to the first
+    /// integer-feasible assignment.
     fn solve_with(&self, problem: &MilpProblem, _ctx: &mut SolveContext<'_>) -> MilpSolution {
         let binaries = problem.binaries();
         let k = binaries.len();

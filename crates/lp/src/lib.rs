@@ -1,9 +1,10 @@
 //! # dpv-lp
 //!
 //! A self-contained linear-programming and mixed-integer-linear-programming
-//! solver. It replaces the commercial MILP back-end used by the paper's
-//! original toolchain (nn-dependability-kit reduces the network verification
-//! problem to MILP and hands it to an off-the-shelf solver).
+//! solver that depends on no other crate. It replaces the commercial MILP
+//! back-end used by the paper's original toolchain (nn-dependability-kit
+//! reduces the network verification problem to MILP and hands it to an
+//! off-the-shelf solver).
 //!
 //! The crate provides:
 //!
@@ -46,8 +47,9 @@
 //! * [`SolveContext`] — the one per-call context of every solve entry point
 //!   ([`MilpProblem::solve_with`], [`SolverBackend::solve_with`]): a
 //!   warm-start seed that chains dual-simplex solves across problems with
-//!   the same rows, a cancellation token, a trace handle and a witness
-//!   check, each optional.
+//!   the same rows, a cancellation token and a witness check, each
+//!   optional. A solve reports its work only in the [`SolveStats`] of its
+//!   [`MilpSolution`]; callers that keep counters add those up.
 //! * [`encode_relu_big_m`] — the standard big-M encoding of a ReLU
 //!   constraint `y = max(0, x)` with known pre-activation bounds. The
 //!   network encoder in `dpv-core` writes the same three rows over affine

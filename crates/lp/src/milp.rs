@@ -1,7 +1,5 @@
 //! Branch-and-bound mixed-integer linear programming over binary variables.
 
-use dpv_trace::{CounterId, TraceHandle};
-
 use crate::propagate::{Bounds, Propagator};
 use crate::{
     simplex, BasisSnapshot, CancelToken, LinearProgram, LpSolution, LpStatus, VarId, SOLVER_EPS,
@@ -153,8 +151,9 @@ impl MilpSolution {
 
 /// The per-call context of [`MilpProblem::solve_with`] and
 /// [`crate::SolverBackend::solve_with`]: an optional warm-start basis,
-/// cancellation token, trace handle and witness check. The default turns
-/// all four off, which is what the plain `solve` methods pass.
+/// cancellation token and witness check. The default turns all three off,
+/// which is what the plain `solve` methods pass. The search reports its
+/// work only through the [`SolveStats`] of the solution it returns.
 #[derive(Default)]
 pub struct SolveContext<'a> {
     /// A warm-start basis priming the search. The branch-and-bound search
@@ -173,9 +172,6 @@ pub struct SolveContext<'a> {
     /// that cannot poll (the exhaustive oracle) ignore it and merely
     /// respond slower.
     pub cancel: Option<&'a CancelToken>,
-    /// Records per-node solver telemetry. Observational only: a disabled
-    /// or absent handle gives the identical search.
-    pub trace: Option<&'a TraceHandle>,
     /// A caller's check of a relaxation point, for feasibility problems
     /// (all-zero objective) only. The branch-and-bound search calls it on
     /// the LP point of every node whose relaxation is optimal, before
@@ -197,7 +193,6 @@ impl std::fmt::Debug for SolveContext<'_> {
         f.debug_struct("SolveContext")
             .field("seed", &self.seed)
             .field("cancel", &self.cancel)
-            .field("trace", &self.trace)
             .field("witness", &self.witness.map(|_| "Fn(&[f64]) -> bool"))
             .finish()
     }
@@ -223,24 +218,20 @@ fn solve_node_lp(
     warm: &mut Option<BasisSnapshot>,
     stats: &mut SolveStats,
     cancel: Option<&CancelToken>,
-    trace: &TraceHandle,
 ) -> LpSolution {
     if warm
         .as_ref()
         .is_some_and(|snapshot| snapshot.warm_uses() >= REFACTOR_INTERVAL)
     {
         *warm = None;
-        trace.add(CounterId::Refactorisations, 1);
     }
     let snapshot_offered = warm.is_some();
-    let mut warm_used = false;
     let solution = match warm
         .as_mut()
         .and_then(|snap| simplex::solve_from_basis(scratch, snap, cancel))
     {
         Some(solution) => {
             stats.warm_solves += 1;
-            warm_used = true;
             solution
         }
         None => {
@@ -258,7 +249,6 @@ fn solve_node_lp(
         }
     };
     stats.simplex_iterations += solution.iterations;
-    trace.lp_node(warm_used, solution.iterations as u64);
     solution
 }
 
@@ -553,9 +543,6 @@ impl MilpProblem {
     /// * the `cancel` token is polled in the node loop and inside every LP
     ///   relaxation; once tripped the search returns
     ///   [`MilpStatus::Cancelled`] with the incumbent found so far;
-    /// * the `trace` handle records per-node telemetry (nodes, warm/cold LP
-    ///   split, pivots, refactorisations, sampled progress events). Tracing
-    ///   is observational and never alters the search;
     /// * the `witness` check, on a feasibility problem, sees the LP point of
     ///   every node whose relaxation is optimal, in depth-first order: the
     ///   search stops at the first integer-feasible node or at the first
@@ -563,9 +550,11 @@ impl MilpProblem {
     ///   bound propagation has no LP point and is not shown. A rejected
     ///   point is branched on as in [`MilpProblem::solve`], among the ReLUs
     ///   it violates first.
+    ///
+    /// The search reports its work only in the returned
+    /// [`MilpSolution::stats`]: nodes, the warm/cold LP split, declined warm
+    /// starts and pivots.
     pub fn solve_with(&self, ctx: &mut SolveContext<'_>) -> MilpSolution {
-        let disabled = TraceHandle::disabled();
-        let trace = ctx.trace.unwrap_or(&disabled);
         let cancel = ctx.cancel;
         let feasibility_only = self.lp.objective().iter().all(|&c| c == 0.0);
         let witness = ctx.witness.filter(|_| feasibility_only);
@@ -577,7 +566,6 @@ impl MilpProblem {
             // A binary whose bounds hold neither 0 nor 1: a conflicting
             // fixing closes the root.
             stats.nodes_explored = 1;
-            trace.add(CounterId::BnbNodes, 1);
             return MilpSolution::with_incumbent(MilpStatus::Infeasible, None, stats);
         };
         // Each node carries its variable bounds and the binary its parent
@@ -600,7 +588,6 @@ impl MilpProblem {
             }
             stats.nodes_explored += 1;
             if !propagator.propagate(&self.lp, &mut bounds, fixed) {
-                trace.add(CounterId::BnbNodes, 1);
                 continue;
             }
             // Only binary bounds reach the LP; tightened continuous bounds
@@ -618,7 +605,7 @@ impl MilpProblem {
                 }
                 scratch
             };
-            let solution = solve_node_lp(lp, warm, &mut stats, cancel, trace);
+            let solution = solve_node_lp(lp, warm, &mut stats, cancel);
             match solution.status {
                 LpStatus::Infeasible => continue,
                 LpStatus::IterationLimit | LpStatus::Cancelled => {
@@ -1021,18 +1008,14 @@ mod tests {
             assert!(milp.lp().solve_from_basis(&mut seed).is_some());
         }
         assert_eq!(seed.warm_uses(), REFACTOR_INTERVAL);
-        let tracer = dpv_trace::Tracer::enabled();
-        let trace = tracer.register();
         let mut ctx = SolveContext {
             seed: Some(seed),
-            trace: Some(&trace),
             ..SolveContext::default()
         };
         let seeded = milp.solve_with(&mut ctx);
         let unseeded = milp.solve();
         assert!(seeded.stats.nodes_explored > 1, "{:?}", seeded.stats);
         assert_eq!(seeded, unseeded);
-        assert_eq!(tracer.snapshot().counter("refactorisations"), 1);
         let handed_back = ctx.seed.expect("the search hands its last basis back");
         assert!(handed_back.warm_uses() < REFACTOR_INTERVAL);
     }

@@ -29,11 +29,6 @@ pub enum FaultKind {
     /// retry succeeds, so the final verdict equals the fault-free one
     /// (and `retry_successes` ticks).
     TransientExhaust,
-    /// The obligation's solve is seeded with a basis from a foreign,
-    /// unrelated LP. The LP layer's structural guard must reject it at
-    /// the root and fall back to the slack basis — the verdict is
-    /// unchanged.
-    PoisonSnapshot,
     /// The worker sleeps before solving — for deadline-expiry tests.
     Delay {
         /// Milliseconds to sleep.
@@ -94,11 +89,10 @@ impl FaultPlan {
             if plan.fault_at(index).is_some() {
                 continue;
             }
-            let kind = match splitmix64(&mut state) % 5 {
+            let kind = match splitmix64(&mut state) % 4 {
                 0 => FaultKind::Panic,
                 1 => FaultKind::ExhaustIterations,
                 2 => FaultKind::TransientExhaust,
-                3 => FaultKind::PoisonSnapshot,
                 _ => FaultKind::Delay {
                     millis: splitmix64(&mut state) % 3,
                 },
@@ -205,9 +199,9 @@ mod tests {
     fn inject_replaces_existing_fault() {
         let mut plan = FaultPlan::new();
         plan.inject(3, FaultKind::Panic);
-        plan.inject(3, FaultKind::PoisonSnapshot);
+        plan.inject(3, FaultKind::TransientExhaust);
         assert_eq!(plan.len(), 1);
-        assert_eq!(plan.fault_at(3), Some(FaultKind::PoisonSnapshot));
+        assert_eq!(plan.fault_at(3), Some(FaultKind::TransientExhaust));
         assert_eq!(plan.fault_at(4), None);
     }
 

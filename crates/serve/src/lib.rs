@@ -136,9 +136,13 @@
 //! relaxed atomics keyed by [`dpv_trace::CounterId`], whether tracing is
 //! on or off. [`ObligationServer::stats`] builds [`ServeStats`] from that
 //! store and [`ObligationServer::trace_snapshot`] exports the same
-//! values, so the two views cannot disagree. Solver-internal counters
-//! (branch-and-bound nodes, warm/cold LP solves, pivots) have no
-//! [`ServeStats`] twin and are recorded through the tracer only.
+//! values, so the two views cannot disagree. Solver work has one source
+//! too: each solve attempt, the escalated retry included, returns its
+//! [`dpv_lp::SolveStats`], and the worker adds its nodes, warm and cold
+//! LP solves and pivots to the same store (`bnb-nodes`,
+//! `warm-lp-solves`, `cold-lp-solves`, `simplex-iterations`). These have
+//! no [`ServeStats`] twin: a report carries each obligation's own in
+//! [`ObligationOutcome::stats`], and the trace export carries the totals.
 //!
 //! ## Request validation
 //!
@@ -153,8 +157,9 @@
 //!
 //! A server built with [`ServerBuilder::tracer`] over an enabled
 //! [`dpv_trace::Tracer`] records per-obligation timelines
-//! (enqueue → dequeue → solve attempts → verdict), solver counters and
-//! latency histograms into lock-free per-thread ring buffers;
+//! (enqueue → dequeue → solve attempts → verdict) into lock-free
+//! per-thread ring buffers, plus the queue-depth gauge and latency
+//! histograms;
 //! [`ObligationServer::trace_snapshot`] exports everything and each
 //! [`RequestReport`] carries a [`RequestTimeline`]. A default build
 //! (`ObligationServer::builder().build()`) serves with tracing disabled,

@@ -15,10 +15,7 @@ use dpv_core::{
     CoreError, Fingerprint, ProblemTemplate, RegionBounds, SolveOptions, StartRegion,
     TemplateCache, Verdict, VerificationProblem,
 };
-use dpv_lp::{
-    BranchAndBoundBackend, CancelToken, ConstraintOp, LinearProgram, MilpSolution, MilpStatus,
-    SolveStats,
-};
+use dpv_lp::{BranchAndBoundBackend, CancelToken, MilpSolution, MilpStatus, SolveStats};
 use dpv_trace::{
     CounterId, Counters, EventKind, GaugeId, HistogramId, TraceEvent, TraceHandle, TraceSnapshot,
     Tracer, NO_OBLIGATION,
@@ -281,8 +278,9 @@ struct Inner {
     space: Condvar,
     /// The server's one counter store, always on: every serve-level event
     /// (requests, dedup hits, retries, panics, cache hits, …) is counted
-    /// here exactly once. [`ObligationServer::stats`] and
-    /// [`ObligationServer::trace_snapshot`] both read it; the caches
+    /// here exactly once, and so is the solver work that each solve
+    /// attempt reports in its [`SolveStats`]. [`ObligationServer::stats`]
+    /// and [`ObligationServer::trace_snapshot`] both read it; the caches
     /// count into it too.
     counters: Arc<Counters>,
     /// The deterministic fault-injection seam (test/bench only; empty in
@@ -352,11 +350,12 @@ impl ServerBuilder {
     }
 
     /// Records into `tracer`: admission and worker events land in
-    /// per-thread ring buffers, solver telemetry lands in its counters
+    /// per-thread ring buffers, queue depth and latencies in its gauges
     /// and histograms, and every report carries a [`RequestTimeline`].
-    /// The serve-level counters do not need a tracer: they are always on
-    /// (see [`ObligationServer::stats`]). Tracing is strictly
-    /// observational: verdicts, fold order and cached bytes are
+    /// The counters, solver work included, do not need a tracer: they are
+    /// always on (see [`ObligationServer::stats`]), and
+    /// [`ObligationServer::trace_snapshot`] exports them. Tracing is
+    /// strictly observational: verdicts, fold order and cached bytes are
     /// bit-identical to an untraced server (pinned by the `trace_parity`
     /// proptest).
     pub fn tracer(mut self, tracer: Tracer) -> Self {
@@ -822,10 +821,10 @@ impl ObligationServer {
         }
     }
 
-    /// A full export of the server's tracer: counters (the server's
-    /// always-on store plus the solver counters recorded through the
-    /// tracer), gauges, histograms and every buffered event. Empty (with
-    /// `enabled: false`) for servers built without a tracer.
+    /// A full export of the server's tracer: the counters of the server's
+    /// always-on store (solver work included), gauges, histograms and
+    /// every buffered event. Empty (with `enabled: false`) for servers
+    /// built without a tracer.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
         self.inner.tracer.snapshot_with(&self.inner.counters)
     }
@@ -941,17 +940,17 @@ fn exhausted_solution() -> MilpSolution {
     }
 }
 
-/// A basis snapshot from a foreign, tiny LP — structurally unrelated to
-/// any obligation encoding, so the LP layer's guard must reject it and
-/// degrade the solve to cold rather than produce a wrong verdict.
-fn foreign_snapshot() -> Option<dpv_lp::BasisSnapshot> {
-    let mut lp = LinearProgram::new();
-    let x = lp.add_variable(0.0, 5.0);
-    let y = lp.add_variable(0.0, 5.0);
-    lp.set_objective(&[(x, 1.0), (y, 1.0)], true);
-    lp.add_constraint(&[(x, 1.0), (y, 2.0)], ConstraintOp::Le, 4.0);
-    let (_, snapshot) = lp.solve_with_snapshot();
-    snapshot
+/// Counts the solver work one solve attempt reports in its [`SolveStats`]
+/// into the server's counter store.
+fn count_solver_work(counters: &Counters, stats: &SolveStats) {
+    for (id, n) in [
+        (CounterId::BnbNodes, stats.nodes_explored),
+        (CounterId::WarmLpSolves, stats.warm_solves),
+        (CounterId::ColdLpSolves, stats.cold_solves),
+        (CounterId::SimplexIterations, stats.simplex_iterations),
+    ] {
+        counters.add(id, n as u64);
+    }
 }
 
 /// Solves one obligation with the resilience policy, in this order:
@@ -959,12 +958,13 @@ fn foreign_snapshot() -> Option<dpv_lp::BasisSnapshot> {
 /// 1. **deadline gate** — an expired request deadline skips the solve
 ///    outright (`Unknown("deadline-exceeded")`, no solver invocation);
 /// 2. **fault injection** — the obligation's planned fault (if any)
-///    fires: panic, delay, injected exhaustion, or a poisoned seed;
+///    fires: panic, delay or injected exhaustion;
 /// 3. **solve** — from the slack basis, with warm starts only inside the
 ///    obligation's own branch-and-bound tree, so the verdict, its witness
 ///    and the solver statistics are pure functions of the obligation; the
 ///    request's cancel token is polled between simplex pivots and
-///    branch-and-bound nodes;
+///    branch-and-bound nodes. Each solve attempt's statistics, the
+///    escalated retry's included, are counted into the server's store;
 /// 4. **escalated retry** — a node-/iteration-limit outcome is retried
 ///    once with `ESCALATION_SCALE`× budgets before degrading, unless an LP
 ///    result failed its check: the retry would repeat the same pivots and
@@ -1013,19 +1013,12 @@ fn run_job(
             exhausted_solution(),
         )
     } else {
-        // A poisoned seed is a foreign basis: the LP guard declines it at
-        // the root, and from there the search is the unseeded one.
-        let mut seed = match fault {
-            Some(FaultKind::PoisonSnapshot) => foreign_snapshot(),
-            _ => None,
-        };
         let attempt_started = trace.now_ns();
         let solved = job.problem.solve_with_template(
             &job.template,
             &job.region,
             &mut SolveOptions::new()
                 .bounds(job.bounds.as_ref())
-                .seed(&mut seed)
                 .cancel(cancel)
                 .backend(backend)
                 .tracer(trace),
@@ -1039,7 +1032,10 @@ fn run_job(
             ));
         }
         match solved {
-            Ok(pair) => pair,
+            Ok(pair) => {
+                count_solver_work(&inner.counters, &pair.1.stats);
+                pair
+            }
             Err(e) => {
                 return WorkerOutcome {
                     verdict: Verdict::Unknown(format!("obligation failed: {e}")),
@@ -1082,6 +1078,7 @@ fn run_job(
                 ));
             }
             if let Ok((retry_verdict, retry_solution)) = retried {
+                count_solver_work(&inner.counters, &retry_solution.stats);
                 if matches!(
                     retry_solution.status,
                     MilpStatus::Optimal | MilpStatus::Infeasible

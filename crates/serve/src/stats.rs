@@ -11,6 +11,9 @@ use dpv_core::{CacheStats, SnapshotPoolStats};
 /// one always-on counter store (keyed by [`dpv_trace::CounterId`]),
 /// which each event increments exactly once, tracing on or off. The
 /// trace export reads the same store, so the two can never disagree.
+/// That store also sums the solver work of every solve attempt (nodes,
+/// warm and cold LP solves, pivots); no field here repeats it, since each
+/// [`crate::ObligationOutcome::stats`] reports it per obligation.
 ///
 /// Counters are cumulative since the server was created. Latency and
 /// queue-depth figures are *cost* telemetry and deliberately not part of

@@ -104,9 +104,6 @@ impl RequestTimeline {
                             detail: event.detail,
                         });
                 }
-                // Sampled solver progress (WarmLp/ColdLp/BnbProgress) is
-                // too fine-grained for the per-obligation view.
-                _ => {}
             }
         }
         timeline.obligations.sort_by_key(|o| o.index);

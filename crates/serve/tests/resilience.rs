@@ -1,8 +1,8 @@
 //! Fault-tolerance behaviour of the resident obligation server: deadline
-//! semantics, panic isolation and quarantine, escalated retries, snapshot
-//! poisoning, and the deterministic fault-injection contract — reports
-//! are pure functions of `(request, plan)`, and obligations a plan does
-//! not touch are bit-identical to the fault-free run.
+//! semantics, panic isolation and quarantine, escalated retries, and the
+//! deterministic fault-injection contract — reports are pure functions of
+//! `(request, plan)`, and obligations a plan does not touch are
+//! bit-identical to the fault-free run.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -106,7 +106,7 @@ fn kind_of(draw: u8) -> FaultKind {
     match draw {
         0 => FaultKind::ExhaustIterations,
         1 => FaultKind::TransientExhaust,
-        2 => FaultKind::PoisonSnapshot,
+        2 => FaultKind::Panic,
         _ => FaultKind::Delay { millis: 1 },
     }
 }
@@ -118,7 +118,8 @@ proptest! {
     /// `(request, plan)`; healthy obligations are bit-identical to the
     /// fault-free run; each faulted obligation carries exactly its
     /// fault's expected outcome (recovered faults reproduce the
-    /// reference verdict, persistent exhaustion its stable code).
+    /// reference verdict, persistent exhaustion and a panic their stable
+    /// codes).
     #[test]
     fn faults_are_isolated_and_reports_are_deterministic(
         a in 0usize..OBLIGATIONS,
@@ -137,12 +138,7 @@ proptest! {
         let reference = reference_verdicts();
         for outcome in &first.obligations {
             match plan.fault_at(outcome.index) {
-                None
-                | Some(
-                    FaultKind::TransientExhaust
-                    | FaultKind::PoisonSnapshot
-                    | FaultKind::Delay { .. },
-                ) => {
+                None | Some(FaultKind::TransientExhaust | FaultKind::Delay { .. }) => {
                     prop_assert_eq!(&outcome.verdict, &reference[outcome.index]);
                 }
                 Some(FaultKind::ExhaustIterations) => {
@@ -151,7 +147,12 @@ proptest! {
                         Some(FailureReason::IterationLimit)
                     );
                 }
-                Some(FaultKind::Panic) => unreachable!("not drawn by this property"),
+                Some(FaultKind::Panic) => {
+                    prop_assert_eq!(
+                        FailureReason::of(&outcome.verdict),
+                        Some(FailureReason::WorkerPanic)
+                    );
+                }
             }
         }
     }
@@ -324,27 +325,6 @@ fn persistent_exhaustion_degrades_and_is_never_cached() {
         !healthy.obligations[2].deduped,
         "the degraded verdict must not have been cached"
     );
-}
-
-#[test]
-fn poisoned_snapshots_are_rejected_by_the_structural_guard() {
-    let server = ObligationServer::builder()
-        .config(ServeConfig::with_workers(2))
-        .build();
-    let mut plan = FaultPlan::new();
-    for index in 0..OBLIGATIONS {
-        plan.inject(index, FaultKind::PoisonSnapshot);
-    }
-    server.set_fault_plan(plan);
-    let report = server.serve(&base_request()).unwrap();
-
-    let reference = reference_verdicts();
-    for outcome in &report.obligations {
-        assert_eq!(
-            outcome.verdict, reference[outcome.index],
-            "a poisoned basis degrades to a cold solve, never a wrong verdict"
-        );
-    }
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Exact accounting under injected faults: for each [`FaultKind`], the
 //! server's [`ServeStats`] counters and the exported trace counters must
 //! match the injected fault count exactly — no double counting, no
-//! missed events.
+//! missed events — and the exported solver counters must equal the sum
+//! of the reported per-obligation [`SolveStats`].
 
 use std::sync::OnceLock;
 
 use dpv_absint::BoxDomain;
 use dpv_core::{Characterizer, InputProperty, RiskCondition, StartRegion, Verdict};
+use dpv_lp::SolveStats;
 use dpv_nn::{Activation, Network, NetworkBuilder};
 use dpv_serve::{
     FailureReason, FaultKind, FaultPlan, ObligationServer, RegionSpec, RequestReport, ServeConfig,
@@ -80,17 +82,20 @@ fn reference_verdicts() -> &'static [Verdict] {
     })
 }
 
-/// Serves the base request once on a fresh traced single-worker server
+/// Serves `request` once on a fresh traced single-worker server
 /// (single worker keeps the accounting deterministic: no sibling can
 /// race ahead and, say, turn a would-be solve into a dedup hit).
-fn serve_traced(plan: FaultPlan) -> (RequestReport, ServeStats, TraceSnapshot) {
+fn serve_traced(
+    request: &VerificationRequest,
+    plan: FaultPlan,
+) -> (RequestReport, ServeStats, TraceSnapshot) {
     let tracer = Tracer::with_config(TraceConfig::default());
     let server = ObligationServer::builder()
         .config(ServeConfig::with_workers(1))
         .tracer(tracer)
         .build();
     server.set_fault_plan(plan);
-    let report = server.serve(&base_request()).unwrap();
+    let report = server.serve(request).unwrap();
     let stats = server.stats();
     let snapshot = server.trace_snapshot();
     (report, stats, snapshot)
@@ -98,7 +103,7 @@ fn serve_traced(plan: FaultPlan) -> (RequestReport, ServeStats, TraceSnapshot) {
 
 #[test]
 fn clean_run_counts_every_obligation_once() {
-    let (report, stats, snapshot) = serve_traced(FaultPlan::new());
+    let (report, stats, snapshot) = serve_traced(&base_request(), FaultPlan::new());
     assert_eq!(report.obligations.len(), OBLIGATIONS);
     assert_eq!(stats.requests, 1);
     assert_eq!(stats.obligations, OBLIGATIONS as u64);
@@ -123,7 +128,7 @@ fn clean_run_counts_every_obligation_once() {
 fn one_panic_counts_two_attempts_and_one_quarantine() {
     let mut plan = FaultPlan::new();
     plan.inject(3, FaultKind::Panic);
-    let (report, stats, snapshot) = serve_traced(plan);
+    let (report, stats, snapshot) = serve_traced(&base_request(), plan);
 
     assert_eq!(
         FailureReason::of(&report.obligations[3].verdict),
@@ -142,7 +147,7 @@ fn one_panic_counts_two_attempts_and_one_quarantine() {
 fn persistent_exhaustion_counts_one_unrescued_retry() {
     let mut plan = FaultPlan::new();
     plan.inject(2, FaultKind::ExhaustIterations);
-    let (report, stats, snapshot) = serve_traced(plan);
+    let (report, stats, snapshot) = serve_traced(&base_request(), plan);
 
     assert_eq!(
         FailureReason::of(&report.obligations[2].verdict),
@@ -161,7 +166,7 @@ fn persistent_exhaustion_counts_one_unrescued_retry() {
 fn transient_exhaustion_counts_one_rescued_retry() {
     let mut plan = FaultPlan::new();
     plan.inject(5, FaultKind::TransientExhaust);
-    let (report, stats, snapshot) = serve_traced(plan);
+    let (report, stats, snapshot) = serve_traced(&base_request(), plan);
 
     assert_eq!(
         report.obligations[5].verdict,
@@ -181,22 +186,40 @@ fn transient_exhaustion_counts_one_rescued_retry() {
     assert_eq!(retries, 1);
 }
 
+/// Solver work reaches the counters through one path: the `SolveStats`
+/// of each solve attempt. The exported `bnb-nodes`, `warm-lp-solves`,
+/// `cold-lp-solves` and `simplex-iterations` are therefore the sums of
+/// the report's per-obligation statistics, on a clean run and under a
+/// transient exhaustion, whose injected first attempt runs no solver and
+/// whose escalated retry reports the obligation's statistics.
 #[test]
-fn poisoned_snapshot_degrades_silently_to_cold() {
-    let mut plan = FaultPlan::new();
-    for index in 0..OBLIGATIONS {
-        plan.inject(index, FaultKind::PoisonSnapshot);
+fn solver_counters_sum_the_reported_solve_stats() {
+    // Thresholds inside the outputs' range make some searches branch, so
+    // every counter, warm LP solves included, counts something.
+    let mut request = base_request();
+    request.risks = vec![
+        RiskCondition::new("near-0").output_ge(0, 0.25),
+        RiskCondition::new("near-1").output_ge(1, 0.25),
+    ];
+    let mut transient = FaultPlan::new();
+    transient.inject(5, FaultKind::TransientExhaust);
+    for (plan, retries) in [(FaultPlan::new(), 0), (transient, 1)] {
+        let (report, stats, snapshot) = serve_traced(&request, plan);
+        assert_eq!(stats.retries, retries);
+        let total = report
+            .obligations
+            .iter()
+            .fold(SolveStats::default(), |total, o| total + o.stats);
+        for (counter, reported) in [
+            ("bnb-nodes", total.nodes_explored),
+            ("warm-lp-solves", total.warm_solves),
+            ("cold-lp-solves", total.cold_solves),
+            ("simplex-iterations", total.simplex_iterations),
+        ] {
+            assert!(reported > 0, "{counter}: {total:?}");
+            assert_eq!(snapshot.counter(counter), reported as u64, "{counter}");
+        }
     }
-    let (report, stats, snapshot) = serve_traced(plan);
-
-    let reference = reference_verdicts();
-    for outcome in &report.obligations {
-        assert_eq!(outcome.verdict, reference[outcome.index]);
-    }
-    assert_eq!(stats.retries, 0, "the structural guard rescues the solve");
-    assert_eq!(stats.worker_panics, 0);
-    assert_eq!(snapshot.counter("retries"), 0);
-    assert_eq!(snapshot.counter("worker-panics"), 0);
 }
 
 #[test]

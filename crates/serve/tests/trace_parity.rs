@@ -104,7 +104,7 @@ fn kind_of(draw: u8) -> FaultKind {
     match draw {
         0 => FaultKind::ExhaustIterations,
         1 => FaultKind::TransientExhaust,
-        2 => FaultKind::PoisonSnapshot,
+        2 => FaultKind::Panic,
         _ => FaultKind::Delay { millis: 1 },
     }
 }
@@ -203,7 +203,6 @@ fn timelines_cover_the_request() {
 fn overflowing_ring_buffers_degrade_gracefully() {
     let tracer = Tracer::with_config(TraceConfig {
         events_per_buffer: 4,
-        ..TraceConfig::default()
     });
     let server = ObligationServer::builder()
         .config(ServeConfig::with_workers(2))

@@ -18,8 +18,9 @@ pub const NO_REQUEST: u64 = 0;
 pub const NO_OBLIGATION: u64 = u64::MAX;
 
 /// What one recorded event describes. The hierarchy, outermost first:
-/// request → obligation → solve attempt → {instantiate, warm LP, cold
-/// LP, B&B progress, escalated retry}.
+/// request → obligation → solve attempt → {instantiate, escalated retry}.
+/// Nothing is recorded per branch-and-bound node or per LP: a solve's
+/// `SolveStats` report those.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -40,23 +41,14 @@ pub enum EventKind {
     SolveAttempt = 6,
     /// The escalated cold retry span after budget exhaustion.
     EscalatedRetry = 7,
-    /// A sampled warm (snapshot-start) LP node solve (`detail` =
-    /// simplex iterations of the sampled solve).
-    WarmLp = 8,
-    /// A sampled cold (slack-basis start) LP node solve (`detail` = simplex
-    /// iterations of the sampled solve).
-    ColdLp = 9,
-    /// Sampled branch-and-bound progress (`detail` = nodes explored so
-    /// far in the current search tree).
-    BnbProgress = 10,
     /// An obligation's final verdict (`detail` = a
     /// [`VerdictClass`] discriminant).
-    Verdict = 11,
+    Verdict = 8,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 12] = [
+    pub const ALL: [EventKind; 9] = [
         EventKind::RequestBegin,
         EventKind::RequestEnd,
         EventKind::Enqueue,
@@ -65,9 +57,6 @@ impl EventKind {
         EventKind::Instantiate,
         EventKind::SolveAttempt,
         EventKind::EscalatedRetry,
-        EventKind::WarmLp,
-        EventKind::ColdLp,
-        EventKind::BnbProgress,
         EventKind::Verdict,
     ];
 
@@ -87,9 +76,6 @@ impl EventKind {
             EventKind::Instantiate => "instantiate",
             EventKind::SolveAttempt => "solve-attempt",
             EventKind::EscalatedRetry => "escalated-retry",
-            EventKind::WarmLp => "warm-lp",
-            EventKind::ColdLp => "cold-lp",
-            EventKind::BnbProgress => "bnb-progress",
             EventKind::Verdict => "verdict",
         }
     }

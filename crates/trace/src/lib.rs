@@ -3,16 +3,16 @@
 //!
 //! # Event model
 //!
-//! A [`Tracer`] owns one shared [`MetricsStore`-shaped] set of typed
-//! counters/gauges/histograms ([`CounterId`], [`GaugeId`],
-//! [`HistogramId`]) plus one event ring buffer per registered handle.
-//! The counter array is also usable on its own, without a tracer
-//! ([`Counters`]): the obligation server keeps its always-on counters in
-//! one and exports them through [`Tracer::snapshot_with`].
+//! A [`Tracer`] owns one shared set of typed gauges and histograms
+//! ([`GaugeId`], [`HistogramId`]) plus one event ring buffer per
+//! registered handle. It keeps no counters: a recorder counts in a
+//! [`Counters`] store of its own ([`CounterId`]), which needs no tracer,
+//! and exports it through [`Tracer::snapshot_with`]. The obligation
+//! server keeps its always-on counters, solver work included, in one
+//! such store.
 //! Events ([`TraceEvent`]) are fixed-width six-word records forming an
 //! implicit span hierarchy through their tags: request → obligation →
-//! solve attempt → {instantiate, warm LP, cold LP, branch-and-bound
-//! progress, escalated retry}. Timestamps are
+//! solve attempt → {instantiate, escalated retry}. Timestamps are
 //! nanoseconds on the monotonic clock since the tracer's creation.
 //!
 //! # Ring-buffer semantics
@@ -26,16 +26,12 @@
 //! optimistic seqlock-style readers: a slot caught mid-write is
 //! discarded, never torn. Recording never panics and never allocates.
 //!
-//! # Sampling
+//! # Granularity
 //!
-//! Per-LP-node instrumentation would dominate the ring, so
-//! [`TraceHandle::lp_node`] always bumps the counters (`bnb-nodes`,
-//! `warm-lp-solves`/`cold-lp-solves`, `simplex-iterations`) but emits
-//! [`EventKind::WarmLp`]/[`EventKind::ColdLp`] events only every
-//! [`TraceConfig::lp_sample_every`]-th solve and
-//! [`EventKind::BnbProgress`] every
-//! [`TraceConfig::bnb_sample_every`]-th node (the first of each is
-//! always sampled). Counters are exact; events are a sampled timeline.
+//! Events stop at the solve attempt: nothing is recorded per
+//! branch-and-bound node or per LP. How hard one obligation's proof was
+//! (nodes, the warm/cold LP split, pivots) is the `SolveStats` its solve
+//! returns, and the obligation server adds those up in its counters.
 //!
 //! # Determinism contract: traced ≡ untraced
 //!
@@ -43,7 +39,7 @@
 //! ([`Tracer::disabled`], the default everywhere) reduces every
 //! recording call to a single branch on an `Option` — no clock read, no
 //! atomic, no allocation — and enabling tracing must not change any
-//! verdict, fold order or cached byte anywhere in the stack: the solver
+//! verdict, fold order or cached byte anywhere in the stack: the core
 //! and serve layers only ever *report* through these APIs, never ask
 //! them for decisions. `crates/serve/tests/trace_parity.rs` pins the
 //! contract by running identical requests traced and untraced and
@@ -55,8 +51,6 @@
 //! [`Tracer::snapshot`] produces a [`TraceSnapshot`]: a machine-readable
 //! value that serialises to JSON ([`TraceSnapshot::to_json`]) and to
 //! Prometheus-style exposition text ([`TraceSnapshot::to_prometheus`]).
-//!
-//! [`MetricsStore`-shaped]: CounterId
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,20 +80,12 @@ pub struct TraceConfig {
     /// Ring-buffer capacity (events) of each registered handle; values
     /// below 1 are clamped to 1.
     pub events_per_buffer: usize,
-    /// Emit a [`EventKind::BnbProgress`] event every this-many
-    /// branch-and-bound nodes (counters stay exact); clamped to ≥ 1.
-    pub bnb_sample_every: u64,
-    /// Emit a [`EventKind::WarmLp`]/[`EventKind::ColdLp`] event every
-    /// this-many LP node solves of that temperature; clamped to ≥ 1.
-    pub lp_sample_every: u64,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             events_per_buffer: 4096,
-            bnb_sample_every: 64,
-            lp_sample_every: 32,
         }
     }
 }
@@ -193,16 +179,16 @@ impl Tracer {
         }
     }
 
-    /// A point-in-time snapshot of every metric and every surviving
-    /// event. A disabled tracer snapshots to the empty default.
+    /// A point-in-time snapshot of every gauge, every histogram and every
+    /// surviving event, with every counter at zero. A disabled tracer
+    /// snapshots to the empty default.
     pub fn snapshot(&self) -> TraceSnapshot {
         self.snapshot_with(&Counters::default())
     }
 
-    /// [`Tracer::snapshot`] with `counters` added into the exported
-    /// counters: the export of a recorder that keeps some counters in a
-    /// store of its own (the obligation server's always-on store). A
-    /// disabled tracer still snapshots to the empty default.
+    /// [`Tracer::snapshot`] exporting `counters`, a recorder's own store
+    /// (the obligation server's always-on store), as they are. A disabled
+    /// tracer still snapshots to the empty default.
     pub fn snapshot_with(&self, counters: &Counters) -> TraceSnapshot {
         let Some(shared) = &self.shared else {
             return TraceSnapshot::default();
@@ -218,10 +204,7 @@ impl Tracer {
             record_ops: shared.record_ops.load(Ordering::Relaxed),
             counters: CounterId::ALL
                 .iter()
-                .map(|&id| {
-                    let value = shared.metrics.counters.get(id) + counters.get(id);
-                    (id.name().to_string(), value)
-                })
+                .map(|&id| (id.name().to_string(), counters.get(id)))
                 .collect(),
             gauges: GaugeId::ALL
                 .iter()
@@ -261,7 +244,7 @@ impl Tracer {
     }
 }
 
-/// A recording handle: the thing threaded through the solver and serve
+/// A recording handle: the thing threaded through the core and serve
 /// hot paths. Disabled handles ([`TraceHandle::disabled`]) make every
 /// method a single `Option` branch — no clock read, no atomic.
 #[derive(Debug, Clone)]
@@ -311,15 +294,6 @@ impl TraceHandle {
         self.sink.as_ref().map_or(0, |(shared, _)| shared.now_ns())
     }
 
-    /// Adds to a counter.
-    pub fn add(&self, id: CounterId, n: u64) {
-        let Some((shared, _)) = &self.sink else {
-            return;
-        };
-        shared.tick();
-        shared.metrics.counters.add(id, n);
-    }
-
     /// Sets a gauge (and raises its high-water mark).
     pub fn gauge(&self, id: GaugeId, value: u64) {
         let Some((shared, _)) = &self.sink else {
@@ -354,48 +328,6 @@ impl TraceHandle {
         }
         buffer.record(event.encode());
     }
-
-    /// The per-LP-node fast path: **one call, one disabled branch** per
-    /// branch-and-bound node. Bumps `bnb-nodes`, the warm/cold solve
-    /// counter and `simplex-iterations` exactly, and emits sampled
-    /// [`EventKind::WarmLp`]/[`EventKind::ColdLp`] and
-    /// [`EventKind::BnbProgress`] events per [`TraceConfig`].
-    pub fn lp_node(&self, warm: bool, iterations: u64) {
-        let Some((shared, buffer)) = &self.sink else {
-            return;
-        };
-        shared.tick();
-        let counters = &shared.metrics.counters;
-        let nodes = counters.add(CounterId::BnbNodes, 1);
-        let temperature = if warm {
-            CounterId::WarmLpSolves
-        } else {
-            CounterId::ColdLpSolves
-        };
-        let solves = counters.add(temperature, 1);
-        counters.add(CounterId::SimplexIterations, iterations);
-        let lp_every = shared.config.lp_sample_every.max(1);
-        if (solves.wrapping_sub(1)) % lp_every == 0 {
-            let kind = if warm {
-                EventKind::WarmLp
-            } else {
-                EventKind::ColdLp
-            };
-            let mut event = TraceEvent::instant(kind, shared.now_ns(), iterations);
-            event.worker = buffer.worker();
-            event.request = self.request;
-            event.obligation = self.obligation;
-            buffer.record(event.encode());
-        }
-        let bnb_every = shared.config.bnb_sample_every.max(1);
-        if (nodes.wrapping_sub(1)) % bnb_every == 0 {
-            let mut event = TraceEvent::instant(EventKind::BnbProgress, shared.now_ns(), nodes);
-            event.worker = buffer.worker();
-            event.request = self.request;
-            event.obligation = self.obligation;
-            buffer.record(event.encode());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -418,11 +350,9 @@ mod tests {
         let handle = tracer.register();
         assert!(!handle.is_enabled());
         assert_eq!(handle.now_ns(), 0);
-        handle.add(CounterId::Requests, 1);
         handle.gauge(GaugeId::QueueDepth, 9);
         handle.observe(HistogramId::SolveNs, 100);
         handle.event(TraceEvent::instant(EventKind::Enqueue, 1, 0));
-        handle.lp_node(true, 10);
         assert_eq!(tracer.record_ops(), 0);
         assert_eq!(tracer.snapshot(), TraceSnapshot::default());
         assert_eq!(Tracer::default().snapshot(), TraceSnapshot::default());
@@ -431,16 +361,17 @@ mod tests {
     #[test]
     fn register_snapshot_flow_and_tag_inheritance() {
         let tracer = Tracer::enabled();
-        let w0 = tracer.register();
+        let _w0 = tracer.register();
         let w1 = tracer.register().tagged(7, 3);
-        w0.add(CounterId::Requests, 2);
+        let counters = Counters::default();
+        counters.add(CounterId::Requests, 2);
         w1.event(TraceEvent::instant(EventKind::Dequeue, 5, 0));
         let mut explicit = TraceEvent::instant(EventKind::Verdict, 6, 1);
         explicit.request = 8;
         explicit.obligation = 4;
         w1.event(explicit);
 
-        let snapshot = tracer.snapshot();
+        let snapshot = tracer.snapshot_with(&counters);
         assert!(snapshot.enabled);
         assert_eq!(snapshot.counter("requests"), 2);
         assert_eq!(snapshot.workers.len(), 2);
@@ -458,49 +389,24 @@ mod tests {
     fn record_ops_counts_calls_not_atomics() {
         let tracer = Tracer::enabled();
         let handle = tracer.register();
-        handle.add(CounterId::Retries, 1);
         handle.gauge(GaugeId::QueueDepth, 1);
-        handle.observe(HistogramId::SolveNs, 1);
+        handle.observe(HistogramId::SolveNs, 1); // one call = one op despite 3 atomics
         handle.event(TraceEvent::instant(EventKind::Enqueue, 1, 0));
-        handle.lp_node(false, 25); // one call = one op despite 3 counters
-        assert_eq!(tracer.record_ops(), 5);
-        assert_eq!(tracer.snapshot().record_ops, 5);
-    }
-
-    #[test]
-    fn lp_node_counts_exactly_and_samples_events() {
-        let tracer = Tracer::with_config(TraceConfig {
-            events_per_buffer: 128,
-            bnb_sample_every: 4,
-            lp_sample_every: 3,
-        });
-        let handle = tracer.register();
-        for i in 0..10 {
-            handle.lp_node(i % 2 == 0, 5);
-        }
-        let snapshot = tracer.snapshot();
-        assert_eq!(snapshot.counter("bnb-nodes"), 10);
-        assert_eq!(snapshot.counter("warm-lp-solves"), 5);
-        assert_eq!(snapshot.counter("cold-lp-solves"), 5);
-        assert_eq!(snapshot.counter("simplex-iterations"), 50);
-        // Warm solves 1 and 4 sampled, cold solves 1 and 4 sampled,
-        // nodes 1, 5 and 9 sampled.
-        let count = |kind: EventKind| snapshot.events().filter(|e| e.kind == kind).count();
-        assert_eq!(count(EventKind::WarmLp), 2);
-        assert_eq!(count(EventKind::ColdLp), 2);
-        assert_eq!(count(EventKind::BnbProgress), 3);
+        assert_eq!(tracer.record_ops(), 3);
+        assert_eq!(tracer.snapshot().record_ops, 3);
     }
 
     #[test]
     fn snapshot_exports_recorded_metrics_to_prometheus() {
         let tracer = Tracer::enabled();
         let handle = tracer.register();
-        handle.add(CounterId::Requests, 1);
+        let counters = Counters::default();
+        counters.add(CounterId::Requests, 1);
         handle.observe(HistogramId::QueueWaitNs, 900);
         handle.gauge(GaugeId::QueueDepth, 4);
         handle.event(TraceEvent::span(EventKind::SolveAttempt, 10, 20, 1));
-        let snapshot = tracer.snapshot();
-        assert!(snapshot.to_prometheus().contains("dpv_trace_requests 1"));
+        let prometheus = tracer.snapshot_with(&counters).to_prometheus();
+        assert!(prometheus.contains("dpv_trace_requests 1"));
     }
 
     #[test]

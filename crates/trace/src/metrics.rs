@@ -1,12 +1,14 @@
 //! Typed counters, gauges and log-bucketed histograms.
 //!
-//! All metrics live in one fixed-shape [`MetricsStore`] of `AtomicU64`s,
-//! so recording is a relaxed atomic add with no allocation, no locking
-//! and no possibility of panic — the properties the recording-path
-//! contract demands. Identifiers are closed enums: the exporters can
-//! enumerate every metric without a registry lock, and the per-failure
-//! degradation counters key off the serve layer's *stable code strings*
-//! (`"deadline-exceeded"`, …) so this crate stays dependency-free.
+//! Every metric is a fixed-shape array of `AtomicU64`s: the counters sit
+//! in a [`Counters`] store that the recorder owns, the gauges and
+//! histograms in the tracer's [`MetricsStore`]. Recording is therefore a
+//! relaxed atomic add with no allocation, no locking and no possibility
+//! of panic — the properties the recording-path contract demands.
+//! Identifiers are closed enums: the exporters can enumerate every metric
+//! without a registry lock, and the per-failure degradation counters key
+//! off the serve layer's *stable code strings* (`"deadline-exceeded"`, …)
+//! so this crate stays dependency-free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,8 +48,6 @@ pub enum CounterId {
     ColdLpSolves,
     /// Total simplex pivots across every LP solve.
     SimplexIterations,
-    /// Forced periodic basis refactorisations in the warm-solve chain.
-    Refactorisations,
     /// Branch-and-bound nodes explored.
     BnbNodes,
     /// Budget-exhausted solves retried once with escalated budgets (a
@@ -77,7 +77,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in export order.
-    pub const ALL: [CounterId; 27] = [
+    pub const ALL: [CounterId; 26] = [
         CounterId::Requests,
         CounterId::Obligations,
         CounterId::DedupHits,
@@ -92,7 +92,6 @@ impl CounterId {
         CounterId::WarmLpSolves,
         CounterId::ColdLpSolves,
         CounterId::SimplexIterations,
-        CounterId::Refactorisations,
         CounterId::BnbNodes,
         CounterId::Retries,
         CounterId::RetrySuccesses,
@@ -124,7 +123,6 @@ impl CounterId {
             CounterId::WarmLpSolves => "warm-lp-solves",
             CounterId::ColdLpSolves => "cold-lp-solves",
             CounterId::SimplexIterations => "simplex-iterations",
-            CounterId::Refactorisations => "refactorisations",
             CounterId::BnbNodes => "bnb-nodes",
             CounterId::Retries => "retries",
             CounterId::RetrySuccesses => "retry-successes",
@@ -253,10 +251,11 @@ struct AtomicGauge {
     high_water: AtomicU64,
 }
 
-/// One relaxed `AtomicU64` per [`CounterId`]: a counter store that needs
-/// no tracer. A [`crate::Tracer`] keeps one for what its handles record;
-/// the obligation server keeps its own for the serve-level counters, so
-/// those count whether tracing is on or off.
+/// One relaxed `AtomicU64` per [`CounterId`]: the one counter store, which
+/// needs no tracer. A [`crate::Tracer`] keeps no counters of its own; the
+/// obligation server keeps one store for the serve-level counters and the
+/// solver work its solves report, so they count whether tracing is on or
+/// off, and [`crate::Tracer::snapshot_with`] exports it.
 #[derive(Debug)]
 pub struct Counters {
     values: [AtomicU64; CounterId::ALL.len()],
@@ -287,10 +286,10 @@ impl Counters {
     }
 }
 
-/// The fixed metric store shared by every handle of one tracer.
+/// The fixed gauge and histogram store shared by every handle of one
+/// tracer.
 #[derive(Debug)]
 pub(crate) struct MetricsStore {
-    pub(crate) counters: Counters,
     gauges: [AtomicGauge; GaugeId::ALL.len()],
     histograms: [AtomicHistogram; HistogramId::ALL.len()],
 }
@@ -298,7 +297,6 @@ pub(crate) struct MetricsStore {
 impl MetricsStore {
     pub(crate) fn new() -> MetricsStore {
         MetricsStore {
-            counters: Counters::default(),
             gauges: std::array::from_fn(|_| AtomicGauge {
                 value: AtomicU64::new(0),
                 high_water: AtomicU64::new(0),

@@ -1,11 +1,12 @@
 //! Point-in-time trace snapshots and the two exporters.
 //!
 //! [`TraceSnapshot`] is the machine-readable view of everything a tracer
-//! recorded: every counter/gauge/histogram plus the surviving events of
-//! every ring buffer. It exports to JSON ([`TraceSnapshot::to_json`],
-//! written by hand: the workspace has no serialisation dependency) and
-//! dumps Prometheus-style text ([`TraceSnapshot::to_prometheus`]) for
-//! scrape endpoints. Nothing reads a snapshot back.
+//! recorded, every gauge/histogram plus the surviving events of every ring
+//! buffer, together with the recorder's counters. It exports to JSON
+//! ([`TraceSnapshot::to_json`], written by hand: the workspace has no
+//! serialisation dependency) and dumps Prometheus-style text
+//! ([`TraceSnapshot::to_prometheus`]) for scrape endpoints. Nothing reads
+//! a snapshot back.
 
 use crate::event::TraceEvent;
 use crate::metrics::bucket_upper_bound;
@@ -52,11 +53,13 @@ pub struct TraceSnapshot {
     /// Whether the tracer was enabled (a disabled tracer snapshots to
     /// the empty default).
     pub enabled: bool,
-    /// Total recording operations performed (counter adds, gauge sets,
-    /// histogram observations and events) — the basis of the disabled-
+    /// Total recording operations performed through the tracer's handles
+    /// (gauge sets, histogram observations and events; counting in a
+    /// [`crate::Counters`] store is not one) — the basis of the disabled-
     /// overhead bound in `benches/e14_observability.rs`.
     pub record_ops: u64,
-    /// Every counter as `(name, value)`, in fixed export order.
+    /// Every counter of the exported [`crate::Counters`] store as
+    /// `(name, value)`, in fixed export order.
     pub counters: Vec<(String, u64)>,
     /// Every gauge, in fixed export order.
     pub gauges: Vec<GaugeSnapshot>,
