@@ -59,7 +59,7 @@ pub use encode::{
 pub use error::CoreError;
 pub use fingerprint::{ContentHasher, Fingerprint};
 pub use refine::{split_box, RefinedVerdict, RefinementReport, RefinementVerifier};
-pub use shard_verify::{ShardObligation, ShardedVerificationConfig, ShardedVerificationReport};
+pub use shard_verify::{ShardObligation, ShardedVerificationReport};
 pub use spec::{InputProperty, LinearInequality, OutputOp, RiskCondition};
 pub use statistical::{ConfusionTable, StatisticalAnalysis};
 pub use verify::{

@@ -329,8 +329,8 @@ fn solve_generation(
 /// a shared cursor; with `workers <= 1` everything runs inline on the
 /// caller. A panic in `work` is re-raised on the caller.
 ///
-/// This is the one work-index dispenser of the crate: the refinement
-/// generations and the sharded obligations both fan out through it.
+/// Refinement generations fan out through it; sharded verification
+/// solves its shards in order on the caller.
 pub(crate) fn fan_out<T>(count: usize, workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T>
 where
     T: Send,

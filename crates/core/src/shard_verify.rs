@@ -1,5 +1,5 @@
 //! Sharded (per-cluster) verification: one proof obligation per envelope
-//! shard, dispatched across the parallel work-list.
+//! shard, solved in shard order on the calling thread.
 //!
 //! The monolithic assume-guarantee proof solves **one** MILP whose start
 //! region is the envelope of *all* training activations. A
@@ -10,12 +10,15 @@
 //!
 //! * each shard's region fixes more ReLU phases (fewer free binaries,
 //!   smaller branch-and-bound trees);
-//! * the obligations are embarrassingly parallel and fan out across scoped
-//!   worker threads through the same ordered dispatcher as the refinement
-//!   work-list;
 //! * each obligation is encoded and solved one-shot, exactly as the
 //!   monolithic path solves its one region
 //!   ([`VerificationProblem::run_solver`]).
+//!
+//! The obligations are independent. A caller that wants them solved in
+//! parallel serves the envelope as a sharded request
+//! (`dpv_serve::RegionSpec::Sharded`), whose obligations run on the
+//! server's worker pool; both paths derive the same obligations through
+//! [`VerificationProblem::shard_regions`].
 //!
 //! **Soundness.** Every shard is a subset of the monolithic envelope and
 //! the shard union contains every training activation (the
@@ -24,50 +27,18 @@
 //! conditional, as before, on a runtime monitor now checking membership in
 //! the *union* ([`dpv_shard::ShardedMonitor`]).
 //!
-//! **Determinism.** Workers may finish in any order, but results are
-//! folded back in shard-index order and the lowest-index non-safe verdict
-//! wins (counterexamples take precedence over solver give-ups), mirroring
-//! the refinement work-list's lowest-index rule: reports are identical run
-//! to run for a deterministic backend, regardless of scheduling.
+//! **Determinism.** Results are folded in shard-index order and the
+//! lowest-index non-safe verdict wins (counterexamples take precedence
+//! over solver give-ups), mirroring the refinement work-list's
+//! lowest-index rule: reports are identical run to run for a
+//! deterministic backend.
 
 use std::time::Instant;
 
 use dpv_lp::{default_backend, SolveStats, SolverBackend};
 use dpv_shard::ShardedEnvelope;
 
-use crate::refine::fan_out;
 use crate::{CoreError, StartRegion, Verdict, VerificationProblem};
-
-/// Configuration of a sharded verification run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardedVerificationConfig {
-    /// Whether each shard's adjacent-difference constraints are encoded
-    /// (`true`, the octagon region) or only its box part (`false`) —
-    /// the same ablation switch as [`crate::AssumeGuarantee`].
-    pub use_difference_constraints: bool,
-    /// Worker threads solving shard obligations concurrently. One (or
-    /// zero) keeps the dispatch on the calling thread.
-    pub workers: usize,
-}
-
-impl Default for ShardedVerificationConfig {
-    fn default() -> Self {
-        Self {
-            use_difference_constraints: true,
-            workers: 1,
-        }
-    }
-}
-
-impl ShardedVerificationConfig {
-    /// Difference constraints on, `workers` worker threads.
-    pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers,
-            ..Self::default()
-        }
-    }
-}
 
 /// The result of one shard's proof obligation.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,17 +117,19 @@ impl VerificationProblem {
     pub fn verify_sharded(
         &self,
         envelope: &ShardedEnvelope,
-        config: &ShardedVerificationConfig,
+        use_difference_constraints: bool,
     ) -> Result<ShardedVerificationReport, CoreError> {
-        self.verify_sharded_with(envelope, config, &default_backend())
+        self.verify_sharded_with(envelope, use_difference_constraints, &default_backend())
     }
 
-    /// Verifies the problem once per envelope shard, dispatching the
-    /// obligations across `config.workers` worker threads, and aggregates
+    /// Verifies the problem once per envelope shard, solving the
+    /// obligations in shard order on the calling thread, and aggregates
     /// the verdicts: the property holds iff it holds on **every** shard;
     /// otherwise the lowest-index shard's counterexample wins (see the
-    /// module docs for the determinism rule). With a single shard this is
-    /// verdict-identical to the monolithic
+    /// module docs for the determinism rule). Each shard's region is its
+    /// octagon when `use_difference_constraints` is set and its box part
+    /// otherwise — the same ablation switch as [`crate::AssumeGuarantee`].
+    /// With a single shard this is verdict-identical to the monolithic
     /// [`crate::VerificationStrategy::AssumeGuarantee`] path.
     ///
     /// # Errors
@@ -165,14 +138,29 @@ impl VerificationProblem {
     pub fn verify_sharded_with(
         &self,
         envelope: &ShardedEnvelope,
-        config: &ShardedVerificationConfig,
+        use_difference_constraints: bool,
         backend: &dyn SolverBackend,
     ) -> Result<ShardedVerificationReport, CoreError> {
-        let regions = self.shard_regions(envelope, config.use_difference_constraints)?;
+        let regions = self.shard_regions(envelope, use_difference_constraints)?;
 
         let start_time = Instant::now();
-        let outcomes = self.solve_obligations(envelope, &regions, config, backend);
-        let shards = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let shards = regions
+            .iter()
+            .enumerate()
+            .map(|(index, region)| {
+                let shard_start = Instant::now();
+                let (verdict, encoded, solution) = self.run_solver(region, backend)?;
+                Ok(ShardObligation {
+                    shard: index,
+                    samples: envelope.shard(index).sample_count(),
+                    verdict,
+                    num_binaries: encoded.num_binaries,
+                    stable_relus: encoded.stable_relus,
+                    stats: solution.stats,
+                    seconds: shard_start.elapsed().as_secs_f64(),
+                })
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
 
         Ok(ShardedVerificationReport {
             // Counterexamples are conclusive for the whole union, so they
@@ -224,32 +212,6 @@ impl VerificationProblem {
                 }
             })
             .collect())
-    }
-
-    /// Solves every shard obligation across `config.workers` worker
-    /// threads and returns the outcomes indexed like the shards.
-    fn solve_obligations(
-        &self,
-        envelope: &ShardedEnvelope,
-        regions: &[StartRegion],
-        config: &ShardedVerificationConfig,
-        backend: &dyn SolverBackend,
-    ) -> Vec<Result<ShardObligation, CoreError>> {
-        let solve_one = |index: usize| -> Result<ShardObligation, CoreError> {
-            let shard_start = Instant::now();
-            let (verdict, encoded, solution) = self.run_solver(&regions[index], backend)?;
-            Ok(ShardObligation {
-                shard: index,
-                samples: envelope.shard(index).sample_count(),
-                verdict,
-                num_binaries: encoded.num_binaries,
-                stable_relus: encoded.stable_relus,
-                stats: solution.stats,
-                seconds: shard_start.elapsed().as_secs_f64(),
-            })
-        };
-
-        fan_out(envelope.shard_count(), config.workers, solve_one)
     }
 }
 
@@ -342,9 +304,7 @@ mod tests {
         let risk = provable_risk(&perception, &inputs);
         let problem = VerificationProblem::new(perception.clone(), 3, characterizer, risk).unwrap();
         let envelope = sharded_envelope(&perception, &inputs, 4);
-        let report = problem
-            .verify_sharded(&envelope, &ShardedVerificationConfig::default())
-            .unwrap();
+        let report = problem.verify_sharded(&envelope, true).unwrap();
         assert!(report.verdict.is_safe(), "{}", report.summary());
         assert_eq!(report.shards.len(), envelope.shard_count());
         assert!(report.shards.iter().all(|s| s.verdict.is_safe()));
@@ -378,15 +338,7 @@ mod tests {
                         use_difference_constraints: use_diff,
                     }))
                     .unwrap();
-                let sharded = problem
-                    .verify_sharded(
-                        &envelope,
-                        &ShardedVerificationConfig {
-                            use_difference_constraints: use_diff,
-                            workers: 1,
-                        },
-                    )
-                    .unwrap();
+                let sharded = problem.verify_sharded(&envelope, use_diff).unwrap();
                 assert_eq!(
                     sharded.verdict, monolithic.verdict,
                     "k = 1 diverged from the monolithic path ({name}, diff {use_diff})"
@@ -404,9 +356,7 @@ mod tests {
         let risk = RiskCondition::new("weak").output_ge(0, -10.0);
         let problem = VerificationProblem::new(perception.clone(), 3, characterizer, risk).unwrap();
         let envelope = sharded_envelope(&perception, &inputs, 3);
-        let report = problem
-            .verify_sharded(&envelope, &ShardedVerificationConfig::default())
-            .unwrap();
+        let report = problem.verify_sharded(&envelope, true).unwrap();
         assert!(report.verdict.is_unsafe());
         let first_unsafe = report
             .shards
@@ -429,35 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_dispatch_is_deterministic_and_agrees_with_serial() {
-        let (perception, characterizer, inputs) = bimodal_setup(4);
-        let risk = provable_risk(&perception, &inputs);
-        let problem = VerificationProblem::new(perception.clone(), 3, characterizer, risk).unwrap();
-        let envelope = sharded_envelope(&perception, &inputs, 4);
-        let serial = problem
-            .verify_sharded(&envelope, &ShardedVerificationConfig::default())
-            .unwrap();
-        let parallel_a = problem
-            .verify_sharded(&envelope, &ShardedVerificationConfig::with_workers(4))
-            .unwrap();
-        let parallel_b = problem
-            .verify_sharded(&envelope, &ShardedVerificationConfig::with_workers(4))
-            .unwrap();
-        assert_eq!(serial.verdict, parallel_a.verdict);
-        assert_eq!(parallel_a.verdict, parallel_b.verdict);
-        // Per-shard artefacts are scheduling-independent (timings aside).
-        for (a, b) in parallel_a.shards.iter().zip(&parallel_b.shards) {
-            assert_eq!(a.verdict, b.verdict);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.num_binaries, b.num_binaries);
-        }
-        for (s, p) in serial.shards.iter().zip(&parallel_a.shards) {
-            assert_eq!(s.verdict, p.verdict);
-            assert_eq!(s.stats, p.stats);
-        }
-    }
-
-    #[test]
     fn mismatched_envelopes_are_rejected() {
         let (perception, characterizer, inputs) = bimodal_setup(5);
         let risk = RiskCondition::new("r").output_le(0, -5.0);
@@ -471,9 +392,7 @@ mod tests {
             &ShardConfig::fixed(2),
         )
         .unwrap();
-        assert!(problem
-            .verify_sharded(&wrong_layer, &ShardedVerificationConfig::default())
-            .is_err());
+        assert!(problem.verify_sharded(&wrong_layer, true).is_err());
     }
 
     #[test]
@@ -488,9 +407,7 @@ mod tests {
                 use_difference_constraints: true,
             }))
             .unwrap();
-        let report = problem
-            .verify_sharded(&envelope, &ShardedVerificationConfig::default())
-            .unwrap();
+        let report = problem.verify_sharded(&envelope, true).unwrap();
         // Every per-shard MILP has at most the monolithic binary count (the
         // tighter region can only stabilise more ReLUs, never fewer).
         for shard in &report.shards {

@@ -26,8 +26,8 @@ use dpv_absint::AbstractDomain;
 
 use crate::{
     AssumeGuarantee, Characterizer, CharacterizerConfig, CoreError, DomainKind, InputProperty,
-    RiskCondition, ShardedVerificationConfig, ShardedVerificationReport, StatisticalAnalysis,
-    VerificationOutcome, VerificationProblem, VerificationStrategy,
+    RiskCondition, ShardedVerificationReport, StatisticalAnalysis, VerificationOutcome,
+    VerificationProblem, VerificationStrategy,
 };
 
 /// Configuration of the end-to-end workflow.
@@ -595,11 +595,8 @@ impl Workflow {
                 cfg.envelope_margin,
                 &ShardConfig::fixed(cfg.envelope_shards).with_seed(cfg.seed ^ 0x88),
             )?;
-            let verification = e1_problem.verify_sharded_with(
-                &sharded_envelope,
-                &ShardedVerificationConfig::default(),
-                self.backend.as_ref(),
-            )?;
+            let verification =
+                e1_problem.verify_sharded_with(&sharded_envelope, true, self.backend.as_ref())?;
             let monitor_for_shards =
                 ShardedMonitor::new(perception.clone(), cut_layer, sharded_envelope.clone())?;
             let sharded_accepted = monitor_for_shards

@@ -445,15 +445,7 @@ fn sharded_k1_is_verdict_identical_to_the_monolithic_path() {
                     },
                 ))
                 .unwrap();
-            let sharded = problem
-                .verify_sharded(
-                    &sharded_envelope,
-                    &dpv_core::ShardedVerificationConfig {
-                        use_difference_constraints: use_diff,
-                        workers: 1,
-                    },
-                )
-                .unwrap();
+            let sharded = problem.verify_sharded(&sharded_envelope, use_diff).unwrap();
             // Identical verdicts — including the witness point, since the
             // k = 1 shard encodes the exact same MILP for a deterministic
             // backend — and identical problem shape.
@@ -480,11 +472,7 @@ fn sharded_verification_routes_every_shard_through_the_backend() {
     .unwrap();
     let mock = CountingMockBackend::default();
     let report = problem
-        .verify_sharded_with(
-            &sharded_envelope,
-            &dpv_core::ShardedVerificationConfig::default(),
-            &mock,
-        )
+        .verify_sharded_with(&sharded_envelope, true, &mock)
         .unwrap();
     assert!(report.verdict.is_safe());
     assert_eq!(
@@ -493,15 +481,4 @@ fn sharded_verification_routes_every_shard_through_the_backend() {
         "one MILP per shard must be routed through the seam"
     );
     assert_eq!(report.backend, "counting-mock");
-    // Parallel dispatch routes the same obligations and agrees.
-    let parallel_mock = CountingMockBackend::default();
-    let parallel = problem
-        .verify_sharded_with(
-            &sharded_envelope,
-            &dpv_core::ShardedVerificationConfig::with_workers(3),
-            &parallel_mock,
-        )
-        .unwrap();
-    assert_eq!(parallel_mock.calls(), sharded_envelope.shard_count());
-    assert_eq!(parallel.verdict, report.verdict);
 }

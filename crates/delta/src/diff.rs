@@ -1,11 +1,10 @@
-//! Per-layer classification of a checkpoint pair, plus the weight-hull
-//! interval propagation behind bound absorption.
+//! The identity test and the weight-hull interval propagation behind
+//! delta planning.
 //!
-//! [`CheckpointDiff::between`] digests both networks layer by layer and
-//! records, for each position, whether the layers are bit-identical and —
-//! when they are structurally comparable — the largest absolute parameter
-//! perturbation. The diff then answers the two questions delta-verification
-//! planning needs:
+//! [`CheckpointDiff::between`] digests both networks layer by layer once,
+//! keeps one identity flag per layer and folds the same digests into both
+//! checkpoints' fingerprints. The diff then answers the two questions
+//! delta-verification planning needs:
 //!
 //! * [`CheckpointDiff::tail_identical`] — is everything after the cut layer
 //!   untouched, so prior verdicts transfer verbatim?
@@ -14,45 +13,11 @@
 //!   condition? This is the weight-hull interval check whose soundness
 //!   argument lives on the [crate root](crate).
 
-use std::fmt;
-
 use dpv_absint::{AbstractDomain, BoxDomain, Interval};
 use dpv_core::{OutputOp, RiskCondition};
 use dpv_nn::{Layer, Network};
 
-use crate::digest::{layer_digests, LayerDigest, ModelFingerprint};
-
-/// How one layer position of the new checkpoint relates to the old one,
-/// relative to a cut layer, a start region and a risk condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayerClass {
-    /// Bit-identical parameters — the layer computes the same function.
-    Identical,
-    /// The layer changed, but the whole-tail weight-hull propagation still
-    /// refutes the risk condition: the perturbation is inside the bound
-    /// slack.
-    Absorbed,
-    /// The layer changed and the perturbation is not provably absorbed.
-    Changed,
-}
-
-/// One layer position of a [`CheckpointDiff`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerDelta {
-    /// Layer index in [`dpv_nn::Network::layers`] order.
-    pub index: usize,
-    /// Digest of the old checkpoint's layer.
-    pub old: LayerDigest,
-    /// Digest of the new checkpoint's layer.
-    pub new: LayerDigest,
-    /// Whether the digests match (bit-identical parameters).
-    pub identical: bool,
-    /// Largest absolute parameter perturbation: `0.0` for identical layers,
-    /// the max `|p_new - p_old|` over all parameters when the layers are
-    /// structurally comparable (same kind and dimensions), and
-    /// [`f64::INFINITY`] when they are not comparable at all.
-    pub max_abs_delta: f64,
-}
+use crate::digest::{layer_digests, ModelFingerprint};
 
 /// A per-layer content diff between two checkpoints of the same
 /// architecture lineage.
@@ -66,7 +31,9 @@ pub struct CheckpointDiff {
     new: Network,
     old_fingerprint: ModelFingerprint,
     new_fingerprint: ModelFingerprint,
-    layers: Vec<LayerDelta>,
+    /// Whether the two layers at each index have equal digests
+    /// (bit-identical parameters), over the common layer prefix.
+    identical: Vec<bool>,
     structure_compatible: bool,
 }
 
@@ -86,32 +53,16 @@ impl CheckpointDiff {
                 .iter()
                 .zip(new.layers())
                 .all(|(a, b)| comparable(a, b));
-        let layers = old_digests
-            .iter()
-            .zip(&new_digests)
-            .enumerate()
-            .map(|(index, (&od, &nd))| {
-                let identical = od == nd;
-                let max_abs_delta = if identical {
-                    0.0
-                } else {
-                    max_param_delta(&old.layers()[index], &new.layers()[index])
-                };
-                LayerDelta {
-                    index,
-                    old: od,
-                    new: nd,
-                    identical,
-                    max_abs_delta,
-                }
-            })
-            .collect();
         Self {
             old: old.clone(),
             new: new.clone(),
-            old_fingerprint: ModelFingerprint::of(old),
-            new_fingerprint: ModelFingerprint::of(new),
-            layers,
+            old_fingerprint: ModelFingerprint::from_digests(old.input_dim(), &old_digests),
+            new_fingerprint: ModelFingerprint::from_digests(new.input_dim(), &new_digests),
+            identical: old_digests
+                .iter()
+                .zip(&new_digests)
+                .map(|(a, b)| a == b)
+                .collect(),
             structure_compatible,
         }
     }
@@ -126,41 +77,16 @@ impl CheckpointDiff {
         self.new_fingerprint
     }
 
-    /// Per-layer deltas over the common layer prefix of the two networks.
-    pub fn layers(&self) -> &[LayerDelta] {
-        &self.layers
-    }
-
-    /// Whether the two checkpoints are bit-identical end to end.
-    pub fn is_identical(&self) -> bool {
-        self.old_fingerprint == self.new_fingerprint
-    }
-
-    /// Whether any layer **up to and including** `cut_layer` changed (or the
-    /// architectures are not comparable). A changed head moves the cut-layer
-    /// activations, so envelopes must be refit — but the *tail obligations*
-    /// are untouched as long as the tail is identical: the verified premise
-    /// quantifies over the start region, not over head outputs.
-    pub fn head_changed(&self, cut_layer: usize) -> bool {
-        if !self.structure_compatible {
-            return true;
-        }
-        self.layers
-            .iter()
-            .take_while(|d| d.index <= cut_layer)
-            .any(|d| !d.identical)
-    }
-
     /// Whether every layer **after** `cut_layer` is bit-identical (and the
     /// architectures are comparable) — the precondition for verbatim verdict
     /// reuse.
     pub fn tail_identical(&self, cut_layer: usize) -> bool {
         self.structure_compatible
             && self
-                .layers
+                .identical
                 .iter()
-                .skip_while(|d| d.index <= cut_layer)
-                .all(|d| d.identical)
+                .skip(cut_layer.saturating_add(1))
+                .all(|&same| same)
     }
 
     /// The weight-hull absorption check: propagates `region` through the
@@ -187,35 +113,6 @@ impl CheckpointDiff {
         refutes(&out, risk, slack)
     }
 
-    /// Classifies every layer relative to `cut_layer` for one obligation
-    /// (its start `region` and `risk`): identical layers are
-    /// [`LayerClass::Identical`]; changed layers at or before the cut are
-    /// [`LayerClass::Changed`] (head changes never absorb — they move the
-    /// region itself); changed tail layers are [`LayerClass::Absorbed`] when
-    /// the whole-tail hull check succeeds and [`LayerClass::Changed`]
-    /// otherwise.
-    pub fn classify_layers(
-        &self,
-        cut_layer: usize,
-        region: &BoxDomain,
-        risk: &RiskCondition,
-        slack: f64,
-    ) -> Vec<LayerClass> {
-        let absorbed = self.tail_absorbs(cut_layer, region, risk, slack);
-        self.layers
-            .iter()
-            .map(|d| {
-                if d.identical {
-                    LayerClass::Identical
-                } else if d.index > cut_layer && absorbed {
-                    LayerClass::Absorbed
-                } else {
-                    LayerClass::Changed
-                }
-            })
-            .collect()
-    }
-
     /// Interval output of the weight-hull tail over `region`, or `None`
     /// when some changed tail layer is not hull-representable.
     fn hull_tail_output(&self, cut_layer: usize, region: &BoxDomain) -> Option<Vec<Interval>> {
@@ -223,10 +120,14 @@ impl CheckpointDiff {
             return None;
         }
         let mut bounds: Vec<Interval> = region.bounds().to_vec();
-        for delta in self.layers.iter().filter(|d| d.index > cut_layer) {
-            let old_layer = &self.old.layers()[delta.index];
-            let new_layer = &self.new.layers()[delta.index];
-            if delta.identical {
+        let tail = self
+            .identical
+            .iter()
+            .enumerate()
+            .skip(cut_layer.saturating_add(1));
+        for (index, &same) in tail {
+            let new_layer = &self.new.layers()[index];
+            if same {
                 // Exact (still sound) transformer for untouched layers —
                 // supports every layer kind, including conv and pooling.
                 bounds = BoxDomain::from_intervals(bounds)
@@ -234,23 +135,9 @@ impl CheckpointDiff {
                     .to_box();
                 continue;
             }
-            bounds = hull_apply(old_layer, new_layer, &bounds)?;
+            bounds = hull_apply(&self.old.layers()[index], new_layer, &bounds)?;
         }
         Some(bounds)
-    }
-}
-
-impl fmt::Display for CheckpointDiff {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let changed = self.layers.iter().filter(|d| !d.identical).count();
-        write!(
-            f,
-            "{} -> {}: {}/{} layers changed",
-            self.old_fingerprint,
-            self.new_fingerprint,
-            changed,
-            self.layers.len()
-        )
     }
 }
 
@@ -276,46 +163,6 @@ fn comparable(a: &Layer, b: &Layer) -> bool {
         (Layer::Flatten(x), Layer::Flatten(y)) => x.shape() == y.shape(),
         _ => false,
     }
-}
-
-/// Largest absolute parameter difference between two structurally
-/// comparable layers; [`f64::INFINITY`] when they are not comparable.
-fn max_param_delta(a: &Layer, b: &Layer) -> f64 {
-    if !comparable(a, b) {
-        return f64::INFINITY;
-    }
-    let pairs: Vec<(&[f64], &[f64])> = match (a, b) {
-        (Layer::Dense(x), Layer::Dense(y)) => vec![
-            (x.weights().as_slice(), y.weights().as_slice()),
-            (x.bias().as_slice(), y.bias().as_slice()),
-        ],
-        (Layer::Conv2d(x), Layer::Conv2d(y)) => vec![
-            (x.weights().as_slice(), y.weights().as_slice()),
-            (x.bias().as_slice(), y.bias().as_slice()),
-        ],
-        (Layer::BatchNorm(x), Layer::BatchNorm(y)) => vec![
-            (x.gamma().as_slice(), y.gamma().as_slice()),
-            (x.beta().as_slice(), y.beta().as_slice()),
-            (x.running_mean().as_slice(), y.running_mean().as_slice()),
-            (x.running_var().as_slice(), y.running_var().as_slice()),
-        ],
-        (Layer::Activation(x), Layer::Activation(y)) => {
-            return match (x, y) {
-                (dpv_nn::Activation::LeakyReLU(sx), dpv_nn::Activation::LeakyReLU(sy)) => {
-                    (sx - sy).abs()
-                }
-                _ => 0.0,
-            };
-        }
-        _ => return 0.0,
-    };
-    let mut max = 0.0f64;
-    for (xs, ys) in pairs {
-        for (x, y) in xs.iter().zip(ys) {
-            max = max.max((x - y).abs());
-        }
-    }
-    max
 }
 
 /// Applies the hull of a changed layer pair to an interval vector, or
@@ -402,6 +249,15 @@ mod tests {
             .build()
     }
 
+    /// Diffs `old` against `new`, checking that the fingerprints folded
+    /// from the diff's own layer digests equal the standalone ones.
+    fn diff(old: &Network, new: &Network) -> CheckpointDiff {
+        let diff = CheckpointDiff::between(old, new);
+        assert_eq!(diff.old_fingerprint(), ModelFingerprint::of(old));
+        assert_eq!(diff.new_fingerprint(), ModelFingerprint::of(new));
+        diff
+    }
+
     fn perturb_tail(net: &Network, eps: f64) -> Network {
         let mut out = net.clone();
         if let Layer::Dense(d) = &mut out.layers_mut()[2] {
@@ -438,38 +294,33 @@ mod tests {
     #[test]
     fn identical_checkpoints_diff_as_identical() {
         let a = checkpoint(3);
-        let diff = CheckpointDiff::between(&a, &a.clone());
-        assert!(diff.is_identical());
+        let diff = diff(&a, &a.clone());
+        assert_eq!(diff.old_fingerprint(), diff.new_fingerprint());
         assert!(diff.tail_identical(CUT));
-        assert!(!diff.head_changed(CUT));
-        assert!(diff.layers().iter().all(|d| d.identical));
-        assert!(diff.layers().iter().all(|d| d.max_abs_delta == 0.0));
+        assert!(diff.tail_identical(0), "the head is untouched too");
     }
 
     #[test]
     fn head_perturbation_keeps_tail_identical() {
         let a = checkpoint(3);
         let b = perturb_head(&a, 0.5);
-        let diff = CheckpointDiff::between(&a, &b);
-        assert!(!diff.is_identical());
-        assert!(diff.head_changed(CUT));
+        let diff = diff(&a, &b);
+        assert_ne!(diff.old_fingerprint(), diff.new_fingerprint());
         assert!(diff.tail_identical(CUT));
-        assert!((diff.layers()[0].max_abs_delta - 0.5).abs() < 1e-12);
+        assert!(diff.tail_identical(0), "only layer 0 changed");
     }
 
     #[test]
     fn tiny_tail_perturbation_is_absorbed_for_unreachable_risk() {
         let a = checkpoint(3);
         let b = perturb_tail(&a, 1e-6);
-        let diff = CheckpointDiff::between(&a, &b);
+        let diff = diff(&a, &b);
+        assert_ne!(diff.old_fingerprint(), diff.new_fingerprint());
         assert!(!diff.tail_identical(CUT));
+        assert!(diff.tail_identical(2), "only layer 2 changed");
         // |out[0]| is bounded by roughly Σ|w| + |bias| ≈ a few units on this
         // region; rhs = 500 leaves orders of magnitude of slack.
         assert!(diff.tail_absorbs(CUT, &region(), &risk(500.0), 1e-9));
-        let classes = diff.classify_layers(CUT, &region(), &risk(500.0), 1e-9);
-        assert_eq!(classes[0], LayerClass::Identical);
-        assert_eq!(classes[1], LayerClass::Identical);
-        assert_eq!(classes[2], LayerClass::Absorbed);
     }
 
     #[test]
@@ -477,17 +328,16 @@ mod tests {
         let a = checkpoint(3);
         // eps = 1000 pushes the hull output interval across rhs = 500.
         let b = perturb_tail(&a, 1000.0);
-        let diff = CheckpointDiff::between(&a, &b);
+        let diff = diff(&a, &b);
+        assert!(!diff.tail_identical(CUT));
         assert!(!diff.tail_absorbs(CUT, &region(), &risk(500.0), 1e-9));
-        let classes = diff.classify_layers(CUT, &region(), &risk(500.0), 1e-9);
-        assert_eq!(classes[2], LayerClass::Changed);
     }
 
     #[test]
     fn absorption_boundary_tracks_the_slack_margin() {
         let a = checkpoint(3);
         let b = perturb_tail(&a, 1e-6);
-        let diff = CheckpointDiff::between(&a, &b);
+        let diff = diff(&a, &b);
         // The hull output's upper bound is some finite u << 500. A slack
         // just below (500 - u) still refutes; a slack above it must not.
         assert!(diff.tail_absorbs(CUT, &region(), &risk(500.0), 1.0));
@@ -498,7 +348,7 @@ mod tests {
     fn reachable_risk_is_never_absorbed() {
         let a = checkpoint(3);
         let b = perturb_tail(&a, 1e-6);
-        let diff = CheckpointDiff::between(&a, &b);
+        let diff = diff(&a, &b);
         // rhs = -500: every point of the region satisfies out[0] ≥ -500, so
         // no interval argument can refute it.
         assert!(!diff.tail_absorbs(CUT, &region(), &risk(-500.0), 1e-9));
@@ -513,11 +363,12 @@ mod tests {
             .activation(Activation::Tanh) // kind change at the cut boundary
             .dense(2, &mut rng)
             .build();
-        let diff = CheckpointDiff::between(&a, &b);
-        assert!(diff.head_changed(CUT));
+        let diff = diff(&a, &b);
+        assert_ne!(diff.old_fingerprint(), diff.new_fingerprint());
         assert!(!diff.tail_identical(CUT));
+        // Incomparable architectures share no tail, not even an empty one.
+        assert!(!diff.tail_identical(2));
         assert!(!diff.tail_absorbs(CUT, &region(), &risk(500.0), 1e-9));
-        assert_eq!(diff.layers()[1].max_abs_delta, f64::INFINITY);
     }
 
     #[test]
@@ -531,11 +382,11 @@ mod tests {
             .build();
         let mut b = a.clone();
         b.layers_mut()[3] = Layer::Activation(Activation::LeakyReLU(0.2));
-        let diff = CheckpointDiff::between(&a, &b);
+        let diff = diff(&a, &b);
+        assert!(!diff.tail_identical(CUT));
         // The activation pair is comparable (same discriminant) but not
         // hull-representable — absorption must fail conservatively even
         // though the risk is wildly unreachable.
         assert!(!diff.tail_absorbs(CUT, &region(), &risk(500.0), 1e-9));
-        assert!((diff.layers()[3].max_abs_delta - 0.1).abs() < 1e-12);
     }
 }

@@ -73,12 +73,18 @@ pub struct ModelFingerprint {
 impl ModelFingerprint {
     /// Fingerprint of a checkpoint.
     pub fn of(network: &Network) -> Self {
+        Self::from_digests(network.input_dim(), &layer_digests(network))
+    }
+
+    /// Folds a checkpoint's input dimension and its per-layer digests, in
+    /// layer order, into its fingerprint, so a caller that already holds
+    /// the digests does not hash the layers again.
+    pub(crate) fn from_digests(input_dim: usize, digests: &[LayerDigest]) -> Self {
         let mut h = ContentHasher::new(DIGEST_DOMAIN);
         h.tag(0x01);
-        h.word(network.input_dim() as u64);
-        h.word(network.len() as u64);
-        for layer in network.layers() {
-            let d = LayerDigest::of(layer);
+        h.word(input_dim as u64);
+        h.word(digests.len() as u64);
+        for d in digests {
             h.word(d.hi);
             h.word(d.lo);
         }

@@ -66,10 +66,15 @@
 //! * [`LayerDigest`] / [`ModelFingerprint`] ([`digest`]) — content hashes
 //!   over layer parameters (weights, biases, activation kind), the
 //!   identity test behind "untouched".
-//! * [`CheckpointDiff`] ([`diff`]) — per-layer classification of a
-//!   checkpoint pair, plus the weight-hull interval propagation.
+//! * [`CheckpointDiff`] ([`diff`]) — digests a checkpoint pair once into
+//!   both fingerprints and one identity flag per layer, and answers the
+//!   planner's two questions: is the tail after the cut bit-identical
+//!   ([`CheckpointDiff::tail_identical`]), and does the weight-hull
+//!   interval propagation absorb its change for one region and risk
+//!   ([`CheckpointDiff::tail_absorbs`])?
 //! * [`DeltaPlanner`] / [`DeltaPlan`] ([`plan`]) — maps prior obligations
-//!   (region + verdict) to planned actions.
+//!   (region + verdict) to one planned action each. The tallies of what
+//!   was actually carried out live on `dpv-serve`'s `ProofDeltaReport`.
 //!
 //! The serving integration — `ObligationServer::serve_delta`, which
 //! executes a plan against the resident solver pool and emits a
@@ -85,6 +90,6 @@ pub mod diff;
 pub mod digest;
 pub mod plan;
 
-pub use diff::{CheckpointDiff, LayerClass, LayerDelta};
+pub use diff::CheckpointDiff;
 pub use digest::{layer_digests, LayerDigest, ModelFingerprint};
 pub use plan::{DeltaError, DeltaPlan, DeltaPlanner, Disposition, PlannedAction, PriorObligation};

@@ -62,44 +62,16 @@ pub struct PriorObligation {
 }
 
 /// A complete re-verification plan: one [`PlannedAction`] per obligation,
-/// in obligation order, plus summary counts.
+/// in obligation order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaPlan {
     actions: Vec<PlannedAction>,
-    reuse_count: usize,
-    absorbed_count: usize,
-    resolve_count: usize,
 }
 
 impl DeltaPlan {
     /// Per-obligation actions, aligned with the planner's input order.
     pub fn actions(&self) -> &[PlannedAction] {
         &self.actions
-    }
-
-    /// Obligations whose prior verdict carries over verbatim.
-    pub fn reuse_count(&self) -> usize {
-        self.reuse_count
-    }
-
-    /// Obligations whose prior `Safe` verdict carries over by absorption.
-    pub fn absorbed_count(&self) -> usize {
-        self.absorbed_count
-    }
-
-    /// Obligations that must be re-solved.
-    pub fn resolve_count(&self) -> usize {
-        self.resolve_count
-    }
-
-    /// Fraction of obligations *not* re-solved, in permille (0..=1000).
-    /// Zero for an empty plan.
-    pub fn reuse_rate_permille(&self) -> u64 {
-        let total = self.actions.len();
-        if total == 0 {
-            return 0;
-        }
-        (((self.reuse_count + self.absorbed_count) * 1000) / total) as u64
     }
 }
 
@@ -173,9 +145,6 @@ impl DeltaPlanner {
         }
         let tail_identical = diff.tail_identical(cut_layer);
         let mut actions = Vec::with_capacity(prior.len());
-        let mut reuse_count = 0;
-        let mut absorbed_count = 0;
-        let mut resolve_count = 0;
         for (p, region) in prior.iter().zip(regions) {
             let risk = risks.get(p.family).ok_or_else(|| {
                 DeltaError::ShapeMismatch(format!(
@@ -195,19 +164,9 @@ impl DeltaPlanner {
             } else {
                 PlannedAction::Resolve
             };
-            match action {
-                PlannedAction::Reuse => reuse_count += 1,
-                PlannedAction::ReuseAbsorbed => absorbed_count += 1,
-                PlannedAction::Resolve => resolve_count += 1,
-            }
             actions.push(action);
         }
-        Ok(DeltaPlan {
-            actions,
-            reuse_count,
-            absorbed_count,
-            resolve_count,
-        })
+        Ok(DeltaPlan { actions })
     }
 }
 
@@ -281,9 +240,6 @@ mod tests {
             &[PlannedAction::Reuse, PlannedAction::Resolve],
             "definitive verdicts reuse; Unknown always re-solves"
         );
-        assert_eq!(plan.reuse_count(), 1);
-        assert_eq!(plan.resolve_count(), 1);
-        assert_eq!(plan.reuse_rate_permille(), 500);
     }
 
     #[test]
@@ -302,8 +258,6 @@ mod tests {
             plan.actions(),
             &[PlannedAction::ReuseAbsorbed, PlannedAction::Resolve]
         );
-        assert_eq!(plan.absorbed_count(), 1);
-        assert_eq!(plan.reuse_rate_permille(), 500);
     }
 
     #[test]
@@ -317,7 +271,6 @@ mod tests {
             .plan(&diff, CUT, &risks(), &prior, &regions)
             .expect("well-shaped inputs");
         assert!(plan.actions().iter().all(|a| *a == PlannedAction::Resolve));
-        assert_eq!(plan.reuse_rate_permille(), 0);
     }
 
     #[test]
@@ -350,15 +303,5 @@ mod tests {
             )
             .expect_err("family out of range");
         assert!(err.to_string().contains("family 7"));
-    }
-
-    #[test]
-    fn empty_plan_reports_zero_rate() {
-        let old = checkpoint(5);
-        let diff = CheckpointDiff::between(&old, &old.clone());
-        let plan = DeltaPlanner::new()
-            .plan(&diff, CUT, &risks(), &[], &[])
-            .expect("empty inputs are well-shaped");
-        assert_eq!(plan.reuse_rate_permille(), 0);
     }
 }

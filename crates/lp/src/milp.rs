@@ -380,17 +380,6 @@ impl MilpProblem {
         }
     }
 
-    /// Wraps an existing LP; binary restrictions can then be added with
-    /// [`MilpProblem::mark_binary`].
-    pub fn from_lp(lp: LinearProgram) -> Self {
-        Self {
-            lp,
-            binaries: Vec::new(),
-            relu_links: Vec::new(),
-            node_limit: 200_000,
-        }
-    }
-
     /// Adds a continuous variable with the given bounds.
     pub fn add_variable(&mut self, lower: f64, upper: f64) -> VarId {
         self.lp.add_variable(lower, upper)

@@ -107,9 +107,10 @@
 //!
 //! ## Fault injection
 //!
-//! [`ObligationServer::set_fault_plan`] installs a deterministic
-//! [`FaultPlan`] (obligation index → [`FaultKind`]) used by the
-//! resilience tests and benches; reports are pure functions of
+//! A server starts with an empty [`FaultPlan`].
+//! [`ObligationServer::set_fault_plan`], the one way to install a plan,
+//! swaps in a deterministic one (obligation index → [`FaultKind`]) for
+//! the resilience tests and benches; reports are pure functions of
 //! `(request, plan)`, and obligations a plan does not touch are
 //! bit-identical to the fault-free run.
 //!

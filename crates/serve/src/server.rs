@@ -157,12 +157,11 @@ pub struct RequestReport {
     pub obligations: Vec<ObligationOutcome>,
     /// End-to-end wall-clock seconds for the request.
     pub seconds: f64,
-    /// Server statistics snapshot taken after the request completed.
-    pub stats: ServeStats,
     /// The trace-derived per-obligation timeline. Present only when the
     /// server was built with [`ServerBuilder::tracer`] over an enabled
-    /// tracer; like `seconds` and `stats`, cost telemetry — not part of
-    /// the deterministic report surface.
+    /// tracer; like `seconds`, cost telemetry — not part of the
+    /// deterministic report surface. Server-wide counters are not
+    /// attached to a report: read them with [`ObligationServer::stats`].
     pub timeline: Option<RequestTimeline>,
 }
 
@@ -319,8 +318,10 @@ impl fmt::Debug for ObligationServer {
 
 /// Builder for an [`ObligationServer`] — the single construction path.
 ///
-/// Every axis defaults sensibly: stock [`ServeConfig`], tracing disabled
-/// (the zero-overhead production default), empty fault plan.
+/// Two axes, each with a default: stock [`ServeConfig`] and tracing
+/// disabled (the zero-overhead production default). A server starts with
+/// an empty fault plan; tests and benches install one with
+/// [`ObligationServer::set_fault_plan`].
 ///
 /// ```
 /// use dpv_serve::{ObligationServer, ServeConfig};
@@ -334,7 +335,6 @@ impl fmt::Debug for ObligationServer {
 pub struct ServerBuilder {
     config: ServeConfig,
     tracer: Option<Tracer>,
-    fault_plan: FaultPlan,
 }
 
 impl ServerBuilder {
@@ -363,23 +363,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Installs a deterministic fault-injection plan from the start
-    /// (equivalent to building and then calling
-    /// [`ObligationServer::set_fault_plan`]). A test/bench seam; the
-    /// default plan is empty.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
     /// Starts the server: spawns `config.workers` persistent worker
     /// threads against the shared caches.
     pub fn build(self) -> ObligationServer {
-        ObligationServer::start(
-            self.config,
-            self.tracer.unwrap_or_else(Tracer::disabled),
-            self.fault_plan,
-        )
+        ObligationServer::start(self.config, self.tracer.unwrap_or_else(Tracer::disabled))
     }
 }
 
@@ -390,7 +377,7 @@ impl ObligationServer {
     }
 
     /// The construction path behind [`ServerBuilder::build`].
-    fn start(config: ServeConfig, tracer: Tracer, fault_plan: FaultPlan) -> Self {
+    fn start(config: ServeConfig, tracer: Tracer) -> Self {
         let config = ServeConfig {
             workers: config.workers.max(1),
             queue_capacity: config.queue_capacity.max(1),
@@ -409,7 +396,7 @@ impl ObligationServer {
             work: Condvar::new(),
             space: Condvar::new(),
             counters,
-            fault_plan: Mutex::new(fault_plan),
+            fault_plan: Mutex::new(FaultPlan::new()),
             tracer,
             admission,
             request_seq: AtomicU64::new(0),
@@ -604,7 +591,6 @@ impl ObligationServer {
             verdicts,
             obligations: outcomes,
             seconds: started.elapsed().as_secs_f64(),
-            stats: self.stats(),
             timeline: self.request_timeline(request_seq),
         })
     }
@@ -658,7 +644,6 @@ impl ObligationServer {
             verdicts,
             obligations: outcomes,
             seconds: started.elapsed().as_secs_f64(),
-            stats: self.stats(),
             timeline: None,
         }
     }

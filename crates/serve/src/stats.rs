@@ -4,8 +4,9 @@ use dpv_core::{CacheStats, SnapshotPoolStats};
 
 /// A point-in-time snapshot of everything a resident server has done:
 /// cache effectiveness, dedup rate, queue pressure and per-obligation
-/// latency. Returned by [`crate::ObligationServer::stats`] and attached
-/// to every [`crate::RequestReport`].
+/// latency. Returned by [`crate::ObligationServer::stats`], which takes
+/// the pool lock and the template-cache lock, so a caller reads it when
+/// it needs it; no [`crate::RequestReport`] carries a copy.
 ///
 /// A view, not an accumulator: every counter is read from the server's
 /// one always-on counter store (keyed by [`dpv_trace::CounterId`]),

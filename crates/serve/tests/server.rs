@@ -220,11 +220,7 @@ fn sharded_requests_agree_with_verify_sharded() {
         )
         .unwrap();
         let direct = problem
-            .verify_sharded_with(
-                &envelope,
-                &dpv_core::ShardedVerificationConfig::default(),
-                &BranchAndBoundBackend,
-            )
+            .verify_sharded_with(&envelope, true, &BranchAndBoundBackend)
             .unwrap();
         assert_eq!(
             report.verdicts[family].verdict, direct.verdict,

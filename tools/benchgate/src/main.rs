@@ -25,11 +25,11 @@
 //! * `batch-parity-permille` — a **zero-width band at 1000**: the batched
 //!   monitor sweep must be verdict-identical to per-frame checking; any
 //!   deviation is a correctness bug, not a perf regression.
-//! * `k1-parity-permille` — a **band around 1000** with halfwidth 50
-//!   (±5%): k = 1 sharding must stay cost-comparable to the monolithic
-//!   path in *either* direction. The record is monolithic ÷ k = 1, so the
-//!   committed e9 baseline of 1007 means k = 1 is 0.7% faster — well
-//!   inside the band; exact parity is not the contract, the band is.
+//! * `k1-parity-permille` — a **zero-width band at 1000**: e9's record is
+//!   the monolithic tree's branch-and-bound nodes ÷ the k = 1 shard's.
+//!   The k = 1 shard's octagon equals the monolithic one, so both solves
+//!   search the same tree and any other value means sharded verification
+//!   built a different MILP.
 //! * `*-per-sec-*` — higher is better with 50% relative slack: these are
 //!   absolute throughput records (e11's frames·1000/s, e8's node
 //!   LPs·1000/s, e12's served obligations·1000/s), so runner speed does
@@ -92,10 +92,11 @@ fn rule_for(id: &str) -> Gate {
             halfwidth: 0,
         }
     } else if id.ends_with("k1-parity-permille") {
-        // The documented ±5% parity band around exact parity (1000‰).
+        // A node-count ratio of two searches over the same MILP: exactly
+        // 1000, like the other parity contracts.
         Gate::Band {
             centre: 1000,
-            halfwidth: 50,
+            halfwidth: 0,
         }
     } else if id.contains("-per-sec-") {
         // Absolute throughput (frames, node LPs or obligations ·1000/s) is
@@ -688,28 +689,30 @@ mod tests {
     }
 
     #[test]
-    fn parity_band_is_plus_minus_five_percent_around_exact_parity() {
-        let baseline = report(&[("e9/k1-parity-permille", 1007)]);
-        // 1007 (0.7% slower than monolithic) is inside the band …
-        assert!(gate(&baseline, &report(&[("e9/k1-parity-permille", 1007)])).unwrap()[0].passed);
-        // … as is anything in [950, 1050] …
-        assert!(gate(&baseline, &report(&[("e9/k1-parity-permille", 951)])).unwrap()[0].passed);
-        assert!(gate(&baseline, &report(&[("e9/k1-parity-permille", 1049)])).unwrap()[0].passed);
-        // … but a 6% deviation in either direction fails.
-        assert!(!gate(&baseline, &report(&[("e9/k1-parity-permille", 1060)])).unwrap()[0].passed);
-        assert!(!gate(&baseline, &report(&[("e9/k1-parity-permille", 940)])).unwrap()[0].passed);
+    fn k1_parity_demands_exact_equality() {
+        let baseline = report(&[("e9/k1-parity-permille", 1000)]);
+        assert!(gate(&baseline, &report(&[("e9/k1-parity-permille", 1000)])).unwrap()[0].passed);
+        // One node more or less on either side of the k = 1 search fails.
+        assert!(!gate(&baseline, &report(&[("e9/k1-parity-permille", 981)])).unwrap()[0].passed);
+        assert!(!gate(&baseline, &report(&[("e9/k1-parity-permille", 1019)])).unwrap()[0].passed);
     }
 
     #[test]
     fn speedup_ratios_get_relative_slack() {
-        let baseline = report(&[("e9/shard-speedup-permille", 11622)]);
-        // 35% relative slack: floor is 11622 - 4067 = 7555.
-        assert!(
-            gate(&baseline, &report(&[("e9/shard-speedup-permille", 7600)])).unwrap()[0].passed
-        );
-        assert!(
-            !gate(&baseline, &report(&[("e9/shard-speedup-permille", 7000)])).unwrap()[0].passed
-        );
+        let id = "e11/monitor-batch-speedup-permille";
+        let baseline = report(&[(id, 3160)]);
+        // 35% relative slack: floor is 3160 - 1106 = 2054.
+        assert!(gate(&baseline, &report(&[(id, 2100)])).unwrap()[0].passed);
+        assert!(!gate(&baseline, &report(&[(id, 2000)])).unwrap()[0].passed);
+    }
+
+    #[test]
+    fn shard_node_ratio_gets_the_default_relative_slack() {
+        let id = "e9/shard-node-ratio-permille";
+        let baseline = report(&[(id, 13250)]);
+        // Higher is better, 10% relative slack: floor is 13250 - 1325 = 11925.
+        assert!(gate(&baseline, &report(&[(id, 11925)])).unwrap()[0].passed);
+        assert!(!gate(&baseline, &report(&[(id, 11924)])).unwrap()[0].passed);
     }
 
     #[test]
@@ -1041,8 +1044,8 @@ mod tests {
     fn committed_e9_baseline_passes_against_itself() {
         let baseline = report(&[
             ("e9/volume-ratio-permille", 56),
-            ("e9/k1-parity-permille", 1007),
-            ("e9/shard-speedup-permille", 11622),
+            ("e9/shard-node-ratio-permille", 13250),
+            ("e9/k1-parity-permille", 1000),
             ("e9/detection-delta-permille", 100),
         ]);
         let findings = gate(&baseline, &baseline).unwrap();
