@@ -201,7 +201,7 @@ impl SnapshotPoolStats {
 /// depends on which basis it drew, so the server solves every obligation
 /// from the slack basis instead. The pool stays until perfbench's
 /// single-thread replay, which still mirrors the old server path and names
-/// the pool, moves off it with the benchmark change of ROADMAP item 8.
+/// the pool, moves off it with the benchmark change of ROADMAP item 1.
 ///
 /// **Guard.** Check-out is keyed strictly by template fingerprint: a basis
 /// deposited under template A is unreachable from template B even when the

@@ -791,7 +791,7 @@ impl EncodingTemplate {
     /// [`EncodingTemplate::instantiate`] into `scratch`, which is
     /// overwritten whatever it held (an instantiation of any template, say).
     /// No core or serve path calls it; it stays because perfbench's replay
-    /// names it, and goes with the benchmark change of ROADMAP item 8.
+    /// names it, and goes with the benchmark change of ROADMAP item 1.
     ///
     /// # Errors
     /// Same conditions as [`EncodingTemplate::instantiate`]; `scratch` is

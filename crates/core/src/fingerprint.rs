@@ -29,8 +29,8 @@ use crate::spec::{OutputOp, RiskCondition};
 /// 128-bit structural content hash used as the canonical cache key.
 ///
 /// Construct via [`Fingerprint::of_template`] (template identity) or
-/// [`Fingerprint::of_region`] / [`Fingerprint::of_box`] (obligation
-/// sub-region identity); combine the two for dedup keys.
+/// [`Fingerprint::of_region`] (obligation sub-region identity); combine
+/// the two for dedup keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint {
     hi: u64,
@@ -75,15 +75,6 @@ impl Fingerprint {
     pub fn of_region(region: &StartRegion) -> Self {
         let mut h = ContentHasher::new(FINGERPRINT_DOMAIN);
         hash_region(&mut h, region);
-        fingerprint(h)
-    }
-
-    /// Fingerprint of a box sub-region (obligation identity within a
-    /// template).
-    pub fn of_box(sub: &BoxDomain) -> Self {
-        let mut h = ContentHasher::new(FINGERPRINT_DOMAIN);
-        h.tag(0x10);
-        hash_box(&mut h, sub);
         fingerprint(h)
     }
 
@@ -368,12 +359,12 @@ mod tests {
     #[test]
     fn sub_box_fingerprints_are_sensitive_to_every_bound() {
         let base = BoxDomain::uniform(3, -1.0, 1.0);
-        let fp = Fingerprint::of_box(&base);
+        let fp = Fingerprint::of_region(&StartRegion::Box(base.clone()));
         for dim in 0..3 {
             let mut bounds = base.bounds().to_vec();
             bounds[dim] = Interval::new(bounds[dim].lo + 1e-9, bounds[dim].hi);
-            let shifted = BoxDomain::from_intervals(bounds);
-            assert_ne!(fp, Fingerprint::of_box(&shifted), "dim {dim} lo ignored");
+            let shifted = StartRegion::Box(BoxDomain::from_intervals(bounds));
+            assert_ne!(fp, Fingerprint::of_region(&shifted), "dim {dim} lo ignored");
         }
     }
 
@@ -406,10 +397,6 @@ mod tests {
                 Fingerprint::of_region(&StartRegion::Octagon(oct)),
                 "c9c199e7a6254e6d50fc32e48d201668",
             ),
-            (
-                Fingerprint::of_box(&BoxDomain::uniform(2, 0.0, 1.0)),
-                "17e5c4976456d1afc3e10d5e1c940f2a",
-            ),
         ];
         for (i, (fp, hex)) in pinned.iter().enumerate() {
             assert_eq!(fp.to_hex(), *hex, "fingerprint {i}");
@@ -418,7 +405,7 @@ mod tests {
 
     #[test]
     fn hex_rendering_is_stable() {
-        let fp = Fingerprint::of_box(&BoxDomain::uniform(2, 0.0, 1.0));
+        let fp = Fingerprint::of_region(&StartRegion::Box(BoxDomain::uniform(2, 0.0, 1.0)));
         assert_eq!(fp.to_hex().len(), 32);
         assert_eq!(fp.to_hex(), format!("{fp}"));
     }

@@ -141,7 +141,12 @@ impl VerificationProblem {
         use_difference_constraints: bool,
         backend: &dyn SolverBackend,
     ) -> Result<ShardedVerificationReport, CoreError> {
-        let regions = self.shard_regions(envelope, use_difference_constraints)?;
+        let regions = Self::shard_regions(
+            envelope,
+            use_difference_constraints,
+            self.cut_layer(),
+            self.perception().layer_output_dim(self.cut_layer()),
+        )?;
 
         let start_time = Instant::now();
         let shards = regions
@@ -172,33 +177,34 @@ impl VerificationProblem {
         })
     }
 
-    /// Validates `envelope` against the problem (layer and dimension must
-    /// match) and returns the per-shard start regions in shard-index order —
-    /// the octagon of each shard when `use_difference_constraints` is set,
-    /// its box part otherwise. This is the decomposition step shared by
+    /// Validates `envelope` against a cut at `cut_layer` whose activations
+    /// are `cut_dim` wide (layer and dimension must match) and returns the
+    /// per-shard start regions in shard-index order — the octagon of each
+    /// shard when `use_difference_constraints` is set, its box part
+    /// otherwise. This is the one envelope-to-region mapping:
     /// [`VerificationProblem::verify_sharded_with`] and the obligation
-    /// server (`dpv-serve`), so both derive *identical* obligations from
-    /// one envelope.
+    /// server (`dpv-serve`, which validates and decomposes a request without
+    /// building a problem) both call it, so both derive *identical*
+    /// obligations from one envelope.
     ///
     /// # Errors
     /// Returns [`CoreError::Inconsistent`] when the envelope's layer or
-    /// dimension does not match the problem.
+    /// dimension does not match the cut.
     pub fn shard_regions(
-        &self,
         envelope: &ShardedEnvelope,
         use_difference_constraints: bool,
+        cut_layer: usize,
+        cut_dim: usize,
     ) -> Result<Vec<StartRegion>, CoreError> {
-        if envelope.layer() != self.cut_layer() {
+        if envelope.layer() != cut_layer {
             return Err(CoreError::Inconsistent(format!(
-                "sharded envelope was built at layer {} but the problem cuts at {}",
-                envelope.layer(),
-                self.cut_layer()
+                "sharded envelope was built at layer {} but the problem cuts at {cut_layer}",
+                envelope.layer()
             )));
         }
-        let dim = self.perception().layer_output_dim(self.cut_layer());
-        if envelope.dim() != dim {
+        if envelope.dim() != cut_dim {
             return Err(CoreError::Inconsistent(format!(
-                "sharded envelope dimension {} does not match cut-layer width {dim}",
+                "sharded envelope dimension {} does not match cut-layer width {cut_dim}",
                 envelope.dim()
             )));
         }

@@ -251,13 +251,13 @@ impl ProblemTemplate {
 ///   problem is built into, whatever it held before, so the caller can read
 ///   it after the solve; omit it and the problem is dropped. No core or
 ///   serve path passes one; the lever stays because perfbench's replay
-///   names it, and goes with the benchmark change of ROADMAP item 8.
+///   names it, and goes with the benchmark change of ROADMAP item 1.
 /// * [`seed`](Self::seed) — a caller-owned warm-start basis, primed before
 ///   the solve and refreshed with the final basis afterwards. Obligations
 ///   of one template are built from their own bounds and do not share
 ///   rows, so a basis of one does not fit the next and is declined; the
 ///   lever stays because perfbench's replay pools bases through it (a
-///   [`crate::SnapshotPool`]) until the benchmark change of ROADMAP item 8.
+///   [`crate::SnapshotPool`]) until the benchmark change of ROADMAP item 1.
 ///   The obligation server passes none: a seeded witness depends on the
 ///   seed. Ignored by escalated solves, which run unseeded by design.
 /// * [`cancel`](Self::cancel) — a cooperative [`CancelToken`] polled inside
@@ -649,17 +649,18 @@ impl VerificationProblem {
 
     /// The canonical [`Fingerprint`] the template built by
     /// [`VerificationProblem::encoding_template`] over `root` *would* carry —
-    /// computed without encoding anything, so cache lookups
+    /// computed in place over the tail layers, without copying or encoding
+    /// anything, so cache lookups
     /// ([`crate::cache::TemplateCache::get_or_build`]) can probe before
     /// paying for a build.
     ///
     /// # Errors
-    /// Returns [`CoreError::Inconsistent`] when the cut layer cannot split
-    /// the network.
+    /// None in practice: [`VerificationProblem::new`] already checked that
+    /// the cut layer splits the network. The `Result` stays because
+    /// perfbench's replay calls this.
     pub fn template_fingerprint(&self, root: &StartRegion) -> Result<Fingerprint, CoreError> {
-        let tail = self.tail()?;
         Ok(Fingerprint::of_template(
-            tail.layers(),
+            &self.perception.layers()[self.cut_layer + 1..],
             Some(self.characterizer.network()),
             &self.risk,
             root,

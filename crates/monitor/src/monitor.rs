@@ -8,6 +8,9 @@ use dpv_tensor::{Matrix, Vector};
 use crate::soa::{union_contained_mask, EnvelopeSoa};
 use crate::{ActivationEnvelope, MonitorError};
 
+/// Numerical slack of every containment check the monitor makes.
+const CONTAINMENT_TOLERANCE: f64 = 1e-9;
+
 /// Which envelope constraint an activation violated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ViolationKind {
@@ -136,7 +139,6 @@ pub struct RuntimeMonitor<E: MonitoredRegion = ActivationEnvelope> {
     cut_layer: usize,
     envelope: E,
     soa: Vec<EnvelopeSoa>,
-    tolerance: f64,
     frames: AtomicUsize,
     in_odd: AtomicUsize,
     out_of_odd: AtomicUsize,
@@ -170,7 +172,6 @@ impl<E: MonitoredRegion> RuntimeMonitor<E> {
             cut_layer,
             envelope,
             soa,
-            tolerance: 1e-9,
             frames: AtomicUsize::new(0),
             in_odd: AtomicUsize::new(0),
             out_of_odd: AtomicUsize::new(0),
@@ -185,11 +186,6 @@ impl<E: MonitoredRegion> RuntimeMonitor<E> {
     /// The region being enforced.
     pub fn envelope(&self) -> &E {
         &self.envelope
-    }
-
-    /// Sets the numerical tolerance used for containment checks.
-    pub fn set_tolerance(&mut self, tolerance: f64) {
-        self.tolerance = tolerance.max(0.0);
     }
 
     /// Computes the monitored activation for an input image.
@@ -227,7 +223,7 @@ impl<E: MonitoredRegion> RuntimeMonitor<E> {
     /// updates. Statistics are updated once for the whole batch.
     pub fn check_frames(&self, inputs: &[Vector]) -> Vec<MonitorVerdict> {
         let activations = self.network.activation_matrix_at(self.cut_layer, inputs);
-        let mask = union_contained_mask(&self.soa, &activations, self.tolerance);
+        let mask = union_contained_mask(&self.soa, &activations, CONTAINMENT_TOLERANCE);
         let verdicts: Vec<MonitorVerdict> = (0..inputs.len())
             .map(|f| {
                 if mask.is_contained(f) {
@@ -235,7 +231,7 @@ impl<E: MonitoredRegion> RuntimeMonitor<E> {
                 } else {
                     let activation = activations.col_vector(f);
                     MonitorVerdict::OutOfOdd {
-                        violations: self.envelope.violations(&activation, self.tolerance),
+                        violations: self.envelope.violations(&activation, CONTAINMENT_TOLERANCE),
                     }
                 }
             })
@@ -258,12 +254,12 @@ impl<E: MonitoredRegion> RuntimeMonitor<E> {
         if self
             .soa
             .iter()
-            .any(|soa| soa.contains(point, self.tolerance))
+            .any(|soa| soa.contains(point, CONTAINMENT_TOLERANCE))
         {
             MonitorVerdict::InOdd
         } else {
             MonitorVerdict::OutOfOdd {
-                violations: self.envelope.violations(activation, self.tolerance),
+                violations: self.envelope.violations(activation, CONTAINMENT_TOLERANCE),
             }
         }
     }

@@ -4,24 +4,27 @@
 //! [`ObligationServer::serve_delta`] takes the *prior* request/report pair
 //! and the *new* request (same cut layer, characterizer and risk family —
 //! only the perception checkpoint may differ), diffs the two checkpoints
-//! ([`dpv_delta::CheckpointDiff`]), plans per-obligation reuse
-//! ([`dpv_delta::DeltaPlanner`]) and serves the remainder through the
-//! ordinary admission path with the reused verdicts prefilled. The result
-//! is a [`ProofDeltaReport`]: a complete [`RequestReport`] plus a
-//! machine-checkable [`Disposition`] per obligation stating *why* each
-//! verdict holds for the new checkpoint.
+//! ([`dpv_delta::CheckpointDiff`]) and plans per-obligation reuse
+//! ([`dpv_delta::DeltaPlanner`]), then admits the new request's one
+//! decomposition like [`ObligationServer::serve`] does, with the planned
+//! verdicts pre-decided. The result is a [`ProofDeltaReport`]: a complete
+//! [`RequestReport`] plus a machine-checkable [`Disposition`] per
+//! obligation stating *why* each verdict holds for the new checkpoint.
 //!
 //! Soundness and the bit-for-bit parity guarantee (delta verdicts equal a
 //! from-scratch run's verdicts) are argued on the
 //! [`dpv_delta` crate root](dpv_delta); the `delta` parity proptest in
 //! this crate pins them.
 
+use std::time::Instant;
+
 use dpv_core::{CoreError, StartRegion, Verdict};
 use dpv_delta::{
     CheckpointDiff, DeltaPlanner, Disposition, ModelFingerprint, PlannedAction, PriorObligation,
 };
+use dpv_lp::CancelToken;
 
-use crate::request::VerificationRequest;
+use crate::request::{obligations, VerificationRequest};
 use crate::server::{ObligationServer, RequestReport, ServeError};
 
 /// Summary counts of a [`ProofDeltaReport`], one per [`Disposition`].
@@ -103,22 +106,6 @@ impl ProofDeltaReport {
     }
 }
 
-/// Per-obligation coordinates and regions of a request, flattened in
-/// obligation-index order.
-fn flatten(
-    request: &VerificationRequest,
-) -> Result<Vec<(usize, usize, usize, StartRegion)>, ServeError> {
-    let groups = request.decompose()?;
-    let mut out = Vec::new();
-    for group in &groups {
-        for o in &group.obligations {
-            debug_assert_eq!(o.index, out.len(), "decompose assigns indices in order");
-            out.push((o.family, o.shard, o.sub_box, o.region.clone()));
-        }
-    }
-    Ok(out)
-}
-
 fn inconsistent(msg: impl Into<String>) -> ServeError {
     ServeError::Core(CoreError::Inconsistent(msg.into()))
 }
@@ -128,7 +115,9 @@ impl ObligationServer {
     /// tail is untouched or whose perturbation is provably absorbed by the
     /// bound slack reuse the prior verdict without solving; the rest go
     /// through the ordinary admission path (dedup cache, batched bounds,
-    /// worker pool).
+    /// worker pool). The new request is decomposed once, as in
+    /// [`ObligationServer::serve`]; the prior request contributes only its
+    /// regions. The request's deadline, if any, runs from entry.
     ///
     /// `prior_request` must be the request that produced `prior`, and
     /// `request` must agree with it on cut layer, characterizer and risk
@@ -137,19 +126,20 @@ impl ObligationServer {
     /// moves shard regions); moved obligations are simply re-solved.
     ///
     /// # Errors
-    /// [`ServeError::Core`] when the requests disagree on anything other
-    /// than the perception network and regions, when `prior` does not
-    /// match `prior_request`'s decomposition, when the two requests
-    /// decompose into different obligation shapes, or when decomposition
-    /// itself fails; [`ServeError::InvalidRequest`] when
-    /// [`VerificationRequest::validate`] rejects `request` or
-    /// `prior_request` (checked first, in that order).
+    /// In this order: what [`VerificationRequest::validate`] rejects in
+    /// `request`, then in `prior_request`; [`ServeError::Core`] when the
+    /// requests disagree on anything other than the perception network and
+    /// regions, when decomposing `request` fails, when `prior` does not
+    /// match `prior_request`'s obligations, or when the two requests
+    /// decompose into different obligation shapes; then admission's errors.
     pub fn serve_delta(
         &self,
         prior_request: &VerificationRequest,
         prior: &RequestReport,
         request: &VerificationRequest,
     ) -> Result<ProofDeltaReport, ServeError> {
+        let started = Instant::now();
+        let cancel = request.deadline.map(CancelToken::with_deadline);
         request.validate()?;
         prior_request.validate()?;
         if prior_request.cut_layer != request.cut_layer {
@@ -162,8 +152,9 @@ impl ObligationServer {
             return Err(inconsistent("delta request changes the risk family"));
         }
 
-        let prior_shape = flatten(prior_request)?;
-        let new_shape = flatten(request)?;
+        let prior_shards = prior_request.shards()?;
+        let decomposition = request.decompose()?;
+        let prior_shape: Vec<_> = obligations(prior_request.risks.len(), &prior_shards).collect();
         if prior_shape.len() != prior.obligations.len() {
             return Err(inconsistent(format!(
                 "prior report has {} obligations but its request decomposes into {}",
@@ -171,23 +162,27 @@ impl ObligationServer {
                 prior_shape.len()
             )));
         }
-        for (o, (family, shard, sub_box, _)) in prior.obligations.iter().zip(&prior_shape) {
-            if (o.family, o.shard, o.sub_box) != (*family, *shard, *sub_box) {
+        for (o, (coordinates, _)) in prior.obligations.iter().zip(&prior_shape) {
+            if (o.family, o.shard, o.sub_box) != *coordinates {
                 return Err(inconsistent(format!(
                     "prior report obligation {} does not match its request's decomposition",
                     o.index
                 )));
             }
         }
-        if new_shape.len() != prior_shape.len() {
+        if decomposition.len() != prior_shape.len() {
             return Err(inconsistent(format!(
                 "delta request decomposes into {} obligations, prior into {}",
-                new_shape.len(),
+                decomposition.len(),
                 prior_shape.len()
             )));
         }
-        for (index, (a, b)) in prior_shape.iter().zip(&new_shape).enumerate() {
-            if (a.0, a.1, a.2) != (b.0, b.1, b.2) {
+        for (index, ((a, _), (b, _))) in prior_shape
+            .iter()
+            .zip(decomposition.obligations())
+            .enumerate()
+        {
+            if *a != b {
                 return Err(inconsistent(format!(
                     "obligation {index} changes coordinates across the delta"
                 )));
@@ -198,14 +193,17 @@ impl ObligationServer {
         let prior_obligations: Vec<PriorObligation> = prior
             .obligations
             .iter()
-            .zip(&prior_shape)
-            .map(|(o, (family, _, _, region))| PriorObligation {
-                family: *family,
+            .zip(prior_shape)
+            .map(|(o, ((family, _, _), region))| PriorObligation {
+                family,
                 region: region.clone(),
                 verdict: o.verdict.clone(),
             })
             .collect();
-        let regions: Vec<StartRegion> = new_shape.into_iter().map(|(_, _, _, r)| r).collect();
+        let regions: Vec<StartRegion> = decomposition
+            .obligations()
+            .map(|(_, region)| region.clone())
+            .collect();
         let plan = DeltaPlanner::new()
             .plan(
                 &diff,
@@ -216,18 +214,18 @@ impl ObligationServer {
             )
             .map_err(|e| inconsistent(e.to_string()))?;
 
-        let prefill: Vec<(usize, Verdict)> = plan
+        let planned = plan
             .actions()
             .iter()
-            .enumerate()
-            .filter_map(|(index, action)| match action {
-                PlannedAction::Reuse => Some((index, prior_obligations[index].verdict.clone())),
-                PlannedAction::ReuseAbsorbed => Some((index, Verdict::Safe)),
+            .zip(&prior_obligations)
+            .map(|(action, prior)| match action {
+                PlannedAction::Reuse => Some(prior.verdict.clone()),
+                PlannedAction::ReuseAbsorbed => Some(Verdict::Safe),
                 PlannedAction::Resolve => None,
             })
             .collect();
 
-        let report = self.serve_with_prefill(request, &prefill)?;
+        let report = self.serve_decomposed(request, &decomposition, planned, started, cancel)?;
 
         let prior_fingerprint = diff.old_fingerprint();
         let dispositions = plan
@@ -235,9 +233,9 @@ impl ObligationServer {
             .iter()
             .zip(&report.obligations)
             .map(|(action, outcome)| match action {
-                // An expired deadline degrades prefilled slots too; a
-                // reuse stamp is only honest when the prefilled verdict
-                // actually survived into the report.
+                // An expired deadline answers planned slots too; a reuse
+                // stamp is only honest when the planned verdict actually
+                // survived into the report.
                 PlannedAction::Reuse
                     if outcome.verdict == prior.obligations[outcome.index].verdict =>
                 {

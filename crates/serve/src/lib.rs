@@ -3,10 +3,23 @@
 //! A **resident obligation server** for tail-network verification: a
 //! long-lived process component that accepts verification requests (tail
 //! network × risk-property family × characterizer × region, optionally
-//! sharded), decomposes each request into proof obligations
-//! (shard × property-family member × sub-box), and drains the obligations
+//! sharded), decomposes each request once into proof obligations
+//! (property-family member × shard × sub-box), and drains the obligations
 //! through a persistent worker pool, fed by one FIFO queue, that survives
 //! across requests.
+//!
+//! ## Decomposition and admission
+//!
+//! A request is decomposed once: one verification problem per risk
+//! family, plus each shard's root (checked against the cut layer) and
+//! bisected sub-boxes, which every family shares.
+//! [`ObligationServer::serve`] and [`ObligationServer::serve_delta`] pass
+//! it, with one optional pre-decided verdict per obligation, to one
+//! admission path. Each `(family, shard)` group with an unanswered
+//! obligation fetches its template, answers what it can from the verdict
+//! cache and propagates the rest in one batched bound sweep; a group
+//! answered whole fetches nothing.
+//!
 //! What makes residency pay is the shared state *between* requests:
 //!
 //! * a [`dpv_core::TemplateCache`] of [`dpv_core::ProblemTemplate`]s keyed
@@ -102,8 +115,11 @@
 //! promptly with its incumbent discarded into `deadline-exceeded`;
 //! **already-computed verdicts are never lost** — the report is always
 //! complete, with every obligation either definitively answered or
-//! carrying a degraded code. A request whose deadline has already
-//! expired on arrival returns immediately with zero solver invocations.
+//! carrying a degraded code. The deadline runs from entry to `serve` or
+//! `serve_delta`. A request already expired when admission begins is
+//! answered whole by the deadline, with no template fetched and no solver
+//! invoked, and assembled like any other report (on a traced server, its
+//! timeline has a begin and an end but no obligation entries).
 //!
 //! ## Fault injection
 //!
@@ -123,7 +139,10 @@
 //! reuse the prior verdict verbatim and tail perturbations provably inside
 //! the bound slack reuse prior `Safe` verdicts by absorption
 //! ([`dpv_delta::DeltaPlanner`]); only the remainder is re-solved, on the
-//! resident template cache. The [`ProofDeltaReport`] carries a
+//! resident template cache. The new request is decomposed once and
+//! admitted like a `serve` request with the plan's verdicts pre-decided;
+//! the prior request contributes only its regions.
+//! The [`ProofDeltaReport`] carries a
 //! [`dpv_delta::Disposition`] per obligation (reused / absorbed /
 //! re-proved / newly-degraded) and is **bit-for-bit equal** to a
 //! from-scratch serve of the same request (the `delta` parity proptest
@@ -149,6 +168,7 @@
 //!
 //! [`ObligationServer::serve`] and [`ObligationServer::serve_delta`] first
 //! run [`VerificationRequest::validate`] (`serve_delta` on both requests):
+//! a region that does not fit the cut layer is [`ServeError::Core`];
 //! non-finite tail or characterizer parameters, non-finite risk
 //! coefficients or thresholds, unbounded or inverted regions, and requests
 //! that would decompose into more than 2^16 obligations are rejected with

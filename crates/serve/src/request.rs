@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpv_absint::{AbstractDomain, BoxDomain};
+use dpv_absint::BoxDomain;
 use dpv_core::{
     check_finite, split_box, Characterizer, CoreError, RiskCondition, StartRegion,
     VerificationProblem,
@@ -75,40 +75,68 @@ pub struct VerificationRequest {
     pub deadline: Option<Duration>,
 }
 
-/// One proof obligation: a `(problem, template root, sub-region)` triple
-/// plus its deterministic coordinates in the request.
-#[derive(Debug, Clone)]
-pub(crate) struct Obligation {
-    /// Position in the request's global obligation order (family-major,
-    /// then shard, then sub-box) — the fold order.
-    pub index: usize,
-    /// Index into [`VerificationRequest::risks`].
-    pub family: usize,
-    /// Shard index (0 for [`RegionSpec::Single`]).
-    pub shard: usize,
-    /// Sub-box index within the shard (0 for unsubdivided roots).
-    pub sub_box: usize,
-    /// The verification problem for this family member.
-    pub problem: Arc<VerificationProblem>,
-    /// The region to solve.
-    pub region: StartRegion,
+/// One shard of a request's region: its root, which keys the shard's
+/// encoding template, and the sub-regions bisected from it. Every risk
+/// family of the request shares it.
+#[derive(Debug)]
+pub(crate) struct Shard {
+    /// The shard's root region.
+    pub root: StartRegion,
+    /// The obligation regions in sub-box order: the `2^subdivision`
+    /// bisections of a box root, or an octagon root alone.
+    pub sub_regions: Vec<StartRegion>,
 }
 
-/// All obligations of one `(family, shard)` pair — they share one
-/// encoding template rooted at `root`, which is what makes admission
-/// batchable.
-#[derive(Debug, Clone)]
-pub(crate) struct ObligationGroup {
-    pub problem: Arc<VerificationProblem>,
-    pub root: StartRegion,
-    pub obligations: Vec<Obligation>,
+/// A request decomposed into proof obligations: one verification problem
+/// per risk family and one set of shards that every family shares. An
+/// obligation is a `(family, shard, sub-box)` triple; obligations are
+/// indexed family-major, then by shard, then by sub-box, which is also the
+/// fold order.
+#[derive(Debug)]
+pub(crate) struct Decomposition {
+    /// One problem per risk family, in family order.
+    pub problems: Vec<Arc<VerificationProblem>>,
+    /// The shards, in shard-index order.
+    pub shards: Vec<Shard>,
+}
+
+impl Decomposition {
+    /// The number of obligations.
+    pub fn len(&self) -> usize {
+        self.obligations().count()
+    }
+
+    /// Every obligation in index order: its `(family, shard, sub_box)`
+    /// coordinates and its region.
+    pub fn obligations(&self) -> impl Iterator<Item = (Coordinates, &StartRegion)> {
+        obligations(self.problems.len(), &self.shards)
+    }
+}
+
+/// An obligation's `(family, shard, sub_box)` position in its request.
+pub(crate) type Coordinates = (usize, usize, usize);
+
+/// The obligations of `families` risk families over `shards`, in
+/// obligation-index order: coordinates and region.
+pub(crate) fn obligations(
+    families: usize,
+    shards: &[Shard],
+) -> impl Iterator<Item = (Coordinates, &StartRegion)> {
+    (0..families).flat_map(move |family| {
+        shards.iter().enumerate().flat_map(move |(shard, s)| {
+            s.sub_regions
+                .iter()
+                .enumerate()
+                .map(move |(sub_box, region)| ((family, shard, sub_box), region))
+        })
+    })
 }
 
 /// Deterministically enumerates the sub-boxes of `root` after `levels`
 /// widest-dimension bisections, left child before right child.
-fn bisect(root: &BoxDomain, levels: u32, out: &mut Vec<BoxDomain>) {
+fn bisect(root: &BoxDomain, levels: u32, out: &mut Vec<StartRegion>) {
     if levels == 0 {
-        out.push(root.clone());
+        out.push(StartRegion::Box(root.clone()));
         return;
     }
     let (left, right) = split_box(root);
@@ -121,6 +149,9 @@ impl VerificationRequest {
     /// input can panic the server or reach the solver as NaN or ±∞:
     ///
     /// * at least one risk condition;
+    /// * shard roots, from the enumeration that decomposes the request,
+    ///   that fit the cut layer ([`ServeError::Core`], as decomposition
+    ///   reports it);
     /// * everything [`dpv_core::check_finite`] checks: finite parameters in
     ///   the tail after the cut (the head is never encoded) and in the
     ///   characterizer network, finite coefficients and right-hand sides in
@@ -134,38 +165,22 @@ impl VerificationRequest {
     /// [`crate::ObligationServer::serve_delta`] call this first.
     ///
     /// # Errors
-    /// [`ServeError::InvalidRequest`] naming the first offending field.
+    /// [`ServeError::Core`] for roots that do not fit the cut layer,
+    /// otherwise [`ServeError::InvalidRequest`] naming the first offending
+    /// field.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.risks.is_empty() {
             return Err(ServeError::InvalidRequest(
                 "a verification request needs at least one risk condition".into(),
             ));
         }
-        let layers = self.perception.layers();
-        let tail = &layers[layers.len().min(self.cut_layer.saturating_add(1))..];
-        let regions: Vec<StartRegion> = match &self.region {
-            RegionSpec::Single(region) => vec![region.clone()],
-            RegionSpec::Sharded {
-                envelope,
-                use_difference_constraints,
-            } => envelope
-                .shards()
-                .iter()
-                .map(|shard| {
-                    let octagon = shard.octagon();
-                    if *use_difference_constraints {
-                        StartRegion::Octagon(octagon.clone())
-                    } else {
-                        StartRegion::Box(octagon.to_box_domain())
-                    }
-                })
-                .collect(),
-        };
-        check_finite(tail, self.characterizer.network(), &self.risks, &regions)
+        let roots = self.shard_roots()?;
+        let tail = &self.perception.layers()[self.cut_layer + 1..];
+        check_finite(tail, self.characterizer.network(), &self.risks, &roots)
             .map_err(|e| ServeError::InvalidRequest(e.to_string()))?;
         // Risks × (2^subdivision per box root + 1 per octagon root), in
         // checked arithmetic: `None` means it overflowed `u64`.
-        let obligations = regions
+        let obligations = roots
             .iter()
             .try_fold(0u64, |sum, region| match region {
                 StartRegion::Box(_) => 1u64
@@ -184,19 +199,27 @@ impl VerificationRequest {
                  into more than {MAX_OBLIGATIONS} proof obligations",
                 self.subdivision,
                 self.risks.len(),
-                regions.len()
+                roots.len()
             )));
         }
         Ok(())
     }
 
-    /// The shard roots of the request, in shard-index order.
-    fn shard_roots(&self, problem: &VerificationProblem) -> Result<Vec<StartRegion>, CoreError> {
+    /// The shard roots of the request, in shard-index order, checked
+    /// against the cut layer; an envelope maps to them through
+    /// [`VerificationProblem::shard_regions`].
+    fn shard_roots(&self) -> Result<Vec<StartRegion>, CoreError> {
+        let layers = self.perception.len();
+        if self.cut_layer >= layers {
+            return Err(CoreError::Inconsistent(format!(
+                "cut layer {} out of range for a {layers}-layer network",
+                self.cut_layer
+            )));
+        }
+        let width = self.perception.layer_output_dim(self.cut_layer);
         match &self.region {
             RegionSpec::Single(region) => {
-                if region.box_domain().dim()
-                    != problem.perception().layer_output_dim(problem.cut_layer())
-                {
+                if region.dim() != width {
                     return Err(CoreError::Inconsistent(
                         "request region dimension does not match the cut-layer width".into(),
                     ));
@@ -206,56 +229,57 @@ impl VerificationRequest {
             RegionSpec::Sharded {
                 envelope,
                 use_difference_constraints,
-            } => problem.shard_regions(envelope, *use_difference_constraints),
+            } => VerificationProblem::shard_regions(
+                envelope,
+                *use_difference_constraints,
+                self.cut_layer,
+                width,
+            ),
         }
     }
 
-    /// Decomposes the request into obligation groups in deterministic
-    /// order: family-major, then shard, then sub-box. Obligation indices
-    /// are assigned in exactly this order, which is also the fold order.
-    pub(crate) fn decompose(&self) -> Result<Vec<ObligationGroup>, CoreError> {
-        let mut groups = Vec::new();
-        let mut index = 0usize;
-        for (family, risk) in self.risks.iter().enumerate() {
-            let problem = Arc::new(VerificationProblem::new(
-                self.perception.clone(),
-                self.cut_layer,
-                self.characterizer.clone(),
-                risk.clone(),
-            )?);
-            let roots = self.shard_roots(&problem)?;
-            for (shard, root) in roots.into_iter().enumerate() {
-                let sub_regions: Vec<StartRegion> = match &root {
+    /// The request's one region enumeration: each shard's checked root and
+    /// the sub-regions bisected from it. It builds no
+    /// [`VerificationProblem`], so reading a prior request's regions costs
+    /// no network copy.
+    pub(crate) fn shards(&self) -> Result<Vec<Shard>, CoreError> {
+        Ok(self
+            .shard_roots()?
+            .into_iter()
+            .map(|root| {
+                let sub_regions = match &root {
                     StartRegion::Box(b) => {
                         let mut leaves = Vec::new();
                         bisect(b, self.subdivision, &mut leaves);
-                        leaves.into_iter().map(StartRegion::Box).collect()
+                        leaves
                     }
                     octagon => vec![octagon.clone()],
                 };
-                let obligations = sub_regions
-                    .into_iter()
-                    .enumerate()
-                    .map(|(sub_box, region)| {
-                        let obligation = Obligation {
-                            index,
-                            family,
-                            shard,
-                            sub_box,
-                            problem: Arc::clone(&problem),
-                            region,
-                        };
-                        index += 1;
-                        obligation
-                    })
-                    .collect();
-                groups.push(ObligationGroup {
-                    problem: Arc::clone(&problem),
-                    root,
-                    obligations,
-                });
-            }
-        }
-        Ok(groups)
+                Shard { root, sub_regions }
+            })
+            .collect())
+    }
+
+    /// Decomposes the request once: one [`VerificationProblem`] per risk
+    /// family, then the shards every family shares (see
+    /// [`Decomposition`] for the obligation order).
+    pub(crate) fn decompose(&self) -> Result<Decomposition, CoreError> {
+        let problems = self
+            .risks
+            .iter()
+            .map(|risk| {
+                VerificationProblem::new(
+                    self.perception.clone(),
+                    self.cut_layer,
+                    self.characterizer.clone(),
+                    risk.clone(),
+                )
+                .map(Arc::new)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Decomposition {
+            problems,
+            shards: self.shards()?,
+        })
     }
 }

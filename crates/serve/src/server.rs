@@ -22,7 +22,7 @@ use dpv_trace::{
 };
 
 use crate::fault::{FailureReason, FaultKind, FaultPlan};
-use crate::request::{Obligation, ObligationGroup, VerificationRequest};
+use crate::request::{Decomposition, Shard, VerificationRequest};
 use crate::stats::ServeStats;
 use crate::timeline::RequestTimeline;
 
@@ -232,7 +232,7 @@ struct PoolState {
     shutdown: bool,
 }
 
-/// What a worker hands back for one solved obligation.
+/// What a worker hands back for one obligation.
 #[derive(Debug)]
 struct WorkerOutcome {
     verdict: Verdict,
@@ -240,13 +240,45 @@ struct WorkerOutcome {
     stats: SolveStats,
 }
 
-/// Per-request completion state shared between the submitting thread and
-/// the workers.
+impl WorkerOutcome {
+    /// An outcome that cost no solve.
+    fn unsolved(verdict: Verdict) -> Self {
+        Self {
+            verdict,
+            solve_ns: 0,
+            stats: SolveStats::default(),
+        }
+    }
+}
+
+/// How one obligation of a request was answered: one slot of the request's
+/// outcome table.
+#[derive(Debug)]
+enum Answer {
+    /// By a worker: solved, or skipped at the request's deadline.
+    Solved(WorkerOutcome),
+    /// From the verdict cache, at admission.
+    Cached(Verdict),
+    /// By the caller's plan (a delta's reused or absorbed verdict), before
+    /// admission.
+    Planned(Verdict),
+    /// By a deadline that had expired before admission.
+    Expired,
+}
+
+/// Per-request state shared between the submitting thread and the workers.
 #[derive(Debug)]
 struct RequestState {
-    outcomes: Mutex<Vec<Option<WorkerOutcome>>>,
+    /// The outcome table: one slot per obligation, in index order, empty
+    /// until the obligation is answered.
+    answers: Mutex<Vec<Option<Answer>>>,
     remaining: Mutex<usize>,
     done: Condvar,
+    /// The request's deadline token (`None` for unbounded requests):
+    /// checked before solving and polled inside the solver.
+    cancel: Option<CancelToken>,
+    /// The request's trace tag (serves as the timeline key).
+    seq: u64,
 }
 
 /// One unit of pool work.
@@ -258,11 +290,6 @@ struct Job {
     bounds: Option<RegionBounds>,
     dedup_key: (Fingerprint, Fingerprint),
     request: Arc<RequestState>,
-    /// The owning request's deadline token (`None` for unbounded
-    /// requests): checked before solving and polled inside the solver.
-    cancel: Option<CancelToken>,
-    /// The owning request's trace tag (serves as the timeline key).
-    request_seq: u64,
     /// When the job entered the queue, on the tracer's clock (0 when
     /// tracing is disabled).
     enqueued_at_ns: u64,
@@ -410,105 +437,95 @@ impl ObligationServer {
         Self { inner, workers }
     }
 
-    /// Serves one request to completion: decomposes it into obligations,
-    /// answers duplicates from the verdict cache, batches the remaining
-    /// admissions per template, drains them through the pool (blocking on
-    /// the queue bound), and folds the verdicts in obligation-index
-    /// order.
+    /// Serves one request to completion: validates it, decomposes it once
+    /// into obligations, answers duplicates from the verdict cache, batches
+    /// the remaining admissions per template, drains them through the pool
+    /// (blocking on the queue bound), and folds the verdicts in
+    /// obligation-index order. The request's deadline, if any, runs from
+    /// entry.
     ///
     /// # Errors
-    /// [`ServeError::InvalidRequest`] when [`VerificationRequest::validate`]
-    /// rejects the request (checked first, before anything is admitted) or
-    /// admission panics; [`ServeError::Core`] when decomposition or
-    /// encoding fails.
+    /// What [`VerificationRequest::validate`] rejects (checked first, before
+    /// anything is admitted); [`ServeError::Core`] when decomposition or
+    /// encoding fails; [`ServeError::InvalidRequest`] when admission
+    /// panics.
     pub fn serve(&self, request: &VerificationRequest) -> Result<RequestReport, ServeError> {
+        let started = Instant::now();
+        let cancel = request.deadline.map(CancelToken::with_deadline);
         request.validate()?;
-        self.serve_with_prefill(request, &[])
+        let decomposition = request.decompose()?;
+        let plan = vec![None; decomposition.len()];
+        self.serve_decomposed(request, &decomposition, plan, started, cancel)
     }
 
-    /// [`ObligationServer::serve`] with a set of pre-decided verdicts: each
-    /// `(index, verdict)` pair is written into the request state before
-    /// admission, so the obligation is neither dedup-checked nor solved.
-    /// This is the execution half of delta-verification
-    /// ([`ObligationServer::serve_delta`]): planner-approved reuse and
-    /// absorption verdicts are prefilled, everything else flows through
-    /// the ordinary admission path (dedup cache, batched bounds, pool).
-    ///
-    /// Prefilled outcomes report `deduped: false` — they were answered by
-    /// the delta plan, not the verdict cache. Out-of-range indices and
-    /// duplicates are ignored (first write wins). An expired deadline
-    /// still degrades the *whole* request, prefill included.
-    pub(crate) fn serve_with_prefill(
+    /// The one admission path, behind [`ObligationServer::serve`] and
+    /// [`ObligationServer::serve_delta`]: `plan` holds one entry per
+    /// obligation of `decomposition`, and a `Some` verdict answers its
+    /// obligation before admission, so it is neither dedup-checked nor
+    /// solved (a delta's reused and absorbed verdicts). A deadline that
+    /// expired before admission answers every obligation instead, the
+    /// plan's included. Whatever is left is answered from the verdict cache
+    /// or solved by the pool, and every request ends in the same report
+    /// assembly.
+    pub(crate) fn serve_decomposed(
         &self,
         request: &VerificationRequest,
-        prefill: &[(usize, Verdict)],
+        decomposition: &Decomposition,
+        plan: Vec<Option<Verdict>>,
+        started: Instant,
+        cancel: Option<CancelToken>,
     ) -> Result<RequestReport, ServeError> {
-        let started = Instant::now();
-        let request_seq = self.inner.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let rtrace = self.inner.admission.tagged(request_seq, NO_OBLIGATION);
-        let trace_began = rtrace.now_ns();
-        // The deadline budget covers the whole request, decomposition
-        // included, measured on the monotonic clock from entry.
-        let cancel = request.deadline.map(CancelToken::with_deadline);
-        let groups = request.decompose()?;
-        let total: usize = groups.iter().map(|g| g.obligations.len()).sum();
+        let total = plan.len();
+        debug_assert_eq!(total, decomposition.len(), "one plan entry per obligation");
         if total == 0 {
             return Err(ServeError::InvalidRequest(
                 "request decomposed into zero obligations".into(),
             ));
         }
+        let seq = self.inner.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let rtrace = self.inner.admission.tagged(seq, NO_OBLIGATION);
+        let trace_began = rtrace.now_ns();
         rtrace.event(TraceEvent::instant(
             EventKind::RequestBegin,
             trace_began,
             total as u64,
         ));
 
-        // Already expired: degrade every obligation without a single
-        // solver invocation — a complete report, not an error.
-        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Ok(self.serve_expired(request, &groups, total, started));
-        }
-
+        let counters = &self.inner.counters;
+        // Already expired: the deadline answers every obligation, so no
+        // group fetches a template and nothing is solved, yet the report is
+        // complete.
+        let answers = if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            counters.add(CounterId::DeadlineSkipped, total as u64);
+            counters.add(CounterId::DegradedDeadlineExceeded, total as u64);
+            (0..total).map(|_| Some(Answer::Expired)).collect()
+        } else {
+            plan.into_iter()
+                .map(|verdict| verdict.map(Answer::Planned))
+                .collect()
+        };
         let state = Arc::new(RequestState {
-            outcomes: Mutex::new((0..total).map(|_| None).collect()),
+            answers: Mutex::new(answers),
             remaining: Mutex::new(0),
             done: Condvar::new(),
+            cancel,
+            seq,
         });
 
-        // Planner-decided verdicts land first; admission skips any slot
-        // that is already filled.
-        let mut prefilled = vec![false; total];
-        if !prefill.is_empty() {
-            let mut outcomes = lock(&state.outcomes);
-            for (index, verdict) in prefill {
-                if *index < total && outcomes[*index].is_none() {
-                    outcomes[*index] = Some(WorkerOutcome {
-                        verdict: verdict.clone(),
-                        solve_ns: 0,
-                        stats: SolveStats::default(),
-                    });
-                    prefilled[*index] = true;
-                }
-            }
-        }
-
-        // Admission: per template group, dedup first, then one batched
-        // bound sweep over the surviving sibling boxes, then enqueue. A
-        // finite request can still overflow to NaN bounds on the way, and
-        // the interval layer panics on those; admission runs under
+        // Admission, one `(family, shard)` group at a time in obligation
+        // order. A finite request can still overflow to NaN bounds on the
+        // way, and the interval layer panics on those; admission runs under
         // `catch_unwind` so that panic becomes an error for this request
         // alone. That is safe: templates are built outside the cache lock,
         // and no job is enqueued until every group is admitted.
         let admitted = catch_unwind(AssertUnwindSafe(|| {
             let mut jobs = Vec::new();
-            for group in &groups {
-                jobs.extend(self.admit_group(
-                    group,
-                    &state,
-                    cancel.as_ref(),
-                    request_seq,
-                    &rtrace,
-                )?);
+            let mut first = 0;
+            for problem in &decomposition.problems {
+                for shard in &decomposition.shards {
+                    jobs.extend(self.admit_group(problem, shard, first, &state, &rtrace)?);
+                    first += shard.sub_regions.len();
+                }
             }
             Ok::<_, ServeError>(jobs)
         }));
@@ -520,23 +537,6 @@ impl ObligationServer {
                 .unwrap_or("a non-string panic payload");
             ServeError::InvalidRequest(format!("admission failed: {why}"))
         })??;
-        let coordinates: Vec<_> = groups
-            .iter()
-            .flat_map(|group| &group.obligations)
-            .map(|obligation| (obligation.family, obligation.shard, obligation.sub_box))
-            .collect();
-        let mut deduped = vec![false; total];
-        {
-            // Dedup answers were written straight into `outcomes`; mark
-            // which indices they were (prefilled slots are also filled,
-            // but their verdicts came from the delta plan, not the cache).
-            let outcomes = lock(&state.outcomes);
-            for (index, slot) in outcomes.iter().enumerate() {
-                if slot.is_some() && !prefilled[index] {
-                    deduped[index] = true;
-                }
-            }
-        }
         *lock(&state.remaining) = jobs.len();
 
         self.enqueue_with_backpressure(jobs, &rtrace);
@@ -549,34 +549,42 @@ impl ObligationServer {
             }
         }
 
-        let mut outcomes = Vec::with_capacity(total);
-        {
-            let mut slots = lock(&state.outcomes);
-            for (index, slot) in slots.iter_mut().enumerate() {
-                // A lost slot is an accounting bug, not a reason to crash
-                // the submitter: report it as a degraded outcome with a
-                // stable code and let the siblings' verdicts stand.
-                let outcome = slot.take().unwrap_or_else(|| WorkerOutcome {
-                    verdict: Verdict::Unknown(FailureReason::SlotLost.code().to_string()),
-                    solve_ns: 0,
-                    stats: SolveStats::default(),
-                });
-                let (family, shard, sub_box) = coordinates[index];
-                outcomes.push(ObligationOutcome {
+        let outcomes: Vec<ObligationOutcome> = lock(&state.answers)
+            .iter_mut()
+            .zip(decomposition.obligations())
+            .enumerate()
+            .map(|(index, (answer, ((family, shard, sub_box), _)))| {
+                let (outcome, deduped) = match answer.take() {
+                    Some(Answer::Solved(outcome)) => (outcome, false),
+                    Some(Answer::Cached(verdict)) => (WorkerOutcome::unsolved(verdict), true),
+                    Some(Answer::Planned(verdict)) => (WorkerOutcome::unsolved(verdict), false),
+                    Some(Answer::Expired) => (
+                        WorkerOutcome::unsolved(unknown(FailureReason::DeadlineExceeded)),
+                        false,
+                    ),
+                    // A lost slot is an accounting bug, not a reason to
+                    // crash the submitter: report it as a degraded outcome
+                    // with a stable code and let the siblings' verdicts
+                    // stand.
+                    None => (
+                        WorkerOutcome::unsolved(unknown(FailureReason::SlotLost)),
+                        false,
+                    ),
+                };
+                ObligationOutcome {
                     index,
                     family,
                     shard,
                     sub_box,
                     verdict: outcome.verdict,
-                    deduped: deduped[index],
+                    deduped,
                     solve_ns: outcome.solve_ns,
                     stats: outcome.stats,
-                });
-            }
-        }
+                }
+            })
+            .collect();
 
         let verdicts = fold_families(request, &outcomes);
-        let counters = &self.inner.counters;
         counters.add(CounterId::Requests, 1);
         counters.add(CounterId::Obligations, total as u64);
         if rtrace.is_enabled() {
@@ -591,7 +599,7 @@ impl ObligationServer {
             verdicts,
             obligations: outcomes,
             seconds: started.elapsed().as_secs_f64(),
-            timeline: self.request_timeline(request_seq),
+            timeline: self.request_timeline(seq),
         })
     }
 
@@ -607,47 +615,6 @@ impl ObligationServer {
         ))
     }
 
-    /// The degraded fast path for a request whose deadline expired before
-    /// admission: every obligation reports
-    /// `Unknown("deadline-exceeded")`, the solver pool is never touched
-    /// (`solved` does not move), and the report is still complete —
-    /// every obligation accounted for, folded in index order.
-    fn serve_expired(
-        &self,
-        request: &VerificationRequest,
-        groups: &[ObligationGroup],
-        total: usize,
-        started: Instant,
-    ) -> RequestReport {
-        let mut outcomes = Vec::with_capacity(total);
-        for group in groups {
-            for obligation in &group.obligations {
-                outcomes.push(ObligationOutcome {
-                    index: obligation.index,
-                    family: obligation.family,
-                    shard: obligation.shard,
-                    sub_box: obligation.sub_box,
-                    verdict: Verdict::Unknown(FailureReason::DeadlineExceeded.code().to_string()),
-                    deduped: false,
-                    solve_ns: 0,
-                    stats: SolveStats::default(),
-                });
-            }
-        }
-        let verdicts = fold_families(request, &outcomes);
-        let counters = &self.inner.counters;
-        counters.add(CounterId::Requests, 1);
-        counters.add(CounterId::Obligations, total as u64);
-        counters.add(CounterId::DeadlineSkipped, total as u64);
-        counters.add(CounterId::DegradedDeadlineExceeded, total as u64);
-        RequestReport {
-            verdicts,
-            obligations: outcomes,
-            seconds: started.elapsed().as_secs_f64(),
-            timeline: None,
-        }
-    }
-
     /// Installs the deterministic fault-injection plan consulted (by
     /// global obligation index) on every subsequent solve. A test/bench
     /// seam: the default plan is empty and production callers never need
@@ -657,98 +624,83 @@ impl ObligationServer {
         *lock(&self.inner.fault_plan) = plan;
     }
 
-    /// Dedup + batched admission for one `(family, shard)` group. Cached
-    /// verdicts are written straight into the request state; the
-    /// remaining obligations come back as enqueueable jobs, box siblings
-    /// carrying bounds from a single [`dpv_core::EncodingTemplate::region_bounds_batch`]
-    /// sweep.
+    /// Admission of one `(family, shard)` group, the obligations
+    /// `first..first + shard.sub_regions.len()`. A group whose every slot
+    /// is already answered (by the plan or the deadline) stops here and
+    /// fetches no template. Otherwise it fetches its template, whose
+    /// fingerprint keys the verdict cache, writes cached verdicts straight
+    /// into the outcome table, and returns the rest as enqueueable jobs,
+    /// box sub-regions carrying bounds from one
+    /// [`dpv_core::EncodingTemplate::region_bounds_batch`] sweep.
     fn admit_group(
         &self,
-        group: &ObligationGroup,
+        problem: &Arc<VerificationProblem>,
+        shard: &Shard,
+        first: usize,
         state: &Arc<RequestState>,
-        cancel: Option<&CancelToken>,
-        request_seq: u64,
         rtrace: &TraceHandle,
     ) -> Result<Vec<Job>, ServeError> {
-        let template = self
-            .inner
-            .templates
-            .get_or_build(&group.problem, &group.root)?;
+        let slots = first..first + shard.sub_regions.len();
+        if lock(&state.answers)[slots.clone()]
+            .iter()
+            .all(Option::is_some)
+        {
+            return Ok(Vec::new());
+        }
+        let template = self.inner.templates.get_or_build(problem, &shard.root)?;
         let template_fp = template.fingerprint();
 
-        let mut pending: Vec<(&Obligation, (Fingerprint, Fingerprint))> = Vec::new();
+        let mut pending = Vec::new();
         {
             let verdicts = lock(&self.inner.verdicts);
-            let mut outcomes = lock(&state.outcomes);
-            for obligation in &group.obligations {
-                // Prefilled (delta-plan) slots are already answered; they
-                // bypass the dedup cache and never become jobs.
-                if outcomes[obligation.index].is_some() {
+            let mut answers = lock(&state.answers);
+            for (index, region) in slots.zip(&shard.sub_regions) {
+                if answers[index].is_some() {
                     continue;
                 }
-                let key = (template_fp, Fingerprint::of_region(&obligation.region));
+                let key = (template_fp, Fingerprint::of_region(region));
                 match verdicts.get(&key) {
                     Some(verdict) => {
                         self.inner.counters.add(CounterId::DedupHits, 1);
                         if rtrace.is_enabled() {
                             let mut event =
                                 TraceEvent::instant(EventKind::DedupHit, rtrace.now_ns(), 0);
-                            event.obligation = obligation.index as u64;
+                            event.obligation = index as u64;
                             rtrace.event(event);
                         }
-                        outcomes[obligation.index] = Some(WorkerOutcome {
-                            verdict,
-                            solve_ns: 0,
-                            stats: SolveStats::default(),
-                        });
+                        answers[index] = Some(Answer::Cached(verdict));
                     }
-                    None => pending.push((obligation, key)),
+                    None => pending.push((index, region, key)),
                 }
             }
         }
 
-        // One SoA sweep for every surviving box sibling of the group
-        // (bit-identical to per-region propagation, so instantiation is
-        // unchanged — only cheaper).
+        // One SoA sweep over the pending sub-boxes, zipped in order. They
+        // were bisected from the template's root, and each lane is
+        // bit-identical to propagating its box alone, so every MILP is the
+        // one a scalar propagation builds. An octagon root is its group's
+        // one region and propagates in the worker.
         let boxes: Vec<&BoxDomain> = pending
             .iter()
-            .filter_map(|(o, _)| match &o.region {
-                StartRegion::Box(b) if template.encoding().supports_box(b) => Some(b),
-                _ => None,
+            .filter_map(|(_, region, _)| match region {
+                StartRegion::Box(b) => Some(b),
+                StartRegion::Octagon(_) => None,
             })
             .collect();
-        let mut batched: VecDeque<RegionBounds> = if boxes.len() > 1 {
-            template.encoding().region_bounds_batch(&boxes)?.into()
-        } else {
-            VecDeque::new()
-        };
-
-        let jobs = pending
+        let mut lanes = template.encoding().region_bounds_batch(&boxes)?.into_iter();
+        Ok(pending
             .into_iter()
-            .map(|(obligation, dedup_key)| {
-                let bounds = match &obligation.region {
-                    StartRegion::Box(b)
-                        if !batched.is_empty() && template.encoding().supports_box(b) =>
-                    {
-                        batched.pop_front()
-                    }
-                    _ => None,
-                };
-                Job {
-                    index: obligation.index,
-                    template: Arc::clone(&template),
-                    problem: Arc::clone(&obligation.problem),
-                    region: obligation.region.clone(),
-                    bounds,
-                    dedup_key,
-                    request: Arc::clone(state),
-                    cancel: cancel.cloned(),
-                    request_seq,
-                    enqueued_at_ns: 0,
-                }
+            .map(|(index, region, dedup_key)| Job {
+                index,
+                template: Arc::clone(&template),
+                problem: Arc::clone(problem),
+                region: region.clone(),
+                bounds: lanes.next(),
+                dedup_key,
+                request: Arc::clone(state),
+                enqueued_at_ns: 0,
             })
-            .collect();
-        Ok(jobs)
+            .collect())
     }
 
     /// Pushes jobs into the pool, blocking whenever `queue_capacity`
@@ -879,7 +831,7 @@ fn run_job_isolated(
     backend: &BranchAndBoundBackend,
     handle: &TraceHandle,
 ) -> WorkerOutcome {
-    let trace = handle.tagged(job.request_seq, job.index as u64);
+    let trace = handle.tagged(job.request.seq, job.index as u64);
     for attempt in 0..2 {
         match catch_unwind(AssertUnwindSafe(|| run_job(inner, job, backend, &trace))) {
             Ok(outcome) => return outcome,
@@ -892,11 +844,7 @@ fn run_job_isolated(
             }
         }
     }
-    WorkerOutcome {
-        verdict: Verdict::Unknown(FailureReason::WorkerPanic.code().to_string()),
-        solve_ns: 0,
-        stats: SolveStats::default(),
-    }
+    WorkerOutcome::unsolved(unknown(FailureReason::WorkerPanic))
 }
 
 /// Pops the oldest queued job, sleeping on the work condvar until a push;
@@ -970,7 +918,8 @@ fn run_job(
         trace.event(TraceEvent::instant(EventKind::Dequeue, now, queue_wait));
         trace.observe(HistogramId::QueueWaitNs, queue_wait);
     }
-    if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+    let cancel = job.request.cancel.as_ref();
+    if cancel.is_some_and(CancelToken::is_cancelled) {
         return deadline_skip(inner, 0);
     }
     let fault = lock(&inner.fault_plan).fault_at(job.index);
@@ -978,13 +927,12 @@ fn run_job(
         Some(FaultKind::Panic) => panic!("injected fault: panic at obligation {}", job.index),
         Some(FaultKind::Delay { millis }) => {
             std::thread::sleep(std::time::Duration::from_millis(millis));
-            if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
                 return deadline_skip(inner, started.elapsed().as_nanos());
             }
         }
         _ => {}
     }
-    let cancel = job.cancel.as_ref();
 
     // Injected exhaustion replaces the real solve by a deterministic
     // IterationLimit outcome.
@@ -993,10 +941,7 @@ fn run_job(
         Some(FaultKind::ExhaustIterations | FaultKind::TransientExhaust)
     );
     let (mut verdict, mut solution) = if injected_exhaust {
-        (
-            Verdict::Unknown(FailureReason::IterationLimit.code().to_string()),
-            exhausted_solution(),
-        )
+        (unknown(FailureReason::IterationLimit), exhausted_solution())
     } else {
         let attempt_started = trace.now_ns();
         let solved = job.problem.solve_with_template(
@@ -1087,7 +1032,7 @@ fn run_job(
         _ => None,
     };
     if let Some(reason) = degraded {
-        verdict = Verdict::Unknown(reason.code().to_string());
+        verdict = unknown(reason);
         inner
             .counters
             .add(CounterId::for_failure_code(reason.code()), 1);
@@ -1111,10 +1056,14 @@ fn deadline_skip(inner: &Arc<Inner>, solve_ns: u128) -> WorkerOutcome {
     inner.counters.add(CounterId::DeadlineSkipped, 1);
     inner.counters.add(CounterId::DegradedDeadlineExceeded, 1);
     WorkerOutcome {
-        verdict: Verdict::Unknown(FailureReason::DeadlineExceeded.code().to_string()),
         solve_ns,
-        stats: SolveStats::default(),
+        ..WorkerOutcome::unsolved(unknown(FailureReason::DeadlineExceeded))
     }
+}
+
+/// The `Unknown` verdict of an obligation degraded for `reason`.
+fn unknown(reason: FailureReason) -> Verdict {
+    Verdict::Unknown(reason.code().to_string())
 }
 
 /// The trace detail payload of a [`EventKind::Verdict`] event.
@@ -1135,7 +1084,7 @@ fn complete_job(inner: &Arc<Inner>, job: Job, outcome: WorkerOutcome, handle: &T
         u64::try_from(outcome.solve_ns).unwrap_or(u64::MAX),
     );
     if handle.is_enabled() {
-        let trace = handle.tagged(job.request_seq, job.index as u64);
+        let trace = handle.tagged(job.request.seq, job.index as u64);
         trace.event(TraceEvent::instant(
             EventKind::Verdict,
             trace.now_ns(),
@@ -1145,14 +1094,14 @@ fn complete_job(inner: &Arc<Inner>, job: Job, outcome: WorkerOutcome, handle: &T
             HistogramId::SolveNs,
             u64::try_from(outcome.solve_ns).unwrap_or(u64::MAX),
         );
-        if let Some(margin) = job.cancel.as_ref().and_then(CancelToken::remaining) {
+        if let Some(margin) = job.request.cancel.as_ref().and_then(CancelToken::remaining) {
             trace.observe(
                 HistogramId::DeadlineMarginNs,
                 u64::try_from(margin.as_nanos()).unwrap_or(u64::MAX),
             );
         }
     }
-    lock(&job.request.outcomes)[job.index] = Some(outcome);
+    lock(&job.request.answers)[job.index] = Some(Answer::Solved(outcome));
     // Release the queue slot before marking the request drained, so a
     // submitter woken by `done` observes the freed capacity.
     let depth;

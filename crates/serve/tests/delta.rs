@@ -9,7 +9,7 @@ use dpv_delta::{Disposition, ModelFingerprint};
 use dpv_nn::{network_from_text, network_to_text, Activation, Layer, Network, NetworkBuilder};
 use dpv_serve::{
     ObligationServer, ProofDeltaReport, RegionSpec, RequestReport, ServeConfig, ServeError,
-    VerificationRequest,
+    ServeStats, VerificationRequest,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -116,7 +116,15 @@ fn view(
     )
 }
 
-fn delta_run(workers: usize, seed: u64, kind: Retrain) -> (ProofDeltaReport, RequestReport) {
+/// A delta serve on a resident server that served the prior request, and a
+/// scratch serve of the new request on a cold server. The last element is
+/// the resident server's statistics just before and just after the delta
+/// serve.
+fn delta_run(
+    workers: usize,
+    seed: u64,
+    kind: Retrain,
+) -> (ProofDeltaReport, RequestReport, (ServeStats, ServeStats)) {
     let old_net = perception(seed);
     let new_net = retrain(&old_net, kind);
     let prior_request = request_for(old_net);
@@ -126,15 +134,27 @@ fn delta_run(workers: usize, seed: u64, kind: Retrain) -> (ProofDeltaReport, Req
         .config(ServeConfig::with_workers(workers))
         .build();
     let prior = resident.serve(&prior_request).expect("prior serve");
+    let before = resident.stats();
     let delta = resident
         .serve_delta(&prior_request, &prior, &new_request)
         .expect("delta serve");
+    let after = resident.stats();
 
     let cold = ObligationServer::builder()
         .config(ServeConfig::with_workers(workers))
         .build();
     let scratch = cold.serve(&new_request).expect("scratch serve");
-    (delta, scratch)
+    (delta, scratch, (before, after))
+}
+
+/// Template hits, template misses and solved obligations between two
+/// statistics snapshots.
+fn work_between((before, after): &(ServeStats, ServeStats)) -> (u64, u64, u64) {
+    (
+        after.templates.hits - before.templates.hits,
+        after.templates.misses - before.templates.misses,
+        after.solved - before.solved,
+    )
 }
 
 proptest! {
@@ -154,7 +174,7 @@ proptest! {
             1 => Retrain::TailSmall,
             _ => Retrain::TailLarge,
         };
-        let (delta, scratch) = delta_run(workers, seed, kind);
+        let (delta, scratch, _) = delta_run(workers, seed, kind);
         prop_assert_eq!(view(&delta.report), view(&scratch));
         prop_assert_eq!(delta.dispositions.len(), OBLIGATIONS);
     }
@@ -162,7 +182,7 @@ proptest! {
 
 #[test]
 fn head_only_retrain_reuses_every_obligation() {
-    let (delta, scratch) = delta_run(2, 23, Retrain::Head);
+    let (delta, scratch, stats) = delta_run(2, 23, Retrain::Head);
     assert_eq!(view(&delta.report), view(&scratch));
     let old_fp = ModelFingerprint::of(&perception(23));
     assert_eq!(delta.prior_fingerprint, old_fp);
@@ -181,11 +201,18 @@ fn head_only_retrain_reuses_every_obligation() {
     // Reused verdicts never touched the solver: no obligation of the
     // delta run was re-solved.
     assert!(delta.report.obligations.iter().all(|o| o.solve_ns == 0));
+    // The plan answers every group whole, so admission fetches no
+    // template either.
+    assert_eq!(
+        work_between(&stats),
+        (0, 0, 0),
+        "template hits, misses, solved"
+    );
 }
 
 #[test]
 fn small_tail_retrain_absorbs_the_safe_family_and_reproves_the_rest() {
-    let (delta, scratch) = delta_run(2, 23, Retrain::TailSmall);
+    let (delta, scratch, stats) = delta_run(2, 23, Retrain::TailSmall);
     assert_eq!(view(&delta.report), view(&scratch));
     let counts = delta.counts();
     // Family 0 ("unreachable", prior Safe) absorbs under the weight hull;
@@ -200,11 +227,18 @@ fn small_tail_retrain_absorbs_the_safe_family_and_reproves_the_rest() {
             _ => assert_eq!(*d, Disposition::ReProved),
         }
     }
+    // Only the re-proved family builds a template for the new tail and
+    // solves; the absorbed family's group fetches none.
+    assert_eq!(
+        work_between(&stats),
+        (0, 1, (OBLIGATIONS / 2) as u64),
+        "template hits, misses, solved"
+    );
 }
 
 #[test]
 fn large_tail_retrain_reproves_everything() {
-    let (delta, scratch) = delta_run(1, 23, Retrain::TailLarge);
+    let (delta, scratch, _) = delta_run(1, 23, Retrain::TailLarge);
     assert_eq!(view(&delta.report), view(&scratch));
     let counts = delta.counts();
     assert_eq!(counts.reused, 0);

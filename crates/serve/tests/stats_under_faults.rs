@@ -233,10 +233,15 @@ fn expired_deadline_counts_every_obligation_as_skipped() {
     request.deadline = Some(std::time::Duration::ZERO);
     let report = server.serve(&request).unwrap();
     assert_eq!(report.obligations.len(), OBLIGATIONS);
-    assert!(
-        report.timeline.is_none(),
-        "the fast path records no timeline"
-    );
+    // The expired request goes through the common report assembly, so it
+    // carries a timeline with a begin and an end but no obligation: none
+    // was enqueued, deduplicated or solved.
+    let timeline = report
+        .timeline
+        .expect("a traced server attaches a timeline");
+    assert!(timeline.began_at_ns.is_some());
+    assert!(timeline.duration_ns.is_some());
+    assert!(timeline.obligations.is_empty());
 
     let stats = server.stats();
     assert_eq!(stats.deadline_skipped, OBLIGATIONS as u64);
